@@ -24,7 +24,7 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, bounds, validate
-from .exprdsl import EvalError, ExprError, free_variables, parse
+from .exprdsl import EvalError, ExprError, parse
 from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
 from .montecarlo import CauchyProblem, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
@@ -65,35 +65,23 @@ class RunConfig:
     outdir: Path
 
 
-def _sample_space(grid: Grid, entry) -> np.ndarray:
-    """Evaluate a number or expression of x[,x2] on the interior nodes."""
+def _sample_space(grid: Grid, entry, t: float | None = None) -> np.ndarray:
+    """Evaluate a number or expression of x[,x2] (and t, when given) on the interior nodes."""
     if isinstance(entry, (int, float)):
         return np.full(grid.interior_shape, float(entry))
     e = parse(str(entry))
     axes = [grid.axis_coords(a) for a in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    env = {"x1": mesh[0]}
-    env["x" if grid.dim == 1 else "x2"] = mesh[0] if grid.dim == 1 else mesh[1]
+    env = {"x1": mesh[0], "x" if grid.dim == 1 else "x2": mesh[-1]}
+    if t is not None:
+        env["t"] = t
     return np.asarray(e.eval(env), dtype=float) * np.ones(grid.interior_shape)
 
 
 def _sample_space_time(grid: Grid, entry) -> SpaceTimeField | None:
-    if entry is None:
+    if entry is None or (isinstance(entry, (int, float)) and float(entry) == 0.0):
         return None
-    if isinstance(entry, (int, float)):
-        if float(entry) == 0.0:
-            return None
-        return SpaceTimeField(grid, np.full((grid.nt + 1,) + grid.interior_shape, float(entry)))
-    e = parse(str(entry))
-    axes = [grid.axis_coords(a) for a in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {"x1": mesh[0]}
-    env["x" if grid.dim == 1 else "x2"] = mesh[0] if grid.dim == 1 else mesh[1]
-    levels = []
-    for t in grid.times():
-        env["t"] = t
-        levels.append(np.asarray(e.eval(env), dtype=float) * np.ones(grid.interior_shape))
-    return SpaceTimeField(grid, np.stack(levels))
+    return SpaceTimeField(grid, np.stack([_sample_space(grid, entry, t) for t in grid.times()]))
 
 
 def _gamma_from_config(section, grid: Grid, base_dir: Path):

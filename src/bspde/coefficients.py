@@ -9,12 +9,13 @@ evaluation is pointwise and vectorized over node arrays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exprdsl import EvalError, Expr, Num, parse
+from .exprdsl import EvalError, Expr, Num, free_variables, parse
 from .grid import Grid
 
 _BOUNDARY_ZERO_TOL = 1e-12  # |beta| allowed on the wall (floating-point zero)
@@ -140,6 +141,17 @@ class CoefficientSet:
     @property
     def lam_is_zero(self) -> bool:
         return isinstance(self.lam, Num) and self.lam.value == 0.0
+
+    def _entries(self) -> Iterator[Expr]:
+        return itertools.chain(*self.b, self.f, (self.lam,), *self.beta)
+
+    @property
+    def is_constant(self) -> bool:
+        return all(isinstance(e, Num) for e in self._entries())
+
+    @property
+    def is_time_dependent(self) -> bool:
+        return any("t" in free_variables(e) for e in self._entries())
 
 
 def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, DiffusionDecomposition, bounds, decompose
-from .exprdsl import Num
 from .grid import Domain, Grid, SpaceField, SpaceTimeField, sup_norm
 from .stepper import solve_terminal
 
@@ -101,13 +100,6 @@ class _FieldInterp:
         )
 
 
-def _all_constant(coeffs: CoefficientSet) -> bool:
-    entries = [e for row in coeffs.b for e in row] + list(coeffs.f) + [coeffs.lam]
-    for vec in coeffs.beta:
-        entries += list(vec)
-    return all(isinstance(e, Num) for e in entries)
-
-
 def _run_paths(
     dec: DiffusionDecomposition,
     x,
@@ -145,7 +137,7 @@ def _run_paths(
     n_steps = max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
     N = coeffs.n_beta
     M = dec.n_columns
-    const = _all_constant(coeffs)
+    const = coeffs.is_constant
     if const:
         x0 = x[None, :]
         f_c = coeffs.f_at(x0, 0.0)[0]

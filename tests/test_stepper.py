@@ -14,8 +14,7 @@ from bspde import (
     sup_norm,
     terminal_response,
 )
-from bspde.stepper import solve_tridiagonal
-
+from bspde.stepper import LinearSolveError
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -23,20 +22,62 @@ def heat_coeffs(b=0.1, lam=0.0, f=0.0):
     return CoefficientSet.create(1, b=b, f=f, lam=lam)
 
 
-def test_tridiagonal_against_dense():
-    rng = np.random.default_rng(1)
-    for n in (1, 2, 5, 40):
-        d = rng.uniform(2.0, 3.0, n)
-        dl = rng.uniform(-0.5, 0.5, n)
-        du = rng.uniform(-0.5, 0.5, n)
-        rhs = rng.uniform(-1, 1, n)
-        A = np.diag(d)
-        for i in range(1, n):
-            A[i, i - 1] = dl[i]
-        for i in range(n - 1):
-            A[i, i + 1] = du[i]
-        x = solve_tridiagonal(dl, d, du, rhs)
-        assert np.allclose(A @ x, rhs, atol=1e-12)
+def _dense_step_matrix(g, c, t):
+    """(I - dt*A_h) built node by node from the stencil in the stepper docstring."""
+    nodes = list(np.ndindex(g.interior_shape))  # lexicographic, like interior_points()
+    index = {p: i for i, p in enumerate(nodes)}
+    pts = g.interior_points()
+    b, f, lam = c.b_at(pts, t), c.f_at(pts, t), c.lam_at(pts, t)
+    A = np.zeros((len(nodes), len(nodes)))
+    for i, p in enumerate(nodes):
+
+        def add(offset, value):
+            q = tuple(pa + oa for pa, oa in zip(p, offset))
+            if q in index:  # u = 0 off the interior
+                A[i, index[q]] += value
+
+        for a, h in enumerate(g.hx):
+            e = tuple(int(j == a) for j in range(g.dim))
+            add(e, b[i, a, a] / h**2 + max(f[i, a], 0.0) / h)
+            add(tuple(-ea for ea in e), b[i, a, a] / h**2 + max(-f[i, a], 0.0) / h)
+            A[i, i] -= 2.0 * b[i, a, a] / h**2 + abs(f[i, a]) / h
+        if g.dim == 2:
+            cross = b[i, 0, 1] / (2.0 * g.hx[0] * g.hx[1])
+            for offset, sign in (((1, 1), 1), ((-1, -1), 1), ((1, -1), -1), ((-1, 1), -1)):
+                add(offset, sign * cross)
+        A[i, i] += lam[i]
+    return np.eye(len(nodes)) - g.dt * A
+
+
+@pytest.mark.parametrize("nx", [3, 12, (3, 3), (3, 9), (9, 3), (5, 4), (6, 9)])
+def test_one_step_against_dense(nx):
+    # one backward step (nt=1) against a dense solve; drift changes sign across
+    # the box and b12 != 0, so stride order, row-end wrap-around and flat-offset
+    # collisions on thin grids all show up as mismatches
+    rng = np.random.default_rng(5)
+    if isinstance(nx, int):
+        g = make_grid(Domain((0.0,), (1.0,)), nx, 1, 0.3)
+        c = CoefficientSet.create(1, b="0.1 + 0.05*x", f="3*x - 1.5", lam="-0.5 - x")
+    else:
+        g = make_grid(Domain((0.0, -1.0), (1.0, 1.0)), nx, 1, 0.3)
+        c = CoefficientSet.create(
+            2, b=[[0.2, "0.05 + 0.03*x2"], ["0.05 + 0.03*x2", 0.15]], f=["2 - 4*x1", "x2"], lam=-0.7
+        )
+    src, term = random_st_field(rng, g), random_field(rng, g)
+    out = solve_terminal(g, c, source=src, terminal=term)
+    M = _dense_step_matrix(g, c, 0.0)
+    expect = np.linalg.solve(M, term.values.ravel() + g.dt * src.values[0].ravel())
+    assert np.max(np.abs(out.u.values[0].ravel() - expect)) <= 1e-12
+    assert out.diagnostics.max_linear_residual <= 1e-12
+    offdiag = M[~np.eye(M.shape[0], dtype=bool)]
+    assert out.diagnostics.worst_positive_offdiag == np.max(offdiag, initial=0.0)
+
+
+def test_singular_system_raises():
+    g = make_grid(Domain((0.0,), (1.0,)), 3, 1, 0.5)
+    c = CoefficientSet.create(1, b=0.0, lam=2.0)  # 1 - dt*lam = 0 at the one interior node
+    with pytest.raises(LinearSolveError):
+        solve_terminal(g, c)
 
 
 def test_zero_problem_gives_zero():
@@ -137,8 +178,7 @@ def test_max_principle_2d():
         term = random_field(rng, g)
         out = solve_terminal(g, c, source=src, terminal=term)
         assert out.diagnostics.monotone
-        # 2-D solves are iterative; allow the linear-solver tolerance
-        assert sup_norm(out.u) <= sup_norm(term) + g.T * sup_norm(src) + 1e-9
+        assert sup_norm(out.u) <= sup_norm(term) + g.T * sup_norm(src) + 1e-12
 
 
 def test_manufactured_2d_mixed_derivative_exact():
