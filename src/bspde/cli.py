@@ -41,11 +41,24 @@ from .nonlocal_ops import (
 )
 from .stepper import solve_terminal
 
-VALIDATION_ERRORS = (GridError, CoefficientError, NonlocalValidationError, ExprError, EvalError, ValueError, KeyError)
+VALIDATION_ERRORS = (GridError, CoefficientError, NonlocalValidationError, ExprError, EvalError, ValueError)
 
 
 class NonConvergence(RuntimeError):
     pass
+
+
+class ConfigError(ValueError):
+    """A required config entry is missing."""
+
+
+def _required(section: dict, path: str):
+    """The entry at dotted `path` (e.g. `grid.nt`) from `section`, the mapping
+    that holds its last key; a missing key is reported as `grid.nt: missing`."""
+    try:
+        return section[path.rsplit(".", 1)[-1]]
+    except KeyError:
+        raise ConfigError(f"{path}: missing") from None
 
 
 @dataclass
@@ -84,32 +97,38 @@ def _sample_space_time(grid: Grid, entry) -> SpaceTimeField | None:
     return SpaceTimeField(grid, np.stack([_sample_space(grid, entry, t) for t in grid.times()]))
 
 
-def _gamma_from_config(section, grid: Grid, base_dir: Path):
+def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"):
     if section is None:
         return None
-    kind = section["type"]
+
+    def get(key):
+        return _required(section, f"{where}.{key}")
+
+    kind = get("type")
     if kind == "initial_value":
-        return InitialValue(weight=float(section["weight"]))
+        return InitialValue(weight=float(get("weight")))
     if kind == "point_in_time":
-        return PointInTime(weight=float(section["weight"]), t1=float(section["t1"]))
+        return PointInTime(weight=float(get("weight")), t1=float(get("t1")))
     if kind == "two_point":
         return TwoPoint(
-            weight1=float(section["weight1"]),
-            t1=float(section["t1"]),
-            weight2=float(section["weight2"]),
-            t2=float(section["t2"]),
+            weight1=float(get("weight1")),
+            t1=float(get("t1")),
+            weight2=float(get("weight2")),
+            t2=float(get("t2")),
         )
     if kind == "time_kernel":
-        return TimeKernel(theta=float(section["theta"]), kernel=section["kernel"])
+        return TimeKernel(theta=float(get("theta")), kernel=get("kernel"))
     if kind == "space_time_kernel":
-        theta = float(section["theta"])
-        csv_path = base_dir / section["csv"]
+        theta = float(get("theta"))
+        csv_path = base_dir / get("csv")
         with open(csv_path, "r", encoding="utf-8") as fh:
             kernel = kernel_from_csv(fh, grid, theta)
         return SpaceTimeKernel(theta=theta, kernel=kernel)
     if kind == "convex":
-        parts = tuple(_gamma_from_config(p, grid, base_dir) for p in section["parts"])
-        return Convex(weights=tuple(float(w) for w in section["weights"]), parts=parts)
+        parts = tuple(
+            _gamma_from_config(p, grid, base_dir, f"{where}.parts[{i}]") for i, p in enumerate(get("parts"))
+        )
+        return Convex(weights=tuple(float(w) for w in get("weights")), parts=parts)
     raise NonlocalValidationError(f"unknown gamma type '{kind}'")
 
 
@@ -117,10 +136,10 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
-    dom = raw["domain"]
-    domain = Domain(lo=tuple(dom["lo"]), hi=tuple(dom["hi"]))
-    gs = raw["grid"]
-    grid = make_grid(domain, gs["nx"], int(gs["nt"]), float(gs["T"]))
+    dom = _required(raw, "domain")
+    domain = Domain(lo=tuple(_required(dom, "domain.lo")), hi=tuple(_required(dom, "domain.hi")))
+    gs = _required(raw, "grid")
+    grid = make_grid(domain, _required(gs, "grid.nx"), int(_required(gs, "grid.nt")), float(_required(gs, "grid.T")))
     cs = raw.get("coefficients", {})
     coeffs = CoefficientSet.create(
         dim=domain.dim,

@@ -7,6 +7,16 @@ Exit is detected at sampled times only (no bridge correction), which biases
 confinement probabilities upward by O(sqrt(dt_mc)); small default steps and
 the comparison allowance absorb this, and the bias direction is the safe one
 for every inequality asserted here.
+
+Every estimate runs through one batched path engine, `_simulate`, over a list
+of start points sharing a horizon; `compare_mc_pde` calls it once for all of
+its points.  Stream layout: batch bi of the n_paths paths draws from
+default_rng([seed, bi]) one (nb, N + M) block of standard normals per step,
+and that block is shared by every point still running at the step.  A batch
+stops drawing once all of its paths have exited, and its stream is never read
+after that.  Each point's paths therefore see exactly the draws a run of that
+point alone would see, so the layout named by NORMAL_SAMPLER is unchanged and
+estimates do not depend on which other points run alongside.
 """
 
 from __future__ import annotations
@@ -100,6 +110,213 @@ class _FieldInterp:
         )
 
 
+def _start_point(dec: DiffusionDecomposition, x, s: float, horizon: float, cfg: PathConfig) -> np.ndarray:
+    """Check a start point (x, s) against the grid, the horizon and the path
+    step; return x as a (dim,) array."""
+    grid = dec.grid
+    x = np.asarray(x, dtype=float).reshape(grid.dim)
+    if not grid.domain.contains(x):
+        raise ValueError(f"start point {tuple(x)} must lie strictly inside the domain")
+    if cfg.dt_mc > grid.dt + 1e-12:
+        raise ValueError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
+    if not 0.0 <= s <= horizon:
+        raise ValueError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
+    return x
+
+
+def _backward_start(dec: DiffusionDecomposition, x, s: float, cfg: PathConfig) -> tuple[np.ndarray, float]:
+    """Checked start of a path estimate of the backward solution, which runs to T."""
+    T = dec.grid.T
+    if s > T + 1e-12:
+        raise ValueError(f"s = {s} is beyond the horizon T = {T}")
+    s = min(s, T)
+    return _start_point(dec, x, s, T, cfg), s
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.  With a contraction of length 1 each entry is one product either
+    way, and the broadcast product skips a slow BLAS call."""
+    return a * b if b.shape[0] == 1 else a @ b
+
+
+class _LivePaths:
+    """Paths of one start-time group that had not exited at the last
+    compaction: position, log discount (unless lam is zero), source integral
+    (when there is a source), slot, and which of them are still inside the
+    box.  Slot q * nb + r is path r of the batch for the group's q-th point,
+    so the path's draw row is the slot modulo nb."""
+
+    __slots__ = ("y", "gam", "acc", "slot", "active", "n_active", "pids", "nb")
+
+    def __init__(self, xs: np.ndarray, pids: list[int], nb: int, discount: bool, source: bool):
+        size = len(pids) * nb
+        self.y = np.repeat(xs, nb, axis=0)
+        self.gam = np.zeros(size) if discount else None
+        self.acc = np.zeros(size) if source else None
+        self.slot = np.arange(size, dtype=np.int32)
+        self.active = np.ones(size, dtype=bool)
+        self.n_active = size
+        self.pids = np.asarray(pids)
+        self.nb = nb
+
+    def where(self, sel=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(point, path index within the batch) of the selected paths."""
+        slot = self.slot[sel]
+        return self.pids[slot // self.nb], slot % self.nb
+
+    def compact(self) -> None:
+        """Drop the exited paths.  A boolean mask copies 1-D arrays fastest,
+        an index list the rows of the 2-D positions."""
+        mask = self.active
+        self.y = np.take(self.y, np.flatnonzero(mask), axis=0)
+        for name in ("gam", "acc", "slot"):
+            arr = getattr(self, name)
+            if arr is not None:
+                setattr(self, name, arr[mask])
+        self.active = np.ones(self.n_active, dtype=bool)
+
+
+def _simulate(
+    dec: DiffusionDecomposition,
+    starts: Sequence[tuple[np.ndarray, float]],
+    horizon: float,
+    cfg: PathConfig,
+    terminal: SpaceField | None = None,
+    source: SpaceTimeField | None = None,
+    trace: bool = False,
+):
+    """Simulate cfg.n_paths characteristics from each checked start (x_p, s_p)
+    to the shared `horizon`.
+
+    Returns per-path payoff values and the alive mask at the horizon, both of
+    shape (n_points, n_paths), and with `trace` (one point, one batch) the
+    per-step snapshots of every path for structural checks.
+
+    Every point still running at step j reads its paths' rows of the step's
+    draw block (stream layout: module docstring).  Points with the same
+    start time are advanced together, in arrays of at most BATCH_SIZE paths
+    (larger ones cost peak memory and cache misses), so coefficients and the
+    source are evaluated once per array and step.  A path is frozen at its
+    first sampled position outside the closed box, and its value is written
+    out then; it is dropped from the arrays once a quarter of them has
+    exited, and until then carried along with its updates masked out of
+    every output.  A batch stops drawing once none of its paths is left.
+    """
+    grid = dec.grid
+    coeffs = dec.coeffs
+    lo = np.asarray(grid.domain.lo)
+    hi = np.asarray(grid.domain.hi)
+    N = coeffs.n_beta
+    M = dec.n_columns
+    const = coeffs.is_constant
+    if const:
+        x0 = 0.5 * (lo + hi)[None, :]  # every entry is a number, so any point will do
+        f_c = coeffs.f_at(x0, 0.0)[0]
+        lam_c = float(coeffs.lam_at(x0, 0.0)[0])
+        beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else None
+        btilde_c = dec.columns_at(x0, 0.0)[0]  # (dim, M)
+    discount = not coeffs.lam_is_zero
+    term_interp = _FieldInterp(grid, terminal.values, False) if terminal is not None else None
+    src_interp = _FieldInterp(grid, source.values, True) if source is not None else None
+
+    n = cfg.n_paths
+    values = np.zeros((len(starts), n))
+    alive = np.zeros((len(starts), n), dtype=bool)
+    by_time: dict[float, list[int]] = {}
+    for p, (_, s) in enumerate(starts):
+        by_time.setdefault(s, []).append(p)
+    groups = [
+        (s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12))), pids) for s, pids in by_time.items()
+    ]
+    max_steps = max((g[1] for g in groups), default=0)
+    snapshots: list[dict] = []
+    for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
+        base = bi * BATCH_SIZE
+        nb = min(BATCH_SIZE, n - base)
+        rng = np.random.default_rng([cfg.seed, bi])
+        per_array = max(1, BATCH_SIZE // nb)
+        lives = []
+        for s, n_steps, pids in groups:
+            for c in range(0, len(pids), per_array):
+                chunk = pids[c : c + per_array]
+                xs = np.stack([starts[p][0] for p in chunk])
+                lives.append((s, n_steps, _LivePaths(xs, chunk, nb, discount, src_interp is not None)))
+        if trace:
+            y_full = lives[0][2].y.copy()
+            acc_full = np.zeros(nb)
+            active_full = np.ones(nb, dtype=bool)
+        for j in range(max_steps):
+            running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
+            if not running:
+                break
+            draws = rng.standard_normal((nb, N + M))
+            for s, lp in running:
+                t = s + j * cfg.dt_mc
+                dt_eff = min(cfg.dt_mc, horizon - t)
+                d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
+                y = lp.y
+                y_eval = y if const else np.clip(y, lo, hi)
+                if src_interp is not None:
+                    inc = src_interp(y_eval, t)
+                    if discount:
+                        inc *= np.exp(lp.gam)
+                    inc *= dt_eff
+                    lp.acc += inc
+                if discount:
+                    lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
+                    lp.gam += LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff
+                root_dt = math.sqrt(dt_eff)
+                if const:
+                    dy = _matmul(d[:, N:], btilde_c.T)
+                    dy *= root_dt
+                    dy += f_c * dt_eff
+                    if N:
+                        dy += root_dt * _matmul(d[:, :N], beta_c)
+                else:
+                    dy = coeffs.f_at(y_eval, t) * dt_eff
+                    dy += root_dt * np.einsum("ndm,nm->nd", dec.columns_at(y_eval, t), d[:, N:])
+                    if N:
+                        dy += root_dt * np.einsum("knd,nk->nd", coeffs.beta_at(y_eval, t), d[:, :N])
+                y += dy
+                del d, dy, y_eval  # freed before a compaction copies the state
+                gone = np.zeros(len(y), dtype=bool)
+                for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
+                    gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
+                gone &= lp.active
+                if trace:
+                    _, r = lp.where(lp.active)
+                    y_full[r] = y[lp.active]
+                    if lp.acc is not None:
+                        acc_full[r] = lp.acc[lp.active]
+                    active_full[lp.where(gone)[1]] = False
+                    snapshots.append(
+                        {"t": t + dt_eff, "y": y_full.copy(), "src_acc": acc_full.copy(), "active": active_full.copy()}
+                    )
+                if gone.any():
+                    if lp.acc is not None:
+                        p, r = lp.where(gone)
+                        values[p, base + r] = lp.acc[gone]
+                    lp.active &= ~gone
+                    lp.n_active -= int(np.count_nonzero(gone))
+                    if 4 * lp.n_active <= 3 * lp.active.size:
+                        lp.compact()
+        for _, _, lp in lives:
+            lp.compact()
+            v = lp.acc if lp.acc is not None else 0.0
+            if term_interp is not None:
+                payoff = term_interp(lp.y)
+                if discount:
+                    payoff = np.exp(lp.gam) * payoff
+                v = v + payoff
+            p, r = lp.where()
+            values[p, base + r] = v
+            alive[p, base + r] = True
+    out = {"values": values, "alive": alive}
+    if trace:
+        out["snapshots"] = snapshots
+    return out
+
+
 def _run_paths(
     dec: DiffusionDecomposition,
     x,
@@ -110,100 +327,31 @@ def _run_paths(
     source: SpaceTimeField | None = None,
     trace: bool = False,
 ):
-    """Simulate cfg.n_paths characteristics from (x, s) to `horizon`.
-
-    Returns per-path payoff values, the alive mask at the horizon, and
-    (optionally) per-step snapshots for structural checks.  Paths are frozen
-    at their first sampled position outside the closed box; draws are
-    generated for every path in a batch regardless of the mask, so the stream
-    layout depends only on (seed, batch index, step).
-    """
-    grid = dec.grid
-    coeffs = dec.coeffs
-    domain = grid.domain
-    dim = grid.dim
-    x = np.asarray(x, dtype=float).reshape(dim)
-    if not domain.contains(x):
-        raise ValueError(f"start point {tuple(x)} must lie strictly inside the domain")
-    if cfg.dt_mc > grid.dt + 1e-12:
-        raise ValueError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
-    if not 0.0 <= s <= horizon:
-        raise ValueError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
-
+    """One-point case of `_simulate`: values and alive mask of shape (n_paths,)."""
+    x = _start_point(dec, x, s, horizon, cfg)
     if trace and cfg.n_paths > BATCH_SIZE:
         raise ValueError("trace mode records per-step snapshots; keep n_paths within one batch")
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    n_steps = max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
-    N = coeffs.n_beta
-    M = dec.n_columns
-    const = coeffs.is_constant
-    if const:
-        x0 = x[None, :]
-        f_c = coeffs.f_at(x0, 0.0)[0]
-        lam_c = float(coeffs.lam_at(x0, 0.0)[0])
-        beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else np.zeros((0, dim))
-        btilde_c = dec.columns_at(x0, 0.0)[0]  # (dim, M)
-    lam_zero = coeffs.lam_is_zero
-    term_interp = _FieldInterp(grid, terminal.values, False) if terminal is not None else None
-    src_interp = _FieldInterp(grid, source.values, True) if source is not None else None
-
-    values = np.empty(cfg.n_paths)
-    alive_all = np.empty(cfg.n_paths, dtype=bool)
-    snapshots: list[dict] = []
-    n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-    for bi in range(n_batches):
-        nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
-        rng = np.random.default_rng([cfg.seed, bi])
-        y = np.tile(x, (nb, 1))
-        active = np.ones(nb, dtype=bool)
-        gamma_log = np.zeros(nb)
-        src_acc = np.zeros(nb)
-        for j in range(n_steps):
-            t = s + j * cfg.dt_mc
-            dt_eff = min(cfg.dt_mc, horizon - t)
-            draws = rng.standard_normal((nb, N + M))
-            if not active.any():
-                continue
-            y_eval = y if const else np.clip(y, lo, hi)
-            if src_interp is not None:
-                phi_vals = src_interp(y_eval, t)
-                src_acc = np.where(active, src_acc + np.exp(gamma_log) * phi_vals * dt_eff, src_acc)
-            if not lam_zero:
-                lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
-                gamma_log = np.where(
-                    active, gamma_log + LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff, gamma_log
-                )
-            root_dt = math.sqrt(dt_eff)
-            if const:
-                dy = f_c * dt_eff + root_dt * (draws[:, N:] @ btilde_c.T)
-                if N:
-                    dy = dy + root_dt * (draws[:, :N] @ beta_c)
-            else:
-                dy = coeffs.f_at(y_eval, t) * dt_eff
-                cols = dec.columns_at(y_eval, t)  # (nb, dim, M)
-                dy = dy + root_dt * np.einsum("ndm,nm->nd", cols, draws[:, N:])
-                if N:
-                    bv = coeffs.beta_at(y_eval, t)  # (N, nb, dim)
-                    dy = dy + root_dt * np.einsum("knd,nk->nd", bv, draws[:, :N])
-            y = np.where(active[:, None], y + dy, y)
-            outside = np.any(y < lo, axis=1) | np.any(y > hi, axis=1)
-            active &= ~outside
-            if trace:
-                snapshots.append(
-                    {"t": t + dt_eff, "y": y.copy(), "src_acc": src_acc.copy(), "active": active.copy()}
-                )
-        if term_interp is not None:
-            payoff = np.where(active, np.exp(gamma_log) * term_interp(y), 0.0)
-        else:
-            payoff = np.zeros(nb)
-        sl = slice(bi * BATCH_SIZE, bi * BATCH_SIZE + nb)
-        values[sl] = src_acc + payoff
-        alive_all[sl] = active
-    out = {"values": values, "alive": alive_all}
-    if trace:
-        out["snapshots"] = snapshots
+    out = _simulate(dec, [(x, s)], horizon, cfg, terminal=terminal, source=source, trace=trace)
+    out["values"] = out["values"][0]
+    out["alive"] = out["alive"][0]
     return out
+
+
+def _estimate(values: np.ndarray, alive: np.ndarray, cfg: PathConfig) -> McEstimate:
+    """Sample mean and standard error of one point's path values."""
+    mean = float(np.mean(values))
+    if cfg.n_paths > 1 and not np.all(values == values[0]):
+        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
+    else:
+        stderr = 0.0
+    if np.all(values == values[0]):
+        mean = float(values[0])  # constant sample: no roundoff from the mean reduction
+    return McEstimate(
+        mean=mean,
+        stderr=stderr,
+        n_paths=cfg.n_paths,
+        n_exited=int(np.count_nonzero(~alive)),
+    )
 
 
 def feynman_kac(
@@ -217,24 +365,9 @@ def feynman_kac(
     """Path estimate of the backward solution at (x, s): discounted terminal
     payoff for paths that never leave the box before T, plus the discounted
     running source up to the first exit."""
-    T = dec.grid.T
-    if s > T + 1e-12:
-        raise ValueError(f"s = {s} is beyond the horizon T = {T}")
-    res = _run_paths(dec, x, min(s, T), T, cfg, terminal=terminal, source=source)
-    v = res["values"]
-    mean = float(np.mean(v))
-    if cfg.n_paths > 1 and not np.all(v == v[0]):
-        stderr = float(np.std(v, ddof=1) / math.sqrt(cfg.n_paths))
-    else:
-        stderr = 0.0
-    if np.all(v == v[0]):
-        mean = float(v[0])  # constant sample: no roundoff from the mean reduction
-    return McEstimate(
-        mean=mean,
-        stderr=stderr,
-        n_paths=cfg.n_paths,
-        n_exited=int(np.count_nonzero(~res["alive"])),
-    )
+    start = _backward_start(dec, x, s, cfg)
+    res = _simulate(dec, [start], dec.grid.T, cfg, terminal=terminal, source=source)
+    return _estimate(res["values"][0], res["alive"][0], cfg)
 
 
 def confinement_probability(
@@ -391,13 +524,18 @@ def compare_mc_pde(
     scale = sup_norm(u)
     dec = decompose(mc_coeffs if mc_coeffs is not None else problem.coeffs, grid)
     interp = _FieldInterp(grid, u.values, True)
-    rows = []
+    pts, pde_vals, starts = [], [], []
     for pt in points:
         pt = [float(v) for v in pt]
         x, s = pt[: grid.dim], pt[grid.dim]
         lvl, _ = grid.nearest_level(s)
-        pde_val = float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0])
-        est = feynman_kac(dec, x, s, cfg, terminal=problem.terminal, source=problem.source)
+        pde_vals.append(float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0]))
+        starts.append(_backward_start(dec, x, s, cfg))
+        pts.append((x, s))
+    res = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
+    rows = []
+    for (x, s), pde_val, v, a in zip(pts, pde_vals, res["values"], res["alive"]):
+        est = _estimate(v, a, cfg)
         diff = abs(pde_val - est.mean)
         z = 0.0 if diff == 0.0 else (diff / est.stderr if est.stderr > 0 else math.inf)
         rows.append(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bspde import cli
 from bspde.cli import main
 
 PI = "3.141592653589793"
@@ -67,6 +68,27 @@ def test_malformed_json_is_io_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["validate", "--config", str(p)]) == 3
+
+
+@pytest.mark.parametrize("section,key", [("grid", "nt"), ("gamma", "weight")])
+def test_missing_key_names_its_dotted_path(tmp_path, capsys, section, key):
+    cfg = write_config(tmp_path / "c.json")
+    raw = json.loads(cfg.read_text())
+    del raw[section][key]
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {section}.{key}: missing" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_validation_failure(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "c.json")
+
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+    with pytest.raises(KeyError):
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_non_convergence_exit_code(tmp_path):
