@@ -97,6 +97,12 @@ def _sample_space_time(grid: Grid, entry) -> SpaceTimeField | None:
     return SpaceTimeField(grid, np.stack([_sample_space(grid, entry, t) for t in grid.times()]))
 
 
+def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | None]:
+    """The terminal data and the source of a config's `data` section on `grid`."""
+    terminal = SpaceField(grid, _sample_space(grid, data.get("terminal", 0.0)))
+    return terminal, _sample_space_time(grid, data.get("source"))
+
+
 def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"):
     if section is None:
         return None
@@ -149,9 +155,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
         beta=cs.get("beta", ()),
     )
     gamma = _gamma_from_config(raw.get("gamma"), grid, base_dir)
-    data = raw.get("data", {})
-    terminal = SpaceField(grid, _sample_space(grid, data.get("terminal", 0.0)))
-    source = _sample_space_time(grid, data.get("source"))
+    terminal, source = _sample_data(grid, raw.get("data", {}))
     fp = raw.get("fixedpoint", {})
     mc = raw.get("montecarlo", {})
     seed = int(mc.get("seed", 0)) if seed_override is None else int(seed_override)
@@ -182,12 +186,6 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _write_report(cfg: RunConfig, report: dict) -> Path:
-    out = cfg.outdir / "report.json"
-    _write_atomic(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out
 
 
 class CoefficientValidationFailure(ValueError):
@@ -226,28 +224,14 @@ def _validation_block(cfg: RunConfig) -> dict:
     return block
 
 
-def cmd_validate(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    block = _validation_block(cfg)
-    report = {
-        "command": "validate",
-        "config": cfg.raw,
-        "validation": block,
-        "timing_seconds": time.perf_counter() - t0,
-    }
-    _write_report(cfg, report)
-    return report
+def cmd_validate(cfg: RunConfig, validation: dict) -> dict:
+    return {}
 
 
-def cmd_cauchy(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    block = _validation_block(cfg)
+def cmd_cauchy(cfg: RunConfig, validation: dict) -> dict:
     out = solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
     _write_atomic(cfg.outdir / "solution.csv", field_to_csv(out.u))
-    report = {
-        "command": "cauchy",
-        "config": cfg.raw,
-        "validation": block,
+    return {
         "diagnostics": {
             "monotone": out.diagnostics.monotone,
             "worst_positive_offdiag": out.diagnostics.worst_positive_offdiag,
@@ -255,17 +239,12 @@ def cmd_cauchy(cfg: RunConfig) -> dict:
             "max_linear_residual": out.diagnostics.max_linear_residual,
         },
         "norms": {"sup_u": sup_norm(out.u), "sup_terminal": sup_norm(cfg.terminal)},
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _write_report(cfg, report)
-    return report
 
 
-def cmd_solve(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
+def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
     if cfg.gamma is None:
         raise NonlocalValidationError("solve requires a gamma section in the config")
-    block = _validation_block(cfg)
     sol = solve_nonlocal(
         cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma, tol=cfg.tol, max_iter=cfg.max_iter
     )
@@ -275,112 +254,67 @@ def cmd_solve(cfg: RunConfig) -> dict:
             f"(last residual {sol.report.residuals[-1]:.3e})"
         )
     fp = sol.report.to_dict()
-    fp["nu_bound"] = block.get("nu")
-    fp["sqrt_nu"] = block.get("sqrt_nu")
+    fp["nu_bound"] = validation.get("nu")
+    fp["sqrt_nu"] = validation.get("sqrt_nu")
     _write_atomic(cfg.outdir / "solution.csv", field_to_csv(sol.u))
-    report = {
-        "command": "solve",
-        "config": cfg.raw,
-        "validation": block,
+    return {
         "fixedpoint": fp,
         "norms": {
             "sup_u": sup_norm(sol.u),
             "sup_terminal": sup_norm(sol.terminal),
             "sup_terminal_rhs": sup_norm(cfg.terminal),
         },
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _write_report(cfg, report)
-    return report
 
 
-def cmd_qmatrix(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
+def cmd_qmatrix(cfg: RunConfig, validation: dict) -> dict:
     if cfg.gamma is None:
         raise NonlocalValidationError("qmatrix requires a gamma section in the config")
-    block = _validation_block(cfg)
     fm = assemble_feedback_matrix(cfg.grid, cfg.coeffs, cfg.gamma)
     lines = [",".join(repr(float(v)) for v in row) for row in fm.matrix]
     _write_atomic(cfg.outdir / "qmatrix.csv", "\n".join(lines) + "\n")
     sol = solve_nonlocal_direct(cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma)
-    report = {
-        "command": "qmatrix",
-        "config": cfg.raw,
-        "validation": block,
+    return {
         "qmatrix": {"sup_norm": fm.sup_norm, "n": fm.matrix.shape[0]},
         "direct": sol.report.to_dict(),
         "norms": {"sup_u": sup_norm(sol.u), "sup_terminal": sup_norm(sol.terminal)},
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _write_report(cfg, report)
-    return report
 
 
-def cmd_mccheck(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    block = _validation_block(cfg)
+def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
     if not cfg.points:
         raise ValueError("mccheck requires montecarlo.points in the config")
     problem = CauchyProblem(grid=cfg.grid, coeffs=cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
     rows = compare_mc_pde(problem, cfg.points, cfg.mc)
     _write_atomic(cfg.outdir / "mccheck.csv", comparison_to_csv(rows, cfg.grid.dim))
-    report = {
-        "command": "mccheck",
-        "config": cfg.raw,
-        "validation": block,
+    return {
         "mccheck": {
             "n_points": len(rows),
             "n_flagged": sum(1 for r in rows if r.flagged),
             "normal_sampler": montecarlo.NORMAL_SAMPLER,
         },
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _write_report(cfg, report)
-    return report
 
 
-def cmd_nubound(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    block = _validation_block(cfg)
-    theta_gap = cfg.theta_gap
-    if theta_gap is None:
-        if cfg.gamma is None:
-            raise ValueError("nubound needs montecarlo.theta_gap or a gamma section")
-        theta_gap = cfg.grid.T - validate_spec(cfg.gamma, cfg.grid).theta
-    nb = confinement_bound(cfg.domain, cfg.coeffs, cfg.grid, theta_gap)
-    _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb.to_dict(), indent=2, sort_keys=True) + "\n")
-    report = {
-        "command": "nubound",
-        "config": cfg.raw,
-        "validation": block,
-        "nubound": nb.to_dict(),
-        "timing_seconds": time.perf_counter() - t0,
-    }
-    _write_report(cfg, report)
-    return report
+def cmd_nubound(cfg: RunConfig, validation: dict) -> dict:
+    if "theta_gap" not in validation:
+        raise ValueError("nubound needs montecarlo.theta_gap or a gamma section")
+    nb = confinement_bound(cfg.domain, cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
+    _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True) + "\n")
+    return {"nubound": nb}
 
 
-def cmd_converge(cfg: RunConfig) -> dict:
+def cmd_converge(cfg: RunConfig, validation: dict) -> dict:
     """Refinement study: solve the Cauchy problem on nx, 2(nx-1)+1, 4(nx-1)+1
     nodes with the same time grid; the observed order comes from sup-norm
     differences at the shared coarse nodes at t = 0."""
-    t0 = time.perf_counter()
-    block = _validation_block(cfg)
-    grids = [cfg.grid]
-    for factor in (2, 4):
-        grids.append(
-            make_grid(
-                cfg.domain,
-                tuple((n - 1) * factor + 1 for n in cfg.grid.nx),
-                cfg.grid.nt,
-                cfg.grid.T,
-            )
-        )
-    raw = cfg.raw.get("data", {})
-    sols = []
-    for g in grids:
-        term = SpaceField(g, _sample_space(g, raw.get("terminal", 0.0)))
-        src = _sample_space_time(g, raw.get("source"))
+    grids = [cfg.grid] + [
+        make_grid(cfg.domain, tuple((n - 1) * factor + 1 for n in cfg.grid.nx), cfg.grid.nt, cfg.grid.T)
+        for factor in (2, 4)
+    ]
+    sols = [solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal).u]
+    for g in grids[1:]:
+        term, src = _sample_data(g, cfg.raw.get("data", {}))
         sols.append(solve_terminal(g, cfg.coeffs, source=src, terminal=term).u)
 
     def restrict(values: np.ndarray, factor: int) -> np.ndarray:
@@ -398,15 +332,7 @@ def cmd_converge(cfg: RunConfig) -> dict:
     lines.append(f"{grids[1].nx[0]},{grids[1].hx[0]!r},{d2!r},")
     lines.append(f"{grids[2].nx[0]},{grids[2].hx[0]!r},,")
     _write_atomic(cfg.outdir / "converge.csv", "\n".join(lines) + "\n")
-    report = {
-        "command": "converge",
-        "config": cfg.raw,
-        "validation": block,
-        "converge": {"diff_coarse": d1, "diff_fine": d2, "order": order},
-        "timing_seconds": time.perf_counter() - t0,
-    }
-    _write_report(cfg, report)
-    return report
+    return {"converge": {"diff_coarse": d1, "diff_fine": d2, "order": order}}
 
 
 COMMANDS = {
@@ -418,6 +344,17 @@ COMMANDS = {
     "nubound": cmd_nubound,
     "converge": cmd_converge,
 }
+
+
+def _run(name: str, cfg: RunConfig) -> None:
+    """Validate once, run command `name`, and write its report.json: the
+    command's own sections inside the envelope every command shares."""
+    t0 = time.perf_counter()
+    validation = _validation_block(cfg)
+    report = {"command": name, "config": cfg.raw, "validation": validation}
+    report.update(COMMANDS[name](cfg, validation))
+    report["timing_seconds"] = time.perf_counter() - t0
+    _write_atomic(cfg.outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -441,13 +378,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        COMMANDS[args.command](cfg)
+        _run(args.command, cfg)
     except (FixedPointDivergence, NonConvergence) as e:
         print(f"bspde: did not converge: {e}", file=sys.stderr)
         return 2
-    except CoefficientValidationFailure as e:
-        print(f"bspde: validation failed: {e}", file=sys.stderr)
-        return 1
     except VALIDATION_ERRORS as e:
         print(f"bspde: validation failed: {e}", file=sys.stderr)
         return 1

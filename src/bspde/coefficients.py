@@ -272,14 +272,13 @@ def _spd_sqrt(mats: np.ndarray) -> np.ndarray:
 class DiffusionDecomposition:
     """Extra noise columns btilde_j completing 2b = sum beta beta^T + sum btilde btilde^T.
 
-    `sampled` holds the columns at every grid node/time level (for the
-    reconstruction check); `columns_at` re-evaluates them at arbitrary
+    `max_residual` is the largest reconstruction error of 2b over every grid
+    node and time level; `columns_at` evaluates the columns at arbitrary
     positions for the path simulator.
     """
 
     coeffs: CoefficientSet
     grid: Grid
-    sampled: np.ndarray  # (nt+1, n_nodes, n, M) with M = n
     max_residual: float
 
     @property
@@ -293,21 +292,20 @@ class DiffusionDecomposition:
 
 
 def decompose(coeffs: CoefficientSet, grid: Grid) -> DiffusionDecomposition:
-    """Square-root columns of 2b - sum beta beta^T at every node/time level.
+    """Square-root columns of 2b - sum beta beta^T, checked at every node/time level.
 
     Requires a validated set (delta > 0); raises if the residual matrix fails
     to be positive definite at any sample.
     """
     pts, _ = _all_nodes(grid)
-    cols = np.empty((grid.nt + 1, pts.shape[0], coeffs.dim, coeffs.dim))
     max_resid = 0.0
-    for k, t in enumerate(grid.times()):
-        resid = 2.0 * coeffs.b_at(pts, t) - _beta_outer_sum(coeffs, pts, t)
-        root = _spd_sqrt(resid)
-        cols[k] = root
-        recon = np.einsum("pik,pjk->pij", root, root) + _beta_outer_sum(coeffs, pts, t)
-        max_resid = max(max_resid, float(np.max(np.abs(2.0 * coeffs.b_at(pts, t) - recon))))
-    return DiffusionDecomposition(coeffs=coeffs, grid=grid, sampled=cols, max_residual=max_resid)
+    for t in grid.times():
+        two_b = 2.0 * coeffs.b_at(pts, t)
+        outer = _beta_outer_sum(coeffs, pts, t)
+        root = _spd_sqrt(two_b - outer)
+        recon = np.einsum("pik,pjk->pij", root, root) + outer
+        max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
+    return DiffusionDecomposition(coeffs=coeffs, grid=grid, max_residual=max_resid)
 
 
 class CoefficientBounds(NamedTuple):

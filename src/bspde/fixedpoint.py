@@ -53,10 +53,32 @@ class NonlocalSolution:
     report: FixedPointReport
 
 
-def _bc_residual(compiled, u: SpaceTimeField, terminal_rhs: SpaceField) -> float:
-    gamma_u = compiled.apply(u)
-    r = u.values[-1] - gamma_u.values - terminal_rhs.values
-    return float(np.max(np.abs(r))) if r.size else 0.0
+def _solution(
+    grid: Grid,
+    coeffs,
+    compiled,
+    u_src: SpaceTimeField | None,
+    terminal_rhs: SpaceField,
+    phi: np.ndarray,
+    residuals=(),
+    ratios=(),
+    converged: bool = True,
+) -> NonlocalSolution:
+    """The solution for terminal value phi: its terminal response plus the
+    source response u_src, with the boundary-condition residual recomputed
+    independently of how phi was found."""
+    terminal_field = SpaceField(grid, phi)
+    u_term = terminal_response(grid, coeffs, terminal_field)
+    u = u_term if u_src is None else SpaceTimeField(grid, u_src.values + u_term.values)
+    r = u.values[-1] - compiled.apply(u).values - terminal_rhs.values
+    report = FixedPointReport(
+        iterations=len(residuals),
+        residuals=tuple(residuals),
+        ratios=tuple(ratios),
+        converged=converged,
+        bc_residual=float(np.max(np.abs(r))) if r.size else 0.0,
+    )
+    return NonlocalSolution(u=u, terminal=terminal_field, report=report)
 
 
 def solve_nonlocal(
@@ -110,17 +132,7 @@ def solve_nonlocal(
             converged = True
             break
 
-    terminal_field = SpaceField(grid, phi)
-    u_term = terminal_response(grid, coeffs, terminal_field)
-    u = u_term if u_src is None else SpaceTimeField(grid, u_src.values + u_term.values)
-    report = FixedPointReport(
-        iterations=len(residuals),
-        residuals=tuple(residuals),
-        ratios=tuple(ratios),
-        converged=converged,
-        bc_residual=_bc_residual(compiled, u, terminal_rhs),
-    )
-    return NonlocalSolution(u=u, terminal=terminal_field, report=report)
+    return _solution(grid, coeffs, compiled, u_src, terminal_rhs, phi, residuals, ratios, converged)
 
 
 @dataclass
@@ -175,14 +187,4 @@ def solve_nonlocal_direct(
             f"I minus the feedback matrix is numerically singular (its sup norm is "
             f"{fm.sup_norm:.6g}, so an operator with norm >= 1 slipped through validation)"
         ) from e
-    terminal_field = SpaceField(grid, phi.reshape(grid.interior_shape))
-    u_term = terminal_response(grid, coeffs, terminal_field)
-    u = u_term if u_src is None else SpaceTimeField(grid, u_src.values + u_term.values)
-    report = FixedPointReport(
-        iterations=0,
-        residuals=(),
-        ratios=(),
-        converged=True,
-        bc_residual=_bc_residual(compiled, u, terminal_rhs),
-    )
-    return NonlocalSolution(u=u, terminal=terminal_field, report=report)
+    return _solution(grid, coeffs, compiled, u_src, terminal_rhs, phi.reshape(grid.interior_shape))

@@ -14,7 +14,6 @@ discrete operator holds by construction.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Union
 
@@ -287,27 +286,22 @@ def truncation_check(spec: NonlocalSpec, u: SpaceTimeField, theta: float | None 
     return bool(np.array_equal(full.values, truncated.values))
 
 
-def kernel_from_csv(text_or_path, grid: Grid, theta: float) -> np.ndarray:
-    """Read a tabulated space-time kernel from CSV columns t,x1[,x2],y1[,y2],k.
+def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
+    """Read a tabulated space-time kernel from the CSV file object `fh`, with
+    columns t,x1[,x2],y1[,y2],k.
 
     Rows address grid levels and interior nodes (coordinates are snapped to
-    the nearest node); missing entries are zero.  Returns the kernel array for
+    the nearest node); missing entries are zero.  Every non-empty row has
+    exactly as many fields as the header.  Returns the kernel array for
     SpaceTimeKernel(theta, ...).
     """
-    if hasattr(text_or_path, "read"):
-        text = text_or_path.read()
-    elif "\n" in str(text_or_path):
-        text = str(text_or_path)
-    else:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     k_theta, _ = _snap_before_T(grid, theta, "theta")
     n_int = grid.n_interior
     out = np.zeros((k_theta + 1, n_int, n_int))
     dim = grid.dim
     expected = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)] + ["k"]
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    reader = csv.reader(fh)
+    header = next(reader, [])
     if [h.strip() for h in header] != expected:
         raise NonlocalValidationError(f"kernel CSV header must be {','.join(expected)}")
 
@@ -324,6 +318,10 @@ def kernel_from_csv(text_or_path, grid: Grid, theta: float) -> np.ndarray:
     for row in reader:
         if not row:
             continue
+        if len(row) != len(expected):
+            raise NonlocalValidationError(
+                f"kernel CSV line {reader.line_num} has {len(row)} fields, the header has {len(expected)}"
+            )
         vals = [float(v) for v in row]
         t, xs, ys, kval = vals[0], vals[1 : 1 + dim], vals[1 + dim : 1 + 2 * dim], vals[-1]
         lvl, _ = grid.nearest_level(t)

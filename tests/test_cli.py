@@ -83,12 +83,48 @@ def test_missing_key_names_its_dotted_path(tmp_path, capsys, section, key):
 def test_internal_key_error_is_not_a_validation_failure(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json")
 
-    def broken(cfg):
+    def broken(cfg, validation):
         raise KeyError("internal")
 
     monkeypatch.setitem(cli.COMMANDS, "validate", broken)
     with pytest.raises(KeyError):
         main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_command_table_lists_every_cmd_function():
+    names = {name[len("cmd_") :] for name in vars(cli) if name.startswith("cmd_")}
+    assert set(cli.COMMANDS) == names
+    for name in names:
+        assert cli.COMMANDS[name] is getattr(cli, f"cmd_{name}")
+
+
+def test_every_command_writes_the_report_envelope(tmp_path):
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0})
+    for name in cli.COMMANDS:
+        out = tmp_path / name
+        assert main([name, "--config", str(cfg), "--out", str(out)]) == 0, name
+        rep = read_report(out)
+        assert rep["command"] == name
+        assert rep["config"] == json.loads(cfg.read_text())
+        assert rep["validation"]["delta"] == pytest.approx(0.1)
+        assert rep["timing_seconds"] >= 0.0
+
+
+def test_nubound_matches_the_validation_block(tmp_path):
+    for mc in ({"theta_gap": 0.4}, {}):
+        cfg = write_config(tmp_path / "c.json", montecarlo=mc)
+        out = tmp_path / f"o{len(mc)}"
+        assert main(["nubound", "--config", str(cfg), "--out", str(out)]) == 0
+        nb = json.loads((out / "nubound.json").read_text())
+        block = read_report(out)["validation"]
+        assert nb["theta_gap"] == block["theta_gap"] == (0.4 if mc else 1.0)
+        assert nb["nu"] == block["nu"]
+
+
+def test_nubound_needs_a_horizon(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", gamma=None)
+    assert main(["nubound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "nubound needs montecarlo.theta_gap or a gamma section" in capsys.readouterr().err
 
 
 def test_non_convergence_exit_code(tmp_path):
@@ -208,6 +244,17 @@ def test_space_time_kernel_from_csv_config(tmp_path):
     rep = read_report(out)
     assert rep["validation"]["gamma_theta"] == pytest.approx(0.5)
     assert rep["fixedpoint"]["converged"] is True
+
+
+def test_kernel_csv_short_row_is_a_validation_failure(tmp_path, capsys):
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.5\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"nx": [5], "nt": 4, "T": 1.0},
+        gamma={"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"},
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "kernel CSV line 3 has 2 fields, the header has 4" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_io_error(tmp_path):

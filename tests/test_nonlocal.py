@@ -171,6 +171,17 @@ def test_kernel_csv_roundtrip():
         kernel_from_csv(io.StringIO("t,x1,y1,k\n0.9,0.25,0.25,1.0"), g, theta=0.5)
     with pytest.raises(NonlocalValidationError):
         kernel_from_csv(io.StringIO("bad,header\n"), g, theta=0.5)
+    with pytest.raises(NonlocalValidationError):
+        kernel_from_csv(io.StringIO(""), g, theta=0.5)
+
+
+@pytest.mark.parametrize("row", ["0.0,0.5", "0.0,0.5,0.5,1.0,9.0"])
+def test_kernel_csv_row_of_the_wrong_width(row):
+    g = make_grid(Domain((0.0,), (1.0,)), 5, 4, 1.0)
+    text = f"t,x1,y1,k\n0.0,0.25,0.5,1.0\n\n{row}\n"
+    fields = len(row.split(","))
+    with pytest.raises(NonlocalValidationError, match=f"line 4 has {fields} fields, the header has 4"):
+        kernel_from_csv(io.StringIO(text), g, theta=0.5)
 
 
 def test_grid_mismatch_rejected(grid):
