@@ -113,18 +113,26 @@ class Grid:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt + 1)
 
+    def time_in_range(self, t):
+        """Whether t lies in [0, T] (up to a relative 1e-12 above T); False for NaN.
+        Works elementwise on arrays."""
+        return (0.0 <= t) & (t <= self.T + 1e-12 * max(1.0, self.T))
+
+    def nearest_levels(self, t) -> np.ndarray:
+        """Nearest grid level of each time in range (see time_in_range); ties round down."""
+        raw = np.asarray(t, dtype=float) / self.dt
+        k = np.floor(raw + 0.5)
+        k = np.where(k - raw == 0.5, k - 1, k)  # tie: round down
+        return np.clip(k, 0, self.nt).astype(np.intp)
+
     def nearest_level(self, t: float) -> tuple[int, float]:
         """Snap a time to the nearest grid level; ties round down.
 
         Returns (level, snap_distance).
         """
-        if not 0.0 <= t <= self.T + 1e-12 * max(1.0, self.T):
+        if not self.time_in_range(t):
             raise GridError(f"time {t} outside [0, {self.T}]")
-        raw = t / self.dt
-        k = int(np.floor(raw + 0.5))
-        if k - raw == 0.5:  # tie: round down
-            k -= 1
-        k = min(max(k, 0), self.nt)
+        k = int(self.nearest_levels(t))
         return k, abs(k * self.dt - t)
 
 

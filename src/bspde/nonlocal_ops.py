@@ -14,6 +14,7 @@ discrete operator holds by construction.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from typing import Union
 
@@ -286,18 +287,42 @@ def truncation_check(spec: NonlocalSpec, u: SpaceTimeField, theta: float | None 
     return bool(np.array_equal(full.values, truncated.values))
 
 
+def _snap_nodes(grid: Grid, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat lexicographic index of the interior node nearest to each row of
+    coords (rows, dim), and per axis whether that node lies within half a
+    step.  Along each axis the nearest node is argmin |xs - c| with ties to
+    the lower index; distances are monotone on either side of c, so it is
+    one of the two nodes around c's sorted position."""
+    idx = np.zeros(len(coords), dtype=np.intp)
+    ok = np.empty(coords.shape, dtype=bool)
+    for a in range(grid.dim):
+        xs = grid.axis_coords(a)
+        c = coords[:, a]
+        hi = np.minimum(np.searchsorted(xs, c), len(xs) - 1)
+        lo = np.maximum(hi - 1, 0)
+        j = np.where(np.abs(xs[lo] - c) <= np.abs(xs[hi] - c), lo, hi)
+        ok[:, a] = np.abs(xs[j] - c) <= 0.5 * grid.hx[a]
+        idx = idx * len(xs) + j
+    return idx, ok
+
+
 def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
     """Read a tabulated space-time kernel from the CSV file object `fh`, with
     columns t,x1[,x2],y1[,y2],k.
 
-    Rows address grid levels and interior nodes (coordinates are snapped to
-    the nearest node); missing entries are zero.  Every non-empty row has
-    exactly as many fields as the header.  Returns the kernel array for
-    SpaceTimeKernel(theta, ...).
+    Each row sets k at one (level, source node y, target node x): t snaps to
+    the nearest grid level (ties round down) and must lie in [0, T] and at or
+    below theta's level; each coordinate snaps to the nearest interior node
+    (ties to the lower node) and must lie within half a step of it.  Entries
+    that no row sets are zero, and a later row for the same (level, y, x)
+    overwrites an earlier one.  Every non-empty row has exactly as many
+    fields as the header, every field is a number, and t, x and y are
+    finite; a row that breaks any of these rules raises
+    NonlocalValidationError naming its 1-based line.  Returns the kernel
+    array for SpaceTimeKernel(theta, ...).
     """
     k_theta, _ = _snap_before_T(grid, theta, "theta")
     n_int = grid.n_interior
-    out = np.zeros((k_theta + 1, n_int, n_int))
     dim = grid.dim
     expected = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)] + ["k"]
     reader = csv.reader(fh)
@@ -305,16 +330,8 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
     if [h.strip() for h in header] != expected:
         raise NonlocalValidationError(f"kernel CSV header must be {','.join(expected)}")
 
-    def node_index(coords) -> int:
-        idx = 0
-        for a in range(dim):
-            xs = grid.axis_coords(a)
-            j = int(np.argmin(np.abs(xs - coords[a])))
-            if abs(xs[j] - coords[a]) > 0.5 * grid.hx[a]:
-                raise NonlocalValidationError(f"kernel CSV coordinate {coords[a]} is not a grid node")
-            idx = idx * len(xs) + j
-        return idx
-
+    fields = array("d")
+    lines = array("q")
     for row in reader:
         if not row:
             continue
@@ -322,10 +339,38 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
             raise NonlocalValidationError(
                 f"kernel CSV line {reader.line_num} has {len(row)} fields, the header has {len(expected)}"
             )
-        vals = [float(v) for v in row]
-        t, xs, ys, kval = vals[0], vals[1 : 1 + dim], vals[1 + dim : 1 + 2 * dim], vals[-1]
-        lvl, _ = grid.nearest_level(t)
-        if lvl > k_theta:
-            raise NonlocalValidationError(f"kernel CSV row at t = {t} lies beyond theta = {theta}")
-        out[lvl, node_index(ys), node_index(xs)] = kval
+        try:
+            fields.extend(map(float, row))
+        except ValueError as err:
+            raise NonlocalValidationError(f"kernel CSV line {reader.line_num}: {err}") from None
+        lines.append(reader.line_num)
+
+    rows = np.frombuffer(fields).reshape(-1, len(expected))
+    t, xs, ys, kv = rows[:, 0], rows[:, 1 : 1 + dim], rows[:, 1 + dim : 1 + 2 * dim], rows[:, -1]
+    finite = np.isfinite(rows[:, :-1]).all(axis=1)
+    timely = grid.time_in_range(t)
+    lvl = grid.nearest_levels(np.where(timely, t, 0.0))
+    y, y_ok = _snap_nodes(grid, ys)
+    x, x_ok = _snap_nodes(grid, xs)
+    bad = ~(finite & timely & (lvl <= k_theta) & y_ok.all(axis=1) & x_ok.all(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            why = "t, x and y must be finite"
+        elif not timely[i]:
+            why = f"time {t[i]} outside [0, {grid.T}]"
+        elif lvl[i] > k_theta:
+            why = f"row at t = {t[i]} lies beyond theta = {theta}"
+        else:
+            off = np.concatenate([ys[i][~y_ok[i]], xs[i][~x_ok[i]]])
+            why = f"coordinate {off[0]} is not a grid node"
+        raise NonlocalValidationError(f"kernel CSV line {lines[i]}: {why}")
+
+    out = np.zeros((k_theta + 1, n_int, n_int))
+    flat = (lvl * n_int + y) * n_int + x
+    # np.put leaves the winner of a repeated index unspecified: keep each
+    # address's last row only.
+    _, first_from_end = np.unique(flat[::-1], return_index=True)
+    last = len(flat) - 1 - first_from_end
+    np.put(out, flat[last], kv[last])
     return out

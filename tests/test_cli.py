@@ -246,6 +246,42 @@ def test_space_time_kernel_from_csv_config(tmp_path):
     assert rep["fixedpoint"]["converged"] is True
 
 
+def test_space_time_kernel_from_csv_config_2d(tmp_path):
+    # couple every node x to source node y = (0.5, 0.25) at t = 0 with weight 1;
+    # the last row overwrites the earlier one for x = (0.25, 0.25)
+    theta = 0.5
+    nodes = (0.25, 0.5, 0.75)
+    rows = ["t,x1,x2,y1,y2,k", "0.0,0.25,0.25,0.5,0.25,9.0"]
+    rows += [f"0.0,{x1},{x2},0.5,0.25,1.0" for x1 in nodes for x2 in nodes]
+    (tmp_path / "kern.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain={"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        grid={"nx": [5, 5], "nt": 4, "T": 1.0},
+        coefficients={"b": [0.1, 0.1], "f": [0.0, 0.0], "lam": 0.0, "beta": []},
+        gamma={"type": "space_time_kernel", "theta": theta, "csv": "kern.csv"},
+        data={"terminal": "x1*(1-x1)*x2*(1-x2)", "source": 0.0},
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["validation"]["gamma_theta"] == pytest.approx(theta)
+    # weight 1 at level 0: trapezoid weight dt/2 times the cell volume h1*h2
+    assert rep["validation"]["gamma_norm_bound"] == pytest.approx(0.5 * 0.25 * 0.25**2)
+    assert rep["fixedpoint"]["converged"] is True
+
+
+def test_kernel_csv_nan_coordinate_is_a_validation_failure(tmp_path, capsys):
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,nan,0.5,1.0\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"nx": [5], "nt": 4, "T": 1.0},
+        gamma={"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"},
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "kernel CSV line 3: t, x and y must be finite" in capsys.readouterr().err
+
+
 def test_kernel_csv_short_row_is_a_validation_failure(tmp_path, capsys):
     (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.5\n")
     cfg = write_config(

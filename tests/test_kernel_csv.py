@@ -1,0 +1,262 @@
+"""The vectorised kernel-CSV reader against an independent per-row reader.
+
+`_reference_kernel_from_csv` reads one row at a time: it snaps the time
+with its own copy of the level rule (floor(t/dt + 0.5), ties down, then
+clipped) and each coordinate to argmin |xs - c| (ties to the first node),
+and writes out[level, y, x] row by row, so a later row overwrites an
+earlier one.  Beyond that it rejects a non-finite t, x or y, which argmin
+would otherwise snap to node 0, and reports every rejected row by its
+physical line as `Rejected`.  The reader under test must return the same
+array bit for bit, or reject the same line.
+"""
+
+import csv
+import io
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bspde import Domain, make_grid
+from bspde.nonlocal_ops import NonlocalValidationError, kernel_from_csv
+
+
+class Rejected(Exception):
+    def __init__(self, line):
+        super().__init__(line)
+        self.line = line
+
+
+def _reference_level(grid, t):
+    if not 0.0 <= t <= grid.T + 1e-12 * max(1.0, grid.T):
+        raise ValueError(f"time {t} outside [0, {grid.T}]")
+    raw = t / grid.dt
+    k = int(np.floor(raw + 0.5))
+    if k - raw == 0.5:
+        k -= 1
+    return min(max(k, 0), grid.nt)
+
+
+def _reference_kernel_from_csv(fh, grid, theta):
+    k_theta = _reference_level(grid, theta)
+    n_int = grid.n_interior
+    out = np.zeros((k_theta + 1, n_int, n_int))
+    dim = grid.dim
+    reader = csv.reader(fh)
+    next(reader)
+
+    def node_index(coords):
+        idx = 0
+        for a in range(dim):
+            xs = grid.axis_coords(a)
+            j = int(np.argmin(np.abs(xs - coords[a])))
+            if abs(xs[j] - coords[a]) > 0.5 * grid.hx[a]:
+                raise ValueError(f"coordinate {coords[a]} is not a grid node")
+            idx = idx * len(xs) + j
+        return idx
+
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != 2 + 2 * dim:
+                raise ValueError("wrong width")
+            vals = [float(v) for v in row]
+            if not all(math.isfinite(v) for v in vals[:-1]):
+                raise ValueError("non-finite")
+            t, xs, ys, kval = vals[0], vals[1 : 1 + dim], vals[1 + dim : 1 + 2 * dim], vals[-1]
+            lvl = _reference_level(grid, t)
+            if lvl > k_theta:
+                raise ValueError("beyond theta")
+            out[lvl, node_index(ys), node_index(xs)] = kval
+        except ValueError:
+            raise Rejected(reader.line_num) from None
+    return out
+
+
+def _outcome(read, text, grid, theta):
+    """('ok', shape, bytes) for an accepted file, ('rejected', line) otherwise."""
+    try:
+        out = read(io.StringIO(text), grid, theta)
+    except Rejected as err:
+        return ("rejected", err.line)
+    except NonlocalValidationError as err:
+        m = re.match(r"kernel CSV line (\d+)[: ]", str(err))
+        assert m, str(err)
+        return ("rejected", int(m.group(1)))
+    return ("ok", out.shape, out.tobytes())
+
+
+@st.composite
+def grids(draw):
+    """A 1-D or 2-D grid with lo != 0 and a theta on a level below nt.
+
+    Dyadic grids make node midpoints and half levels exact in floating
+    point, so the tie rules are exercised; the others have arbitrary steps."""
+    dim = draw(st.sampled_from([1, 2]))
+    nx = [draw(st.integers(3, 7)) for _ in range(dim)]
+    if draw(st.booleans()):
+        lo = [draw(st.sampled_from([-1.5, -0.75, 0.25, 1.25])) for _ in range(dim)]
+        hx = [draw(st.sampled_from([0.125, 0.25, 0.5])) for _ in range(dim)]
+        hi = [a + h * (n - 1) for a, h, n in zip(lo, hx, nx)]
+        nt = draw(st.sampled_from([1, 2, 4, 8]))
+        T = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    else:
+        lo = [draw(st.floats(-3.0, 3.0).filter(lambda v: v != 0.0)) for _ in range(dim)]
+        hi = [a + draw(st.floats(0.3, 4.0)) for a in lo]
+        nt = draw(st.integers(1, 9))
+        T = draw(st.floats(0.1, 5.0))
+    grid = make_grid(Domain(tuple(lo), tuple(hi)), tuple(nx), nt, T)
+    k_theta = draw(st.integers(0, nt - 1))
+    return grid, k_theta * grid.dt, k_theta
+
+
+def _time(draw, grid, lvl, max_offset, ties):
+    kind = draw(st.sampled_from(["exact", "perturbed", "tie_below", "tie_above"] if ties else ["exact", "perturbed"]))
+    if kind == "perturbed":
+        lo = 0.0 if lvl == 0 else -max_offset
+        return (lvl + draw(st.floats(lo, max_offset))) * grid.dt
+    if kind == "tie_below" and lvl > 0:
+        return (lvl - 0.5) * grid.dt
+    if kind == "tie_above":
+        return (lvl + 0.5) * grid.dt
+    return lvl * grid.dt
+
+
+def _coord(draw, grid, axis, j, max_offset, ties):
+    xs = grid.axis_coords(axis)
+    h = grid.hx[axis]
+    kind = draw(st.sampled_from(["exact", "perturbed", "midpoint", "half_step"] if ties else ["exact", "perturbed"]))
+    if kind == "perturbed":
+        return xs[j] + draw(st.floats(-max_offset, max_offset)) * h
+    if kind == "midpoint" and j + 1 < len(xs):
+        return 0.5 * (xs[j] + xs[j + 1])
+    if kind == "half_step":
+        return xs[j] + draw(st.sampled_from([-0.5, 0.5])) * h
+    return xs[j]
+
+
+@st.composite
+def kernel_files(draw, max_offset=0.4999, ties=True):
+    """A kernel CSV over a few addresses, each written by any number of rows
+    in any order, with blank lines here and there; returns the text, the
+    grid, theta and theta's level.  Without ties and with offsets well
+    below half a step every row is valid."""
+    grid, theta, k_theta = draw(grids())
+    dim = grid.dim
+    shape = grid.interior_shape
+    addresses = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, k_theta),
+                st.tuples(*[st.integers(0, m - 1) for m in shape]),
+                st.tuples(*[st.integers(0, m - 1) for m in shape]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(addresses) - 1), max_size=30))
+    header = ",".join(["t"] + [f"x{a + 1}" for a in range(dim)] + [f"y{a + 1}" for a in range(dim)] + ["k"])
+    lines = [header]
+    for p in picks:
+        lvl, y, x = addresses[p]
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+        fields = [_time(draw, grid, lvl, max_offset, ties)]
+        fields += [_coord(draw, grid, a, x[a], max_offset, ties) for a in range(dim)]
+        fields += [_coord(draw, grid, a, y[a], max_offset, ties) for a in range(dim)]
+        fields.append(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        lines.append(",".join(repr(float(v)) for v in fields))
+    return "\n".join(lines) + "\n", grid, theta, k_theta
+
+
+PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(kernel_files())
+def test_same_kernel_as_the_per_row_reader(case):
+    text, grid, theta, _ = case
+    expected = _outcome(_reference_kernel_from_csv, text, grid, theta)
+    assert _outcome(kernel_from_csv, text, grid, theta) == expected
+
+
+def _fault(draw, grid, k_theta):
+    """Fields of a row with exactly one fault, as strings."""
+    dim = grid.dim
+    shape = grid.interior_shape
+    t = repr(0.0)
+    x = [repr(float(grid.axis_coords(a)[draw(st.integers(0, shape[a] - 1))])) for a in range(dim)]
+    y = [repr(float(grid.axis_coords(a)[draw(st.integers(0, shape[a] - 1))])) for a in range(dim)]
+    k = "1.0"
+    kind = draw(
+        st.sampled_from(["word", "empty", "short", "long", "early", "late", "beyond", "wall", "outside", "nonfinite"])
+    )
+    fields = [t, *x, *y, k]
+    if kind in ("word", "empty"):
+        fields[draw(st.integers(0, len(fields) - 1))] = "abc" if kind == "word" else ""
+    elif kind == "short":
+        fields.pop(draw(st.integers(0, len(fields) - 1)))
+    elif kind == "long":
+        fields.append("1.0")
+    elif kind == "early":
+        fields[0] = repr(-0.25 * grid.dt)
+    elif kind == "late":
+        fields[0] = repr(grid.T + grid.dt)
+    elif kind == "beyond":
+        fields[0] = repr((k_theta + 1) * grid.dt)
+    else:
+        pos = 1 + draw(st.integers(0, 2 * dim - 1))
+        a = (pos - 1) % dim
+        if kind == "wall":
+            fields[pos] = repr(draw(st.sampled_from([grid.domain.lo[a], grid.domain.hi[a]])))
+        elif kind == "outside":
+            xs = grid.axis_coords(a)
+            fields[pos] = repr(float(draw(st.sampled_from([xs[0] - 0.75 * grid.hx[a], xs[-1] + 0.6 * grid.hx[a], 1e300]))))
+        else:
+            fields[draw(st.integers(0, 2 * dim))] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    return fields
+
+
+@PROPERTY
+@given(st.data())
+def test_both_readers_reject_the_same_row(data):
+    text, grid, theta, k_theta = data.draw(kernel_files(max_offset=0.45, ties=False))
+    rows = text.splitlines()
+    at = data.draw(st.integers(1, len(rows)))
+    rows.insert(at, ",".join(_fault(data.draw, grid, k_theta)))
+    text = "\n".join(rows) + "\n"
+    expected = _outcome(_reference_kernel_from_csv, text, grid, theta)
+    assert expected == ("rejected", at + 1)
+    assert _outcome(kernel_from_csv, text, grid, theta) == expected
+
+
+def test_both_readers_keep_the_last_row_and_round_ties_down():
+    g = make_grid(Domain((0.25,), (1.25,)), 5, 4, 1.0)  # interior nodes 0.5, 0.75, 1.0
+    text = "t,x1,y1,k\n0.125,0.625,0.5,1.0\n0.0,0.5,0.5,2.0\n0.125,0.625,0.5,3.0\n"
+    for read in (_reference_kernel_from_csv, kernel_from_csv):
+        out = read(io.StringIO(text), g, 0.5)
+        assert out[0, 0, 0] == 3.0
+        assert np.count_nonzero(out) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_same_kernel_on_a_full_table(dim):
+    """Every (level, y, x) once, in reverse order, then level 0 again."""
+    g = make_grid(Domain((-0.5,) * dim, (0.7,) * dim), (6,) * dim, 10, 1.0)
+    pts = g.interior_points()
+    header = ",".join(["t"] + [f"x{a + 1}" for a in range(dim)] + [f"y{a + 1}" for a in range(dim)] + ["k"])
+    rows = []
+    for lvl in range(4):
+        for iy, y in enumerate(pts):
+            for ix, x in enumerate(pts):
+                vals = [lvl * g.dt, *x, *y, lvl + 0.01 * iy - 0.001 * ix]
+                rows.append(",".join(repr(float(v)) for v in vals))
+    rows = rows[::-1] + rows[: len(pts) ** 2 // 2]
+    text = header + "\n" + "\n".join(rows) + "\n"
+    expected = _reference_kernel_from_csv(io.StringIO(text), g, 0.3)
+    assert kernel_from_csv(io.StringIO(text), g, 0.3).tobytes() == expected.tobytes()

@@ -184,6 +184,25 @@ def test_kernel_csv_row_of_the_wrong_width(row):
         kernel_from_csv(io.StringIO(text), g, theta=0.5)
 
 
+@pytest.mark.parametrize(
+    "row, why",
+    [
+        ("0.0,abc,0.5,1.0", "could not convert string to float: 'abc'"),
+        ("1.5,0.25,0.5,1.0", "time 1.5 outside [0, 1.0]"),
+        ("0.75,0.25,0.5,1.0", "row at t = 0.75 lies beyond theta = 0.5"),
+        ("0.0,0.25,0.0,1.0", "coordinate 0.0 is not a grid node"),
+        ("0.0,nan,0.5,1.0", "t, x and y must be finite"),
+        ("inf,0.25,0.5,1.0", "t, x and y must be finite"),
+    ],
+)
+def test_kernel_csv_row_errors_name_the_line(row, why):
+    g = make_grid(Domain((0.0,), (1.0,)), 5, 4, 1.0)
+    text = f"t,x1,y1,k\n0.0,0.25,0.5,1.0\n\n{row}\n0.0,0.5,0.5,1.0\n"
+    with pytest.raises(NonlocalValidationError) as err:
+        kernel_from_csv(io.StringIO(text), g, theta=0.5)
+    assert str(err.value) == f"kernel CSV line 4: {why}"
+
+
 def test_grid_mismatch_rejected(grid):
     from bspde.nonlocal_ops import _compile
 
