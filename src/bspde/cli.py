@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ class NonConvergence(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A required config entry is missing."""
+    """A config entry is missing or malformed."""
 
 
 def _required(section: dict, path: str):
@@ -59,6 +59,22 @@ def _required(section: dict, path: str):
         return section[path.rsplit(".", 1)[-1]]
     except KeyError:
         raise ConfigError(f"{path}: missing") from None
+
+
+def _points(mc: dict, dim: int) -> list:
+    """`montecarlo.points`: a list of [x1[, x2], s] entries, dim + 1 numbers each."""
+    points = mc.get("points", [])
+    if not isinstance(points, list):
+        raise ConfigError(f"montecarlo.points: must be a list of points, got {points!r}")
+    for i, pt in enumerate(points):
+        if not (
+            isinstance(pt, list)
+            and len(pt) == dim + 1
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)
+        ):
+            form = "[x1, s]" if dim == 1 else "[x1, x2, s]"
+            raise ConfigError(f"montecarlo.points[{i}]: must be {dim + 1} numbers {form}, got {pt!r}")
+    return points
 
 
 @dataclass
@@ -175,7 +191,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
             n_paths=int(mc.get("n_paths", 10000)),
             seed=seed,
         ),
-        points=mc.get("points", []),
+        points=_points(mc, domain.dim),
         theta_gap=float(mc["theta_gap"]) if "theta_gap" in mc else None,
         outdir=outdir,
     )
@@ -232,12 +248,7 @@ def cmd_cauchy(cfg: RunConfig, validation: dict) -> dict:
     out = solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
     _write_atomic(cfg.outdir / "solution.csv", field_to_csv(out.u))
     return {
-        "diagnostics": {
-            "monotone": out.diagnostics.monotone,
-            "worst_positive_offdiag": out.diagnostics.worst_positive_offdiag,
-            "max_principle_slack": out.diagnostics.max_principle_slack,
-            "max_linear_residual": out.diagnostics.max_linear_residual,
-        },
+        "diagnostics": asdict(out.diagnostics),
         "norms": {"sup_u": sup_norm(out.u), "sup_terminal": sup_norm(cfg.terminal)},
     }
 

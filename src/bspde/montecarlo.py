@@ -69,28 +69,19 @@ class McEstimate:
 
 
 class _FieldInterp:
-    """Multilinear spatial interpolation with the zero wall padded in;
-    piecewise-constant to the left in time for space-time fields."""
+    """Multilinear spatial interpolation with the zero wall padded in, on a
+    stack of time levels, piecewise-constant to the left in time; a space
+    field is a one-level stack."""
 
-    def __init__(self, grid: Grid, values: np.ndarray, time_dependent: bool):
+    def __init__(self, grid: Grid, levels: np.ndarray):
         self.grid = grid
-        self.time_dependent = time_dependent
-        if time_dependent:
-            full = np.zeros((values.shape[0],) + tuple(grid.nx))
-            sl = (slice(None),) + tuple(slice(1, -1) for _ in range(grid.dim))
-            full[sl] = values
-        else:
-            full = np.zeros(tuple(grid.nx))
-            full[tuple(slice(1, -1) for _ in range(grid.dim))] = values
+        full = np.zeros((levels.shape[0],) + tuple(grid.nx))
+        full[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.dim))] = levels
         self.full = full
 
     def __call__(self, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
         g = self.grid
-        if self.time_dependent:
-            lvl = min(int(np.floor(t / g.dt + 1e-9)), self.full.shape[0] - 1)
-            full = self.full[lvl]
-        else:
-            full = self.full
+        full = self.full[min(int(np.floor(t / g.dt + 1e-9)), self.full.shape[0] - 1)]
         idx = []
         frac = []
         for a in range(g.dim):
@@ -110,9 +101,15 @@ class _FieldInterp:
         )
 
 
-def _start_point(dec: DiffusionDecomposition, x, s: float, horizon: float, cfg: PathConfig) -> np.ndarray:
-    """Check a start point (x, s) against the grid, the horizon and the path
-    step; return x as a (dim,) array."""
+def _checked_start(
+    dec: DiffusionDecomposition, x, s: float, horizon: float, cfg: PathConfig
+) -> tuple[np.ndarray, float]:
+    """Check a start point (x, s) of paths that run to `horizon` against the
+    horizon, the grid and the path step; return x as a (dim,) array and s
+    clamped to the horizon."""
+    if s > horizon + 1e-12:
+        raise ValueError(f"s = {s} is beyond the horizon T = {horizon}")
+    s = min(s, horizon)
     grid = dec.grid
     x = np.asarray(x, dtype=float).reshape(grid.dim)
     if not grid.domain.contains(x):
@@ -121,16 +118,7 @@ def _start_point(dec: DiffusionDecomposition, x, s: float, horizon: float, cfg: 
         raise ValueError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
     if not 0.0 <= s <= horizon:
         raise ValueError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
-    return x
-
-
-def _backward_start(dec: DiffusionDecomposition, x, s: float, cfg: PathConfig) -> tuple[np.ndarray, float]:
-    """Checked start of a path estimate of the backward solution, which runs to T."""
-    T = dec.grid.T
-    if s > T + 1e-12:
-        raise ValueError(f"s = {s} is beyond the horizon T = {T}")
-    s = min(s, T)
-    return _start_point(dec, x, s, T, cfg), s
+    return x, s
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,14 +171,12 @@ def _simulate(
     cfg: PathConfig,
     terminal: SpaceField | None = None,
     source: SpaceTimeField | None = None,
-    trace: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate cfg.n_paths characteristics from each checked start (x_p, s_p)
     to the shared `horizon`.
 
     Returns per-path payoff values and the alive mask at the horizon, both of
-    shape (n_points, n_paths), and with `trace` (one point, one batch) the
-    per-step snapshots of every path for structural checks.
+    shape (n_points, n_paths).
 
     Every point still running at step j reads its paths' rows of the step's
     draw block (stream layout: module docstring).  Points with the same
@@ -216,8 +202,8 @@ def _simulate(
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else None
         btilde_c = dec.columns_at(x0, 0.0)[0]  # (dim, M)
     discount = not coeffs.lam_is_zero
-    term_interp = _FieldInterp(grid, terminal.values, False) if terminal is not None else None
-    src_interp = _FieldInterp(grid, source.values, True) if source is not None else None
+    term_interp = _FieldInterp(grid, terminal.values[None]) if terminal is not None else None
+    src_interp = _FieldInterp(grid, source.values) if source is not None else None
 
     n = cfg.n_paths
     values = np.zeros((len(starts), n))
@@ -229,7 +215,6 @@ def _simulate(
         (s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12))), pids) for s, pids in by_time.items()
     ]
     max_steps = max((g[1] for g in groups), default=0)
-    snapshots: list[dict] = []
     for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
         base = bi * BATCH_SIZE
         nb = min(BATCH_SIZE, n - base)
@@ -241,10 +226,6 @@ def _simulate(
                 chunk = pids[c : c + per_array]
                 xs = np.stack([starts[p][0] for p in chunk])
                 lives.append((s, n_steps, _LivePaths(xs, chunk, nb, discount, src_interp is not None)))
-        if trace:
-            y_full = lives[0][2].y.copy()
-            acc_full = np.zeros(nb)
-            active_full = np.ones(nb, dtype=bool)
         for j in range(max_steps):
             running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
             if not running:
@@ -283,15 +264,6 @@ def _simulate(
                 for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
                     gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
                 gone &= lp.active
-                if trace:
-                    _, r = lp.where(lp.active)
-                    y_full[r] = y[lp.active]
-                    if lp.acc is not None:
-                        acc_full[r] = lp.acc[lp.active]
-                    active_full[lp.where(gone)[1]] = False
-                    snapshots.append(
-                        {"t": t + dt_eff, "y": y_full.copy(), "src_acc": acc_full.copy(), "active": active_full.copy()}
-                    )
                 if gone.any():
                     if lp.acc is not None:
                         p, r = lp.where(gone)
@@ -311,41 +283,16 @@ def _simulate(
             p, r = lp.where()
             values[p, base + r] = v
             alive[p, base + r] = True
-    out = {"values": values, "alive": alive}
-    if trace:
-        out["snapshots"] = snapshots
-    return out
-
-
-def _run_paths(
-    dec: DiffusionDecomposition,
-    x,
-    s: float,
-    horizon: float,
-    cfg: PathConfig,
-    terminal: SpaceField | None = None,
-    source: SpaceTimeField | None = None,
-    trace: bool = False,
-):
-    """One-point case of `_simulate`: values and alive mask of shape (n_paths,)."""
-    x = _start_point(dec, x, s, horizon, cfg)
-    if trace and cfg.n_paths > BATCH_SIZE:
-        raise ValueError("trace mode records per-step snapshots; keep n_paths within one batch")
-    out = _simulate(dec, [(x, s)], horizon, cfg, terminal=terminal, source=source, trace=trace)
-    out["values"] = out["values"][0]
-    out["alive"] = out["alive"][0]
-    return out
+    return values, alive
 
 
 def _estimate(values: np.ndarray, alive: np.ndarray, cfg: PathConfig) -> McEstimate:
     """Sample mean and standard error of one point's path values."""
-    mean = float(np.mean(values))
-    if cfg.n_paths > 1 and not np.all(values == values[0]):
-        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
-    else:
-        stderr = 0.0
     if np.all(values == values[0]):
-        mean = float(values[0])  # constant sample: no roundoff from the mean reduction
+        mean, stderr = float(values[0]), 0.0  # constant sample: no roundoff from the mean reduction
+    else:
+        mean = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
     return McEstimate(
         mean=mean,
         stderr=stderr,
@@ -365,9 +312,9 @@ def feynman_kac(
     """Path estimate of the backward solution at (x, s): discounted terminal
     payoff for paths that never leave the box before T, plus the discounted
     running source up to the first exit."""
-    start = _backward_start(dec, x, s, cfg)
-    res = _simulate(dec, [start], dec.grid.T, cfg, terminal=terminal, source=source)
-    return _estimate(res["values"][0], res["alive"][0], cfg)
+    T = dec.grid.T
+    values, alive = _simulate(dec, [_checked_start(dec, x, s, T, cfg)], T, cfg, terminal=terminal, source=source)
+    return _estimate(values[0], alive[0], cfg)
 
 
 def confinement_probability(
@@ -376,8 +323,8 @@ def confinement_probability(
     """Fraction of paths still inside the box at s + theta_gap, with binomial stderr."""
     if theta_gap < 0:
         raise ValueError("theta_gap must be >= 0")
-    res = _run_paths(dec, x, s, s + theta_gap, cfg)
-    alive = res["alive"]
+    horizon = s + theta_gap
+    _, (alive,) = _simulate(dec, [_checked_start(dec, x, s, horizon, cfg)], horizon, cfg)
     p = float(np.mean(alive))
     stderr = math.sqrt(p * (1.0 - p) / cfg.n_paths)
     return McEstimate(mean=p, stderr=stderr, n_paths=cfg.n_paths, n_exited=int(np.count_nonzero(~alive)))
@@ -523,18 +470,18 @@ def compare_mc_pde(
     u = out.u
     scale = sup_norm(u)
     dec = decompose(mc_coeffs if mc_coeffs is not None else problem.coeffs, grid)
-    interp = _FieldInterp(grid, u.values, True)
+    interp = _FieldInterp(grid, u.values)
     pts, pde_vals, starts = [], [], []
     for pt in points:
         pt = [float(v) for v in pt]
         x, s = pt[: grid.dim], pt[grid.dim]
         lvl, _ = grid.nearest_level(s)
         pde_vals.append(float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0]))
-        starts.append(_backward_start(dec, x, s, cfg))
+        starts.append(_checked_start(dec, x, s, grid.T, cfg))
         pts.append((x, s))
-    res = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
+    values, alive = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
     rows = []
-    for (x, s), pde_val, v, a in zip(pts, pde_vals, res["values"], res["alive"]):
+    for (x, s), pde_val, v, a in zip(pts, pde_vals, values, alive):
         est = _estimate(v, a, cfg)
         diff = abs(pde_val - est.mean)
         z = 0.0 if diff == 0.0 else (diff / est.stderr if est.stderr > 0 else math.inf)

@@ -203,6 +203,16 @@ def test_mccheck_command(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "points,where",
+    [([[0.5]], "montecarlo.points[0]"), ([[0.5, 0.0, 7.0]], "montecarlo.points[0]"), (5, "montecarlo.points")],
+)
+def test_malformed_mc_points_are_a_validation_failure(tmp_path, capsys, points, where):
+    cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": points})
+    assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {where}: must be" in capsys.readouterr().err
+
+
 def test_nubound_command(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "o"
@@ -261,6 +271,7 @@ def test_space_time_kernel_from_csv_config_2d(tmp_path):
         coefficients={"b": [0.1, 0.1], "f": [0.0, 0.0], "lam": 0.0, "beta": []},
         gamma={"type": "space_time_kernel", "theta": theta, "csv": "kern.csv"},
         data={"terminal": "x1*(1-x1)*x2*(1-x2)", "source": 0.0},
+        montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": [[0.5, 0.5, 0.0]]},
     )
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0

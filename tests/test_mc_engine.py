@@ -40,8 +40,8 @@ def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else np.zeros((0, dim))
         btilde_c = dec.columns_at(x0, 0.0)[0]
     lam_zero = coeffs.lam_is_zero
-    term_interp = _FieldInterp(grid, terminal.values, False) if terminal is not None else None
-    src_interp = _FieldInterp(grid, source.values, True) if source is not None else None
+    term_interp = _FieldInterp(grid, terminal.values[None]) if terminal is not None else None
+    src_interp = _FieldInterp(grid, source.values) if source is not None else None
     batch = montecarlo.BATCH_SIZE
 
     values = np.empty(cfg.n_paths)
@@ -98,14 +98,14 @@ def small_batches(monkeypatch):
 
 def _assert_engine_matches_reference(dec, starts, horizon, cfg, terminal=None, source=None):
     checked = [(np.asarray(x, dtype=float), s) for x, s in starts]
-    got = _simulate(dec, checked, horizon, cfg, terminal=terminal, source=source)
-    assert got["values"].shape == (len(starts), cfg.n_paths)
+    values, alive = _simulate(dec, checked, horizon, cfg, terminal=terminal, source=source)
+    assert values.shape == (len(starts), cfg.n_paths)
     for p, (x, s) in enumerate(starts):
         want_v, want_a = _reference_run_paths(dec, x, s, horizon, cfg, terminal=terminal, source=source)
-        assert np.array_equal(got["alive"][p], want_a), f"alive differs at point {p}"
-        assert np.array_equal(got["values"][p], want_v), f"values differ at point {p}"
-        assert got["values"][p].tobytes() == want_v.tobytes()
-    return got
+        assert np.array_equal(alive[p], want_a), f"alive differs at point {p}"
+        assert np.array_equal(values[p], want_v), f"values differ at point {p}"
+        assert values[p].tobytes() == want_v.tobytes()
+    return values, alive
 
 
 def test_engine_1d_constant_with_source_and_discount(small_batches):
@@ -117,8 +117,8 @@ def test_engine_1d_constant_with_source_and_discount(small_batches):
     cfg = PathConfig(dt_mc=0.005, n_paths=N_PATHS, seed=31)
     # two points share s = 0, one starts at a grid level, one between levels, one at T
     starts = [([0.5], 0.0), ([0.2], 0.5), ([0.35], 0.0), ([0.8], 0.73), ([0.6], g.T)]
-    got = _assert_engine_matches_reference(dec, starts, g.T, cfg, terminal=term, source=src)
-    assert not got["alive"][0].all() and got["alive"][4].all()
+    _, alive = _assert_engine_matches_reference(dec, starts, g.T, cfg, terminal=term, source=src)
+    assert not alive[0].all() and alive[4].all()
 
 
 def test_engine_2d_variable_coefficients_with_beta(small_batches):
@@ -172,10 +172,10 @@ def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     est = montecarlo.confinement_probability(dec, [0.5], 0.0, theta_gap, cfg)
-    got = montecarlo._run_paths(dec, [0.5], 0.0, theta_gap, cfg)
+    values, alive = _simulate(dec, [(np.array([0.5]), 0.0)], theta_gap, cfg)
     assert est.mean == 0.0 and est.n_exited == N_PATHS
-    assert np.array_equal(got["alive"], want_a)
-    assert np.array_equal(got["values"], want_v)
+    assert np.array_equal(alive[0], want_a)
+    assert values[0].tobytes() == want_v.tobytes()
     n_batches = -(-N_PATHS // SMALL_BATCH)
     n_steps = int(math.ceil(theta_gap / cfg.dt_mc - 1e-12))
     # every batch empties within a few hundred of its 2000 steps, then stops

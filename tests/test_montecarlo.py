@@ -18,7 +18,8 @@ from bspde import (
     feynman_kac,
     make_grid,
 )
-from bspde.montecarlo import _interval_confinement, _run_paths, comparison_to_csv
+from bspde import montecarlo
+from bspde.montecarlo import _interval_confinement, _simulate, comparison_to_csv
 
 
 def heat_setup(nx=101, nt=100, b=0.1):
@@ -169,23 +170,44 @@ def test_feynman_kac_deterministic_per_seed():
     assert c.mean != a.mean
 
 
-def test_paths_freeze_after_exit():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=20, b=0.5)
-    src = SpaceTimeField(g, np.ones((g.nt + 1,) + g.interior_shape))
-    cfg = PathConfig(dt_mc=0.01, n_paths=200, seed=8)
-    out = _run_paths(dec, [0.5], 0.0, 1.0, cfg, source=src, trace=True)
-    snaps = out["snapshots"]
-    exited_at = {}
-    for j, snap in enumerate(snaps):
-        for p in np.nonzero(~snap["active"])[0]:
-            exited_at.setdefault(int(p), j)
-    assert exited_at, "expected at least one exit with b = 0.5"
-    for p, j in exited_at.items():
-        y_exit = snaps[j]["y"][p]
-        acc_exit = snaps[j]["src_acc"][p]
-        for later in snaps[j + 1 :]:
-            assert np.array_equal(later["y"][p], y_exit)
-            assert later["src_acc"][p] == acc_exit
+def test_paths_freeze_after_exit(monkeypatch):
+    """A path that has exited never changes again.  Run the engine to the
+    horizons 0.5 and 1.0 on the same seed: every path gone by 0.5 keeps its
+    value bit for bit, and no path gone by 0.5 is alive at 1.0.  A positive
+    source makes every exit value positive, so an unwritten one shows."""
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)  # several batches at a small cost
+    g1 = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
+    g2 = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 11, 20, 1.0)
+    variable = CoefficientSet.create(
+        2,
+        b=[["0.2 + 0.1*x1", "0.03*cos(t)"], ["0.03*cos(t)", "0.15 + 0.05*x2*t"]],
+        f=["0.3*cos(2*t)", "-0.2*x1"],
+        lam="-0.3 - 0.2*x2",
+    )
+    cases = [
+        (
+            decompose(CoefficientSet.create(1, b=0.3, f=0.2, lam=-0.7), g1),
+            [([0.5], 0.0), ([0.3], 0.25)],
+            SpaceField.from_function(g1, lambda x: np.sin(np.pi * x)),
+            SpaceTimeField.from_function(g1, lambda x, t: 1.0 + x * (1 - x) * (1 + t)),
+        ),
+        (
+            decompose(variable, g2),
+            [([0.4, 0.5], 0.0), ([0.7, 0.3], 0.25)],
+            SpaceField.from_function(g2, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)),
+            SpaceTimeField.from_function(g2, lambda x1, x2, t: 1.0 + x1 * x2 * np.exp(-t)),
+        ),
+    ]
+    cfg = PathConfig(dt_mc=1 / 64, n_paths=300, seed=8)
+    for dec, starts, term, src in cases:
+        checked = [(np.asarray(x, dtype=float), s) for x, s in starts]
+        v_mid, alive_mid = _simulate(dec, checked, 0.5, cfg, terminal=term, source=src)
+        v_end, alive_end = _simulate(dec, checked, 1.0, cfg, terminal=term, source=src)
+        gone = ~alive_mid
+        assert np.count_nonzero(gone) > 100, "expected many exits by 0.5"
+        assert not (alive_end & gone).any()
+        assert v_end[gone].tobytes() == v_mid[gone].tobytes()
+        assert (v_mid[gone] > 0).all()
 
 
 def test_path_config_validation():
