@@ -6,7 +6,6 @@ not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,7 +281,8 @@ def refine(f: SpaceTimeField, factor: int) -> SpaceTimeField:
 
 
 def field_to_csv(f: SpaceField | SpaceTimeField) -> str:
-    """CSV dump: header t,x1[,x2],u; rows time-major then lexicographic node order."""
+    """CSV dump: header t,x1[,x2],u; rows time-major then lexicographic node order.
+    Numbers are written as the repr of Python floats."""
     grid = f.grid
     if isinstance(f, SpaceField):
         levels = [(grid.T, f.values)]
@@ -290,12 +290,10 @@ def field_to_csv(f: SpaceField | SpaceTimeField) -> str:
         times = grid.times()
         levels = [(times[k], f.values[k]) for k in range(f.n_levels)]
     coord_cols = ["x1"] if grid.dim == 1 else ["x1", "x2"]
-    buf = io.StringIO()
-    buf.write(",".join(["t"] + coord_cols + ["u"]) + "\n")
-    pts = grid.interior_points()
+    coords = [",".join(map(repr, p)) for p in grid.interior_points().tolist()]
+    chunks = [",".join(["t"] + coord_cols + ["u"]) + "\n"]
     for t, v in levels:
-        flat = v.ravel()
-        for p, val in zip(pts, flat):
-            coords = ",".join(repr(float(c)) for c in p)
-            buf.write(f"{float(t)!r},{coords},{float(val)!r}\n")
-    return buf.getvalue()
+        ts = repr(float(t))
+        # one string per level, so the row strings of only one level are alive at a time
+        chunks.append("".join([f"{ts},{c},{val!r}\n" for c, val in zip(coords, v.ravel().tolist())]))
+    return "".join(chunks)

@@ -113,7 +113,7 @@ def _checked_start(
     grid = dec.grid
     x = np.asarray(x, dtype=float).reshape(grid.dim)
     if not grid.domain.contains(x):
-        raise ValueError(f"start point {tuple(x)} must lie strictly inside the domain")
+        raise ValueError(f"start point {tuple(x.tolist())} must lie strictly inside the domain")
     if cfg.dt_mc > grid.dt + 1e-12:
         raise ValueError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
     if not 0.0 <= s <= horizon:
@@ -458,30 +458,30 @@ def compare_mc_pde(
     cfg: PathConfig,
     mc_coeffs: CoefficientSet | None = None,
 ) -> list[ComparisonRow]:
-    """Backward-solve the problem once, then for each (x..., s) sample point
-    compare the interpolated grid solution against the path estimate.
+    """Check every (x..., s) sample point, backward-solve the problem once,
+    then for each point compare the interpolated grid solution against the
+    path estimate.
 
     A row is flagged when |pde - mc| > 3*stderr + 0.02*scale with scale the
     sup norm of the grid solution.  mc_coeffs substitutes a different
     coefficient set on the path side (negative-control hook).
     """
     grid = problem.grid
-    out = solve_terminal(grid, problem.coeffs, source=problem.source, terminal=problem.terminal)
-    u = out.u
-    scale = sup_norm(u)
     dec = decompose(mc_coeffs if mc_coeffs is not None else problem.coeffs, grid)
-    interp = _FieldInterp(grid, u.values)
-    pts, pde_vals, starts = [], [], []
+    pts, starts = [], []
     for pt in points:
         pt = [float(v) for v in pt]
         x, s = pt[: grid.dim], pt[grid.dim]
-        lvl, _ = grid.nearest_level(s)
-        pde_vals.append(float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0]))
         starts.append(_checked_start(dec, x, s, grid.T, cfg))
         pts.append((x, s))
+    u = solve_terminal(grid, problem.coeffs, source=problem.source, terminal=problem.terminal).u
+    scale = sup_norm(u)
+    interp = _FieldInterp(grid, u.values)
     values, alive = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
     rows = []
-    for (x, s), pde_val, v, a in zip(pts, pde_vals, values, alive):
+    for (x, s), v, a in zip(pts, values, alive):
+        lvl, _ = grid.nearest_level(s)
+        pde_val = float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0])
         est = _estimate(v, a, cfg)
         diff = abs(pde_val - est.mean)
         z = 0.0 if diff == 0.0 else (diff / est.stderr if est.stderr > 0 else math.inf)

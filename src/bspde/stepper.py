@@ -19,16 +19,20 @@ the maximum principle sup|u| <= sup|terminal| + duration*sup|source|.
 Nodes are numbered lexicographically (last axis fastest), so each stencil
 offset is a fixed flat offset and the matrix is banded, with half-bandwidth
 w = 1 in 1-D and w = m2 + 1 in 2-D (m2 interior nodes along axis 2).  It goes
-straight into LAPACK band storage, is LU-factored with dgbtrf once per
-distinct level of a sweep (once per sweep unless a coefficient depends on t)
-and solved per step with dgbtrs; each step's sup-norm residual |rhs - A x|
-comes from the same bands.  For n nodes a factorisation costs O(n w^2) time
-and (3w + 1) n doubles (1.5 MB at 41 x 41, but about 400 MB at 257 x 257,
-where a Krylov solve needs O(n)), and a step costs O(n w).
+straight into LAPACK band storage and is LU-factored with dgbtrf once per
+(grid, coefficients) when no coefficient depends on t (the last such factor
+is kept, so repeated sweeps of one problem reuse it), and once per level
+otherwise.  Each step is one dgbtrs call on one right-hand side.  The
+sup-norm residual |rhs - A x| is checked once per run of steps that share a
+factor (the whole sweep, or one level), from the same bands.  For n nodes a
+factorisation costs O(n w^2) time and (3w + 1) n doubles (1.5 MB at 41 x 41,
+but about 400 MB at 257 x 257, where a Krylov solve needs O(n)), and a step
+costs O(n w).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,23 +106,43 @@ class _System:
 
         self.w = max(abs(k) for k in self.bands)
         ab = np.zeros((3 * self.w + 1, n), order="F")
+        # (entries, rows, cols) per band, in band order, for the residual
+        self._terms = []
         for k, entries in self.bands.items():
             rows, cols = _span(k, n)
             ab[2 * self.w - k, cols] = entries[rows]
+            self._terms.append((entries[rows], rows, cols))
         self.lu, self.piv, info = dgbtrf(ab, self.w, self.w, overwrite_ab=1)
         if info != 0:
             raise LinearSolveError(f"singular system at t = {t:.6g} (dgbtrf info {info})")
+        # the factor may be shared through _factored; dgbtrs only reads it
+        self.lu.flags.writeable = False
+        self.piv.flags.writeable = False
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        x, info = dgbtrs(self.lu, self.w, self.w, rhs, self.piv)
+    def solve(self, b: np.ndarray) -> None:
+        """Overwrite b (a contiguous float64 vector, so LAPACK works on it in
+        place) with the solution x of M x = b."""
+        _, info = dgbtrs(self.lu, self.w, self.w, b, self.piv, overwrite_b=1)
+        if info != 0:
+            raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info})")
+
+    def residual(self, rhs: np.ndarray, x: np.ndarray) -> float:
+        """sup |rhs - M x| over a block of steps, one step per row."""
         r = rhs.copy()
-        for k, entries in self.bands.items():
-            rows, cols = _span(k, rhs.size)
-            r[rows] -= entries[rows] * x[cols]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: reported below
+            for entries, rows, cols in self._terms:
+                r[:, rows] -= entries * x[:, cols]
         res = float(np.max(np.abs(r)))
-        if info != 0 or not np.isfinite(res):
-            raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info}, residual {res})")
-        return x, res
+        if not np.isfinite(res):
+            raise LinearSolveError(f"banded linear solve failed (residual {res})")
+        return res
+
+
+@functools.lru_cache(maxsize=1)
+def _factored(grid: Grid, coeffs: CoefficientSet) -> _System:
+    """The system of t-independent coefficients, the same at every level.
+    Keyed on the values of the frozen grid and coefficient set."""
+    return _System(grid, coeffs, 0.0)
 
 
 def solve_terminal(
@@ -142,25 +166,29 @@ def solve_terminal(
     if source is not None and source.n_levels < s + 1:
         raise ValueError("source field does not cover levels 0..level")
 
-    shape = grid.interior_shape
-    u = np.empty((s + 1,) + shape)
-    u[s] = terminal.values
+    n = grid.n_interior
+    u = np.empty((s + 1, n))
+    u[s] = terminal.values.ravel()
+    # rhs of step k: u^{k+1} + dt*source^k
+    src = None if source is None else grid.dt * source.values[:s].reshape(s, n)
     worst_offdiag = 0.0
     max_resid = 0.0
-    system = None
+    # runs of levels lo..hi-1 that share one system, last run first
     time_dep = coeffs.is_time_dependent
-    for k in range(s - 1, -1, -1):
-        if system is None or time_dep:
-            system = _System(grid, coeffs, grid.dt * k)
-            worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
-        rhs = u[k + 1].ravel().copy()
-        if source is not None:
-            rhs += grid.dt * source.values[k].ravel()
-        x, resid = system.solve(rhs)
-        max_resid = max(max_resid, resid)
-        u[k] = x.reshape(shape)
+    runs = ((k, k + 1) for k in range(s - 1, -1, -1)) if time_dep else [(0, s)]
+    for lo, hi in runs:
+        system = _System(grid, coeffs, grid.dt * lo) if time_dep else _factored(grid, coeffs)
+        worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
+        for k in range(hi - 1, lo - 1, -1):
+            if src is None:
+                u[k] = u[k + 1]
+            else:
+                np.add(u[k + 1], src[k], out=u[k])
+            system.solve(u[k])
+        rhs = u[lo + 1 : hi + 1] if src is None else u[lo + 1 : hi + 1] + src[lo:hi]
+        max_resid = max(max_resid, system.residual(rhs, u[lo:hi]))
 
-    out = SpaceTimeField(grid, u)
+    out = SpaceTimeField(grid, u.reshape((s + 1,) + grid.interior_shape))
     duration = grid.dt * s
     bound = sup_norm(terminal) + duration * (sup_norm(source) if source is not None else 0.0)
     diags = SolveDiagnostics(

@@ -213,6 +213,22 @@ def test_malformed_mc_points_are_a_validation_failure(tmp_path, capsys, points, 
     assert f"invalid configuration: {where}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ([math.nan, 0.0], "start point (nan,) must lie strictly inside the domain"),
+        ([0.5, 1.2], "s = 1.2 is beyond the horizon T = 1.0"),
+        ([0.5, math.nan], "need 0 <= s <= horizon, got s=nan"),
+    ],
+)
+def test_bad_mc_start_point_is_a_validation_failure(tmp_path, capsys, point, message):
+    # checked before the solution is interpolated there (which would warn or
+    # fail with a grid error); warnings are errors under pytest
+    cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": [point]})
+    assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"validation failed: {message}" in capsys.readouterr().err
+
+
 def test_nubound_command(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "o"

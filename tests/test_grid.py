@@ -143,6 +143,32 @@ def test_field_csv_layout():
     assert u0 == pytest.approx(1 / 3)
 
 
+def _reference_field_to_csv(f):
+    """The row-by-row writer: repr of every coordinate and value, row by row."""
+    grid = f.grid
+    if isinstance(f, SpaceField):
+        levels = [(grid.T, f.values)]
+    else:
+        levels = [(grid.times()[k], f.values[k]) for k in range(f.n_levels)]
+    rows = ["t," + ("x1" if grid.dim == 1 else "x1,x2") + ",u\n"]
+    for t, v in levels:
+        for p, val in zip(grid.interior_points(), v.ravel()):
+            coords = ",".join(repr(float(c)) for c in p)
+            rows.append(f"{float(t)!r},{coords},{float(val)!r}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("nx", [6, (5, 4)])
+def test_field_csv_matches_the_row_by_row_writer(nx):
+    rng = np.random.default_rng(21)
+    lo, hi = ((0.1,), (2.3,)) if isinstance(nx, int) else ((-1.0, 0.3), (2.0, 1.7))
+    g = make_grid(Domain(lo, hi), nx, 5, 0.7)
+    v = rng.standard_normal((g.nt + 1,) + g.interior_shape) * 10.0 ** rng.integers(-30, 30, (g.nt + 1,) + g.interior_shape)
+    v.flat[:3] = (0.0, -0.0, 1e300)
+    for f in (SpaceTimeField(g, v), SpaceTimeField(g, v[:3]), SpaceField(g, v[2])):
+        assert field_to_csv(f) == _reference_field_to_csv(f)
+
+
 def test_boundary_is_structurally_zero():
     # fields carry interior nodes only; the wall never enters any norm
     g = make_grid(Domain((0.0,), (1.0,)), 5, 2, 1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrs
 
 from bspde import (
     CoefficientSet,
@@ -14,7 +15,7 @@ from bspde import (
     sup_norm,
     terminal_response,
 )
-from bspde.stepper import LinearSolveError
+from bspde.stepper import LinearSolveError, _factored, _span, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -255,3 +256,120 @@ def test_level_argument_partial_horizon():
     assert out.u.level(5).values == pytest.approx(term.values)
     with pytest.raises(ValueError):
         solve_terminal(g, heat_coeffs(), terminal=term, level=11)
+
+
+def _reference_sweep(g, c, terminal, source=None, level=None):
+    """The per-step sweep: a fresh system per level (one per sweep when no
+    coefficient depends on t), a fresh rhs per step, one dgbtrs and that
+    step's residual over the bands in their order."""
+    s = g.nt if level is None else level
+    shape = g.interior_shape
+    u = np.empty((s + 1,) + shape)
+    u[s] = terminal.values
+    worst = 0.0
+    resids = []  # per step, from level s - 1 down to 0
+    system = None
+    for k in range(s - 1, -1, -1):
+        if system is None or c.is_time_dependent:
+            system = _System(g, c, g.dt * k)
+            worst = max(worst, system.worst_positive_offdiag)
+        rhs = u[k + 1].ravel().copy()
+        if source is not None:
+            rhs += g.dt * source.values[k].ravel()
+        x, info = dgbtrs(system.lu, system.w, system.w, rhs, system.piv)
+        assert info == 0
+        r = rhs.copy()
+        for j, entries in system.bands.items():
+            rows, cols = _span(j, rhs.size)
+            r[rows] -= entries[rows] * x[cols]
+        resids.append(float(np.max(np.abs(r))))
+        u[k] = x.reshape(shape)
+    return u, worst, resids
+
+
+def _assert_matches_reference(g, c, terminal, source=None, level=None):
+    out = solve_terminal(g, c, source=source, terminal=terminal, level=level)
+    u, worst, resids = _reference_sweep(g, c, source=source, terminal=terminal, level=level)
+    assert out.u.values.tobytes() == u.tobytes()
+    assert out.diagnostics.worst_positive_offdiag == worst
+    assert out.diagnostics.max_linear_residual == max(resids)
+    return resids
+
+
+C1_CONST = CoefficientSet.create(1, b="0.1 + 0.05*x", f="3*x - 1.5", lam="-0.5 - x")
+C1_TIME = CoefficientSet.create(1, b="0.1 + 0.05*sin(3*t)", f="2*x - 1 + t", lam="-0.1*(1+t)")
+C2_CONST = CoefficientSet.create(2, b=[[0.2, "0.05 + 0.03*x2"], ["0.05 + 0.03*x2", 0.15]], f=["2 - 4*x1", "x2"], lam=-0.7)
+C2_TIME = CoefficientSet.create(2, b=["0.2 + 0.1*t", "0.1 + 0.05*x1"], f=["0.4*cos(t)", "-0.3"], lam="-0.2*t")
+
+
+@pytest.mark.parametrize(
+    "nx,nt,coeffs,with_source,level",
+    [
+        (23, 30, C1_CONST, False, None),
+        (23, 30, C1_CONST, True, 17),
+        (23, 30, C1_TIME, True, None),
+        (23, 30, C1_TIME, False, 9),
+        ((9, 7), 12, C2_CONST, True, None),
+        ((9, 7), 12, C2_CONST, False, 5),
+        ((6, 9), 12, C2_TIME, True, 7),
+        ((6, 9), 12, C2_TIME, False, None),
+    ],
+)
+def test_sweep_matches_the_per_step_reference(nx, nt, coeffs, with_source, level):
+    rng = np.random.default_rng(11)
+    lo, hi = ((0.0,), (1.0,)) if coeffs.dim == 1 else ((0.0, -1.0), (1.0, 1.0))
+    g = make_grid(Domain(lo, hi), nx, nt, 0.8)
+    src = random_st_field(rng, g) if with_source else None
+    _assert_matches_reference(g, coeffs, source=src, terminal=random_field(rng, g), level=level)
+
+
+@pytest.mark.parametrize("coeffs", [C1_CONST, C2_CONST])
+def test_sweep_residual_is_the_max_over_every_step(coeffs):
+    # zero terminal data and a source pulse at one middle level: the largest
+    # step residual is neither the first step's nor the last one's
+    rng = np.random.default_rng(14)
+    lo, hi = ((0.0,), (1.0,)) if coeffs.dim == 1 else ((0.0, -1.0), (1.0, 1.0))
+    g = make_grid(Domain(lo, hi), 11 if coeffs.dim == 1 else (7, 6), 16, 4.0)
+    pulse = np.zeros((g.nt + 1,) + g.interior_shape)
+    pulse[8] = 1e3 * random_field(rng, g).values
+    resids = _assert_matches_reference(g, coeffs, source=SpaceTimeField(g, pulse), terminal=SpaceField.zeros(g))
+    assert max(resids) > max(resids[0], resids[-1])
+
+
+def test_factor_cache_is_keyed_on_values():
+    def problem():
+        return make_grid(Domain((0.0,), (1.0,)), 17, 12, 1.0), CoefficientSet.create(1, b="0.1 + 0.05*x", f=0.3)
+
+    (g1, c1), (g2, c2) = problem(), problem()
+    assert g1 is not g2 and c1 is not c2
+    term = random_field(np.random.default_rng(12), g1)
+    _factored.cache_clear()
+    first = solve_terminal(g1, c1, terminal=term)
+    second = solve_terminal(g2, c2, terminal=term)
+    info = _factored.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert first.u.values.tobytes() == second.u.values.tobytes()
+
+
+def test_factor_cache_never_serves_another_coefficient_set():
+    rng = np.random.default_rng(13)
+    g = make_grid(Domain((0.0,), (1.0,)), 19, 15, 1.0)
+    sets = [C1_CONST, heat_coeffs(b=0.2, f=-1.0, lam=-0.3)]
+    terms = [random_field(rng, g) for _ in sets]
+    _factored.cache_clear()
+    for i in (0, 1, 0, 0, 1, 1, 0):
+        _assert_matches_reference(g, sets[i], terminal=terms[i])
+    # t-dependent coefficients refactor per level and leave the cache alone
+    before = _factored.cache_info()
+    _assert_matches_reference(g, C1_TIME, terminal=terms[0])
+    assert _factored.cache_info() == before
+
+
+@pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_terminal_raises(coeffs, bad):
+    g = make_grid(Domain((0.0,), (1.0,)), 11, 6, 1.0)
+    term = SpaceField.zeros(g)
+    term.values[4] = bad  # past SpaceField's own check
+    with pytest.raises(LinearSolveError):
+        solve_terminal(g, coeffs, terminal=term)
