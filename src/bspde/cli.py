@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .coefficients import CoefficientError, CoefficientSet, bounds, validate
 from .exprdsl import EvalError, ExprError, parse
 from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
-from .montecarlo import CauchyProblem, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
+from .montecarlo import CauchyProblem, MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
 from .nonlocal_ops import (
     Convex,
     InitialValue,
@@ -41,8 +42,6 @@ from .nonlocal_ops import (
 )
 from .stepper import solve_terminal
 
-VALIDATION_ERRORS = (GridError, CoefficientError, NonlocalValidationError, ExprError, EvalError, ValueError)
-
 
 class NonConvergence(RuntimeError):
     pass
@@ -52,6 +51,26 @@ class ConfigError(ValueError):
     """A config entry is missing or malformed."""
 
 
+class CoefficientValidationFailure(ValueError):
+    """Coefficient validation failed; the message joins the report's issues."""
+
+    def __init__(self, issues):
+        super().__init__("; ".join(issues))
+
+
+# Faults of the configuration; any other exception is a bug and propagates.
+VALIDATION_ERRORS = (
+    ConfigError,
+    CoefficientValidationFailure,
+    GridError,
+    CoefficientError,
+    NonlocalValidationError,
+    ExprError,
+    EvalError,
+    MonteCarloError,
+)
+
+
 def _required(section: dict, path: str):
     """The entry at dotted `path` (e.g. `grid.nt`) from `section`, the mapping
     that holds its last key; a missing key is reported as `grid.nt: missing`."""
@@ -59,6 +78,24 @@ def _required(section: dict, path: str):
         return section[path.rsplit(".", 1)[-1]]
     except KeyError:
         raise ConfigError(f"{path}: missing") from None
+
+
+def _number(value, path: str, kind=float):
+    """`value`, the entry at dotted `path`, converted by `kind` (float or int);
+    one that does not convert is reported as
+    `fixedpoint.max_iter: must be an integer, got 'ten'`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: must be {what}, got {value!r}") from None
+
+
+def _numbers(value, path: str, kind=float) -> tuple:
+    """A list entry at dotted `path`, converted item by item (`domain.lo[1]`)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
 
 
 def _points(mc: dict, dim: int) -> list:
@@ -126,22 +163,20 @@ def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"
     def get(key):
         return _required(section, f"{where}.{key}")
 
+    def num(key):
+        return _number(get(key), f"{where}.{key}")
+
     kind = get("type")
     if kind == "initial_value":
-        return InitialValue(weight=float(get("weight")))
+        return InitialValue(weight=num("weight"))
     if kind == "point_in_time":
-        return PointInTime(weight=float(get("weight")), t1=float(get("t1")))
+        return PointInTime(weight=num("weight"), t1=num("t1"))
     if kind == "two_point":
-        return TwoPoint(
-            weight1=float(get("weight1")),
-            t1=float(get("t1")),
-            weight2=float(get("weight2")),
-            t2=float(get("t2")),
-        )
+        return TwoPoint(weight1=num("weight1"), t1=num("t1"), weight2=num("weight2"), t2=num("t2"))
     if kind == "time_kernel":
-        return TimeKernel(theta=float(get("theta")), kernel=get("kernel"))
+        return TimeKernel(theta=num("theta"), kernel=get("kernel"))
     if kind == "space_time_kernel":
-        theta = float(get("theta"))
+        theta = num("theta")
         csv_path = base_dir / get("csv")
         with open(csv_path, "r", encoding="utf-8") as fh:
             kernel = kernel_from_csv(fh, grid, theta)
@@ -150,7 +185,7 @@ def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"
         parts = tuple(
             _gamma_from_config(p, grid, base_dir, f"{where}.parts[{i}]") for i, p in enumerate(get("parts"))
         )
-        return Convex(weights=tuple(float(w) for w in get("weights")), parts=parts)
+        return Convex(weights=_numbers(get("weights"), f"{where}.weights"), parts=parts)
     raise NonlocalValidationError(f"unknown gamma type '{kind}'")
 
 
@@ -159,9 +194,13 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
     dom = _required(raw, "domain")
-    domain = Domain(lo=tuple(_required(dom, "domain.lo")), hi=tuple(_required(dom, "domain.hi")))
+    lo, hi = (_numbers(_required(dom, f"domain.{k}"), f"domain.{k}") for k in ("lo", "hi"))
+    domain = Domain(lo=lo, hi=hi)
     gs = _required(raw, "grid")
-    grid = make_grid(domain, _required(gs, "grid.nx"), int(_required(gs, "grid.nt")), float(_required(gs, "grid.T")))
+    nx = _required(gs, "grid.nx")
+    nx = _numbers(nx, "grid.nx", int) if isinstance(nx, list) else _number(nx, "grid.nx", int)
+    nt = _number(_required(gs, "grid.nt"), "grid.nt", int)
+    grid = make_grid(domain, nx, nt, _number(_required(gs, "grid.T"), "grid.T"))
     cs = raw.get("coefficients", {})
     coeffs = CoefficientSet.create(
         dim=domain.dim,
@@ -173,8 +212,14 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     gamma = _gamma_from_config(raw.get("gamma"), grid, base_dir)
     terminal, source = _sample_data(grid, raw.get("data", {}))
     fp = raw.get("fixedpoint", {})
+    tol = _number(fp.get("tol", 1e-8), "fixedpoint.tol")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"fixedpoint.tol: must be positive and finite, got {tol!r}")
+    max_iter = _number(fp.get("max_iter", 200), "fixedpoint.max_iter", int)
+    if max_iter < 1:
+        raise ConfigError(f"fixedpoint.max_iter: must be at least 1, got {max_iter!r}")
     mc = raw.get("montecarlo", {})
-    seed = int(mc.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _number(mc.get("seed", 0), "montecarlo.seed", int) if seed_override is None else int(seed_override)
     outdir = Path(out_override) if out_override else base_dir / raw.get("output", {}).get("dir", "out")
     return RunConfig(
         raw=raw,
@@ -184,15 +229,15 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
         gamma=gamma,
         terminal=terminal,
         source=source,
-        tol=float(fp.get("tol", 1e-8)),
-        max_iter=int(fp.get("max_iter", 200)),
+        tol=tol,
+        max_iter=max_iter,
         mc=PathConfig(
-            dt_mc=float(mc.get("dt_mc", 1e-4)),
-            n_paths=int(mc.get("n_paths", 10000)),
+            dt_mc=_number(mc.get("dt_mc", 1e-4), "montecarlo.dt_mc"),
+            n_paths=_number(mc.get("n_paths", 10000), "montecarlo.n_paths", int),
             seed=seed,
         ),
         points=_points(mc, domain.dim),
-        theta_gap=float(mc["theta_gap"]) if "theta_gap" in mc else None,
+        theta_gap=_number(mc["theta_gap"], "montecarlo.theta_gap") if "theta_gap" in mc else None,
         outdir=outdir,
     )
 
@@ -202,13 +247,6 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-class CoefficientValidationFailure(ValueError):
-    """Coefficient validation failed; the message joins the report's issues."""
-
-    def __init__(self, issues):
-        super().__init__("; ".join(issues))
 
 
 def _validation_block(cfg: RunConfig) -> dict:
@@ -294,7 +332,7 @@ def cmd_qmatrix(cfg: RunConfig, validation: dict) -> dict:
 
 def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
     if not cfg.points:
-        raise ValueError("mccheck requires montecarlo.points in the config")
+        raise ConfigError("mccheck requires montecarlo.points in the config")
     problem = CauchyProblem(grid=cfg.grid, coeffs=cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
     rows = compare_mc_pde(problem, cfg.points, cfg.mc)
     _write_atomic(cfg.outdir / "mccheck.csv", comparison_to_csv(rows, cfg.grid.dim))
@@ -309,7 +347,7 @@ def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
 
 def cmd_nubound(cfg: RunConfig, validation: dict) -> dict:
     if "theta_gap" not in validation:
-        raise ValueError("nubound needs montecarlo.theta_gap or a gamma section")
+        raise ConfigError("nubound needs montecarlo.theta_gap or a gamma section")
     nb = confinement_bound(cfg.domain, cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
     _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True) + "\n")
     return {"nubound": nb}

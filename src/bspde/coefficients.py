@@ -9,6 +9,7 @@ evaluation is pointwise and vectorized over node arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -176,15 +177,18 @@ def _beta_outer_sum(coeffs: CoefficientSet, points: np.ndarray, t: float) -> np.
     return acc
 
 
-def _all_nodes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """All grid nodes (boundary included) and a boolean boundary mask."""
+def _samples(coeffs: CoefficientSet, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All grid nodes (boundary included), a boolean boundary mask, and the
+    times to sample: every level when an entry reads t, else t = 0 alone,
+    since every level then has the same values."""
     axes = [grid.axis_coords(a, interior_only=False) for a in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     on_boundary = np.zeros(pts.shape[0], dtype=bool)
     for a in range(grid.dim):
         on_boundary |= np.isclose(pts[:, a], grid.domain.lo[a]) | np.isclose(pts[:, a], grid.domain.hi[a])
-    return pts, on_boundary
+    times = grid.times()
+    return pts, on_boundary, times if coeffs.is_time_dependent else times[:1]
 
 
 @dataclass(frozen=True)
@@ -203,30 +207,39 @@ class EllipticityReport:
     issues: tuple[str, ...] = ()
 
 
-def validate(coeffs: CoefficientSet, grid: Grid) -> EllipticityReport:
+class CoefficientBounds(NamedTuple):
+    sup_f1: float
+    c_beta: float
+    delta_qv: float
+
+
+@functools.lru_cache(maxsize=1)
+def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, CoefficientBounds]:
+    """The ellipticity report and the envelope bounds from one pass over the
+    samples; keyed on the values of the frozen coefficient set and grid."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
-    pts, on_boundary = _all_nodes(grid)
-    delta = np.inf
-    arg_pt: tuple[float, ...] = tuple(pts[0])
-    arg_t = 0.0
-    issues: list[str] = []
-    lam_max = -np.inf
-    beta_wall_max = 0.0
-    beta_sup = 0.0
-    for t in grid.times():
-        mats = coeffs.b_at(pts, t) - 0.5 * _beta_outer_sum(coeffs, pts, t)
-        lo, _ = _sym_eig_range(mats)
+    pts, on_boundary, times = _samples(coeffs, grid)
+    delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
+    lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
+    sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
+    for t in times:
+        b = coeffs.b_at(pts, t)
+        bs = coeffs.beta_at(pts, t)  # (N, npts, n); the einsum of N = 0 is the zero matrix
+        lo, _ = _sym_eig_range(b - 0.5 * np.einsum("kpi,kpj->pij", bs, bs))
         k = int(np.argmin(lo))
         if lo[k] < delta:
             delta = float(lo[k])
             arg_pt = tuple(float(c) for c in pts[k])
             arg_t = float(t)
         lam_max = max(lam_max, float(np.max(coeffs.lam_at(pts, t))))
-        if coeffs.n_beta:
-            bs = coeffs.beta_at(pts, t)
-            beta_sup = max(beta_sup, float(np.max(np.abs(bs))))
-            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
+        beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
+        beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
+        sup_f1 = max(sup_f1, float(np.max(np.abs(coeffs.f_at(pts, t)[:, 0]))))
+        lo, hi = _sym_eig_range(2.0 * b)
+        delta_qv = min(delta_qv, float(np.min(lo)))
+        c_beta = max(c_beta, float(np.max(hi)))
+    issues: list[str] = []
     if not np.isfinite(delta):
         issues.append("ellipticity sampling produced non-finite values")
     if delta <= 0:
@@ -238,13 +251,21 @@ def validate(coeffs: CoefficientSet, grid: Grid) -> EllipticityReport:
         issues.append(f"zeroth-order coefficient must be <= 0, found max {lam_max:.6g}")
     if beta_wall_max > _BOUNDARY_ZERO_TOL * max(1.0, beta_sup):
         issues.append(f"beta must vanish on the boundary, found |beta| = {beta_wall_max:.6g} there")
-    return EllipticityReport(
-        delta=float(delta),
-        argmin_point=arg_pt,
-        argmin_time=arg_t,
-        violated=bool(issues),
-        issues=tuple(issues),
-    )
+    report = EllipticityReport(float(delta), arg_pt, arg_t, violated=bool(issues), issues=tuple(issues))
+    return report, CoefficientBounds(sup_f1=sup_f1, c_beta=c_beta, delta_qv=delta_qv)
+
+
+def validate(coeffs: CoefficientSet, grid: Grid) -> EllipticityReport:
+    return _survey(coeffs, grid)[0]
+
+
+def bounds(coeffs: CoefficientSet, grid: Grid) -> CoefficientBounds:
+    """Grid-sampled envelope constants of the quadratic variation.
+
+    sup_f1 is the sup of |first drift component|; c_beta and delta_qv are the
+    largest and smallest eigenvalues of 2b over all samples.
+    """
+    return _survey(coeffs, grid)[1]
 
 
 def _spd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -273,8 +294,9 @@ class DiffusionDecomposition:
     """Extra noise columns btilde_j completing 2b = sum beta beta^T + sum btilde btilde^T.
 
     `max_residual` is the largest reconstruction error of 2b over every grid
-    node and time level; `columns_at` evaluates the columns at arbitrary
-    positions for the path simulator.
+    node at every level, or at t = 0 alone when no entry reads t;
+    `columns_at` evaluates the columns at arbitrary positions for the path
+    simulator.
     """
 
     coeffs: CoefficientSet
@@ -292,41 +314,18 @@ class DiffusionDecomposition:
 
 
 def decompose(coeffs: CoefficientSet, grid: Grid) -> DiffusionDecomposition:
-    """Square-root columns of 2b - sum beta beta^T, checked at every node/time level.
+    """Square-root columns of 2b - sum beta beta^T, checked at the nodes and
+    levels `validate` samples.
 
     Requires a validated set (delta > 0); raises if the residual matrix fails
     to be positive definite at any sample.
     """
-    pts, _ = _all_nodes(grid)
+    pts, _, times = _samples(coeffs, grid)
     max_resid = 0.0
-    for t in grid.times():
+    for t in times:
         two_b = 2.0 * coeffs.b_at(pts, t)
         outer = _beta_outer_sum(coeffs, pts, t)
         root = _spd_sqrt(two_b - outer)
         recon = np.einsum("pik,pjk->pij", root, root) + outer
         max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
     return DiffusionDecomposition(coeffs=coeffs, grid=grid, max_residual=max_resid)
-
-
-class CoefficientBounds(NamedTuple):
-    sup_f1: float
-    c_beta: float
-    delta_qv: float
-
-
-def bounds(coeffs: CoefficientSet, grid: Grid) -> CoefficientBounds:
-    """Grid-sampled envelope constants of the quadratic variation.
-
-    sup_f1 is the sup of |first drift component|; c_beta and delta_qv are the
-    largest and smallest eigenvalues of 2b over all samples.
-    """
-    pts, _ = _all_nodes(grid)
-    sup_f1 = 0.0
-    c_beta = -np.inf
-    delta_qv = np.inf
-    for t in grid.times():
-        sup_f1 = max(sup_f1, float(np.max(np.abs(coeffs.f_at(pts, t)[:, 0]))))
-        lo, hi = _sym_eig_range(2.0 * coeffs.b_at(pts, t))
-        delta_qv = min(delta_qv, float(np.min(lo)))
-        c_beta = max(c_beta, float(np.max(hi)))
-    return CoefficientBounds(sup_f1=sup_f1, c_beta=c_beta, delta_qv=delta_qv)

@@ -21,8 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIABLES = ("x", "x1", "x2", "t")
-UNARY_FUNCS = ("sin", "cos", "exp", "sqrt", "tanh", "abs")
-BINARY_FUNCS = ("min", "max")
+# name -> (numpy function, arity); the parser and Call.eval both read it
+FUNCS = {
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "exp": (np.exp, 1),
+    "sqrt": (np.sqrt, 1),
+    "tanh": (np.tanh, 1),
+    "abs": (np.abs, 1),
+    "min": (np.minimum, 2),
+    "max": (np.maximum, 2),
+}
 
 
 class ExprError(ValueError):
@@ -121,20 +130,9 @@ class Call(Expr):
 
     def eval(self, env):
         vals = [a.eval(env) for a in self.args]
-        f = self.func
-        if f == "sqrt" and np.any(np.asarray(vals[0]) < 0):
+        if self.func == "sqrt" and np.any(np.asarray(vals[0]) < 0):
             raise EvalError("sqrt of a negative value")
-        table = {
-            "sin": np.sin,
-            "cos": np.cos,
-            "exp": np.exp,
-            "sqrt": np.sqrt,
-            "tanh": np.tanh,
-            "abs": np.abs,
-            "min": np.minimum,
-            "max": np.maximum,
-        }
-        return table[f](*vals)
+        return FUNCS[self.func][0](*vals)
 
     def __str__(self):
         return f"{self.func}({', '.join(str(a) for a in self.args)})"
@@ -251,14 +249,14 @@ class _Parser:
         if kind == "ident":
             if t in VARIABLES:
                 return Var(t)
-            if t in UNARY_FUNCS or t in BINARY_FUNCS:
+            if t in FUNCS:
                 self.expect("(")
                 args = [self.expr()]
                 while self.peek()[1] == ",":
                     self.next()
                     args.append(self.expr())
                 self.expect(")")
-                arity = 1 if t in UNARY_FUNCS else 2
+                arity = FUNCS[t][1]
                 if len(args) != arity:
                     raise ExprError(f"{t} takes {arity} argument(s), got {len(args)}", pos)
                 return Call(t, tuple(args))

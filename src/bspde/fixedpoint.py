@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpaceField, SpaceTimeField, sup_norm
+from .grid import Grid, GridError, SpaceField, SpaceTimeField, sup_norm
 from .nonlocal_ops import NonlocalSpec, _compile
 from .stepper import source_response, terminal_response
 
@@ -100,8 +100,10 @@ def solve_nonlocal(
     FixedPointDivergence after five consecutive non-contracting ratios; hitting
     max_iter returns an unconverged report instead.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     compiled = _compile(spec, grid)
     u_src = source_response(grid, coeffs, source) if source is not None else None
     src_term = (
@@ -150,7 +152,7 @@ def assemble_feedback_matrix(grid: Grid, coeffs, spec: NonlocalSpec, cap: int = 
     """
     n = grid.n_interior
     if n > cap:
-        raise ValueError(f"{n} interior nodes exceed the dense-matrix cap {cap}")
+        raise GridError(f"{n} interior nodes exceed the dense-matrix cap {cap}")
     compiled = _compile(spec, grid)
     Q = np.empty((n, n))
     basis = np.zeros(grid.interior_shape)

@@ -43,6 +43,10 @@ NORMAL_SAMPLER = "numpy PCG64 standard_normal, counter-split batches of 65536"
 SERIES_TAIL_TOL = 1e-12
 
 
+class MonteCarloError(ValueError):
+    """A path-estimator or confinement-bound input is out of range."""
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Monte-Carlo controls; all randomness flows from the single seed."""
@@ -53,11 +57,11 @@ class PathConfig:
 
     def __post_init__(self):
         if not self.dt_mc > 0:
-            raise ValueError("dt_mc must be positive")
+            raise MonteCarloError("dt_mc must be positive")
         if self.n_paths < 100:
-            raise ValueError("need at least 100 paths")
+            raise MonteCarloError("need at least 100 paths")
         if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise MonteCarloError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -108,16 +112,16 @@ def _checked_start(
     horizon, the grid and the path step; return x as a (dim,) array and s
     clamped to the horizon."""
     if s > horizon + 1e-12:
-        raise ValueError(f"s = {s} is beyond the horizon T = {horizon}")
+        raise MonteCarloError(f"s = {s} is beyond the horizon T = {horizon}")
     s = min(s, horizon)
     grid = dec.grid
     x = np.asarray(x, dtype=float).reshape(grid.dim)
     if not grid.domain.contains(x):
-        raise ValueError(f"start point {tuple(x.tolist())} must lie strictly inside the domain")
+        raise MonteCarloError(f"start point {tuple(x.tolist())} must lie strictly inside the domain")
     if cfg.dt_mc > grid.dt + 1e-12:
-        raise ValueError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
+        raise MonteCarloError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
     if not 0.0 <= s <= horizon:
-        raise ValueError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
+        raise MonteCarloError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
     return x, s
 
 
@@ -322,7 +326,7 @@ def confinement_probability(
 ) -> McEstimate:
     """Fraction of paths still inside the box at s + theta_gap, with binomial stderr."""
     if theta_gap < 0:
-        raise ValueError("theta_gap must be >= 0")
+        raise MonteCarloError("theta_gap must be >= 0")
     horizon = s + theta_gap
     _, (alive,) = _simulate(dec, [_checked_start(dec, x, s, horizon, cfg)], horizon, cfg)
     p = float(np.mean(alive))
@@ -374,9 +378,9 @@ def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[
     SERIES_TAIL_TOL."""
     L = hi - lo
     if not (L > 0 and lo < x0 < hi):
-        raise ValueError("confinement interval must contain the start point")
+        raise MonteCarloError("confinement interval must contain the start point")
     if not tau > 0:
-        raise ValueError("confinement time must be positive")
+        raise MonteCarloError("confinement time must be positive")
     c = math.pi**2 * tau / (2.0 * L**2)
     z = math.pi * (x0 - lo) / L
     total = 0.0
@@ -406,11 +410,11 @@ def confinement_bound(
     is evaluated from the classical eigen-series.
     """
     if not theta_gap > 0:
-        raise ValueError("theta_gap must be positive")
+        raise MonteCarloError("theta_gap must be positive")
     d1, d2 = domain.lo[0], domain.hi[0]
     env = bounds(coeffs, grid)
     if not env.delta_qv > 0:
-        raise ValueError("smallest eigenvalue of 2b must be positive (validate the coefficients)")
+        raise MonteCarloError("smallest eigenvalue of 2b must be positive (validate the coefficients)")
     K1 = -d2 - theta_gap * env.sup_f1
     K2 = -d1 + theta_gap * env.sup_f1
     lo, hi = d1 + K1, d2 + K2

@@ -165,7 +165,10 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
         e = parse(kernel) if isinstance(kernel, str) else kernel
         vals = np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
         return vals
-    samples = np.asarray(kernel, dtype=float)
+    try:
+        samples = np.asarray(kernel, dtype=float)
+    except (TypeError, ValueError):
+        samples = np.empty(0)  # ragged or not numbers
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise NonlocalValidationError("sampled time kernel must be a sequence of (time, value) pairs")
     order = np.argsort(samples[:, 0])

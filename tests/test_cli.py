@@ -91,6 +91,63 @@ def test_internal_key_error_is_not_a_validation_failure(tmp_path, monkeypatch):
         main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
+def test_internal_value_error_is_not_a_validation_failure(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.json")
+
+    def broken(cfg, validation):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert "validation failed" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixedpoint,message",
+    [
+        ({"tol": 1e-8, "max_iter": 0}, "fixedpoint.max_iter: must be at least 1, got 0"),
+        ({"tol": math.nan, "max_iter": 200}, "fixedpoint.tol: must be positive and finite, got nan"),
+        ({"tol": math.inf, "max_iter": 200}, "fixedpoint.tol: must be positive and finite, got inf"),
+        ({"tol": 1e-8, "max_iter": "ten"}, "fixedpoint.max_iter: must be an integer, got 'ten'"),
+        ({"tol": 1e-8, "max_iter": math.inf}, "fixedpoint.max_iter: must be an integer, got inf"),
+    ],
+)
+def test_bad_fixedpoint_controls_name_their_path(tmp_path, capsys, fixedpoint, message):
+    cfg = write_config(tmp_path / "c.json", fixedpoint=fixedpoint)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,value,message",
+    [
+        ("grid", {"nx": [41], "nt": None, "T": 1.0}, "grid.nt: must be an integer, got None"),
+        ("grid", {"nx": ["a"], "nt": 50, "T": 1.0}, "grid.nx[0]: must be an integer, got 'a'"),
+        ("domain", {"lo": 0.0, "hi": [1.0]}, "domain.lo: must be a list of numbers, got 0.0"),
+        ("gamma", {"type": "initial_value", "weight": "half"}, "gamma.weight: must be a number, got 'half'"),
+        ("montecarlo", {"dt_mc": "small"}, "montecarlo.dt_mc: must be a number, got 'small'"),
+    ],
+)
+def test_a_number_entry_that_is_not_a_number_names_its_path(tmp_path, capsys, section, value, message):
+    cfg = write_config(tmp_path / "c.json", **{section: value})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [[[0.0, "a"], [0.5, 0.1]], [[0.0, 0.1], [0.5]]])
+def test_malformed_time_kernel_samples_are_a_validation_failure(tmp_path, capsys, samples):
+    cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "sampled time kernel must be a sequence of (time, value) pairs" in capsys.readouterr().err
+
+
+def test_mccheck_without_points_is_a_validation_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7})
+    assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "validation failed: mccheck requires montecarlo.points in the config" in capsys.readouterr().err
+
+
 def test_command_table_lists_every_cmd_function():
     names = {name[len("cmd_") :] for name in vars(cli) if name.startswith("cmd_")}
     assert set(cli.COMMANDS) == names

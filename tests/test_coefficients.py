@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from bspde import CoefficientSet, Domain, bounds, decompose, make_grid, validate
-from bspde.coefficients import CoefficientError
+from bspde import CoefficientSet, Domain, bounds, cli, decompose, make_grid, validate
+from bspde.coefficients import CoefficientError, _spd_sqrt, _survey, _sym_eig_range
 
 from conftest import random_coeffs_1d
 
@@ -125,3 +127,193 @@ def test_create_shape_errors():
         CoefficientSet.create(2, b=1.0, f=[1.0])
     with pytest.raises(CoefficientError):
         CoefficientSet.create(1, b=1.0, beta=[[1.0, 2.0]])
+
+
+# ---------------------------------------------------------------------------
+# The survey against the per-level loops it replaced
+# ---------------------------------------------------------------------------
+#
+# The reference functions below are the earlier validate, bounds and
+# decompose: each walks every node at every one of the nt + 1 levels with its
+# own loop, whether or not an entry reads t.  The survey samples t = 0 alone
+# when no entry reads t and validates and bounds from one pass; it must give
+# the same numbers bit for bit.
+
+
+def _reference_nodes(grid):
+    axes = [grid.axis_coords(a, interior_only=False) for a in range(grid.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    on_boundary = np.zeros(pts.shape[0], dtype=bool)
+    for a in range(grid.dim):
+        on_boundary |= np.isclose(pts[:, a], grid.domain.lo[a]) | np.isclose(pts[:, a], grid.domain.hi[a])
+    return pts, on_boundary
+
+
+def _reference_outer(coeffs, pts, t):
+    acc = np.zeros((pts.shape[0], coeffs.dim, coeffs.dim))
+    if coeffs.n_beta:
+        bs = coeffs.beta_at(pts, t)
+        acc = np.einsum("kpi,kpj->pij", bs, bs)
+    return acc
+
+
+def reference_validate(coeffs, grid):
+    pts, on_boundary = _reference_nodes(grid)
+    delta = np.inf
+    arg_pt = tuple(pts[0])
+    arg_t = 0.0
+    issues = []
+    lam_max = -np.inf
+    beta_wall_max = 0.0
+    beta_sup = 0.0
+    for t in grid.times():
+        lo, _ = _sym_eig_range(coeffs.b_at(pts, t) - 0.5 * _reference_outer(coeffs, pts, t))
+        k = int(np.argmin(lo))
+        if lo[k] < delta:
+            delta = float(lo[k])
+            arg_pt = tuple(float(c) for c in pts[k])
+            arg_t = float(t)
+        lam_max = max(lam_max, float(np.max(coeffs.lam_at(pts, t))))
+        if coeffs.n_beta:
+            bs = coeffs.beta_at(pts, t)
+            beta_sup = max(beta_sup, float(np.max(np.abs(bs))))
+            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
+    if not np.isfinite(delta):
+        issues.append("ellipticity sampling produced non-finite values")
+    if delta <= 0:
+        issues.append(f"uniform ellipticity violated: margin delta = {delta:.6g} at x = {arg_pt}, t = {arg_t:.6g}")
+    if lam_max > 0:
+        issues.append(f"zeroth-order coefficient must be <= 0, found max {lam_max:.6g}")
+    if beta_wall_max > 1e-12 * max(1.0, beta_sup):
+        issues.append(f"beta must vanish on the boundary, found |beta| = {beta_wall_max:.6g} there")
+    return (float(delta), arg_pt, arg_t, bool(issues), tuple(issues))
+
+
+def reference_bounds(coeffs, grid):
+    pts, _ = _reference_nodes(grid)
+    sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
+    for t in grid.times():
+        sup_f1 = max(sup_f1, float(np.max(np.abs(coeffs.f_at(pts, t)[:, 0]))))
+        lo, hi = _sym_eig_range(2.0 * coeffs.b_at(pts, t))
+        delta_qv = min(delta_qv, float(np.min(lo)))
+        c_beta = max(c_beta, float(np.max(hi)))
+    return (sup_f1, c_beta, delta_qv)
+
+
+def reference_max_residual(coeffs, grid):
+    pts, _ = _reference_nodes(grid)
+    max_resid = 0.0
+    for t in grid.times():
+        two_b = 2.0 * coeffs.b_at(pts, t)
+        outer = _reference_outer(coeffs, pts, t)
+        root = _spd_sqrt(two_b - outer)
+        recon = np.einsum("pik,pjk->pij", root, root) + outer
+        max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
+    return max_resid
+
+
+def _as_tuple(rep):
+    return (rep.delta, rep.argmin_point, rep.argmin_time, rep.violated, rep.issues)
+
+
+SURVEY_SETS = {
+    "1d-constant-in-t": (1, dict(b="0.5 + 0.2*x*(1-x)", f="0.3*x", lam="-0.1*x", beta=[["0.4*x*(1-x)"]])),
+    "1d-t-dependent": (1, dict(b="0.5 + 0.1*sin(3*t) + 0.2*x", f="cos(t)", lam=-0.2, beta=[["0.3*x*(1-x)*(1+t)"]])),
+    "2d-constant-in-t": (
+        2,
+        dict(
+            b=[["0.3", "0.05*x1"], ["0.05*x1", "0.2 + 0.1*x2"]],
+            f=["0.1", "-0.2*x2"],
+            lam="-x1*x2",
+            beta=[["0.2*x1*(1-x1)*x2*(1-x2)", "0"]],
+        ),
+    ),
+    "2d-t-dependent": (
+        2,
+        dict(
+            b=["0.1 + 0.05*sin(3*t)", "0.08*(1 + 0.5*x1*(1 - x1))"],
+            f=["0.3*cos(2*t)", "-0.2*x1"],
+            lam="-0.2 - 0.1*x2",
+        ),
+    ),
+    # lam turns positive only at late levels: t = 0 alone would miss it
+    "only-lam-reads-t": (1, dict(b=0.5, lam="x + t - 1.2")),
+    # the margin is smallest at t = T, not at t = 0
+    "only-beta-reads-t": (1, dict(b=0.5, beta=[["2*t*x*(1-x)"]])),
+    "violated-margin": (1, dict(b=0.4, beta=[[1.0]])),
+    "positive-lam": (1, dict(b=1.0, lam=0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURVEY_SETS))
+def test_survey_matches_the_per_level_loops(name, grid1, grid2):
+    dim, kw = SURVEY_SETS[name]
+    c = CoefficientSet.create(dim, **kw)
+    g = grid1 if dim == 1 else grid2
+    assert _as_tuple(validate(c, g)) == reference_validate(c, g)
+    assert tuple(bounds(c, g)) == reference_bounds(c, g)
+    try:
+        expected = reference_max_residual(c, g)
+    except CoefficientError:
+        with pytest.raises(CoefficientError):
+            decompose(c, g)
+    else:
+        assert decompose(c, g).max_residual == expected
+
+
+def test_survey_sets_cover_their_cases(grid1):
+    assert validate(CoefficientSet.create(1, **SURVEY_SETS["violated-margin"][1]), grid1).violated
+    assert validate(CoefficientSet.create(1, **SURVEY_SETS["positive-lam"][1]), grid1).violated
+    late_lam = validate(CoefficientSet.create(1, **SURVEY_SETS["only-lam-reads-t"][1]), grid1)
+    assert late_lam.violated and late_lam.issues[0].startswith("zeroth-order")
+    assert validate(CoefficientSet.create(1, **SURVEY_SETS["only-beta-reads-t"][1]), grid1).argmin_time == 1.0
+
+
+def test_bounds_checks_the_dimension(grid2):
+    with pytest.raises(CoefficientError, match="coefficient dim 1 != grid dim 2"):
+        bounds(CoefficientSet.create(1, b=1.0), grid2)
+
+
+def test_survey_is_served_by_equal_values(grid2):
+    _survey.cache_clear()
+    rep = validate(CoefficientSet.create(2, b=[0.1, 0.3], f=["x1", 0.0]), grid2)
+    other_grid = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (9, 11), 8, 1.0)
+    assert other_grid is not grid2
+    env = bounds(CoefficientSet.create(2, b=[0.1, 0.3], f=["x1", 0.0]), other_grid)
+    assert _survey.cache_info().misses == 1 and _survey.cache_info().hits == 1
+    assert rep.delta == pytest.approx(0.1) and env.sup_f1 == 1.0
+
+
+def test_alternating_sets_never_share_a_survey(grid1):
+    first = CoefficientSet.create(1, b=0.2, f="x")
+    second = CoefficientSet.create(1, b=0.7, f="2*x", lam=-0.1)
+    for c in (first, second, first, second):
+        assert _as_tuple(validate(c, grid1)) == reference_validate(c, grid1)
+        assert tuple(bounds(c, grid1)) == reference_bounds(c, grid1)
+
+
+@pytest.mark.parametrize("b,sampled_levels", [("0.1 + 0.05*x", 1), ("0.1 + 0.05*t", 11)])
+def test_validation_block_samples_each_distinct_level_once(tmp_path, monkeypatch, b, sampled_levels):
+    config = {
+        "domain": {"lo": [0.0], "hi": [1.0]},
+        "grid": {"nx": [21], "nt": 10, "T": 1.0},
+        "coefficients": {"b": [[b]]},
+        "gamma": {"type": "initial_value", "weight": 0.5},
+        "data": {"terminal": "x*(1-x)"},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    cfg = cli.load_config(str(path))
+    times = []
+    b_at = CoefficientSet.b_at
+
+    def spy(self, points, t):
+        times.append(float(t))
+        return b_at(self, points, t)
+
+    monkeypatch.setattr(CoefficientSet, "b_at", spy)
+    _survey.cache_clear()
+    block = cli._validation_block(cfg)
+    assert "nu" in block  # the confinement bound read the same survey
+    assert len(times) == sampled_levels

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bspde.exprdsl import (
+    FUNCS,
     BinOp,
     Call,
     EvalError,
@@ -208,3 +209,14 @@ def test_thousand_random_expressions_match_reference():
 def test_free_variables():
     assert free_variables(parse("2*x + sin(t)")) == {"x", "t"}
     assert free_variables(parse("1 + 2")) == set()
+
+
+@pytest.mark.parametrize("name", sorted(FUNCS))
+def test_function_table_drives_parser_and_evaluator(name):
+    fn, arity = FUNCS[name]
+    args = [0.25 * (k + 1) for k in range(arity)]
+    e = parse(f"{name}({', '.join(map(str, args))})")
+    assert e == Call(name, tuple(Num(a) for a in args))
+    assert evaluate(e, {}) == fn(*args)
+    with pytest.raises(ExprError, match=f"{name} takes {arity} argument"):
+        parse(f"{name}({', '.join(['0.5'] * (arity + 1))})")

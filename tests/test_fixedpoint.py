@@ -7,6 +7,7 @@ from bspde import (
     CoefficientSet,
     Domain,
     FixedPointDivergence,
+    GridError,
     InitialValue,
     PointInTime,
     SpaceField,
@@ -125,7 +126,7 @@ def test_feedback_matrix_eigenmode_action():
 
 
 def test_feedback_matrix_cap(small_grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(GridError, match="dense-matrix cap"):
         assemble_feedback_matrix(small_grid, heat(), InitialValue(1.0), cap=5)
 
 
@@ -157,6 +158,13 @@ def test_max_iter_returns_unconverged(small_grid):
     sol = solve_nonlocal(small_grid, heat(0.001), None, xi, InitialValue(0.99), tol=1e-14, max_iter=3)
     assert not sol.report.converged
     assert sol.report.iterations == 3
+
+
+@pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": 0.0}, {"max_iter": 0}])
+def test_solve_nonlocal_rejects_bad_controls(small_grid, kw):
+    xi = random_field(np.random.default_rng(6), small_grid)
+    with pytest.raises(ValueError, match="tol must be positive|max_iter must be at least 1"):
+        solve_nonlocal(small_grid, heat(0.1), None, xi, InitialValue(0.5), **kw)
 
 
 def test_solution_bound_battery(small_grid):

@@ -19,7 +19,7 @@ from bspde import (
     make_grid,
 )
 from bspde import montecarlo
-from bspde.montecarlo import _interval_confinement, _simulate, comparison_to_csv
+from bspde.montecarlo import MonteCarloError, _interval_confinement, _simulate, comparison_to_csv
 
 
 def heat_setup(nx=101, nt=100, b=0.1):
@@ -97,7 +97,7 @@ def test_confinement_bound_drift_widens_interval():
     assert nb.K1 == pytest.approx(-1.0 - 0.7)
     assert nb.K2 == pytest.approx(0.0 + 0.7)
     assert nb.Dhat1 == (pytest.approx(-1.7), pytest.approx(1.7))
-    with pytest.raises(ValueError):
+    with pytest.raises(MonteCarloError):
         confinement_bound(dom, coeffs, g, 0.0)
 
 
@@ -211,15 +211,15 @@ def test_paths_freeze_after_exit(monkeypatch):
 
 
 def test_path_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(MonteCarloError):
         PathConfig(dt_mc=0.0, n_paths=1000, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MonteCarloError):
         PathConfig(dt_mc=0.01, n_paths=50, seed=1)
     dom, g, coeffs, dec = heat_setup(nx=21, nt=10)  # grid dt = 0.1
     cfg = PathConfig(dt_mc=0.5, n_paths=200, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MonteCarloError):
         confinement_probability(dec, [0.5], 0.0, 1.0, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(MonteCarloError):
         feynman_kac(dec, [1.5], 0.0, PathConfig(dt_mc=0.05, n_paths=200, seed=1))
 
 
