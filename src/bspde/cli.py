@@ -80,6 +80,15 @@ def _required(section: dict, path: str):
         raise ConfigError(f"{path}: missing") from None
 
 
+def _object(value, path: str) -> dict:
+    """`value`, the config section or gamma spec at dotted `path`, which must
+    be a JSON object; anything else is reported as
+    `fixedpoint: must be an object, got 5`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object, got {value!r}")
+    return value
+
+
 def _number(value, path: str, kind=float):
     """`value`, the entry at dotted `path`, converted by `kind` (float or int);
     one that does not convert is reported as
@@ -157,8 +166,7 @@ def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | N
 
 
 def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"):
-    if section is None:
-        return None
+    section = _object(section, where)
 
     def get(key):
         return _required(section, f"{where}.{key}")
@@ -182,9 +190,10 @@ def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"
             kernel = kernel_from_csv(fh, grid, theta)
         return SpaceTimeKernel(theta=theta, kernel=kernel)
     if kind == "convex":
-        parts = tuple(
-            _gamma_from_config(p, grid, base_dir, f"{where}.parts[{i}]") for i, p in enumerate(get("parts"))
-        )
+        parts = get("parts")
+        if not isinstance(parts, list):
+            raise ConfigError(f"{where}.parts: must be a list, got {parts!r}")
+        parts = tuple(_gamma_from_config(p, grid, base_dir, f"{where}.parts[{i}]") for i, p in enumerate(parts))
         return Convex(weights=_numbers(get("weights"), f"{where}.weights"), parts=parts)
     raise NonlocalValidationError(f"unknown gamma type '{kind}'")
 
@@ -193,34 +202,41 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
-    dom = _required(raw, "domain")
+    raw = _object(raw, "config file")
+    dom = _object(_required(raw, "domain"), "domain")
     lo, hi = (_numbers(_required(dom, f"domain.{k}"), f"domain.{k}") for k in ("lo", "hi"))
     domain = Domain(lo=lo, hi=hi)
-    gs = _required(raw, "grid")
+    gs = _object(_required(raw, "grid"), "grid")
     nx = _required(gs, "grid.nx")
     nx = _numbers(nx, "grid.nx", int) if isinstance(nx, list) else _number(nx, "grid.nx", int)
     nt = _number(_required(gs, "grid.nt"), "grid.nt", int)
     grid = make_grid(domain, nx, nt, _number(_required(gs, "grid.T"), "grid.T"))
-    cs = raw.get("coefficients", {})
+    cs = _object(raw.get("coefficients", {}), "coefficients")
+    beta = cs.get("beta", [])
+    if not isinstance(beta, list):
+        raise ConfigError(f"coefficients.beta: must be a list, got {beta!r}")
     coeffs = CoefficientSet.create(
         dim=domain.dim,
         b=cs.get("b", 1.0),
         f=cs.get("f"),
         lam=cs.get("lam", 0.0),
-        beta=cs.get("beta", ()),
+        beta=beta,
     )
-    gamma = _gamma_from_config(raw.get("gamma"), grid, base_dir)
-    terminal, source = _sample_data(grid, raw.get("data", {}))
-    fp = raw.get("fixedpoint", {})
+    gamma = None if raw.get("gamma") is None else _gamma_from_config(raw["gamma"], grid, base_dir)
+    terminal, source = _sample_data(grid, _object(raw.get("data", {}), "data"))
+    fp = _object(raw.get("fixedpoint", {}), "fixedpoint")
     tol = _number(fp.get("tol", 1e-8), "fixedpoint.tol")
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"fixedpoint.tol: must be positive and finite, got {tol!r}")
     max_iter = _number(fp.get("max_iter", 200), "fixedpoint.max_iter", int)
     if max_iter < 1:
         raise ConfigError(f"fixedpoint.max_iter: must be at least 1, got {max_iter!r}")
-    mc = raw.get("montecarlo", {})
+    mc = _object(raw.get("montecarlo", {}), "montecarlo")
     seed = _number(mc.get("seed", 0), "montecarlo.seed", int) if seed_override is None else int(seed_override)
-    outdir = Path(out_override) if out_override else base_dir / raw.get("output", {}).get("dir", "out")
+    out_dir = _object(raw.get("output", {}), "output").get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir: must be a string, got {out_dir!r}")
+    outdir = Path(out_override) if out_override else base_dir / out_dir
     return RunConfig(
         raw=raw,
         domain=domain,

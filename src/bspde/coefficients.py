@@ -216,30 +216,41 @@ class CoefficientBounds(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, CoefficientBounds]:
     """The ellipticity report and the envelope bounds from one pass over the
-    samples; keyed on the values of the frozen coefficient set and grid."""
+    samples; keyed on the values of the frozen coefficient set and grid.  A
+    coefficient that is not finite at a sample is an issue of the report,
+    named with the first such (x, t)."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
     pts, on_boundary, times = _samples(coeffs, grid)
     delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
     lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
     sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
-    for t in times:
-        b = coeffs.b_at(pts, t)
-        bs = coeffs.beta_at(pts, t)  # (N, npts, n); the einsum of N = 0 is the zero matrix
-        lo, _ = _sym_eig_range(b - 0.5 * np.einsum("kpi,kpj->pij", bs, bs))
-        k = int(np.argmin(lo))
-        if lo[k] < delta:
-            delta = float(lo[k])
-            arg_pt = tuple(float(c) for c in pts[k])
-            arg_t = float(t)
-        lam_max = max(lam_max, float(np.max(coeffs.lam_at(pts, t))))
-        beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
-        beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
-        sup_f1 = max(sup_f1, float(np.max(np.abs(coeffs.f_at(pts, t)[:, 0]))))
-        lo, hi = _sym_eig_range(2.0 * b)
-        delta_qv = min(delta_qv, float(np.min(lo)))
-        c_beta = max(c_beta, float(np.max(hi)))
-    issues: list[str] = []
+    non_finite: dict[str, tuple] = {}  # coefficient -> first (x, t) where it is not finite
+    # an overflow is reported as an issue below, not as a numpy warning
+    with np.errstate(all="ignore"):
+        for t in times:
+            b = coeffs.b_at(pts, t)
+            bs = coeffs.beta_at(pts, t)  # (N, npts, n); the einsum of N = 0 is the zero matrix
+            lam = coeffs.lam_at(pts, t)
+            f = coeffs.f_at(pts, t)
+            for name, vals in (("b", b), ("f", f), ("lam", lam), ("beta", np.moveaxis(bs, 0, 1))):
+                bad = ~np.isfinite(vals.reshape(len(pts), -1)).all(axis=1)
+                if name not in non_finite and bad.any():
+                    non_finite[name] = (tuple(float(c) for c in pts[np.argmax(bad)]), float(t))
+            lo, _ = _sym_eig_range(b - 0.5 * np.einsum("kpi,kpj->pij", bs, bs))
+            k = int(np.argmin(lo))
+            if lo[k] < delta:
+                delta = float(lo[k])
+                arg_pt = tuple(float(c) for c in pts[k])
+                arg_t = float(t)
+            lam_max = max(lam_max, float(np.max(lam)))
+            beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
+            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
+            sup_f1 = max(sup_f1, float(np.max(np.abs(f[:, 0]))))
+            lo, hi = _sym_eig_range(2.0 * b)
+            delta_qv = min(delta_qv, float(np.min(lo)))
+            c_beta = max(c_beta, float(np.max(hi)))
+    issues = [f"coefficient {name} is not finite at x = {x}, t = {t:.6g}" for name, (x, t) in non_finite.items()]
     if not np.isfinite(delta):
         issues.append("ellipticity sampling produced non-finite values")
     if delta <= 0:

@@ -376,6 +376,10 @@ def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[
     """P(Brownian motion from x0 stays in (lo, hi) up to time tau), by the
     odd-mode eigenfunction series, truncated once the tail bound drops below
     SERIES_TAIL_TOL."""
+    if not all(math.isfinite(v) for v in (lo, hi, x0, tau)):
+        raise MonteCarloError(
+            f"confinement interval, start point and time must be finite, got ({lo}, {hi}), {x0}, {tau}"
+        )
     L = hi - lo
     if not (L > 0 and lo < x0 < hi):
         raise MonteCarloError("confinement interval must contain the start point")

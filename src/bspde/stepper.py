@@ -19,21 +19,31 @@ the maximum principle sup|u| <= sup|terminal| + duration*sup|source|.
 Nodes are numbered lexicographically (last axis fastest), so each stencil
 offset is a fixed flat offset and the matrix is banded, with half-bandwidth
 w = 1 in 1-D and w = m2 + 1 in 2-D (m2 interior nodes along axis 2).  It goes
-straight into LAPACK band storage and is LU-factored with dgbtrf once per
-(grid, coefficients) when no coefficient depends on t (the last such factor
-is kept, so repeated sweeps of one problem reuse it), and once per level
-otherwise.  Each step is one dgbtrs call on one right-hand side.  The
-sup-norm residual |rhs - A x| is checked once per run of steps that share a
-factor (the whole sweep, or one level), from the same bands.  For n nodes a
-factorisation costs O(n w^2) time and (3w + 1) n doubles (1.5 MB at 41 x 41,
-but about 400 MB at 257 x 257, where a Krylov solve needs O(n)), and a step
-costs O(n w).
+straight into LAPACK band storage and is LU-factored with dgbtrf.  When no
+coefficient depends on t the system is the same at every level: it is
+assembled and factored once per (grid, coefficients), and the last such
+factor is kept, so repeated sweeps of one problem reuse it.  Otherwise each
+level is assembled once per (grid, coefficients) and its bands are kept for
+every later sweep of the same problem (the last problem's levels are kept);
+only the bands that are nonzero at some node are stored, which is 3 doubles
+per node per level in 1-D, 5 in 2-D without a mixed term and 9 with one.
+The LU is still computed per level per sweep, since keeping every level's
+factor would hold (3w + 1) doubles per node per level.  A store that could
+exceed _STORE_BYTES is not kept, and its levels are assembled per sweep.
+
+Each step is one dgbtrs call on one right-hand side.  The sup-norm residual
+|rhs - A x| is checked once per run of steps that share a factor (the whole
+sweep, or one level), from the same bands.  For n nodes a factorisation
+costs O(n w^2) time and (3w + 1) n doubles (1.5 MB at 41 x 41, but about
+400 MB at 257 x 257, where a Krylov solve needs O(n)), and a step costs
+O(n w).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -65,46 +75,66 @@ def _span(k: int, n: int) -> tuple[slice, slice]:
     return slice(max(-k, 0), n - max(k, 0)), slice(max(k, 0), n + min(k, 0))
 
 
+class _Level(NamedTuple):
+    """(I - dt*A_h) at one time level, assembled but not factored."""
+
+    bands: dict[int, np.ndarray]  # flat offset k -> row-indexed entries M[p, p + k]
+    w: int  # half-bandwidth of the stencil, whichever bands are stored
+    worst_positive_offdiag: float
+
+
+def _assemble(grid: Grid, coeffs: CoefficientSet, t: float) -> _Level:
+    """(I - dt*A_h) at time t, every band of the stencil included."""
+    shape = grid.interior_shape
+    dt = grid.dt
+    pts = grid.interior_points()
+    b = coeffs.b_at(pts, t).reshape(shape + (grid.dim, grid.dim))
+    f = coeffs.f_at(pts, t).reshape(shape + (grid.dim,))
+    diag_A = coeffs.lam_at(pts, t).reshape(shape)
+    # offset -> A-coefficient array (value multiplying u at node+offset)
+    stencil = {}
+    for a, h in enumerate(grid.hx):
+        e = np.eye(grid.dim, dtype=int)[a]
+        baa = b[..., a, a] / h**2
+        stencil[tuple(e)] = baa + np.maximum(f[..., a], 0.0) / h
+        stencil[tuple(-e)] = baa + np.maximum(-f[..., a], 0.0) / h
+        diag_A = diag_A - 2.0 * baa - np.abs(f[..., a]) / h
+    if grid.dim == 2:
+        cross = b[..., 0, 1] / (2.0 * grid.hx[0] * grid.hx[1])
+        stencil.update({(1, 1): cross, (-1, -1): cross, (1, -1): -cross, (-1, 1): -cross})
+
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(grid.dim)]
+    # flat offset k -> row-indexed entries M[p, p + k], zero where node p lacks that neighbour
+    bands = {0: (1.0 - dt * diag_A).ravel()}
+    worst = 0.0
+    for off, coef in stencil.items():
+        has = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, shape))
+        vals = -dt * coef[has]
+        if not vals.size:
+            continue  # no node has this neighbour; its flat offset may be another one's
+        worst = max(worst, float(np.max(vals)))
+        band = np.zeros(shape)
+        band[has] = vals
+        k = int(np.dot(off, strides))
+        bands[k] = bands.get(k, 0.0) + band.ravel()  # distinct offsets may share k
+    return _Level(bands, max(abs(k) for k in bands), worst)
+
+
 class _System:
     """(I - dt*A_h) at one time level, LU-factored in LAPACK band storage."""
 
     def __init__(self, grid: Grid, coeffs: CoefficientSet, t: float):
-        shape = grid.interior_shape
-        n = grid.n_interior
-        dt = grid.dt
-        pts = grid.interior_points()
-        b = coeffs.b_at(pts, t).reshape(shape + (grid.dim, grid.dim))
-        f = coeffs.f_at(pts, t).reshape(shape + (grid.dim,))
-        diag_A = coeffs.lam_at(pts, t).reshape(shape)
-        # offset -> A-coefficient array (value multiplying u at node+offset)
-        stencil = {}
-        for a, h in enumerate(grid.hx):
-            e = np.eye(grid.dim, dtype=int)[a]
-            baa = b[..., a, a] / h**2
-            stencil[tuple(e)] = baa + np.maximum(f[..., a], 0.0) / h
-            stencil[tuple(-e)] = baa + np.maximum(-f[..., a], 0.0) / h
-            diag_A = diag_A - 2.0 * baa - np.abs(f[..., a]) / h
-        if grid.dim == 2:
-            cross = b[..., 0, 1] / (2.0 * grid.hx[0] * grid.hx[1])
-            stencil.update({(1, 1): cross, (-1, -1): cross, (1, -1): -cross, (-1, 1): -cross})
+        self._factor(_assemble(grid, coeffs, t), grid.n_interior, t)
 
-        strides = [int(np.prod(shape[a + 1 :])) for a in range(grid.dim)]
-        # flat offset k -> row-indexed entries M[p, p + k], zero where node p lacks that neighbour
-        self.bands = {0: (1.0 - dt * diag_A).ravel()}
-        worst = 0.0
-        for off, coef in stencil.items():
-            has = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, shape))
-            vals = -dt * coef[has]
-            if not vals.size:
-                continue  # no node has this neighbour; its flat offset may be another one's
-            worst = max(worst, float(np.max(vals)))
-            band = np.zeros(shape)
-            band[has] = vals
-            k = int(np.dot(off, strides))
-            self.bands[k] = self.bands.get(k, 0.0) + band.ravel()  # distinct offsets may share k
-        self.worst_positive_offdiag = worst
+    @classmethod
+    def from_level(cls, level: _Level, n: int, t: float) -> _System:
+        """Factor an assembled level of n nodes at time t."""
+        system = cls.__new__(cls)
+        system._factor(level, n, t)
+        return system
 
-        self.w = max(abs(k) for k in self.bands)
+    def _factor(self, level: _Level, n: int, t: float) -> None:
+        self.bands, self.w, self.worst_positive_offdiag = level
         ab = np.zeros((3 * self.w + 1, n), order="F")
         # (entries, rows, cols) per band, in band order, for the residual
         self._terms = []
@@ -145,6 +175,33 @@ def _factored(grid: Grid, coeffs: CoefficientSet) -> _System:
     return _System(grid, coeffs, 0.0)
 
 
+# Largest level store kept, counting every band of every level.  A one-sweep
+# command (cauchy, converge) gains nothing from the store, so this bounds what
+# it holds for nothing: converge's 129 x 129 grid of a 33 x 33, nt = 40
+# problem would keep 26 MB.
+_STORE_BYTES = 32 << 20
+
+
+@functools.lru_cache(maxsize=1)
+def _levels(grid: Grid, coeffs: CoefficientSet) -> list[_Level | None] | None:
+    """The level store of t-dependent coefficients: entry k is the level at
+    t = k dt once a sweep has assembled it, else None.  Keyed on the values
+    of the frozen grid and coefficient set; None when it could outgrow
+    _STORE_BYTES."""
+    n_bands = 3 if grid.dim == 1 else 9
+    return [None] * grid.nt if 8 * n_bands * grid.n_interior * grid.nt <= _STORE_BYTES else None
+
+
+def _stored(levels: list[_Level | None], grid: Grid, coeffs: CoefficientSet, k: int) -> _Level:
+    """Level k from the store, assembled on first use with its all-zero bands
+    dropped (the mixed-term bands when b12 = 0 everywhere)."""
+    level = levels[k]
+    if level is None:
+        full = _assemble(grid, coeffs, grid.dt * k)
+        level = levels[k] = full._replace(bands={j: e for j, e in full.bands.items() if np.any(e)})
+    return level
+
+
 def solve_terminal(
     grid: Grid,
     coeffs: CoefficientSet,
@@ -176,8 +233,14 @@ def solve_terminal(
     # runs of levels lo..hi-1 that share one system, last run first
     time_dep = coeffs.is_time_dependent
     runs = ((k, k + 1) for k in range(s - 1, -1, -1)) if time_dep else [(0, s)]
+    levels = _levels(grid, coeffs) if time_dep else None  # looked up once: hashing is not free
     for lo, hi in runs:
-        system = _System(grid, coeffs, grid.dt * lo) if time_dep else _factored(grid, coeffs)
+        if not time_dep:
+            system = _factored(grid, coeffs)
+        elif levels is None:
+            system = _System(grid, coeffs, grid.dt * lo)
+        else:
+            system = _System.from_level(_stored(levels, grid, coeffs, lo), n, grid.dt * lo)
         worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
         for k in range(hi - 1, lo - 1, -1):
             if src is None:

@@ -135,6 +135,47 @@ def test_a_number_entry_that_is_not_a_number_names_its_path(tmp_path, capsys, se
     assert f"invalid configuration: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"domain": 3}, "domain: must be an object, got 3"),
+        ({"grid": [41, 50]}, "grid: must be an object, got [41, 50]"),
+        ({"coefficients": "x"}, "coefficients: must be an object, got 'x'"),
+        ({"gamma": 0.5}, "gamma: must be an object, got 0.5"),
+        ({"gamma": {"type": "convex", "weights": [1.0], "parts": 3}}, "gamma.parts: must be a list, got 3"),
+        ({"gamma": {"type": "convex", "weights": [1.0], "parts": [4]}}, "gamma.parts[0]: must be an object, got 4"),
+        ({"data": 1.0}, "data: must be an object, got 1.0"),
+        ({"fixedpoint": 5}, "fixedpoint: must be an object, got 5"),
+        ({"montecarlo": [1]}, "montecarlo: must be an object, got [1]"),
+        ({"output": "out"}, "output: must be an object, got 'out'"),
+        ({"coefficients": {"b": 0.1, "beta": 3}}, "coefficients.beta: must be a list, got 3"),
+        ({"output": {"dir": 5}}, "output.dir: must be a string, got 5"),
+    ],
+)
+def test_a_container_of_the_wrong_type_names_its_path(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coefficients,name",
+    [
+        ({"b": "exp(1000)"}, "b"),
+        ({"b": 0.1, "f": ["exp(1000)"]}, "f"),
+        ({"b": 0.1, "lam": "-exp(1000)"}, "lam"),
+        ({"b": 0.1, "beta": [["exp(1000)*x*(1 - x)"]]}, "beta"),
+    ],
+)
+def test_a_coefficient_that_overflows_is_a_validation_failure(tmp_path, capsys, coefficients, name):
+    # the overflow is reported by name, not as a numpy warning (an error in this suite) or a traceback
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0}, coefficients=coefficients)
+    for command in ("validate", "cauchy"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"validation failed: coefficient {name} is not finite at x = (0.0,), t = 0" in err
+
+
 @pytest.mark.parametrize("samples", [[[0.0, "a"], [0.5, 0.1]], [[0.0, 0.1], [0.5]]])
 def test_malformed_time_kernel_samples_are_a_validation_failure(tmp_path, capsys, samples):
     cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})

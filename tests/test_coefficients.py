@@ -317,3 +317,14 @@ def test_validation_block_samples_each_distinct_level_once(tmp_path, monkeypatch
     block = cli._validation_block(cfg)
     assert "nu" in block  # the confinement bound read the same survey
     assert len(times) == sampled_levels
+
+
+def test_validate_names_the_first_non_finite_sample():
+    g = make_grid(Domain((0.0,), (1.0,)), 5, 10, 1.0)
+    # -exp(1000*t) overflows from t = 0.8 on; f is NaN (inf * 0) on the walls alone
+    rep = validate(CoefficientSet.create(1, b=0.1, f="exp(1000)*x*(1 - x)", lam="-exp(1000*t)"), g)
+    assert rep.violated
+    assert rep.issues[:2] == (
+        "coefficient f is not finite at x = (0.0,), t = 0",
+        "coefficient lam is not finite at x = (0.0,), t = 0.8",
+    )

@@ -68,6 +68,14 @@ def test_series_truncation_stable():
     assert abs(total - got) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "lo,hi,x0,tau", [(-math.inf, 1.0, 0.0, 1.0), (-1.0, math.inf, 0.0, 1.0), (-1.0, 1.0, math.nan, 1.0), (-1.0, 1.0, 0.0, math.inf)]
+)
+def test_interval_confinement_rejects_non_finite_inputs(lo, hi, x0, tau):
+    with pytest.raises(MonteCarloError, match="must be finite"):
+        _interval_confinement(lo, hi, x0, tau)
+
+
 def test_confinement_bound_reference_case():
     dom, g, coeffs, _ = heat_setup()
     nb = confinement_bound(dom, coeffs, g, 1.0)

@@ -7,15 +7,19 @@ from scipy.linalg.lapack import dgbtrs
 from bspde import (
     CoefficientSet,
     Domain,
+    InitialValue,
     SpaceField,
     SpaceTimeField,
     make_grid,
+    solve_nonlocal,
     solve_terminal,
     source_response,
     sup_norm,
     terminal_response,
 )
-from bspde.stepper import LinearSolveError, _factored, _span, _System
+from bspde import stepper
+from bspde.nonlocal_ops import _compile
+from bspde.stepper import LinearSolveError, _factored, _levels, _span, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -373,3 +377,116 @@ def test_non_finite_terminal_raises(coeffs, bad):
     term.values[4] = bad  # past SpaceField's own check
     with pytest.raises(LinearSolveError):
         solve_terminal(g, coeffs, terminal=term)
+
+
+# b12 nonzero at every node, and (on the (6, 9) grid, t > 0) at the node
+# (0.8, 0.75) alone, where only the (-1, -1) neighbour exists
+C2_MIXED_TIME = CoefficientSet.create(
+    2, b=[["0.2 + 0.1*t", "0.05 + 0.03*x2*cos(t)"], ["0.05 + 0.03*x2*cos(t)", 0.15]], f=["x1", "-0.3*t"], lam="-0.2*t"
+)
+C2_MIXED_ONE_NODE = CoefficientSet.create(
+    2, b=[["0.2 + 0.1*t", "t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)"], ["t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)", 0.15]]
+)
+
+
+def _grid_2d(nx=(6, 9), nt=12, T=0.8):
+    return make_grid(Domain((0.0, -1.0), (1.0, 1.0)), nx, nt, T)
+
+
+def _count_b_at(monkeypatch) -> list:
+    """Patch CoefficientSet.b_at to record the time of every call."""
+    calls = []
+    real = CoefficientSet.b_at
+
+    def spy(self, points, t):
+        calls.append(t)
+        return real(self, points, t)
+
+    monkeypatch.setattr(CoefficientSet, "b_at", spy)
+    return calls
+
+
+@pytest.mark.parametrize("first_level", [None, 7])
+def test_level_store_serves_every_later_sweep(monkeypatch, first_level):
+    def problem():
+        return _grid_2d(), CoefficientSet.create(2, b=["0.2 + 0.1*t", "0.1 + 0.05*x1"], f=["0.4*cos(t)", "-0.3"], lam="-0.2*t")
+
+    (g1, c1), (g2, c2) = problem(), problem()
+    assert g1 is not g2 and c1 is not c2
+    rng = np.random.default_rng(15)
+    src, term = random_st_field(rng, g1), random_field(rng, g1)
+    _levels.cache_clear()
+    calls = _count_b_at(monkeypatch)
+    first = solve_terminal(g1, c1, source=src, terminal=term, level=first_level)
+    assert len(calls) == (first_level or g1.nt)
+    second = solve_terminal(g2, c2, source=src, terminal=term)
+    # the second sweep assembles only the levels the first did not reach
+    assert sorted(calls) == [g1.dt * k for k in range(g1.nt)]
+    assert (_levels.cache_info().hits, _levels.cache_info().misses) == (1, 1)
+    for out, level in ((first, first_level), (second, None)):
+        u, worst, resids = _reference_sweep(g1, c1, source=src, terminal=term, level=level)
+        assert out.u.values.tobytes() == u.tobytes()
+        assert out.diagnostics.worst_positive_offdiag == worst
+        assert out.diagnostics.max_linear_residual == max(resids)
+
+
+def test_level_store_never_serves_another_problem():
+    rng = np.random.default_rng(16)
+    c_other = CoefficientSet.create(1, b="0.2 - 0.1*t*x", f="-1 + t", lam="-0.3*t")
+    grids = [make_grid(Domain((0.0,), (1.0,)), 19, 15, 1.0), make_grid(Domain((0.0,), (1.0,)), 19, 15, 0.6)]
+    problems = [(grids[0], C1_TIME), (grids[0], c_other), (grids[1], C1_TIME), (_grid_2d(), C2_TIME), (_grid_2d(nt=15), C2_TIME)]
+    terms = [random_field(rng, g) for g, _ in problems]
+    _levels.cache_clear()
+    for i in (0, 1, 0, 2, 2, 0, 1, 1, 3, 4, 3, 0):
+        g, c = problems[i]
+        _assert_matches_reference(g, c, terminal=terms[i])
+
+
+@pytest.mark.parametrize("coeffs,n_bands", [(C2_TIME, 5), (C2_MIXED_TIME, 9), (C2_MIXED_ONE_NODE, 6)])
+def test_level_store_keeps_every_band_that_is_nonzero_somewhere(coeffs, n_bands):
+    rng = np.random.default_rng(17)
+    g = _grid_2d()
+    src, term = random_st_field(rng, g), random_field(rng, g)
+    _levels.cache_clear()
+    _assert_matches_reference(g, coeffs, source=src, terminal=term)
+    _assert_matches_reference(g, coeffs, source=src, terminal=term)  # from the store
+    stored = _levels(g, coeffs)
+    for k in range(1, g.nt):  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
+        assert len(stored[k].bands) == n_bands
+        assert stored[k].w == _System(g, coeffs, g.dt * k).w
+
+
+def test_level_store_beyond_its_cap_assembles_per_sweep(monkeypatch):
+    rng = np.random.default_rng(18)
+    g = _grid_2d()
+    term = random_field(rng, g)
+    monkeypatch.setattr(stepper, "_STORE_BYTES", 8 * 9 * g.n_interior * g.nt - 1)
+    _levels.cache_clear()
+    calls = _count_b_at(monkeypatch)
+    for _ in range(2):
+        solve_terminal(g, C2_MIXED_TIME, terminal=term)
+    assert _levels(g, C2_MIXED_TIME) is None
+    assert len(calls) == 2 * g.nt
+    _assert_matches_reference(g, C2_MIXED_TIME, terminal=term)
+
+
+def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
+    rng = np.random.default_rng(19)
+    g = make_grid(Domain((0.0,), (1.0,)), 23, 30, 0.8)
+    spec = InitialValue(weight=0.6)
+    src, rhs = random_st_field(rng, g), random_field(rng, g)
+    _levels.cache_clear()
+    sol = solve_nonlocal(g, C1_TIME, src, rhs, spec, tol=1e-10)
+    assert sol.report.converged and sol.report.iterations > 5
+
+    def sweep(terminal, source=None):
+        return SpaceTimeField(g, _reference_sweep(g, C1_TIME, terminal, source)[0])
+
+    compiled = _compile(spec, g)
+    u_src = sweep(SpaceField.zeros(g), src)
+    src_term = compiled.apply(u_src).values
+    phi = rhs.values
+    for _ in range(sol.report.iterations):
+        phi = rhs.values + src_term + compiled.apply(sweep(SpaceField(g, phi))).values
+    u = u_src.values + sweep(SpaceField(g, phi)).values
+    assert sol.u.values.tobytes() == u.tobytes()
