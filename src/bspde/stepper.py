@@ -28,8 +28,7 @@ every later sweep of the same problem (the last problem's levels are kept);
 only the bands that are nonzero at some node are stored, which is 3 doubles
 per node per level in 1-D, 5 in 2-D without a mixed term and 9 with one.
 The LU is still computed per level per sweep, since keeping every level's
-factor would hold (3w + 1) doubles per node per level.  A store that could
-exceed _STORE_BYTES is not kept, and its levels are assembled per sweep.
+factor would hold (3w + 1) doubles per node per level.
 
 Each step is one dgbtrs call on one right-hand side.  The sup-norm residual
 |rhs - A x| is checked once per run of steps that share a factor (the whole
@@ -175,21 +174,12 @@ def _factored(grid: Grid, coeffs: CoefficientSet) -> _System:
     return _System(grid, coeffs, 0.0)
 
 
-# Largest level store kept, counting every band of every level.  A one-sweep
-# command (cauchy, converge) gains nothing from the store, so this bounds what
-# it holds for nothing: converge's 129 x 129 grid of a 33 x 33, nt = 40
-# problem would keep 26 MB.
-_STORE_BYTES = 32 << 20
-
-
 @functools.lru_cache(maxsize=1)
-def _levels(grid: Grid, coeffs: CoefficientSet) -> list[_Level | None] | None:
+def _levels(grid: Grid, coeffs: CoefficientSet) -> list[_Level | None]:
     """The level store of t-dependent coefficients: entry k is the level at
     t = k dt once a sweep has assembled it, else None.  Keyed on the values
-    of the frozen grid and coefficient set; None when it could outgrow
-    _STORE_BYTES."""
-    n_bands = 3 if grid.dim == 1 else 9
-    return [None] * grid.nt if 8 * n_bands * grid.n_interior * grid.nt <= _STORE_BYTES else None
+    of the frozen grid and coefficient set."""
+    return [None] * grid.nt
 
 
 def _stored(levels: list[_Level | None], grid: Grid, coeffs: CoefficientSet, k: int) -> _Level:
@@ -198,7 +188,11 @@ def _stored(levels: list[_Level | None], grid: Grid, coeffs: CoefficientSet, k: 
     level = levels[k]
     if level is None:
         full = _assemble(grid, coeffs, grid.dt * k)
-        level = levels[k] = full._replace(bands={j: e for j, e in full.bands.items() if np.any(e)})
+        bands = {j: e for j, e in full.bands.items() if np.any(e)}
+        # every later sweep shares these through _System.bands and _terms
+        for e in bands.values():
+            e.flags.writeable = False
+        level = levels[k] = full._replace(bands=bands)
     return level
 
 
@@ -237,8 +231,6 @@ def solve_terminal(
     for lo, hi in runs:
         if not time_dep:
             system = _factored(grid, coeffs)
-        elif levels is None:
-            system = _System(grid, coeffs, grid.dt * lo)
         else:
             system = _System.from_level(_stored(levels, grid, coeffs, lo), n, grid.dt * lo)
         worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)

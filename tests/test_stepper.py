@@ -17,7 +17,6 @@ from bspde import (
     sup_norm,
     terminal_response,
 )
-from bspde import stepper
 from bspde.nonlocal_ops import _compile
 from bspde.stepper import LinearSolveError, _factored, _levels, _span, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
@@ -453,21 +452,8 @@ def test_level_store_keeps_every_band_that_is_nonzero_somewhere(coeffs, n_bands)
     stored = _levels(g, coeffs)
     for k in range(1, g.nt):  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
         assert len(stored[k].bands) == n_bands
+        assert not any(e.flags.writeable for e in stored[k].bands.values())  # shared by every sweep
         assert stored[k].w == _System(g, coeffs, g.dt * k).w
-
-
-def test_level_store_beyond_its_cap_assembles_per_sweep(monkeypatch):
-    rng = np.random.default_rng(18)
-    g = _grid_2d()
-    term = random_field(rng, g)
-    monkeypatch.setattr(stepper, "_STORE_BYTES", 8 * 9 * g.n_interior * g.nt - 1)
-    _levels.cache_clear()
-    calls = _count_b_at(monkeypatch)
-    for _ in range(2):
-        solve_terminal(g, C2_MIXED_TIME, terminal=term)
-    assert _levels(g, C2_MIXED_TIME) is None
-    assert len(calls) == 2 * g.nt
-    _assert_matches_reference(g, C2_MIXED_TIME, terminal=term)
 
 
 def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
