@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .coefficients import CoefficientError, CoefficientSet, bounds, validate
-from .exprdsl import EvalError, ExprError, parse
+from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
+from .exprdsl import EvalError, Expr, ExprError
 from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
 from .montecarlo import CauchyProblem, MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
@@ -91,13 +91,16 @@ def _object(value, path: str) -> dict:
 
 def _number(value, path: str, kind=float):
     """`value`, the entry at dotted `path`, converted by `kind` (float or int);
-    one that does not convert is reported as
-    `fixedpoint.max_iter: must be an integer, got 'ten'`."""
+    a boolean, a non-integral value for int, or one that does not convert is
+    reported as `grid.nt: must be an integer, got 10.7`."""
     try:
-        return kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: must be {what}, got {value!r}") from None
+        raise ConfigError(f"{path}: must be {what}, got {value!r}")
+    return number
 
 
 def _numbers(value, path: str, kind=float) -> tuple:
@@ -140,28 +143,53 @@ class RunConfig:
     outdir: Path
 
 
-def _sample_space(grid: Grid, entry, t: float | None = None) -> np.ndarray:
-    """Evaluate a number or expression of x[,x2] (and t, when given) on the interior nodes."""
-    if isinstance(entry, (int, float)):
-        return np.full(grid.interior_shape, float(entry))
-    e = parse(str(entry))
+def _expr(value, path: str, depth: int = 0):
+    """The number or expression string at dotted `path` as an Expr or, up to
+    `depth` list levels down, as nested lists of them; anything else, or a
+    syntax error, is reported as `data.terminal: unexpected 'end of input'`."""
+    if isinstance(value, list) and depth > 0:
+        return [_expr(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: must be a number or an expression, got {value!r}")
+    try:
+        return as_entry(value)
+    except (ExprError, OverflowError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.ndarray:
+    """Evaluate the expression at dotted `path`, of x[,x2] (and t, when
+    given), on the interior nodes."""
     axes = [grid.axis_coords(a) for a in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     env = {"x1": mesh[0], "x" if grid.dim == 1 else "x2": mesh[-1]}
     if t is not None:
         env["t"] = t
-    return np.asarray(e.eval(env), dtype=float) * np.ones(grid.interior_shape)
+    # an overflow is reported below by path, not as a numpy warning
+    with np.errstate(all="ignore"):
+        try:
+            values = np.asarray(e.eval(env), dtype=float) * np.ones(grid.interior_shape)
+        except EvalError as err:
+            raise ConfigError(f"{path}: {err}") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path}: evaluates to a non-finite value" + ("" if t is None else f" at t = {t:.6g}"))
+    return values
 
 
 def _sample_space_time(grid: Grid, entry) -> SpaceTimeField | None:
-    if entry is None or (isinstance(entry, (int, float)) and float(entry) == 0.0):
+    """The `data.source` entry on every level; none, or the number 0, is no source."""
+    if entry is None:
         return None
-    return SpaceTimeField(grid, np.stack([_sample_space(grid, entry, t) for t in grid.times()]))
+    e = _expr(entry, "data.source")
+    if isinstance(entry, (int, float)) and entry == 0:
+        return None
+    return SpaceTimeField(grid, np.stack([_sample_space(grid, e, "data.source", t) for t in grid.times()]))
 
 
 def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | None]:
     """The terminal data and the source of a config's `data` section on `grid`."""
-    terminal = SpaceField(grid, _sample_space(grid, data.get("terminal", 0.0)))
+    e = _expr(data.get("terminal", 0.0), "data.terminal")
+    terminal = SpaceField(grid, _sample_space(grid, e, "data.terminal"))
     return terminal, _sample_space_time(grid, data.get("source"))
 
 
@@ -215,12 +243,13 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     beta = cs.get("beta", [])
     if not isinstance(beta, list):
         raise ConfigError(f"coefficients.beta: must be a list, got {beta!r}")
+    f = cs.get("f")
     coeffs = CoefficientSet.create(
         dim=domain.dim,
-        b=cs.get("b", 1.0),
-        f=cs.get("f"),
-        lam=cs.get("lam", 0.0),
-        beta=beta,
+        b=_expr(cs.get("b", 1.0), "coefficients.b", 2),
+        f=None if f is None else _expr(f, "coefficients.f", 1),
+        lam=_expr(cs.get("lam", 0.0), "coefficients.lam"),
+        beta=_expr(beta, "coefficients.beta", 2),
     )
     gamma = None if raw.get("gamma") is None else _gamma_from_config(raw["gamma"], grid, base_dir)
     terminal, source = _sample_data(grid, _object(raw.get("data", {}), "data"))

@@ -19,6 +19,8 @@ from .grid import Grid, GridError, SpaceField, SpaceTimeField, sup_norm
 from .nonlocal_ops import NonlocalSpec, _compile
 from .stepper import source_response, terminal_response
 
+DENSE_CAP = 2000  # most interior nodes the dense feedback matrix is built for
+
 
 class FixedPointDivergence(RuntimeError):
     """Residual ratios stayed >= 1 for five consecutive iterations."""
@@ -145,14 +147,14 @@ class FeedbackMatrix:
     sup_norm: float  # max absolute row sum
 
 
-def assemble_feedback_matrix(grid: Grid, coeffs, spec: NonlocalSpec, cap: int = 2000) -> FeedbackMatrix:
+def assemble_feedback_matrix(grid: Grid, coeffs, spec: NonlocalSpec) -> FeedbackMatrix:
     """Column j is the operator applied to the j-th canonical basis field.
 
-    Refuses grids with more than `cap` interior nodes; the matrix is dense.
+    Refuses grids with more than DENSE_CAP interior nodes; the matrix is dense.
     """
     n = grid.n_interior
-    if n > cap:
-        raise GridError(f"{n} interior nodes exceed the dense-matrix cap {cap}")
+    if n > DENSE_CAP:
+        raise GridError(f"{n} interior nodes exceed the dense-matrix cap {DENSE_CAP}")
     compiled = _compile(spec, grid)
     Q = np.empty((n, n))
     basis = np.zeros(grid.interior_shape)
@@ -171,12 +173,11 @@ def solve_nonlocal_direct(
     source: SpaceTimeField | None,
     terminal_rhs: SpaceField,
     spec: NonlocalSpec,
-    cap: int = 2000,
 ) -> NonlocalSolution:
     """Solve (I - feedback matrix) Phi = terminal_rhs + nonlocal(source response)
     by dense elimination; the oracle counterpart of solve_nonlocal."""
     compiled = _compile(spec, grid)
-    fm = assemble_feedback_matrix(grid, coeffs, spec, cap=cap)
+    fm = assemble_feedback_matrix(grid, coeffs, spec)
     rhs = terminal_rhs.values.ravel().copy()
     u_src = source_response(grid, coeffs, source) if source is not None else None
     if u_src is not None:

@@ -175,15 +175,23 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
     return np.interp(ts, samples[order, 0], samples[order, 1])
 
 
+def _finite(weight, name: str) -> None:
+    """Reject a NaN or infinite coupling weight, which every bound check passes or misreads."""
+    if not np.isfinite(weight):
+        raise NonlocalValidationError(f"{name} = {weight} is not finite")
+
+
 def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
     c = _Compiled(grid)
     if isinstance(spec, InitialValue):
+        _finite(spec.weight, "weight")
         if abs(spec.weight) > 1:
             raise NonlocalValidationError(f"|weight| = {abs(spec.weight)} exceeds 1")
         c.level_weights[0] = spec.weight
         c.max_level = 0
         c.norm_bound = abs(spec.weight)
     elif isinstance(spec, PointInTime):
+        _finite(spec.weight, "weight")
         if abs(spec.weight) > 1:
             raise NonlocalValidationError(f"|weight| = {abs(spec.weight)} exceeds 1")
         k, dist = _snap_before_T(grid, spec.t1, "t1")
@@ -192,6 +200,8 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         c.snap_distances.append(dist)
         c.norm_bound = abs(spec.weight)
     elif isinstance(spec, TwoPoint):
+        _finite(spec.weight1, "weight1")
+        _finite(spec.weight2, "weight2")
         total = abs(spec.weight1) + abs(spec.weight2)
         if total > 1:
             raise NonlocalValidationError(f"|weight1| + |weight2| = {total} exceeds 1")
@@ -240,6 +250,8 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         if len(spec.weights) != len(spec.parts) or not spec.parts:
             raise NonlocalValidationError("convex combination needs matching weights and parts")
         ws = np.asarray(spec.weights, dtype=float)
+        for i, w in enumerate(ws):
+            _finite(w, f"convex weights[{i}]")
         if np.any(ws <= 0):
             raise NonlocalValidationError("convex weights must be positive")
         if float(np.sum(ws)) > 1 + 1e-12:

@@ -19,16 +19,18 @@ the maximum principle sup|u| <= sup|terminal| + duration*sup|source|.
 Nodes are numbered lexicographically (last axis fastest), so each stencil
 offset is a fixed flat offset and the matrix is banded, with half-bandwidth
 w = 1 in 1-D and w = m2 + 1 in 2-D (m2 interior nodes along axis 2).  It goes
-straight into LAPACK band storage and is LU-factored with dgbtrf.  When no
-coefficient depends on t the system is the same at every level: it is
-assembled and factored once per (grid, coefficients), and the last such
-factor is kept, so repeated sweeps of one problem reuse it.  Otherwise each
-level is assembled once per (grid, coefficients) and its bands are kept for
-every later sweep of the same problem (the last problem's levels are kept);
-only the bands that are nonzero at some node are stored, which is 3 doubles
-per node per level in 1-D, 5 in 2-D without a mixed term and 9 with one.
-The LU is still computed per level per sweep, since keeping every level's
-factor would hold (3w + 1) doubles per node per level.
+straight into LAPACK band storage and is LU-factored with dgbtrf.
+
+Every Picard iteration, feedback-matrix column and oracle solve sweeps the
+same problem again, so the last (grid, coefficients) problem keeps one
+store.  It has one slot per distinct level: one when no coefficient depends
+on t, since the system is then the same at every level, else nt.  A slot
+keeps its assembled level, with only the bands that are nonzero at some
+node: 3 doubles per node in 1-D, 5 in 2-D without a mixed term and 9 with
+one.  The store also keeps the factor of the last slot it served, (3w + 1)
+doubles per node (on a 33 x 33 grid with nt = 40: 1.5 MB of levels and a
+0.75 MB factor).  So a t-independent problem is factored once per process,
+and a t-dependent sweep factors each level it reaches.
 
 Each step is one dgbtrs call on one right-hand side.  The sup-norm residual
 |rhs - A x| is checked once per run of steps that share a factor (the whole
@@ -77,13 +79,14 @@ def _span(k: int, n: int) -> tuple[slice, slice]:
 class _Level(NamedTuple):
     """(I - dt*A_h) at one time level, assembled but not factored."""
 
-    bands: dict[int, np.ndarray]  # flat offset k -> row-indexed entries M[p, p + k]
+    bands: dict[int, np.ndarray]  # flat offset k -> row-indexed entries M[p, p + k], read-only
     w: int  # half-bandwidth of the stencil, whichever bands are stored
     worst_positive_offdiag: float
 
 
 def _assemble(grid: Grid, coeffs: CoefficientSet, t: float) -> _Level:
-    """(I - dt*A_h) at time t, every band of the stencil included."""
+    """(I - dt*A_h) at time t, without the bands that are zero at every node
+    (the mixed-term bands when b12 = 0 everywhere)."""
     shape = grid.interior_shape
     dt = grid.dt
     pts = grid.interior_points()
@@ -116,23 +119,18 @@ def _assemble(grid: Grid, coeffs: CoefficientSet, t: float) -> _Level:
         band[has] = vals
         k = int(np.dot(off, strides))
         bands[k] = bands.get(k, 0.0) + band.ravel()  # distinct offsets may share k
-    return _Level(bands, max(abs(k) for k in bands), worst)
+    # every sweep that the store serves shares these through _System.bands and _terms
+    kept = {k: e for k, e in bands.items() if np.any(e)}
+    for e in kept.values():
+        e.flags.writeable = False
+    return _Level(kept, max(abs(k) for k in bands), worst)
 
 
 class _System:
     """(I - dt*A_h) at one time level, LU-factored in LAPACK band storage."""
 
-    def __init__(self, grid: Grid, coeffs: CoefficientSet, t: float):
-        self._factor(_assemble(grid, coeffs, t), grid.n_interior, t)
-
-    @classmethod
-    def from_level(cls, level: _Level, n: int, t: float) -> _System:
+    def __init__(self, level: _Level, n: int, t: float):
         """Factor an assembled level of n nodes at time t."""
-        system = cls.__new__(cls)
-        system._factor(level, n, t)
-        return system
-
-    def _factor(self, level: _Level, n: int, t: float) -> None:
         self.bands, self.w, self.worst_positive_offdiag = level
         ab = np.zeros((3 * self.w + 1, n), order="F")
         # (entries, rows, cols) per band, in band order, for the residual
@@ -144,7 +142,7 @@ class _System:
         self.lu, self.piv, info = dgbtrf(ab, self.w, self.w, overwrite_ab=1)
         if info != 0:
             raise LinearSolveError(f"singular system at t = {t:.6g} (dgbtrf info {info})")
-        # the factor may be shared through _factored; dgbtrs only reads it
+        # the store may serve the factor to many sweeps; dgbtrs only reads it
         self.lu.flags.writeable = False
         self.piv.flags.writeable = False
 
@@ -167,33 +165,31 @@ class _System:
         return res
 
 
-@functools.lru_cache(maxsize=1)
-def _factored(grid: Grid, coeffs: CoefficientSet) -> _System:
-    """The system of t-independent coefficients, the same at every level.
-    Keyed on the values of the frozen grid and coefficient set."""
-    return _System(grid, coeffs, 0.0)
+class _Store:
+    """The systems of one (grid, coefficients) problem: slot j is the level at
+    t = j dt, and the only slot when no coefficient depends on t."""
+
+    def __init__(self, grid: Grid, coeffs: CoefficientSet):
+        self.grid, self.coeffs = grid, coeffs
+        self.slots: list[_Level | None] = [None] * (grid.nt if coeffs.is_time_dependent else 1)
+        self.last: tuple[int, _System] | None = None  # the slot served last, factored
+
+    def system(self, j: int) -> _System:
+        """Slot j factored, assembled on first use and factored unless it was
+        the slot served last."""
+        if self.last is None or self.last[0] != j:
+            t = self.grid.dt * j
+            if self.slots[j] is None:
+                self.slots[j] = _assemble(self.grid, self.coeffs, t)
+            self.last = (j, _System(self.slots[j], self.grid.n_interior, t))
+        return self.last[1]
 
 
 @functools.lru_cache(maxsize=1)
-def _levels(grid: Grid, coeffs: CoefficientSet) -> list[_Level | None]:
-    """The level store of t-dependent coefficients: entry k is the level at
-    t = k dt once a sweep has assembled it, else None.  Keyed on the values
-    of the frozen grid and coefficient set."""
-    return [None] * grid.nt
-
-
-def _stored(levels: list[_Level | None], grid: Grid, coeffs: CoefficientSet, k: int) -> _Level:
-    """Level k from the store, assembled on first use with its all-zero bands
-    dropped (the mixed-term bands when b12 = 0 everywhere)."""
-    level = levels[k]
-    if level is None:
-        full = _assemble(grid, coeffs, grid.dt * k)
-        bands = {j: e for j, e in full.bands.items() if np.any(e)}
-        # every later sweep shares these through _System.bands and _terms
-        for e in bands.values():
-            e.flags.writeable = False
-        level = levels[k] = full._replace(bands=bands)
-    return level
+def _store(grid: Grid, coeffs: CoefficientSet) -> _Store:
+    """The store of the last problem swept, keyed on the values of the frozen
+    grid and coefficient set."""
+    return _Store(grid, coeffs)
 
 
 def solve_terminal(
@@ -224,15 +220,12 @@ def solve_terminal(
     src = None if source is None else grid.dt * source.values[:s].reshape(s, n)
     worst_offdiag = 0.0
     max_resid = 0.0
-    # runs of levels lo..hi-1 that share one system, last run first
-    time_dep = coeffs.is_time_dependent
-    runs = ((k, k + 1) for k in range(s - 1, -1, -1)) if time_dep else [(0, s)]
-    levels = _levels(grid, coeffs) if time_dep else None  # looked up once: hashing is not free
-    for lo, hi in runs:
-        if not time_dep:
-            system = _factored(grid, coeffs)
-        else:
-            system = _System.from_level(_stored(levels, grid, coeffs, lo), n, grid.dt * lo)
+    store = _store(grid, coeffs)  # looked up once: hashing is not free
+    # runs of levels lo..hi-1 that share one slot (slot lo), last run first
+    width = s if len(store.slots) == 1 else 1
+    for hi in range(s, 0, -width):
+        lo = hi - width
+        system = store.system(lo)
         worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
         for k in range(hi - 1, lo - 1, -1):
             if src is None:

@@ -1,4 +1,5 @@
-"""Shared builders for randomized batteries (all seeded, no global state)."""
+"""Shared builders for randomized batteries (all seeded, no global state), and
+a fixture that empties the per-problem caches before every test."""
 
 from __future__ import annotations
 
@@ -17,9 +18,19 @@ from bspde import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
+    coefficients,
     make_grid,
+    stepper,
 )
 from bspde.nonlocal_ops import _compile
+
+
+@pytest.fixture(autouse=True)
+def _empty_caches():
+    """No test sees a stepper store or coefficient survey that an earlier
+    test left behind."""
+    stepper._store.cache_clear()
+    coefficients._survey.cache_clear()
 
 
 @pytest.fixture

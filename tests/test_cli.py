@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspde import cli
+from bspde import cli, coefficients, stepper
 from bspde.cli import main
 
 PI = "3.141592653589793"
@@ -127,12 +127,106 @@ def test_bad_fixedpoint_controls_name_their_path(tmp_path, capsys, fixedpoint, m
         ("domain", {"lo": 0.0, "hi": [1.0]}, "domain.lo: must be a list of numbers, got 0.0"),
         ("gamma", {"type": "initial_value", "weight": "half"}, "gamma.weight: must be a number, got 'half'"),
         ("montecarlo", {"dt_mc": "small"}, "montecarlo.dt_mc: must be a number, got 'small'"),
+        ("grid", {"nx": [41], "nt": 10.7, "T": 1.0}, "grid.nt: must be an integer, got 10.7"),
+        ("montecarlo", {"n_paths": 150.9}, "montecarlo.n_paths: must be an integer, got 150.9"),
+        ("grid", {"nx": [41], "nt": True, "T": 1.0}, "grid.nt: must be an integer, got True"),
+        ("grid", {"nx": [41], "nt": 50, "T": True}, "grid.T: must be a number, got True"),
+        ("grid", {"nx": [True], "nt": 50, "T": 1.0}, "grid.nx[0]: must be an integer, got True"),
+        ("grid", {"nx": 41.5, "nt": 50, "T": 1.0}, "grid.nx: must be an integer, got 41.5"),
+        ("gamma", {"type": "initial_value", "weight": False}, "gamma.weight: must be a number, got False"),
     ],
 )
 def test_a_number_entry_that_is_not_a_number_names_its_path(tmp_path, capsys, section, value, message):
     cfg = write_config(tmp_path / "c.json", **{section: value})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_integral_number_entries_are_read_as_integers(tmp_path):
+    grid = {"nx": ["41"], "nt": "10", "T": "1"}
+    mc = {"n_paths": 500.0, "seed": "7", "points": [[0.5, 0.0]]}
+    cfg = write_config(tmp_path / "c.json", grid=grid, montecarlo=mc)
+    loaded = cli.load_config(str(cfg))
+    assert (loaded.grid.nx, loaded.grid.nt, loaded.grid.T) == ((41,), 10, 1.0)
+    assert (loaded.mc.n_paths, loaded.mc.seed) == (500, 7)
+    assert type(loaded.mc.n_paths) is int
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"data": {"terminal": "x +"}}, "data.terminal: unexpected 'end of input' (at position 3)"),
+        ({"data": {"terminal": [1, 2]}}, "data.terminal: must be a number or an expression, got [1, 2]"),
+        ({"data": {"terminal": True}}, "data.terminal: must be a number or an expression, got True"),
+        ({"data": {"terminal": "x", "source": "t *"}}, "data.source: unexpected 'end of input' (at position 3)"),
+        ({"data": {"terminal": "x", "source": {"t": 1}}}, "data.source: must be a number or an expression, got {'t': 1}"),
+        ({"data": {"terminal": "x*t"}}, "data.terminal: unbound identifier 't'"),
+        ({"data": {"terminal": "x", "source": "sqrt(t - 0.5)"}}, "data.source: sqrt of a negative value"),
+        ({"data": {"terminal": "exp(1000*x)"}}, "data.terminal: evaluates to a non-finite value"),
+        ({"data": {"terminal": math.nan}}, "data.terminal: evaluates to a non-finite value"),
+        ({"data": {"terminal": "x", "source": "exp(1000*t)"}}, "data.source: evaluates to a non-finite value at t = 0.72"),
+        ({"coefficients": {"lam": [1]}}, "coefficients.lam: must be a number or an expression, got [1]"),
+        ({"coefficients": {"lam": "-x +"}}, "coefficients.lam: unexpected 'end of input' (at position 4)"),
+        ({"coefficients": {"b": [["0.1 +"]]}}, "coefficients.b[0][0]: unexpected 'end of input' (at position 5)"),
+        ({"coefficients": {"b": 0.1, "f": [True]}}, "coefficients.f[0]: must be a number or an expression, got True"),
+        ({"coefficients": {"b": 0.1, "beta": [["x*(1 - x"]]}}, "coefficients.beta[0][0]: expected ')'"),
+    ],
+)
+def test_an_expression_entry_names_its_path(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_the_source_expression_is_parsed_once(tmp_path, monkeypatch):
+    texts = []
+    real = coefficients.parse
+
+    def spy(text):
+        texts.append(text)
+        return real(text)
+
+    monkeypatch.setattr(coefficients, "parse", spy)
+    grid, data = {"nx": [9], "nt": 10, "T": 1.0}, {"terminal": "x", "source": "x*t"}
+    cfg = write_config(tmp_path / "c.json", grid=grid, data=data)
+    loaded = cli.load_config(str(cfg))
+    assert texts.count("x*t") == 1
+    assert loaded.source.values[3] == pytest.approx(loaded.grid.axis_coords(0) * loaded.grid.dt * 3)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        {"type": "initial_value", "weight": math.nan},
+        {"type": "point_in_time", "weight": math.nan, "t1": 0.5},
+        {"type": "two_point", "weight1": 0.2, "t1": 0.2, "weight2": math.nan, "t2": 0.5},
+        {"type": "convex", "weights": [math.nan], "parts": [{"type": "initial_value", "weight": 0.5}]},
+    ],
+)
+def test_a_nan_coupling_weight_is_a_validation_failure(tmp_path, capsys, gamma):
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0}, gamma=gamma)
+    for command in ("validate", "solve", "qmatrix"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "= nan is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("b", ["0.1 + 0.05*x", "0.1 + 0.05*t"])
+def test_reruns_are_served_from_the_store_and_write_the_same_bytes(tmp_path, b):
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0}, coefficients={"b": b})
+
+    def run(name, out):
+        assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
+        report = read_report(out)
+        report.pop("timing_seconds")
+        return report, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+
+    for name in ("cauchy", "solve", "qmatrix"):
+        stepper._store.cache_clear()  # the first run builds the store
+        first = run(name, tmp_path / name / "first")
+        second = run(name, tmp_path / name / "rerun")
+        assert stepper._store.cache_info().misses == 1  # the rerun was served the first run's store
+        assert second == first
 
 
 @pytest.mark.parametrize(

@@ -276,7 +276,6 @@ def test_bounds_checks_the_dimension(grid2):
 
 
 def test_survey_is_served_by_equal_values(grid2):
-    _survey.cache_clear()
     rep = validate(CoefficientSet.create(2, b=[0.1, 0.3], f=["x1", 0.0]), grid2)
     other_grid = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (9, 11), 8, 1.0)
     assert other_grid is not grid2
@@ -313,7 +312,6 @@ def test_validation_block_samples_each_distinct_level_once(tmp_path, monkeypatch
         return b_at(self, points, t)
 
     monkeypatch.setattr(CoefficientSet, "b_at", spy)
-    _survey.cache_clear()
     block = cli._validation_block(cfg)
     assert "nu" in block  # the confinement bound read the same survey
     assert len(times) == sampled_levels

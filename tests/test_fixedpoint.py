@@ -125,9 +125,12 @@ def test_feedback_matrix_eigenmode_action():
     assert np.max(np.abs(got - rho * v)) / rho <= 0.02
 
 
-def test_feedback_matrix_cap(small_grid):
+def test_feedback_matrix_cap():
+    g = make_grid(Domain((0.0,), (1.0,)), 2003, 4, 1.0)  # 2001 interior nodes
+    with pytest.raises(GridError, match="2001 interior nodes exceed the dense-matrix cap 2000"):
+        assemble_feedback_matrix(g, heat(), InitialValue(1.0))
     with pytest.raises(GridError, match="dense-matrix cap"):
-        assemble_feedback_matrix(small_grid, heat(), InitialValue(1.0), cap=5)
+        solve_nonlocal_direct(g, heat(), None, SpaceField.zeros(g), InitialValue(0.5))
 
 
 def test_divergence_abort(small_grid):

@@ -145,6 +145,23 @@ def test_convex_weight_validation(grid):
         validate_spec(Convex(weights=(-0.1,), parts=(InitialValue(1.0),)), grid)
 
 
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        (InitialValue(np.nan), "weight"),
+        (PointInTime(np.nan, 0.5), "weight"),
+        (TwoPoint(0.2, 0.2, np.nan, 0.5), "weight2"),
+        (TwoPoint(np.inf, 0.2, 0.1, 0.5), "weight1"),
+        (Convex(weights=(0.5, np.nan), parts=(InitialValue(1.0), InitialValue(0.5))), r"convex weights\[1\]"),
+        (Convex(weights=(0.5,), parts=(InitialValue(np.nan),)), "weight"),
+    ],
+)
+def test_a_non_finite_weight_is_rejected_by_name(grid, spec, name):
+    # abs(nan) > 1 and nan <= 0 are both False, so no bound check sees a NaN
+    with pytest.raises(NonlocalValidationError, match=rf"^{name} = (nan|inf) is not finite$"):
+        validate_spec(spec, grid)
+
+
 def test_effective_theta_is_max_over_parts(grid):
     combo = Convex(
         weights=(0.3, 0.3),

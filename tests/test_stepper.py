@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from bspde import (
     CoefficientSet,
@@ -10,15 +10,17 @@ from bspde import (
     InitialValue,
     SpaceField,
     SpaceTimeField,
+    assemble_feedback_matrix,
     make_grid,
     solve_nonlocal,
     solve_terminal,
     source_response,
+    stepper,
     sup_norm,
     terminal_response,
 )
 from bspde.nonlocal_ops import _compile
-from bspde.stepper import LinearSolveError, _factored, _levels, _span, _System
+from bspde.stepper import LinearSolveError, _assemble, _span, _store, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -261,6 +263,10 @@ def test_level_argument_partial_horizon():
         solve_terminal(g, heat_coeffs(), terminal=term, level=11)
 
 
+def _fresh_system(g, c, t):
+    return _System(_assemble(g, c, t), g.n_interior, t)
+
+
 def _reference_sweep(g, c, terminal, source=None, level=None):
     """The per-step sweep: a fresh system per level (one per sweep when no
     coefficient depends on t), a fresh rhs per step, one dgbtrs and that
@@ -274,7 +280,7 @@ def _reference_sweep(g, c, terminal, source=None, level=None):
     system = None
     for k in range(s - 1, -1, -1):
         if system is None or c.is_time_dependent:
-            system = _System(g, c, g.dt * k)
+            system = _fresh_system(g, c, g.dt * k)
             worst = max(worst, system.worst_positive_offdiag)
         rhs = u[k + 1].ravel().copy()
         if source is not None:
@@ -346,10 +352,9 @@ def test_factor_cache_is_keyed_on_values():
     (g1, c1), (g2, c2) = problem(), problem()
     assert g1 is not g2 and c1 is not c2
     term = random_field(np.random.default_rng(12), g1)
-    _factored.cache_clear()
     first = solve_terminal(g1, c1, terminal=term)
     second = solve_terminal(g2, c2, terminal=term)
-    info = _factored.cache_info()
+    info = _store.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert first.u.values.tobytes() == second.u.values.tobytes()
 
@@ -357,15 +362,44 @@ def test_factor_cache_is_keyed_on_values():
 def test_factor_cache_never_serves_another_coefficient_set():
     rng = np.random.default_rng(13)
     g = make_grid(Domain((0.0,), (1.0,)), 19, 15, 1.0)
-    sets = [C1_CONST, heat_coeffs(b=0.2, f=-1.0, lam=-0.3)]
+    sets = [C1_CONST, heat_coeffs(b=0.2, f=-1.0, lam=-0.3), C1_TIME]
     terms = [random_field(rng, g) for _ in sets]
-    _factored.cache_clear()
-    for i in (0, 1, 0, 0, 1, 1, 0):
+    for i in (0, 1, 0, 0, 1, 1, 2, 0, 2, 2, 1):
         _assert_matches_reference(g, sets[i], terminal=terms[i])
-    # t-dependent coefficients refactor per level and leave the cache alone
-    before = _factored.cache_info()
-    _assert_matches_reference(g, C1_TIME, terminal=terms[0])
-    assert _factored.cache_info() == before
+
+
+def _count_dgbtrf(monkeypatch) -> list:
+    """Patch the stepper's dgbtrf to record the node count of every factorisation."""
+    calls = []
+
+    def spy(ab, *args, **kwargs):
+        calls.append(ab.shape[1])
+        return dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "dgbtrf", spy)
+    return calls
+
+
+def test_store_factors_a_problem_once_or_each_level_once_per_sweep(monkeypatch):
+    rng = np.random.default_rng(18)
+    g = make_grid(Domain((0.0,), (1.0,)), 9, 12, 1.0)
+    calls = _count_dgbtrf(monkeypatch)
+    # t-independent: one factor serves every sweep, every feedback-matrix column included
+    src, term = random_st_field(rng, g), random_field(rng, g)
+    solve_terminal(g, C1_CONST, source=src, terminal=term)
+    solve_nonlocal(g, C1_CONST, src, term, InitialValue(weight=0.5))
+    solve_terminal(g, C1_CONST, terminal=term, level=5)
+    fm = assemble_feedback_matrix(g, C1_CONST, InitialValue(weight=0.5))
+    assert fm.matrix.shape == (g.n_interior, g.n_interior)
+    assert calls == [g.n_interior]
+    # t-dependent: each sweep factors every level it reaches, once
+    calls.clear()
+    for level in (None, 5, None):
+        solve_terminal(g, C1_TIME, terminal=term, level=level)
+    assert len(calls) == 2 * g.nt + 5
+    # the last sweep ended on level 0, whose factor is kept
+    solve_terminal(g, C1_TIME, terminal=term, level=1)
+    assert len(calls) == 2 * g.nt + 5
 
 
 @pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
@@ -414,14 +448,13 @@ def test_level_store_serves_every_later_sweep(monkeypatch, first_level):
     assert g1 is not g2 and c1 is not c2
     rng = np.random.default_rng(15)
     src, term = random_st_field(rng, g1), random_field(rng, g1)
-    _levels.cache_clear()
     calls = _count_b_at(monkeypatch)
     first = solve_terminal(g1, c1, source=src, terminal=term, level=first_level)
     assert len(calls) == (first_level or g1.nt)
     second = solve_terminal(g2, c2, source=src, terminal=term)
     # the second sweep assembles only the levels the first did not reach
     assert sorted(calls) == [g1.dt * k for k in range(g1.nt)]
-    assert (_levels.cache_info().hits, _levels.cache_info().misses) == (1, 1)
+    assert (_store.cache_info().hits, _store.cache_info().misses) == (1, 1)
     for out, level in ((first, first_level), (second, None)):
         u, worst, resids = _reference_sweep(g1, c1, source=src, terminal=term, level=level)
         assert out.u.values.tobytes() == u.tobytes()
@@ -435,25 +468,29 @@ def test_level_store_never_serves_another_problem():
     grids = [make_grid(Domain((0.0,), (1.0,)), 19, 15, 1.0), make_grid(Domain((0.0,), (1.0,)), 19, 15, 0.6)]
     problems = [(grids[0], C1_TIME), (grids[0], c_other), (grids[1], C1_TIME), (_grid_2d(), C2_TIME), (_grid_2d(nt=15), C2_TIME)]
     terms = [random_field(rng, g) for g, _ in problems]
-    _levels.cache_clear()
     for i in (0, 1, 0, 2, 2, 0, 1, 1, 3, 4, 3, 0):
         g, c = problems[i]
         _assert_matches_reference(g, c, terminal=terms[i])
 
 
-@pytest.mark.parametrize("coeffs,n_bands", [(C2_TIME, 5), (C2_MIXED_TIME, 9), (C2_MIXED_ONE_NODE, 6)])
+C2_DIAG = CoefficientSet.create(2, b=[0.2, "0.1 + 0.05*x1"], f=[0.4, -0.3], lam=-0.2)
+
+
+@pytest.mark.parametrize(
+    "coeffs,n_bands", [(C2_TIME, 5), (C2_MIXED_TIME, 9), (C2_MIXED_ONE_NODE, 6), (C2_DIAG, 5), (C2_CONST, 9)]
+)
 def test_level_store_keeps_every_band_that_is_nonzero_somewhere(coeffs, n_bands):
     rng = np.random.default_rng(17)
     g = _grid_2d()
     src, term = random_st_field(rng, g), random_field(rng, g)
-    _levels.cache_clear()
     _assert_matches_reference(g, coeffs, source=src, terminal=term)
     _assert_matches_reference(g, coeffs, source=src, terminal=term)  # from the store
-    stored = _levels(g, coeffs)
-    for k in range(1, g.nt):  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
-        assert len(stored[k].bands) == n_bands
-        assert not any(e.flags.writeable for e in stored[k].bands.values())  # shared by every sweep
-        assert stored[k].w == _System(g, coeffs, g.dt * k).w
+    slots = _store(g, coeffs).slots
+    assert len(slots) == (g.nt if coeffs.is_time_dependent else 1)
+    for level in slots[1:] or slots:  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
+        assert len(level.bands) == n_bands
+        assert not any(e.flags.writeable for e in level.bands.values())  # shared by every sweep
+        assert level.w == g.interior_shape[1] + 1  # the stencil's, whichever bands are stored
 
 
 def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
@@ -461,7 +498,6 @@ def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
     g = make_grid(Domain((0.0,), (1.0,)), 23, 30, 0.8)
     spec = InitialValue(weight=0.6)
     src, rhs = random_st_field(rng, g), random_field(rng, g)
-    _levels.cache_clear()
     sol = solve_nonlocal(g, C1_TIME, src, rhs, spec, tol=1e-10)
     assert sol.report.converged and sol.report.iterations > 5
 
