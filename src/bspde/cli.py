@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 non-convergence, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .nonlocal_ops import (
     kernel_from_csv,
     validate_spec,
 )
-from .stepper import solve_terminal
+from .stepper import SolutionRangeError, solve_terminal
 
 
 class NonConvergence(RuntimeError):
@@ -68,25 +69,8 @@ VALIDATION_ERRORS = (
     ExprError,
     EvalError,
     MonteCarloError,
+    SolutionRangeError,
 )
-
-
-def _required(section: dict, path: str):
-    """The entry at dotted `path` (e.g. `grid.nt`) from `section`, the mapping
-    that holds its last key; a missing key is reported as `grid.nt: missing`."""
-    try:
-        return section[path.rsplit(".", 1)[-1]]
-    except KeyError:
-        raise ConfigError(f"{path}: missing") from None
-
-
-def _object(value, path: str) -> dict:
-    """`value`, the config section or gamma spec at dotted `path`, which must
-    be a JSON object; anything else is reported as
-    `fixedpoint: must be an object, got 5`."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object, got {value!r}")
-    return value
 
 
 def _number(value, path: str, kind=float):
@@ -103,27 +87,64 @@ def _number(value, path: str, kind=float):
     return number
 
 
-def _numbers(value, path: str, kind=float) -> tuple:
-    """A list entry at dotted `path`, converted item by item (`domain.lo[1]`)."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
+def _positive(value: float, path: str) -> float:
+    """`value`, the number at dotted `path`, which must be positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{path}: must be positive and finite, got {value!r}")
+    return value
 
 
-def _points(mc: dict, dim: int) -> list:
-    """`montecarlo.points`: a list of [x1[, x2], s] entries, dim + 1 numbers each."""
-    points = mc.get("points", [])
-    if not isinstance(points, list):
-        raise ConfigError(f"montecarlo.points: must be a list of points, got {points!r}")
-    for i, pt in enumerate(points):
-        if not (
-            isinstance(pt, list)
-            and len(pt) == dim + 1
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)
-        ):
-            form = "[x1, s]" if dim == 1 else "[x1, x2, s]"
-            raise ConfigError(f"montecarlo.points[{i}]: must be {dim + 1} numbers {form}, got {pt!r}")
-    return points
+_MISSING = object()
+
+
+class _Section:
+    """The JSON object at dotted path `where` of a config (the file itself
+    when `where` is empty).  Each entry read from it is reported by its own
+    dotted path, as in `grid.nt: missing`."""
+
+    def __init__(self, value, where: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'config file'}: must be an object, got {value!r}")
+        self.value, self.where = value, where
+
+    def path(self, key: str) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+    def get(self, key: str, kind=None, default=_MISSING):
+        """Entry `key`, or `default` when the key is absent (and required
+        when there is no default).  A present entry of kind float or int is
+        converted by `_number`; one of kind list or str must be one."""
+        if key not in self.value:
+            if default is _MISSING:
+                raise ConfigError(f"{self.path(key)}: missing")
+            return default
+        value = self.value[key]
+        if kind in (float, int):
+            return _number(value, self.path(key), kind)
+        if kind is not None and not isinstance(value, kind):
+            what = "a list" if kind is list else "a string"
+            raise ConfigError(f"{self.path(key)}: must be {what}, got {value!r}")
+        return value
+
+    def section(self, key: str, default=_MISSING) -> "_Section":
+        return _Section(self.get(key, default=default), self.path(key))
+
+    def numbers(self, key: str, kind=float) -> tuple:
+        """A list entry of numbers, converted item by item (`domain.lo[1]`)."""
+        value, path = self.get(key), self.path(key)
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+        return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
+
+
+@contextlib.contextmanager
+def _named(where: str):
+    """Report a fault that a constructor finds in the config entry at dotted
+    path `where` by that path, as in `coefficients: b must be 1x1`."""
+    try:
+        yield
+    except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError) as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 @dataclass
@@ -176,114 +197,90 @@ def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.
     return values
 
 
-def _sample_space_time(grid: Grid, entry) -> SpaceTimeField | None:
-    """The `data.source` entry on every level; none, or the number 0, is no source."""
-    if entry is None:
-        return None
-    e = _expr(entry, "data.source")
-    if isinstance(entry, (int, float)) and entry == 0:
-        return None
-    return SpaceTimeField(grid, np.stack([_sample_space(grid, e, "data.source", t) for t in grid.times()]))
-
-
-def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | None]:
-    """The terminal data and the source of a config's `data` section on `grid`."""
-    e = _expr(data.get("terminal", 0.0), "data.terminal")
+def _sample_data(grid: Grid, data: _Section) -> tuple[SpaceField, SpaceTimeField | None]:
+    """The terminal data and the source of a config's `data` section on
+    `grid`, the source on every level; none, or the number 0, is no source."""
+    e = _expr(data.get("terminal", default=0.0), "data.terminal")
     terminal = SpaceField(grid, _sample_space(grid, e, "data.terminal"))
-    return terminal, _sample_space_time(grid, data.get("source"))
+    entry = data.get("source", default=None)
+    e = None if entry is None else _expr(entry, "data.source")
+    if e is None or (isinstance(entry, (int, float)) and entry == 0):
+        return terminal, None
+    return terminal, SpaceTimeField(grid, np.stack([_sample_space(grid, e, "data.source", t) for t in grid.times()]))
 
 
-def _gamma_from_config(section, grid: Grid, base_dir: Path, where: str = "gamma"):
-    section = _object(section, where)
-
-    def get(key):
-        return _required(section, f"{where}.{key}")
-
-    def num(key):
-        return _number(get(key), f"{where}.{key}")
-
-    kind = get("type")
+def _gamma_from_config(spec: _Section, grid: Grid, base_dir: Path):
+    """The coupling that the gamma spec `spec` describes."""
+    kind = spec.get("type")
     if kind == "initial_value":
-        return InitialValue(weight=num("weight"))
+        return InitialValue(weight=spec.get("weight", float))
     if kind == "point_in_time":
-        return PointInTime(weight=num("weight"), t1=num("t1"))
+        return PointInTime(weight=spec.get("weight", float), t1=spec.get("t1", float))
     if kind == "two_point":
-        return TwoPoint(weight1=num("weight1"), t1=num("t1"), weight2=num("weight2"), t2=num("t2"))
+        w1, t1, w2, t2 = (spec.get(key, float) for key in ("weight1", "t1", "weight2", "t2"))
+        return TwoPoint(weight1=w1, t1=t1, weight2=w2, t2=t2)
     if kind == "time_kernel":
-        return TimeKernel(theta=num("theta"), kernel=get("kernel"))
+        return TimeKernel(theta=spec.get("theta", float), kernel=spec.get("kernel"))
     if kind == "space_time_kernel":
-        theta = num("theta")
-        csv_path = base_dir / get("csv")
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            kernel = kernel_from_csv(fh, grid, theta)
-        return SpaceTimeKernel(theta=theta, kernel=kernel)
+        theta = spec.get("theta", float)
+        with open(base_dir / spec.get("csv", str), "r", encoding="utf-8") as fh, _named(spec.path("csv")):
+            return SpaceTimeKernel(theta=theta, kernel=kernel_from_csv(fh, grid, theta))
     if kind == "convex":
-        parts = get("parts")
-        if not isinstance(parts, list):
-            raise ConfigError(f"{where}.parts: must be a list, got {parts!r}")
-        parts = tuple(_gamma_from_config(p, grid, base_dir, f"{where}.parts[{i}]") for i, p in enumerate(parts))
-        return Convex(weights=_numbers(get("weights"), f"{where}.weights"), parts=parts)
-    raise NonlocalValidationError(f"unknown gamma type '{kind}'")
+        parts = spec.get("parts", list)
+        where = spec.path("parts")
+        parts = tuple(_gamma_from_config(_Section(p, f"{where}[{i}]"), grid, base_dir) for i, p in enumerate(parts))
+        return Convex(weights=spec.numbers("weights"), parts=parts)
+    raise ConfigError(f"{spec.path('type')}: unknown gamma type '{kind}'")
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
-    raw = _object(raw, "config file")
-    dom = _object(_required(raw, "domain"), "domain")
-    lo, hi = (_numbers(_required(dom, f"domain.{k}"), f"domain.{k}") for k in ("lo", "hi"))
-    domain = Domain(lo=lo, hi=hi)
-    gs = _object(_required(raw, "grid"), "grid")
-    nx = _required(gs, "grid.nx")
-    nx = _numbers(nx, "grid.nx", int) if isinstance(nx, list) else _number(nx, "grid.nx", int)
-    nt = _number(_required(gs, "grid.nt"), "grid.nt", int)
-    grid = make_grid(domain, nx, nt, _number(_required(gs, "grid.T"), "grid.T"))
-    cs = _object(raw.get("coefficients", {}), "coefficients")
-    beta = cs.get("beta", [])
-    if not isinstance(beta, list):
-        raise ConfigError(f"coefficients.beta: must be a list, got {beta!r}")
-    f = cs.get("f")
-    coeffs = CoefficientSet.create(
-        dim=domain.dim,
-        b=_expr(cs.get("b", 1.0), "coefficients.b", 2),
-        f=None if f is None else _expr(f, "coefficients.f", 1),
-        lam=_expr(cs.get("lam", 0.0), "coefficients.lam"),
-        beta=_expr(beta, "coefficients.beta", 2),
-    )
-    gamma = None if raw.get("gamma") is None else _gamma_from_config(raw["gamma"], grid, base_dir)
-    terminal, source = _sample_data(grid, _object(raw.get("data", {}), "data"))
-    fp = _object(raw.get("fixedpoint", {}), "fixedpoint")
-    tol = _number(fp.get("tol", 1e-8), "fixedpoint.tol")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ConfigError(f"fixedpoint.tol: must be positive and finite, got {tol!r}")
-    max_iter = _number(fp.get("max_iter", 200), "fixedpoint.max_iter", int)
+    config = _Section(raw, "")
+    dom = config.section("domain")
+    with _named("domain"):
+        domain = Domain(lo=dom.numbers("lo"), hi=dom.numbers("hi"))
+    gs = config.section("grid")
+    nx = gs.numbers("nx", int) if isinstance(gs.get("nx"), list) else gs.get("nx", int)
+    with _named("grid"):
+        grid = make_grid(domain, nx, gs.get("nt", int), gs.get("T", float))
+    cs = config.section("coefficients", {})
+    beta = cs.get("beta", list, [])
+    f = cs.get("f", default=None)
+    with _named("coefficients"):
+        coeffs = CoefficientSet.create(
+            dim=domain.dim,
+            b=_expr(cs.get("b", default=1.0), "coefficients.b", 2),
+            f=None if f is None else _expr(f, "coefficients.f", 1),
+            lam=_expr(cs.get("lam", default=0.0), "coefficients.lam"),
+            beta=_expr(beta, "coefficients.beta", 2),
+        )
+    gamma = config.get("gamma", default=None)
+    if gamma is not None:
+        gamma = _gamma_from_config(config.section("gamma"), grid, base_dir)
+    terminal, source = _sample_data(grid, config.section("data", {}))
+    fp = config.section("fixedpoint", {})
+    tol = _positive(fp.get("tol", float, 1e-8), "fixedpoint.tol")
+    max_iter = fp.get("max_iter", int, 200)
     if max_iter < 1:
         raise ConfigError(f"fixedpoint.max_iter: must be at least 1, got {max_iter!r}")
-    mc = _object(raw.get("montecarlo", {}), "montecarlo")
-    seed = _number(mc.get("seed", 0), "montecarlo.seed", int) if seed_override is None else int(seed_override)
-    out_dir = _object(raw.get("output", {}), "output").get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output.dir: must be a string, got {out_dir!r}")
+    mc = config.section("montecarlo", {})
+    seed = mc.get("seed", int, 0) if seed_override is None else int(seed_override)
+    with _named("montecarlo"):
+        paths = PathConfig(dt_mc=mc.get("dt_mc", float, 1e-4), n_paths=mc.get("n_paths", int, 10000), seed=seed)
+    points = mc.get("points", list, [])
+    for i, pt in enumerate(points):
+        if not (isinstance(pt, list) and len(pt) == domain.dim + 1 and all(type(v) in (int, float) for v in pt)):
+            form = "[x1, s]" if domain.dim == 1 else "[x1, x2, s]"
+            raise ConfigError(f"montecarlo.points[{i}]: must be {domain.dim + 1} numbers {form}, got {pt!r}")
+    theta_gap = mc.get("theta_gap", float, None)
+    if theta_gap is not None:
+        _positive(theta_gap, "montecarlo.theta_gap")
+    out_dir = config.section("output", {}).get("dir", str, "out")
     outdir = Path(out_override) if out_override else base_dir / out_dir
     return RunConfig(
-        raw=raw,
-        domain=domain,
-        grid=grid,
-        coeffs=coeffs,
-        gamma=gamma,
-        terminal=terminal,
-        source=source,
-        tol=tol,
-        max_iter=max_iter,
-        mc=PathConfig(
-            dt_mc=_number(mc.get("dt_mc", 1e-4), "montecarlo.dt_mc"),
-            n_paths=_number(mc.get("n_paths", 10000), "montecarlo.n_paths", int),
-            seed=seed,
-        ),
-        points=_points(mc, domain.dim),
-        theta_gap=_number(mc["theta_gap"], "montecarlo.theta_gap") if "theta_gap" in mc else None,
-        outdir=outdir,
+        raw, domain, grid, coeffs, gamma, terminal, source, tol, max_iter, paths, points, theta_gap, outdir
     )
 
 
@@ -408,7 +405,7 @@ def cmd_converge(cfg: RunConfig, validation: dict) -> dict:
     ]
     sols = [solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal).u]
     for g in grids[1:]:
-        term, src = _sample_data(g, cfg.raw.get("data", {}))
+        term, src = _sample_data(g, _Section(cfg.raw.get("data", {}), "data"))
         sols.append(solve_terminal(g, cfg.coeffs, source=src, terminal=term).u)
 
     def restrict(values: np.ndarray, factor: int) -> np.ndarray:

@@ -218,14 +218,16 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
     """The ellipticity report and the envelope bounds from one pass over the
     samples; keyed on the values of the frozen coefficient set and grid.  A
     coefficient that is not finite at a sample is an issue of the report,
-    named with the first such (x, t)."""
+    named with the first such (x, t); so is the implicit step dt*A_h of the
+    backward solver, whose matrix entries are at most
+    1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
     pts, on_boundary, times = _samples(coeffs, grid)
     delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
     lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
     sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
-    non_finite: dict[str, tuple] = {}  # coefficient -> first (x, t) where it is not finite
+    non_finite: dict[str, tuple] = {}  # quantity -> first (x, t) where it is not finite
     # an overflow is reported as an issue below, not as a numpy warning
     with np.errstate(all="ignore"):
         for t in times:
@@ -233,7 +235,17 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
             bs = coeffs.beta_at(pts, t)  # (N, npts, n); the einsum of N = 0 is the zero matrix
             lam = coeffs.lam_at(pts, t)
             f = coeffs.f_at(pts, t)
-            for name, vals in (("b", b), ("f", f), ("lam", lam), ("beta", np.moveaxis(bs, 0, 1))):
+            step = np.abs(lam)
+            for a, h in enumerate(grid.hx):
+                step = step + 2 * np.abs(b[:, a, a]) / (h * h) + np.abs(f[:, a]) / h
+            quantities = (
+                ("coefficient b", b),
+                ("coefficient f", f),
+                ("coefficient lam", lam),
+                ("coefficient beta", np.moveaxis(bs, 0, 1)),
+                ("implicit step dt*A_h", grid.dt * step),
+            )
+            for name, vals in quantities:
                 bad = ~np.isfinite(vals.reshape(len(pts), -1)).all(axis=1)
                 if name not in non_finite and bad.any():
                     non_finite[name] = (tuple(float(c) for c in pts[np.argmax(bad)]), float(t))
@@ -250,7 +262,9 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
             lo, hi = _sym_eig_range(2.0 * b)
             delta_qv = min(delta_qv, float(np.min(lo)))
             c_beta = max(c_beta, float(np.max(hi)))
-    issues = [f"coefficient {name} is not finite at x = {x}, t = {t:.6g}" for name, (x, t) in non_finite.items()]
+    if len(non_finite) > 1:  # a coefficient that is not finite is the cause of a step that is not
+        non_finite.pop("implicit step dt*A_h", None)
+    issues = [f"{name} is not finite at x = {x}, t = {t:.6g}" for name, (x, t) in non_finite.items()]
     if not np.isfinite(delta):
         issues.append("ellipticity sampling produced non-finite values")
     if delta <= 0:

@@ -6,6 +6,7 @@ not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class Domain:
                 raise GridError("domain bounds must be finite")
             if not a < b:
                 raise GridError(f"degenerate domain: lo={a} >= hi={b}")
+            if not math.isfinite(b - a):
+                raise GridError(f"width hi - lo is not finite: lo={a}, hi={b}")
 
     @property
     def dim(self) -> int:
@@ -73,14 +76,20 @@ class Grid:
                 raise GridError(f"need at least 3 nodes per axis (2 boundary + 1 interior), got {n}")
         if self.nt < 1:
             raise GridError(f"nt must be >= 1, got {self.nt}")
-        if not self.T > 0:
-            raise GridError(f"time horizon must be positive, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise GridError(f"time horizon must be positive and finite, got {self.T}")
+        # a field of doubles on every node of every level must fit in one numpy array
+        if 8 * (self.nt + 1) * math.prod(self.nx) > np.iinfo(np.intp).max:
+            raise GridError("nx and nt ask for more nodes than a numpy array can hold")
         object.__setattr__(
             self,
             "hx",
             tuple(w / (n - 1) for w, n in zip(self.domain.widths, self.nx)),
         )
         object.__setattr__(self, "dt", self.T / self.nt)
+        for h in self.hx:
+            if h * h == math.inf:
+                raise GridError(f"grid step {h} is too wide: its square overflows")
 
     @property
     def dim(self) -> int:

@@ -41,6 +41,7 @@ BATCH_SIZE = 1 << 16
 NORMAL_SAMPLER = "numpy PCG64 standard_normal, counter-split batches of 65536"
 
 SERIES_TAIL_TOL = 1e-12
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest nu, so that sqrt(nu) < 1
 
 
 class MonteCarloError(ValueError):
@@ -375,7 +376,14 @@ class ConfinementBound:
 def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[float, int]:
     """P(Brownian motion from x0 stays in (lo, hi) up to time tau), by the
     odd-mode eigenfunction series, truncated once the tail bound drops below
-    SERIES_TAIL_TOL."""
+    SERIES_TAIL_TOL.
+
+    The series needs about 1/sqrt(c) terms, c = pi^2 tau / (2 L^2).  When the
+    reflection bound 1 - erfc(d_lo/sqrt(2 tau)) - erfc(d_hi/sqrt(2 tau)),
+    d_lo and d_hi the distances from x0 to the ends, already reaches
+    _BELOW_ONE, where `confinement_bound` clamps nu, that is returned with no
+    term summed.  A series still longer than about 3e4 terms (c < 1e-8, x0
+    near one end of a wide interval) raises MonteCarloError."""
     if not all(math.isfinite(v) for v in (lo, hi, x0, tau)):
         raise MonteCarloError(
             f"confinement interval, start point and time must be finite, got ({lo}, {hi}), {x0}, {tau}"
@@ -385,7 +393,14 @@ def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[
         raise MonteCarloError("confinement interval must contain the start point")
     if not tau > 0:
         raise MonteCarloError("confinement time must be positive")
-    c = math.pi**2 * tau / (2.0 * L**2)
+    spread = math.sqrt(2.0 * tau)
+    if 1.0 - math.erfc((x0 - lo) / spread) - math.erfc((hi - x0) / spread) >= _BELOW_ONE:
+        return _BELOW_ONE, 0
+    # L**2 under- or overflows for extreme L, dividing by L twice does not; within
+    # the range the expression is kept, so that every nu keeps its bits
+    c = math.pi**2 * tau / (2.0 * L**2) if 1e-150 < L < 1e150 else math.pi**2 / 2.0 * (tau / L) / L
+    if not c >= 1e-8:
+        raise MonteCarloError(f"confinement series on ({lo}, {hi}) from {x0} up to time {tau} is too long")
     z = math.pi * (x0 - lo) / L
     total = 0.0
     terms = 0
@@ -423,7 +438,7 @@ def confinement_bound(
     K2 = -d1 + theta_gap * env.sup_f1
     lo, hi = d1 + K1, d2 + K2
     nu, terms = _interval_confinement(lo, hi, 0.0, env.delta_qv * theta_gap)
-    nu = min(max(nu, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+    nu = min(max(nu, np.nextafter(0.0, 1.0)), _BELOW_ONE)
     return ConfinementBound(
         D1=(d1, d2),
         K1=K1,

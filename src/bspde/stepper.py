@@ -43,6 +43,7 @@ O(n w).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,10 @@ from .grid import Grid, SpaceField, SpaceTimeField, sup_norm
 
 class LinearSolveError(RuntimeError):
     pass
+
+
+class SolutionRangeError(LinearSolveError):
+    """A step from finite data overflowed: the data are too large for doubles."""
 
 
 @dataclass
@@ -154,15 +159,28 @@ class _System:
             raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info})")
 
     def residual(self, rhs: np.ndarray, x: np.ndarray) -> float:
-        """sup |rhs - M x| over a block of steps, one step per row."""
-        r = rhs.copy()
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: reported below
-            for entries, rows, cols in self._terms:
-                r[:, rows] -= entries * x[:, cols]
-        res = float(np.max(np.abs(r)))
+        """sup |rhs - M x| over a block of steps, one step per row.  Should
+        M x overflow, x being near the float range, it is computed again as
+        2**e sup |2**-e rhs - M 2**-e x| with sup |2**-e x| in [0.5, 1),
+        which is exact for normal doubles."""
+        res = self._sup_residual(rhs, x)
+        if not np.isfinite(res) and np.isfinite(x).all():
+            e = math.frexp(float(np.max(np.abs(x))))[1]
+            with np.errstate(over="ignore"):
+                res = float(np.ldexp(self._sup_residual(np.ldexp(rhs, -e), np.ldexp(x, -e)), e))
         if not np.isfinite(res):
+            if np.any(~np.isfinite(x).all(axis=1) & np.isfinite(rhs).all(axis=1)):
+                raise SolutionRangeError("a backward step from finite data overflows: the data are too large")
             raise LinearSolveError(f"banded linear solve failed (residual {res})")
         return res
+
+    def _sup_residual(self, rhs: np.ndarray, x: np.ndarray) -> float:
+        """sup |rhs - M x| as computed: inf or nan once M x overflows."""
+        r = rhs.copy()
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: reported by residual
+            for entries, rows, cols in self._terms:
+                r[:, rows] -= entries * x[:, cols]
+        return float(np.max(np.abs(r)))
 
 
 class _Store:

@@ -253,6 +253,72 @@ def test_a_container_of_the_wrong_type_names_its_path(tmp_path, capsys, override
 
 
 @pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"coefficients": {"b": [[0.1, 0.1]]}}, "coefficients: b must be 1x1"),
+        ({"coefficients": {"b": 0.1, "f": [0.0, 0.0]}}, "coefficients: f must have 1 components"),
+        ({"coefficients": {"b": 0.1, "beta": [[0.0, 0.0]]}}, "coefficients: each beta_i must have 1 components"),
+        ({"grid": {"nx": [41, 41], "nt": 50, "T": 1.0}}, "grid: nx must give one node count per axis"),
+        ({"domain": {"lo": [0.0, 0.0], "hi": [1.0]}}, "domain: lo and hi must have the same length"),
+        ({"grid": {"nx": [2], "nt": 50, "T": 1.0}}, "grid: need at least 3 nodes per axis (2 boundary + 1 interior), got 2"),
+        ({"montecarlo": {"n_paths": 5}}, "montecarlo: need at least 100 paths"),
+        ({"montecarlo": {"seed": -1}}, "montecarlo: seed must be a non-negative integer"),
+        ({"montecarlo": {"dt_mc": math.nan}}, "montecarlo: dt_mc must be positive"),
+        ({"grid": {"nx": [41], "nt": 50, "T": math.inf}}, "grid: time horizon must be positive and finite, got inf"),
+        ({"domain": {"lo": [-1e308], "hi": [1e308]}}, "domain: width hi - lo is not finite: lo=-1e+308, hi=1e+308"),
+        ({"grid": {"nx": [41], "nt": 1e308, "T": 1.0}}, "grid: nx and nt ask for more nodes than a numpy array can hold"),
+        ({"grid": {"nx": [1e308], "nt": 50, "T": 1.0}}, "grid: nx and nt ask for more nodes than a numpy array can hold"),
+        ({"domain": {"lo": [0.0], "hi": [1e308]}}, "grid: grid step 2.5e+306 is too wide: its square overflows"),
+        ({"montecarlo": {"theta_gap": math.inf}}, "montecarlo.theta_gap: must be positive and finite, got inf"),
+        ({"montecarlo": {"theta_gap": 0}}, "montecarlo.theta_gap: must be positive and finite, got 0.0"),
+        ({"gamma": {"type": "nope"}}, "gamma.type: unknown gamma type 'nope'"),
+        ({"gamma": {"type": "space_time_kernel", "theta": 0.5, "csv": 5}}, "gamma.csv: must be a string, got 5"),
+    ],
+)
+def test_a_constructor_or_range_fault_names_its_path(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.5\n")
+    part = {"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"}
+    gamma = {"type": "convex", "weights": [0.5, 0.5], "parts": [{"type": "initial_value", "weight": 0.5}, part]}
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [5], "nt": 4, "T": 1.0}, gamma=gamma)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration: gamma.parts[1].csv: kernel CSV line 3 has 2 fields, the header has 4" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"grid": {"nx": [41], "nt": 50, "T": 1e308}},
+        {"coefficients": {"b": 0.1, "f": [1e308]}},
+        {"domain": {"lo": [0.0], "hi": [1e-300]}, "data": {"terminal": 1.0}},
+    ],
+)
+def test_a_step_matrix_that_overflows_is_a_validation_failure(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    for command in ("validate", "cauchy"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "validation failed: implicit step dt*A_h is not finite at x = (0.0,), t = 0" in capsys.readouterr().err
+
+
+def test_data_too_large_for_the_solve_is_a_validation_failure(tmp_path, capsys):
+    # 2**1019 times the eigenmode: the solution fits, but M x (diagonal 65) overflows
+    data = {"terminal": f"{2.0**1019!r}*sin({PI}*x)"}
+    cfg = write_config(tmp_path / "c.json", gamma=None, coefficients={"b": 1.0}, data=data)
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o")["norms"]["sup_u"] == 2.0**1019
+    # the max-principle bound 1e308 + T*1e308 is beyond the range of doubles
+    cfg = write_config(tmp_path / "c.json", gamma=None, data={"terminal": 1e308, "source": 1e308})
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "validation failed: a backward step from finite data overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "coefficients,name",
     [
         ({"b": "exp(1000)"}, "b"),

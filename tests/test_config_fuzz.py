@@ -1,0 +1,126 @@
+"""Fuzz the config loader: one or two entries of a working config are deleted
+or replaced by awkward values, and `validate`, `cauchy` and `nubound` must
+then end with an exit code, never a traceback or a warning.  Every
+configuration fault names its dotted path or section."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+import signal
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bspde.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+POOL = (0, -1, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, "a", [], {})
+COMMANDS = ("validate", "cauchy", "nubound")
+# `invalid configuration: <dotted path>: ...` or `validation failed: ...`
+EXIT_1 = re.compile(r"bspde: (invalid configuration: [A-Za-z_0-9]+(\.[A-Za-z_0-9]+|\[\d+\])*: |validation failed: )")
+
+
+@pytest.fixture(scope="module")
+def bases(tmp_path_factory):
+    """Name -> directory holding config.json: the shipped config and the
+    three workloads."""
+    out = {"shipped": tmp_path_factory.mktemp("shipped")}
+    (out["shipped"] / "config.json").write_text((ROOT / "configs" / "eigenmode.json").read_text())
+    for name in workloads.COMMANDS:
+        out[name] = tmp_path_factory.mktemp(name)
+        workloads.generate(name, 101, out[name], ROOT)
+    return out
+
+
+def _entries(node, path=()):
+    """The path (a tuple of keys and indices) of every entry below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _entries(value, path + (key,))
+
+
+def _mutate(config, path, value):
+    """Delete the entry at `path` (value is None) or set it to `value`."""
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(value)
+
+
+MUTATIONS = st.lists(st.tuples(st.integers(0, 1 << 16), st.none() | st.sampled_from(POOL)), min_size=1, max_size=2)
+
+
+@settings(
+    max_examples=80,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(base=st.sampled_from(["shipped", *workloads.COMMANDS]), mutations=MUTATIONS)
+def test_a_mutated_config_ends_with_an_exit_code(bases, base, mutations):
+    d = bases[base]
+    config = json.loads((d / "config.json").read_text())
+    for pick, value in mutations:
+        paths = list(_entries(config))
+        if paths:
+            _mutate(config, paths[pick % len(paths)], value)
+    path = d / "mutated.json"
+    path.write_text(json.dumps(config))
+    for command in COMMANDS:
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--out", str(d / "out")])
+        assert code in (0, 1, 2, 3), (command, config)
+        if code == 1:
+            assert EXIT_1.match(err.getvalue()), (command, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "base,path,value,message",
+    [
+        ("shipped", ("coefficients", "b", 0, 0), 1e-15, ""),
+        ("shipped", ("coefficients", "b", 0, 0), 1e-17, ""),
+        ("grid-2d", ("coefficients", "b"), 1e-300, ""),
+        ("shipped", ("grid", "T"), 1e-300, ""),
+        # h**2 underflows and |f|/h overflows: the backward step cannot be formed
+        ("shipped", ("domain", "hi", 0), 1e-300, "validation failed: implicit step dt*A_h is not finite"),
+        ("grid-2d", ("coefficients", "f", 0), 1e308, "validation failed: implicit step dt*A_h is not finite"),
+    ],
+)
+def test_a_tiny_or_huge_confinement_input_is_validated_within_a_second(bases, capsys, base, path, value, message):
+    # the odd-mode series of the confinement bound needs about 1/sqrt(c) terms
+    d = bases[base]
+    config = json.loads((d / "config.json").read_text())
+    _mutate(config, path, value)
+    (d / "mutated.json").write_text(json.dumps(config))
+
+    def overtime(signum, frame):
+        pytest.fail("validate took over a second")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["validate", "--config", str(d / "mutated.json"), "--out", str(d / "out")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == (1 if message else 0)
+    assert message in capsys.readouterr().err

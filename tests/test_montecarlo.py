@@ -76,6 +76,29 @@ def test_interval_confinement_rejects_non_finite_inputs(lo, hi, x0, tau):
         _interval_confinement(lo, hi, x0, tau)
 
 
+@pytest.mark.parametrize("tau", [1e-3, 1e-300])
+def test_a_short_confinement_time_gives_the_clamp_without_summing(tau):
+    # 1 - 2 erfc(1/sqrt(2 tau)) is already the largest double below 1
+    assert _interval_confinement(-1.0, 1.0, 0.0, tau) == (float(np.nextafter(1.0, 0.0)), 0)
+
+
+@pytest.mark.parametrize("lo,hi,x0", [(-1.0, 1e200, -0.5), (-1.0, 1e5, -0.5)])
+def test_a_confinement_series_too_long_to_sum_raises(lo, hi, x0):
+    with pytest.raises(MonteCarloError, match="too long"):
+        _interval_confinement(lo, hi, x0, 0.2)
+
+
+@pytest.mark.parametrize(
+    "hi,f,nu",
+    [(1e-300, 0.0, float(np.nextafter(0.0, 1.0))), (1.0, 1e308, float(np.nextafter(1.0, 0.0)))],
+)
+def test_confinement_bound_of_an_extreme_interval(hi, f, nu):
+    # the widened interval is 2e-300 long (L**2 underflows), or 2e308 (L overflows)
+    dom = Domain((0.0,), (hi,))
+    g = make_grid(dom, 11, 10, 1.0)
+    assert confinement_bound(dom, CoefficientSet.create(1, b=0.1, f=f), g, 1.0).nu == nu
+
+
 def test_confinement_bound_reference_case():
     dom, g, coeffs, _ = heat_setup()
     nb = confinement_bound(dom, coeffs, g, 1.0)
