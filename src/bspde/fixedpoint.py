@@ -1,17 +1,19 @@
 """Picard iteration on the terminal value for the non-local problem, plus a
 dense direct solve used as a desk-scale oracle.
 
-The terminal condition u(.,T) = terminal_rhs + (non-local functional of u) is
-solved by iterating Phi <- terminal_rhs + G(source response + terminal
-response of Phi), where G is the validated non-local map.  Because G is a
-discrete contraction composed with a max-principle-bounded solve, the
-iteration converges geometrically; the direct route assembles the matrix of
-Phi -> G(terminal response of Phi) column by column and inverts I minus it.
+The terminal condition u(.,T) = terminal_rhs + (non-local functional of u)
+is the affine fixed point Phi = r + Q Phi of the terminal map, where
+r = terminal_rhs + G(source response), Q Phi = G(terminal response of Phi)
+and G is the validated non-local map.  Picard iterates the map, the feedback
+matrix is Q applied to each basis field, and the direct solve solves
+(I - Q) Phi = r with it; all three evaluate the map through `_TerminalMap`.
+Because G is a discrete contraction composed with a max-principle-bounded
+solve, the iteration converges geometrically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +41,7 @@ class FixedPointReport:
     bc_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residuals": list(self.residuals),
-            "ratios": list(self.ratios),
-            "converged": self.converged,
-            "bc_residual": self.bc_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -55,32 +51,45 @@ class NonlocalSolution:
     report: FixedPointReport
 
 
-def _solution(
-    grid: Grid,
-    coeffs,
-    compiled,
-    u_src: SpaceTimeField | None,
-    terminal_rhs: SpaceField,
-    phi: np.ndarray,
-    residuals=(),
-    ratios=(),
-    converged: bool = True,
-) -> NonlocalSolution:
-    """The solution for terminal value phi: its terminal response plus the
-    source response u_src, with the boundary-condition residual recomputed
-    independently of how phi was found."""
-    terminal_field = SpaceField(grid, phi)
-    u_term = terminal_response(grid, coeffs, terminal_field)
-    u = u_term if u_src is None else SpaceTimeField(grid, u_src.values + u_term.values)
-    r = u.values[-1] - compiled.apply(u).values - terminal_rhs.values
-    report = FixedPointReport(
-        iterations=len(residuals),
-        residuals=tuple(residuals),
-        ratios=tuple(ratios),
-        converged=converged,
-        bc_residual=float(np.max(np.abs(r))) if r.size else 0.0,
-    )
-    return NonlocalSolution(u=u, terminal=terminal_field, report=report)
+class _TerminalMap:
+    """The affine terminal map Phi -> r + Q Phi on interior values.  The
+    coupling is compiled and the source response swept once; `q` is the only
+    place that applies Q.  Without source and terminal_rhs, r is zero."""
+
+    def __init__(
+        self,
+        grid: Grid,
+        coeffs,
+        spec: NonlocalSpec,
+        source: SpaceTimeField | None = None,
+        terminal_rhs: SpaceField | None = None,
+    ):
+        self.grid, self.coeffs, self.compiled = grid, coeffs, _compile(spec, grid)
+        zeros = np.zeros(grid.interior_shape)
+        self.u_src = source_response(grid, coeffs, source) if source is not None else None
+        self.terminal_rhs = terminal_rhs.values if terminal_rhs is not None else zeros
+        self.r = self.terminal_rhs + (self.compiled.apply(self.u_src).values if source is not None else zeros)
+
+    def q(self, phi: np.ndarray) -> np.ndarray:
+        """Q phi: one terminal sweep from phi, then one coupling application."""
+        return self.compiled.apply(terminal_response(self.grid, self.coeffs, SpaceField(self.grid, phi))).values
+
+    def solution(self, phi: np.ndarray, residuals=(), ratios=(), converged: bool = True) -> NonlocalSolution:
+        """The solution for terminal value phi: its terminal response plus the
+        source response, with the boundary-condition residual recomputed
+        independently of how phi was found."""
+        terminal_field = SpaceField(self.grid, phi)
+        u_term = terminal_response(self.grid, self.coeffs, terminal_field)
+        u = u_term if self.u_src is None else SpaceTimeField(self.grid, self.u_src.values + u_term.values)
+        bc = u.values[-1] - self.compiled.apply(u).values - self.terminal_rhs
+        report = FixedPointReport(
+            iterations=len(residuals),
+            residuals=tuple(residuals),
+            ratios=tuple(ratios),
+            converged=converged,
+            bc_residual=float(np.max(np.abs(bc))) if bc.size else 0.0,
+        )
+        return NonlocalSolution(u=u, terminal=terminal_field, report=report)
 
 
 def solve_nonlocal(
@@ -106,19 +115,14 @@ def solve_nonlocal(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    compiled = _compile(spec, grid)
-    u_src = source_response(grid, coeffs, source) if source is not None else None
-    src_term = (
-        compiled.apply(u_src).values if u_src is not None else np.zeros(grid.interior_shape)
-    )
+    fmap = _TerminalMap(grid, coeffs, spec, source, terminal_rhs)
 
     phi = terminal_rhs.values
     residuals: list[float] = []
     ratios: list[float] = []
     converged = False
     for m in range(1, max_iter + 1):
-        u_term = terminal_response(grid, coeffs, SpaceField(grid, phi))
-        phi_new = terminal_rhs.values + src_term + compiled.apply(u_term).values
+        phi_new = fmap.r + fmap.q(phi)
         res = float(np.max(np.abs(phi_new - phi)))
         residuals.append(res)
         if m >= 2 and residuals[-2] > 0:
@@ -136,7 +140,7 @@ def solve_nonlocal(
             converged = True
             break
 
-    return _solution(grid, coeffs, compiled, u_src, terminal_rhs, phi, residuals, ratios, converged)
+    return fmap.solution(phi, residuals, ratios, converged)
 
 
 @dataclass
@@ -148,21 +152,20 @@ class FeedbackMatrix:
 
 
 def assemble_feedback_matrix(grid: Grid, coeffs, spec: NonlocalSpec) -> FeedbackMatrix:
-    """Column j is the operator applied to the j-th canonical basis field.
+    """Column j is Q applied to the j-th canonical basis field.
 
     Refuses grids with more than DENSE_CAP interior nodes; the matrix is dense.
     """
     n = grid.n_interior
     if n > DENSE_CAP:
         raise GridError(f"{n} interior nodes exceed the dense-matrix cap {DENSE_CAP}")
-    compiled = _compile(spec, grid)
+    fmap = _TerminalMap(grid, coeffs, spec)
     Q = np.empty((n, n))
     basis = np.zeros(grid.interior_shape)
     flat = basis.ravel()
     for j in range(n):
         flat[j] = 1.0
-        u = terminal_response(grid, coeffs, SpaceField(grid, basis.copy()))
-        Q[:, j] = compiled.apply(u).values.ravel()
+        Q[:, j] = fmap.q(basis).ravel()  # the sweep copies basis into its own levels
         flat[j] = 0.0
     return FeedbackMatrix(matrix=Q, sup_norm=float(np.max(np.sum(np.abs(Q), axis=1))))
 
@@ -174,20 +177,15 @@ def solve_nonlocal_direct(
     terminal_rhs: SpaceField,
     spec: NonlocalSpec,
 ) -> NonlocalSolution:
-    """Solve (I - feedback matrix) Phi = terminal_rhs + nonlocal(source response)
-    by dense elimination; the oracle counterpart of solve_nonlocal."""
-    compiled = _compile(spec, grid)
+    """Solve (I - Q) Phi = r of the terminal map by dense elimination on the
+    feedback matrix Q; the oracle counterpart of solve_nonlocal."""
+    fmap = _TerminalMap(grid, coeffs, spec, source, terminal_rhs)
     fm = assemble_feedback_matrix(grid, coeffs, spec)
-    rhs = terminal_rhs.values.ravel().copy()
-    u_src = source_response(grid, coeffs, source) if source is not None else None
-    if u_src is not None:
-        rhs += compiled.apply(u_src).values.ravel()
-    n = grid.n_interior
     try:
-        phi = np.linalg.solve(np.eye(n) - fm.matrix, rhs)
+        phi = np.linalg.solve(np.eye(grid.n_interior) - fm.matrix, fmap.r.ravel())
     except np.linalg.LinAlgError as e:
         raise RuntimeError(
             f"I minus the feedback matrix is numerically singular (its sup norm is "
             f"{fm.sup_norm:.6g}, so an operator with norm >= 1 slipped through validation)"
         ) from e
-    return _solution(grid, coeffs, compiled, u_src, terminal_rhs, phi.reshape(grid.interior_shape))
+    return fmap.solution(phi.reshape(grid.interior_shape))

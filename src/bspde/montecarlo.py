@@ -22,7 +22,7 @@ estimates do not depend on which other points run alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,9 @@ class PathConfig:
             raise MonteCarloError("dt_mc must be positive")
         if self.n_paths < 100:
             raise MonteCarloError("need at least 100 paths")
+        # a row of doubles, one per path, must fit in one numpy array
+        if 8 * self.n_paths > np.iinfo(np.intp).max:
+            raise MonteCarloError("n_paths asks for more paths than a numpy array can hold")
         if int(self.seed) != self.seed or self.seed < 0:
             raise MonteCarloError("seed must be a non-negative integer")
 
@@ -123,6 +126,8 @@ def _checked_start(
         raise MonteCarloError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
     if not 0.0 <= s <= horizon:
         raise MonteCarloError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
+    if (horizon - s) / cfg.dt_mc > np.iinfo(np.intp).max:
+        raise MonteCarloError(f"dt_mc = {cfg.dt_mc} asks for more path steps to the horizon than numpy can index")
     return x, s
 
 
@@ -360,17 +365,7 @@ class ConfinementBound:
         return math.sqrt(self.nu)
 
     def to_dict(self) -> dict:
-        return {
-            "D1": list(self.D1),
-            "K1": self.K1,
-            "K2": self.K2,
-            "Dhat1": list(self.Dhat1),
-            "delta_qv": self.delta_qv,
-            "theta_gap": self.theta_gap,
-            "nu": self.nu,
-            "sqrt_nu": self.sqrt_nu,
-            "terms_used": self.terms_used,
-        }
+        return {**asdict(self), "sqrt_nu": self.sqrt_nu}
 
 
 def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[float, int]:

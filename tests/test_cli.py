@@ -273,6 +273,7 @@ def test_a_container_of_the_wrong_type_names_its_path(tmp_path, capsys, override
         ({"montecarlo": {"theta_gap": 0}}, "montecarlo.theta_gap: must be positive and finite, got 0.0"),
         ({"gamma": {"type": "nope"}}, "gamma.type: unknown gamma type 'nope'"),
         ({"gamma": {"type": "space_time_kernel", "theta": 0.5, "csv": 5}}, "gamma.csv: must be a string, got 5"),
+        ({"montecarlo": {"n_paths": 1e308}}, "montecarlo: n_paths asks for more paths than a numpy array can hold"),
     ],
 )
 def test_a_constructor_or_range_fault_names_its_path(tmp_path, capsys, overrides, message):
@@ -477,12 +478,16 @@ def test_malformed_mc_points_are_a_validation_failure(tmp_path, capsys, points, 
         ([math.nan, 0.0], "start point (nan,) must lie strictly inside the domain"),
         ([0.5, 1.2], "s = 1.2 is beyond the horizon T = 1.0"),
         ([0.5, math.nan], "need 0 <= s <= horizon, got s=nan"),
+        ({"dt_mc": 1e-300}, "dt_mc = 1e-300 asks for more path steps to the horizon than numpy can index"),
     ],
 )
 def test_bad_mc_start_point_is_a_validation_failure(tmp_path, capsys, point, message):
     # checked before the solution is interpolated there (which would warn or
-    # fail with a grid error); warnings are errors under pytest
-    cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": [point]})
+    # fail with a grid error); warnings are errors under pytest.  A dict row
+    # keeps the point [0.5, 0.0] and overrides other montecarlo entries.
+    mc = {"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": [[0.5, 0.0]]}
+    mc.update(point if isinstance(point, dict) else {"points": [point]})
+    cfg = write_config(tmp_path / "c.json", montecarlo=mc)
     assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"validation failed: {message}" in capsys.readouterr().err
 

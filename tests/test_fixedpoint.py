@@ -189,16 +189,28 @@ def test_solution_bound_battery(small_grid):
         assert sup_norm(sol.u) <= C * (src_sup + sup_norm(xi)) + 1e-12
 
 
-def test_picard_matches_direct_2d():
+@pytest.mark.parametrize("with_source", [False, True], ids=["no-source", "source"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        CoefficientSet.create(2, b=[[0.2, 0.05], [0.05, 0.3]], f=[0.3, -0.2], lam=-0.1),
+        CoefficientSet.create(
+            2, b=[["0.2 + 0.1*t", 0.05], [0.05, "0.3 - 0.1*t"]], f=["0.3*cos(t)", "0.1*t - 0.2"], lam="-0.1*(1 + t)"
+        ),
+    ],
+    ids=["constant", "t-dependent"],
+)
+def test_picard_matches_direct_2d(coeffs, with_source):
     rng = np.random.default_rng(200)
     g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (7, 8), 12, 1.0)
-    coeffs = CoefficientSet.create(2, b=[[0.2, 0.05], [0.05, 0.3]], f=[0.3, -0.2], lam=-0.1)
     xi = random_field(rng, g)
+    src = random_st_field(rng, g) if with_source else None
     spec = PointInTime(0.6, 0.5)
-    a = solve_nonlocal(g, coeffs, None, xi, spec, tol=1e-11)
-    b = solve_nonlocal_direct(g, coeffs, None, xi, spec)
+    a = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-11)
+    b = solve_nonlocal_direct(g, coeffs, src, xi, spec)
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-8
     assert a.report.bc_residual <= 1e-10
+    assert b.report.bc_residual <= 1e-12
 
 
 def test_geometric_series_2d_product_eigenmode():
