@@ -26,7 +26,7 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
-from .exprdsl import EvalError, Expr, ExprError
+from .exprdsl import EvalError, Expr, ExprError, free_variables
 from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
 from .montecarlo import CauchyProblem, MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
@@ -178,6 +178,32 @@ def _expr(value, path: str, depth: int = 0):
         raise ConfigError(f"{path}: {e}") from None
 
 
+def _time_kernel(value, path: str):
+    """The time kernel at dotted `path`: a number or an expression in t, as
+    an Expr, or a list of [t, value] pairs of numbers."""
+    if not isinstance(value, list):
+        e = _expr(value, path)
+        unbound = sorted(free_variables(e) - {"t"})
+        if unbound:
+            raise ConfigError(f"{path}: unbound identifier '{unbound[0]}'")
+        return e
+    pairs = "a sampled time kernel must be a sequence of (time, value) pairs"
+    if not value:
+        raise ConfigError(f"{path}: {pairs}, got []")
+    samples = []
+    for i, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{path}[{i}]: {pairs}, got {pair!r}")
+        try:
+            t, k = (_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(pair))
+        except ConfigError as e:
+            raise ConfigError(f"{e} ({pairs})") from None
+        if not math.isfinite(t):
+            raise ConfigError(f"{path}[{i}][0]: a sample time must be finite, got {t!r}")
+        samples.append((t, k))
+    return samples
+
+
 def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.ndarray:
     """Evaluate the expression at dotted `path`, of x[,x2] (and t, when
     given), on the interior nodes."""
@@ -220,7 +246,8 @@ def _gamma_from_config(spec: _Section, grid: Grid, base_dir: Path):
         w1, t1, w2, t2 = (spec.get(key, float) for key in ("weight1", "t1", "weight2", "t2"))
         return TwoPoint(weight1=w1, t1=t1, weight2=w2, t2=t2)
     if kind == "time_kernel":
-        return TimeKernel(theta=spec.get("theta", float), kernel=spec.get("kernel"))
+        theta = spec.get("theta", float)
+        return TimeKernel(theta=theta, kernel=_time_kernel(spec.get("kernel"), spec.path("kernel")))
     if kind == "space_time_kernel":
         theta = spec.get("theta", float)
         with open(base_dir / spec.get("csv", str), "r", encoding="utf-8") as fh, _named(spec.path("csv")):

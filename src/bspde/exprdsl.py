@@ -11,7 +11,10 @@ Grammar (whitespace-insensitive):
 Unary functions: sin cos exp sqrt tanh abs; binary: min max.
 Evaluation is pure and works elementwise on numpy arrays bound in the
 environment; domain errors (division by zero, sqrt of a negative, fractional
-power of a negative base) raise instead of producing NaN.
+power of a negative base) raise instead of producing NaN.  `^` follows
+numpy on scalars as on arrays: a zero base with a negative exponent, or a
+power beyond the range of doubles, is inf (with numpy's warning), which
+callers report as a non-finite value.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ class BinOp(Expr):
         a_arr, b_arr = np.asarray(a), np.asarray(b)
         if np.any((a_arr < 0) & (b_arr != np.round(b_arr))):
             raise EvalError("negative base with non-integer exponent")
-        return a**b
+        # a numpy scalar as the base, so that 0^-1 and 10^400 are inf on scalars
+        # as on arrays, where a Python float raises
+        return (np.float64(a) if a_arr.ndim == 0 else a) ** b
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"

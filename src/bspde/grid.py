@@ -2,6 +2,9 @@
 
 Fields store interior nodes only: the homogeneous Dirichlet wall is structural,
 not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
+Between nodes a field is multilinear and zero on the wall: `Interpolant` is
+the one implementation of that rule, read by the path estimator (terminal
+data, source, grid solution) and by `refine`.
 """
 
 from __future__ import annotations
@@ -240,19 +243,40 @@ def weighted_l2_norm(f: SpaceField) -> float:
     return float(np.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
 
 
-def _interp_matrix_1d(n_coarse: int, factor: int) -> np.ndarray:
-    """Linear interpolation weights from a coarse axis (n_coarse nodes, boundary
-    included, boundary values zero) onto the refined axis' interior nodes."""
-    n_fine = (n_coarse - 1) * factor + 1
-    w = np.zeros((n_fine - 2, n_coarse - 2))
-    for j in range(1, n_fine - 1):
-        pos = j / factor  # coarse-index coordinate
-        i0 = int(np.floor(pos))
-        frac = pos - i0
-        for i, wt in ((i0, 1.0 - frac), (i0 + 1, frac)):
-            if wt != 0.0 and 1 <= i <= n_coarse - 2:
-                w[j - 1, i - 1] += wt
-    return w
+class Interpolant:
+    """Multilinear interpolation on `grid`, zero on the wall, of each level of
+    a stack of fields of shape (n_levels, *interior_shape); a space field is
+    a one-level stack.  A point outside the box reads the nearest edge."""
+
+    def __init__(self, grid: Grid, levels: np.ndarray):
+        self.grid = grid
+        self.full = np.zeros((levels.shape[0],) + grid.nx)
+        self.full[(slice(None),) + (slice(1, -1),) * grid.dim] = levels
+
+    def __call__(self, pts: np.ndarray, level: int = 0) -> np.ndarray:
+        """Level `level` at the positions pts, shape (n, dim)."""
+        g = self.grid
+        return self.at_nodes([(pts[:, a] - g.domain.lo[a]) / g.hx[a] for a in range(g.dim)], level)
+
+    def at_nodes(self, coords, level: int = 0) -> np.ndarray:
+        """Level `level` at node-index coordinates (node i of an axis at i),
+        one array per axis; the 2**dim corners of a cell are summed with the
+        first axis varying fastest."""
+        full = self.full[level]
+        nodes, weights = [], []
+        for n, u in zip(self.grid.nx, coords):
+            c = np.clip(np.floor(u).astype(int), 0, n - 2)
+            f = np.clip(u - c, 0.0, 1.0)
+            nodes.append((c, c + 1))
+            weights.append((1 - f, f))
+        total = None
+        for corner in range(1 << len(coords)):
+            sides = [(corner >> a) & 1 for a in range(len(coords))]
+            term = full[tuple(i[s] for i, s in zip(nodes, sides))]
+            for w, s in zip(weights, sides):
+                term = term * w[s]
+            total = term if total is None else total + term
+        return total
 
 
 def refine(f: SpaceTimeField, factor: int) -> SpaceTimeField:
@@ -269,15 +293,13 @@ def refine(f: SpaceTimeField, factor: int) -> SpaceTimeField:
         g.nt * factor,
         g.T,
     )
-    mats = [_interp_matrix_1d(g.nx[a], factor) for a in range(g.dim)]
+    # fine node j of an axis sits at coarse coordinate j / factor, exactly
+    coords = np.meshgrid(*[np.arange(1, n - 1) / factor for n in fine.nx], indexing="ij")
+    interp = Interpolant(g, f.values)
 
     out = np.empty((fine.nt + 1,) + fine.interior_shape)
     # Spatial interpolation of the stored coarse levels, then linear in time.
-    coarse_in_space = []
-    for k in range(f.n_levels):
-        v = f.values[k]
-        v = mats[0] @ v if g.dim == 1 else mats[0] @ v @ mats[1].T
-        coarse_in_space.append(v)
+    coarse_in_space = [interp.at_nodes(coords, k) for k in range(f.n_levels)]
     n_fine_levels = (f.n_levels - 1) * factor + 1
     for j in range(n_fine_levels):
         k0, r = divmod(j, factor)

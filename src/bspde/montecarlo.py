@@ -16,7 +16,14 @@ and that block is shared by every point still running at the step.  A batch
 stops drawing once all of its paths have exited, and its stream is never read
 after that.  Each point's paths therefore see exactly the draws a run of that
 point alone would see, so the layout named by NORMAL_SAMPLER is unchanged and
-estimates do not depend on which other points run alongside.
+estimates do not depend on which other points run alongside.  A run whose
+total work, points x n_paths x steps, exceeds MAX_PATH_STEPS is rejected
+before anything is allocated.
+
+Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
+on the wall): the terminal data at a path's end, the source at each step
+from the level at or before the step's time, and the grid solution at each
+comparison point.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, DiffusionDecomposition, bounds, decompose
-from .grid import Domain, Grid, SpaceField, SpaceTimeField, sup_norm
+from .grid import Domain, Grid, Interpolant, SpaceField, SpaceTimeField, sup_norm
 from .stepper import solve_terminal
 
 # Discount convention: with the zeroth-order term lam*u inside the spatial
@@ -39,6 +46,11 @@ LAMBDA_DISCOUNT_SIGN = 1.0
 
 BATCH_SIZE = 1 << 16
 NORMAL_SAMPLER = "numpy PCG64 standard_normal, counter-split batches of 65536"
+
+# Total work of one run, in path steps (points x n_paths x steps to the
+# horizon), checked before anything is allocated: 20 times the 5e9 of the
+# largest run in the test suite (5 points, 1e5 paths, 1e4 steps).
+MAX_PATH_STEPS = 10**11
 
 SERIES_TAIL_TOL = 1e-12
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest nu, so that sqrt(nu) < 1
@@ -74,39 +86,6 @@ class McEstimate:
     stderr: float
     n_paths: int
     n_exited: int
-
-
-class _FieldInterp:
-    """Multilinear spatial interpolation with the zero wall padded in, on a
-    stack of time levels, piecewise-constant to the left in time; a space
-    field is a one-level stack."""
-
-    def __init__(self, grid: Grid, levels: np.ndarray):
-        self.grid = grid
-        full = np.zeros((levels.shape[0],) + tuple(grid.nx))
-        full[(slice(None),) + tuple(slice(1, -1) for _ in range(grid.dim))] = levels
-        self.full = full
-
-    def __call__(self, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
-        g = self.grid
-        full = self.full[min(int(np.floor(t / g.dt + 1e-9)), self.full.shape[0] - 1)]
-        idx = []
-        frac = []
-        for a in range(g.dim):
-            u = (pts[:, a] - g.domain.lo[a]) / g.hx[a]
-            c = np.clip(np.floor(u).astype(int), 0, g.nx[a] - 2)
-            idx.append(c)
-            frac.append(np.clip(u - c, 0.0, 1.0))
-        if g.dim == 1:
-            c, f = idx[0], frac[0]
-            return full[c] * (1 - f) + full[c + 1] * f
-        c1, c2, f1, f2 = idx[0], idx[1], frac[0], frac[1]
-        return (
-            full[c1, c2] * (1 - f1) * (1 - f2)
-            + full[c1 + 1, c2] * f1 * (1 - f2)
-            + full[c1, c2 + 1] * (1 - f1) * f2
-            + full[c1 + 1, c2 + 1] * f1 * f2
-        )
 
 
 def _checked_start(
@@ -198,6 +177,21 @@ def _simulate(
     exited, and until then carried along with its updates masked out of
     every output.  A batch stops drawing once none of its paths is left.
     """
+    n = cfg.n_paths
+    by_time: dict[float, list[int]] = {}
+    for p, (_, s) in enumerate(starts):
+        by_time.setdefault(s, []).append(p)
+    groups = [
+        (s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12))), pids) for s, pids in by_time.items()
+    ]
+    max_steps = max((g[1] for g in groups), default=0)
+    path_steps = n * sum(n_steps * len(pids) for _, n_steps, pids in groups)
+    if path_steps > MAX_PATH_STEPS:
+        raise MonteCarloError(
+            f"{len(starts)} montecarlo.points x montecarlo.n_paths = {n} x up to {max_steps} steps of "
+            f"montecarlo.dt_mc = {cfg.dt_mc} ask for {path_steps:.3g} path steps, "
+            f"more than the limit of {MAX_PATH_STEPS:.0e}"
+        )
     grid = dec.grid
     coeffs = dec.coeffs
     lo = np.asarray(grid.domain.lo)
@@ -212,19 +206,11 @@ def _simulate(
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else None
         btilde_c = dec.columns_at(x0, 0.0)[0]  # (dim, M)
     discount = not coeffs.lam_is_zero
-    term_interp = _FieldInterp(grid, terminal.values[None]) if terminal is not None else None
-    src_interp = _FieldInterp(grid, source.values) if source is not None else None
+    term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
+    src_interp = Interpolant(grid, source.values) if source is not None else None
 
-    n = cfg.n_paths
     values = np.zeros((len(starts), n))
     alive = np.zeros((len(starts), n), dtype=bool)
-    by_time: dict[float, list[int]] = {}
-    for p, (_, s) in enumerate(starts):
-        by_time.setdefault(s, []).append(p)
-    groups = [
-        (s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12))), pids) for s, pids in by_time.items()
-    ]
-    max_steps = max((g[1] for g in groups), default=0)
     for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
         base = bi * BATCH_SIZE
         nb = min(BATCH_SIZE, n - base)
@@ -248,7 +234,8 @@ def _simulate(
                 y = lp.y
                 y_eval = y if const else np.clip(y, lo, hi)
                 if src_interp is not None:
-                    inc = src_interp(y_eval, t)
+                    level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
+                    inc = src_interp(y_eval, level)
                     if discount:
                         inc *= np.exp(lp.gam)
                     inc *= dt_eff
@@ -476,9 +463,10 @@ def compare_mc_pde(
     cfg: PathConfig,
     mc_coeffs: CoefficientSet | None = None,
 ) -> list[ComparisonRow]:
-    """Check every (x..., s) sample point, backward-solve the problem once,
-    then for each point compare the interpolated grid solution against the
-    path estimate.
+    """Check every (x..., s) sample point, run the paths from all of them,
+    backward-solve the problem once, then for each point compare the grid
+    solution, interpolated at x on the level nearest s, against the path
+    estimate.
 
     A row is flagged when |pde - mc| > 3*stderr + 0.02*scale with scale the
     sup norm of the grid solution.  mc_coeffs substitutes a different
@@ -492,14 +480,14 @@ def compare_mc_pde(
         x, s = pt[: grid.dim], pt[grid.dim]
         starts.append(_checked_start(dec, x, s, grid.T, cfg))
         pts.append((x, s))
+    values, alive = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
     u = solve_terminal(grid, problem.coeffs, source=problem.source, terminal=problem.terminal).u
     scale = sup_norm(u)
-    interp = _FieldInterp(grid, u.values)
-    values, alive = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
+    interp = Interpolant(grid, u.values)
     rows = []
     for (x, s), v, a in zip(pts, values, alive):
         lvl, _ = grid.nearest_level(s)
-        pde_val = float(interp(np.asarray([x]), lvl * grid.dt + 1e-12 * grid.dt)[0])
+        pde_val = float(interp(np.asarray([x]), lvl)[0])
         est = _estimate(v, a, cfg)
         diff = abs(pde_val - est.mean)
         z = 0.0 if diff == 0.0 else (diff / est.stderr if est.stderr > 0 else math.inf)

@@ -163,8 +163,8 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
         return np.full(n_levels, float(kernel))
     if isinstance(kernel, (str, Expr)):
         e = parse(kernel) if isinstance(kernel, str) else kernel
-        vals = np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
-        return vals
+        with np.errstate(all="ignore"):  # a non-finite value is reported by its time in _compile
+            return np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
     try:
         samples = np.asarray(kernel, dtype=float)
     except (TypeError, ValueError):
@@ -216,8 +216,9 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         k_theta, dist = _snap_before_T(grid, spec.theta, "theta")
         c.snap_distances.append(dist)
         kv = _resample_time_kernel(spec.kernel, grid, k_theta + 1)
-        if not np.all(np.isfinite(kv)):
-            raise NonlocalValidationError("time kernel has non-finite values")
+        bad = np.flatnonzero(~np.isfinite(kv))
+        if bad.size:
+            _finite(kv[bad[0]], f"time kernel k({int(bad[0]) * grid.dt!r})")
         w = _trapezoid_weights(k_theta + 1, grid.dt)
         c.level_weights[: k_theta + 1] = w * kv
         c.max_level = k_theta

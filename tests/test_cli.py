@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,11 @@ def test_bad_fixedpoint_controls_name_their_path(tmp_path, capsys, fixedpoint, m
         ("grid", {"nx": [True], "nt": 50, "T": 1.0}, "grid.nx[0]: must be an integer, got True"),
         ("grid", {"nx": 41.5, "nt": 50, "T": 1.0}, "grid.nx: must be an integer, got 41.5"),
         ("gamma", {"type": "initial_value", "weight": False}, "gamma.weight: must be a number, got False"),
+        (
+            "gamma",
+            {"type": "time_kernel", "theta": 0.5, "kernel": [[0.0, 0.1], [0.5, True]]},
+            "gamma.kernel[1][1]: must be a number, got True",
+        ),
     ],
 )
 def test_a_number_entry_that_is_not_a_number_names_its_path(tmp_path, capsys, section, value, message):
@@ -170,6 +178,15 @@ def test_integral_number_entries_are_read_as_integers(tmp_path):
         ({"coefficients": {"b": [["0.1 +"]]}}, "coefficients.b[0][0]: unexpected 'end of input' (at position 5)"),
         ({"coefficients": {"b": 0.1, "f": [True]}}, "coefficients.f[0]: must be a number or an expression, got True"),
         ({"coefficients": {"b": 0.1, "beta": [["x*(1 - x"]]}}, "coefficients.beta[0][0]: expected ')'"),
+        ({"data": {"terminal": "0^(-1)"}}, "data.terminal: evaluates to a non-finite value"),
+        ({"data": {"terminal": "10^400"}}, "data.terminal: evaluates to a non-finite value"),
+        ({"gamma": {"type": "time_kernel", "theta": 0.5, "kernel": True}}, "gamma.kernel: must be a number or an expression, got True"),
+        ({"gamma": {"type": "time_kernel", "theta": 0.5, "kernel": "1.5*exp(-t"}}, "gamma.kernel: expected ')'"),
+        ({"gamma": {"type": "time_kernel", "theta": 0.5, "kernel": "x1"}}, "gamma.kernel: unbound identifier 'x1'"),
+        (
+            {"gamma": {"type": "convex", "weights": [1.0], "parts": [{"type": "time_kernel", "theta": 0.5, "kernel": "x"}]}},
+            "gamma.parts[0].kernel: unbound identifier 'x'",
+        ),
     ],
 )
 def test_an_expression_entry_names_its_path(tmp_path, capsys, overrides, message):
@@ -244,6 +261,10 @@ def test_reruns_are_served_from_the_store_and_write_the_same_bytes(tmp_path, b):
         ({"output": "out"}, "output: must be an object, got 'out'"),
         ({"coefficients": {"b": 0.1, "beta": 3}}, "coefficients.beta: must be a list, got 3"),
         ({"output": {"dir": 5}}, "output.dir: must be a string, got 5"),
+        (
+            {"gamma": {"type": "time_kernel", "theta": 0.5, "kernel": [[0.0, 0.1], [0.5]]}},
+            "gamma.kernel[1]: a sampled time kernel must be a sequence of (time, value) pairs, got [0.5]",
+        ),
     ],
 )
 def test_a_container_of_the_wrong_type_names_its_path(tmp_path, capsys, overrides, message):
@@ -274,6 +295,10 @@ def test_a_container_of_the_wrong_type_names_its_path(tmp_path, capsys, override
         ({"gamma": {"type": "nope"}}, "gamma.type: unknown gamma type 'nope'"),
         ({"gamma": {"type": "space_time_kernel", "theta": 0.5, "csv": 5}}, "gamma.csv: must be a string, got 5"),
         ({"montecarlo": {"n_paths": 1e308}}, "montecarlo: n_paths asks for more paths than a numpy array can hold"),
+        (
+            {"gamma": {"type": "time_kernel", "theta": 0.5, "kernel": [[math.nan, 0.1], [0.5, 0.2]]}},
+            "gamma.kernel[0][0]: a sample time must be finite, got nan",
+        ),
     ],
 )
 def test_a_constructor_or_range_fault_names_its_path(tmp_path, capsys, overrides, message):
@@ -326,6 +351,8 @@ def test_data_too_large_for_the_solve_is_a_validation_failure(tmp_path, capsys):
         ({"b": 0.1, "f": ["exp(1000)"]}, "f"),
         ({"b": 0.1, "lam": "-exp(1000)"}, "lam"),
         ({"b": 0.1, "beta": [["exp(1000)*x*(1 - x)"]]}, "beta"),
+        ({"b": "10^400"}, "b"),
+        ({"b": 0.1, "lam": "0^(-1)"}, "lam"),
     ],
 )
 def test_a_coefficient_that_overflows_is_a_validation_failure(tmp_path, capsys, coefficients, name):
@@ -490,6 +517,22 @@ def test_bad_mc_start_point_is_a_validation_failure(tmp_path, capsys, point, mes
     cfg = write_config(tmp_path / "c.json", montecarlo=mc)
     assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"validation failed: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mc", [{"dt_mc": 1e-12, "n_paths": 100}, {"dt_mc": 1e-3, "n_paths": 1e15}], ids=["dt_mc", "n_paths"]
+)
+def test_a_path_run_beyond_the_work_limit_is_a_validation_failure(tmp_path, mc):
+    # in a process of its own with a timeout: without the limit the first run
+    # takes about 1e14 path steps and the second asks numpy for 7 PiB
+    cfg = write_config(tmp_path / "c.json", montecarlo={"seed": 7, "points": [[0.5, 0.0]], **mc})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = [sys.executable, "-m", "bspde.cli", "mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "validation failed: 1 montecarlo.points x montecarlo.n_paths" in proc.stderr
+    assert "path steps, more than the limit of 1e+11" in proc.stderr
 
 
 def test_nubound_command(tmp_path):

@@ -13,6 +13,7 @@ from bspde import (
     weighted_l2_norm,
 )
 
+from bspde.grid import Interpolant
 from conftest import random_field, random_st_field
 
 
@@ -120,6 +121,38 @@ def test_refine_2d_and_errors():
     assert np.allclose(fine.values, exact.values, atol=1e-14)
     with pytest.raises(GridError):
         refine(f, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolant_reproduces_cellwise_multilinear_data(dim):
+    # a sum of products of per-axis hats, piecewise linear between the nodes
+    # and zero at both walls, is multilinear on each cell and zero on the
+    # wall; np.interp evaluates it independently (and reads the end value
+    # outside the box)
+    rng = np.random.default_rng(70 + dim)
+    lo, hi, nx = (-0.5, 0.25)[:dim], (1.5, 2.0)[:dim], (7, 5)[:dim]
+    g = make_grid(Domain(lo, hi), nx, 3, 1.0)
+    nodes = [g.axis_coords(a, interior_only=False) for a in range(dim)]
+    hats = [[np.r_[0.0, rng.standard_normal(n - 2), 0.0] for n in nx] for _ in range(3)]
+
+    def exact(pts):
+        return sum(np.prod([np.interp(pts[:, a], nodes[a], h[a]) for a in range(dim)], axis=0) for h in hats)
+
+    nodal = exact(g.interior_points()).reshape(g.interior_shape)
+    interp = Interpolant(g, np.stack([nodal, -2.0 * nodal]))
+    width = np.asarray(hi) - np.asarray(lo)
+    inside = rng.uniform(lo, hi, size=(200, dim))
+    faces = rng.uniform(lo, hi, size=(200, dim))  # one coordinate on a node line, the wall included
+    axis = rng.integers(0, dim, size=200)
+    faces[np.arange(200), axis] = [nodes[a][rng.integers(0, nx[a])] for a in axis]
+    outside = rng.uniform(np.asarray(lo) - width, np.asarray(hi) + width, size=(200, dim))
+    outside = outside[~np.all((outside >= lo) & (outside <= hi), axis=1)]
+    pts = np.concatenate([inside, faces, outside])
+    assert len(outside) > 50
+    for level, scale in ((0, 1.0), (1, -2.0)):
+        assert np.max(np.abs(interp(pts, level) - scale * exact(pts))) <= 1e-14
+    # a point outside the box reads the nearest point of its edge
+    assert np.array_equal(interp(outside), interp(np.clip(outside, lo, hi)))
 
 
 def test_nearest_level_snapping_ties_round_down():

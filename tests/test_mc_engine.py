@@ -15,7 +15,8 @@ import pytest
 
 from bspde import CoefficientSet, Domain, PathConfig, SpaceField, SpaceTimeField, decompose, make_grid, validate
 from bspde import montecarlo
-from bspde.montecarlo import LAMBDA_DISCOUNT_SIGN, _FieldInterp, _simulate
+from bspde.grid import Interpolant
+from bspde.montecarlo import LAMBDA_DISCOUNT_SIGN, _simulate
 
 SMALL_BATCH = 128
 N_PATHS = 300  # batches of 128, 128 and 44
@@ -40,8 +41,8 @@ def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else np.zeros((0, dim))
         btilde_c = dec.columns_at(x0, 0.0)[0]
     lam_zero = coeffs.lam_is_zero
-    term_interp = _FieldInterp(grid, terminal.values[None]) if terminal is not None else None
-    src_interp = _FieldInterp(grid, source.values) if source is not None else None
+    term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
+    src_interp = Interpolant(grid, source.values) if source is not None else None
     batch = montecarlo.BATCH_SIZE
 
     values = np.empty(cfg.n_paths)
@@ -61,7 +62,7 @@ def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
                 continue
             y_eval = y if const else np.clip(y, lo, hi)
             if src_interp is not None:
-                phi_vals = src_interp(y_eval, t)
+                phi_vals = src_interp(y_eval, min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1))
                 src_acc = np.where(active, src_acc + np.exp(gamma_log) * phi_vals * dt_eff, src_acc)
             if not lam_zero:
                 lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)

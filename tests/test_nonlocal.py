@@ -154,6 +154,9 @@ def test_convex_weight_validation(grid):
         (TwoPoint(np.inf, 0.2, 0.1, 0.5), "weight1"),
         (Convex(weights=(0.5, np.nan), parts=(InitialValue(1.0), InitialValue(0.5))), r"convex weights\[1\]"),
         (Convex(weights=(0.5,), parts=(InitialValue(np.nan),)), "weight"),
+        (TimeKernel(theta=0.5, kernel="t^(-0.5)"), r"time kernel k\(0\.0\)"),
+        (TimeKernel(theta=0.5, kernel="10^400"), r"time kernel k\(0\.0\)"),
+        (TimeKernel(theta=0.9, kernel="exp(1000*t)"), r"time kernel k\(0\.75\)"),
     ],
 )
 def test_a_non_finite_weight_is_rejected_by_name(grid, spec, name):
