@@ -26,7 +26,7 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
-from .exprdsl import EvalError, Expr, ExprError, free_variables
+from .exprdsl import EvalError, Expr, ExprError, bind, free_variables
 from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
 from .montecarlo import CauchyProblem, MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
@@ -207,11 +207,7 @@ def _time_kernel(value, path: str):
 def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.ndarray:
     """Evaluate the expression at dotted `path`, of x[,x2] (and t, when
     given), on the interior nodes."""
-    axes = [grid.axis_coords(a) for a in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {"x1": mesh[0], "x" if grid.dim == 1 else "x2": mesh[-1]}
-    if t is not None:
-        env["t"] = t
+    env = bind(grid.mesh(), t)
     # an overflow is reported below by path, not as a numpy warning
     with np.errstate(all="ignore"):
         try:

@@ -3,8 +3,9 @@ weights beta, with uniform-ellipticity validation and the square-root
 decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T that the
 path simulator drives its noise with.
 
-Entries are either plain numbers or exprdsl expressions in (x[,x2], t);
-evaluation is pointwise and vectorized over node arrays.
+Entries are either plain numbers or exprdsl expressions of the variables
+`exprdsl.bind` gives; evaluation is pointwise and vectorized over positions.
+The wall, where every beta_i must vanish, is read from the node index.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exprdsl import EvalError, Expr, Num, free_variables, parse
+from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse
 from .grid import Grid
 
 _BOUNDARY_ZERO_TOL = 1e-12  # |beta| allowed on the wall (floating-point zero)
@@ -43,17 +44,6 @@ def _eval_entry(entry: Expr, env: dict, shape) -> np.ndarray:
     except EvalError as e:
         raise CoefficientError(f"coefficient evaluation failed: {e}") from e
     return np.broadcast_to(np.asarray(val, dtype=float), shape)
-
-
-def _point_env(points: np.ndarray, t: float) -> dict:
-    """Environment binding x/x1[/x2],t for an (npts, dim) position array."""
-    dim = points.shape[1]
-    env = {"t": t, "x1": points[:, 0]}
-    if dim == 1:
-        env["x"] = points[:, 0]
-    else:
-        env["x2"] = points[:, 1]
-    return env
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ class CoefficientSet:
 
     def b_at(self, points: np.ndarray, t: float) -> np.ndarray:
         """(npts, n, n) diffusion matrices, symmetrized from the stored entries."""
-        env = _point_env(points, t)
+        env = bind(points.T, t)
         npts, n = points.shape[0], self.dim
         out = np.empty((npts, n, n))
         for i in range(n):
@@ -119,7 +109,7 @@ class CoefficientSet:
         return 0.5 * (out + np.transpose(out, (0, 2, 1)))
 
     def f_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        env = _point_env(points, t)
+        env = bind(points.T, t)
         npts = points.shape[0]
         out = np.empty((npts, self.dim))
         for i in range(self.dim):
@@ -127,11 +117,11 @@ class CoefficientSet:
         return out
 
     def lam_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        return np.array(_eval_entry(self.lam, _point_env(points, t), (points.shape[0],)))
+        return np.array(_eval_entry(self.lam, bind(points.T, t), (points.shape[0],)))
 
     def beta_at(self, points: np.ndarray, t: float) -> np.ndarray:
         """(N, npts, n) gradient-weight vectors."""
-        env = _point_env(points, t)
+        env = bind(points.T, t)
         npts = points.shape[0]
         out = np.empty((self.n_beta, npts, self.dim))
         for k, vec in enumerate(self.beta):
@@ -178,17 +168,14 @@ def _beta_outer_sum(coeffs: CoefficientSet, points: np.ndarray, t: float) -> np.
 
 
 def _samples(coeffs: CoefficientSet, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All grid nodes (boundary included), a boolean boundary mask, and the
-    times to sample: every level when an entry reads t, else t = 0 alone,
-    since every level then has the same values."""
-    axes = [grid.axis_coords(a, interior_only=False) for a in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    on_boundary = np.zeros(pts.shape[0], dtype=bool)
-    for a in range(grid.dim):
-        on_boundary |= np.isclose(pts[:, a], grid.domain.lo[a]) | np.isclose(pts[:, a], grid.domain.hi[a])
+    """All grid nodes in lexicographic order, the mask of those on the wall
+    (index 0 or n - 1 on some axis), and the times to sample: every level
+    when an entry reads t, else t = 0 alone, as every level is then alike."""
+    pts = np.stack([m.ravel() for m in grid.mesh(interior_only=False)], axis=-1)
+    on_wall = np.ones(grid.nx, dtype=bool)
+    on_wall[(slice(1, -1),) * grid.dim] = False
     times = grid.times()
-    return pts, on_boundary, times if coeffs.is_time_dependent else times[:1]
+    return pts, on_wall.ravel(), times if coeffs.is_time_dependent else times[:1]
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,7 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
     1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
-    pts, on_boundary, times = _samples(coeffs, grid)
+    pts, on_wall, times = _samples(coeffs, grid)
     delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
     lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
     sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
@@ -257,7 +244,7 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
                 arg_t = float(t)
             lam_max = max(lam_max, float(np.max(lam)))
             beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
-            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_boundary, :]), initial=0.0)))
+            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_wall, :]), initial=0.0)))
             sup_f1 = max(sup_f1, float(np.max(np.abs(f[:, 0]))))
             lo, hi = _sym_eig_range(2.0 * b)
             delta_qv = min(delta_qv, float(np.min(lo)))

@@ -24,6 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIABLES = ("x", "x1", "x2", "t")
+
+
+def bind(coords, t=None) -> dict:
+    """The variables of an expression at positions `coords`, one array per
+    axis: x1 (also x in 1-D), x2 in 2-D, and t only when it is given."""
+    env = {"x1": coords[0], "x" if len(coords) == 1 else "x2": coords[-1]}
+    if t is not None:
+        env["t"] = t
+    return env
+
+
 # name -> (numpy function, arity); the parser and Call.eval both read it
 FUNCS = {
     "sin": (np.sin, 1),

@@ -2,6 +2,8 @@
 
 Fields store interior nodes only: the homogeneous Dirichlet wall is structural,
 not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
+`Grid.mesh` gives the node coordinates in node shape to every sampler of a
+function or expression on the grid.
 Between nodes a field is multilinear and zero on the wall: `Interpolant` is
 the one implementation of that rule, read by the path estimator (terminal
 data, source, grid solution) and by `refine`.
@@ -115,11 +117,15 @@ class Grid:
         xs = lo + self.hx[axis] * np.arange(self.nx[axis])
         return xs[1:-1] if interior_only else xs
 
+    def mesh(self, interior_only: bool = True) -> tuple[np.ndarray, ...]:
+        """Node coordinates, one array per axis, each in node shape:
+        interior_shape, or nx when every node (the wall included) is asked for."""
+        axes = [self.axis_coords(a, interior_only) for a in range(self.dim)]
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
     def interior_points(self) -> np.ndarray:
         """Coordinates of interior nodes, shape (n_interior, dim), lexicographic order."""
-        axes = [self.axis_coords(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt + 1)
@@ -176,9 +182,7 @@ class SpaceField:
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "SpaceField":
         """Sample fn at interior nodes; fn takes dim positional coordinates."""
-        axes = [grid.axis_coords(a) for a in range(grid.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return cls(grid, np.asarray(fn(*mesh), dtype=float) * np.ones(grid.interior_shape))
+        return cls(grid, np.asarray(fn(*grid.mesh()), dtype=float) * np.ones(grid.interior_shape))
 
 
 @dataclass(frozen=True)
@@ -217,13 +221,8 @@ class SpaceTimeField:
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "SpaceTimeField":
         """Sample fn(*coords, t) at every interior node and time level."""
-        axes = [grid.axis_coords(a) for a in range(grid.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        levels = [
-            np.asarray(fn(*mesh, t), dtype=float) * np.ones(grid.interior_shape)
-            for t in grid.times()
-        ]
-        return cls(grid, np.stack(levels))
+        mesh, ones = grid.mesh(), np.ones(grid.interior_shape)
+        return cls(grid, np.stack([np.asarray(fn(*mesh, t), dtype=float) * ones for t in grid.times()]))
 
     def zeroed_after_level(self, k: int) -> "SpaceTimeField":
         """Copy with all levels strictly after k set to zero."""

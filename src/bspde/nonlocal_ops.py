@@ -171,6 +171,16 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
         samples = np.empty(0)  # ragged or not numbers
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise NonlocalValidationError("sampled time kernel must be a sequence of (time, value) pairs")
+    # np.interp needs finite, distinct times; which of two samples at one time wins would be a guess
+    s = samples.tolist()
+    first: dict[float, int] = {}  # time -> index of the first sample at it
+    for i, (t, _) in enumerate(s):
+        if not np.isfinite(t):
+            raise NonlocalValidationError(f"sampled time kernel: sample {i} {s[i]} has a time that is not finite")
+        if t in first:
+            j = first[t]
+            raise NonlocalValidationError(f"sampled time kernel: samples {j} {s[j]} and {i} {s[i]} share a time")
+        first[t] = i
     order = np.argsort(samples[:, 0])
     return np.interp(ts, samples[order, 0], samples[order, 1])
 
@@ -181,72 +191,62 @@ def _finite(weight, name: str) -> None:
         raise NonlocalValidationError(f"{name} = {weight} is not finite")
 
 
+def _point_terms(spec) -> list[tuple[str, float, str | None, float | None]]:
+    """The (weight name, weight, time name, time) terms of a point coupling;
+    an initial value reads level 0 and has no time to snap."""
+    if isinstance(spec, InitialValue):
+        return [("weight", spec.weight, None, None)]
+    if isinstance(spec, PointInTime):
+        return [("weight", spec.weight, "t1", spec.t1)]
+    return [("weight1", spec.weight1, "t1", spec.t1), ("weight2", spec.weight2, "t2", spec.t2)]
+
+
 def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
     c = _Compiled(grid)
-    if isinstance(spec, InitialValue):
-        _finite(spec.weight, "weight")
-        if abs(spec.weight) > 1:
-            raise NonlocalValidationError(f"|weight| = {abs(spec.weight)} exceeds 1")
-        c.level_weights[0] = spec.weight
-        c.max_level = 0
-        c.norm_bound = abs(spec.weight)
-    elif isinstance(spec, PointInTime):
-        _finite(spec.weight, "weight")
-        if abs(spec.weight) > 1:
-            raise NonlocalValidationError(f"|weight| = {abs(spec.weight)} exceeds 1")
-        k, dist = _snap_before_T(grid, spec.t1, "t1")
-        c.level_weights[k] = spec.weight
-        c.max_level = k
-        c.snap_distances.append(dist)
-        c.norm_bound = abs(spec.weight)
-    elif isinstance(spec, TwoPoint):
-        _finite(spec.weight1, "weight1")
-        _finite(spec.weight2, "weight2")
-        total = abs(spec.weight1) + abs(spec.weight2)
+    if isinstance(spec, (InitialValue, PointInTime, TwoPoint)):
+        terms = _point_terms(spec)
+        for name, w, _, _ in terms:
+            _finite(w, name)
+        total = sum(abs(w) for _, w, _, _ in terms)
         if total > 1:
-            raise NonlocalValidationError(f"|weight1| + |weight2| = {total} exceeds 1")
-        k1, d1 = _snap_before_T(grid, spec.t1, "t1")
-        k2, d2 = _snap_before_T(grid, spec.t2, "t2")
-        c.level_weights[k1] += spec.weight1
-        c.level_weights[k2] += spec.weight2
-        c.max_level = max(k1, k2)
-        c.snap_distances += [d1, d2]
+            names = " + ".join(f"|{name}|" for name, _, _, _ in terms)
+            raise NonlocalValidationError(f"{names} = {total} exceeds 1")
+        for _, w, tname, t in terms:
+            k = 0
+            if tname is not None:
+                k, dist = _snap_before_T(grid, t, tname)
+                c.snap_distances.append(dist)
+            c.level_weights[k] += w
+            c.max_level = max(c.max_level, k)
         c.norm_bound = total
-    elif isinstance(spec, TimeKernel):
+    elif isinstance(spec, (TimeKernel, SpaceTimeKernel)):
         k_theta, dist = _snap_before_T(grid, spec.theta, "theta")
         c.snap_distances.append(dist)
-        kv = _resample_time_kernel(spec.kernel, grid, k_theta + 1)
-        bad = np.flatnonzero(~np.isfinite(kv))
-        if bad.size:
-            _finite(kv[bad[0]], f"time kernel k({int(bad[0]) * grid.dt!r})")
-        w = _trapezoid_weights(k_theta + 1, grid.dt)
-        c.level_weights[: k_theta + 1] = w * kv
         c.max_level = k_theta
-        c.norm_bound = float(np.sum(w * np.abs(kv)))
-        if c.norm_bound > 1 + 1e-12:
-            raise NonlocalValidationError(
-                f"time-kernel quadrature of the absolute kernel is {c.norm_bound:.6g} > 1"
-            )
-    elif isinstance(spec, SpaceTimeKernel):
-        k_theta, dist = _snap_before_T(grid, spec.theta, "theta")
-        c.snap_distances.append(dist)
-        n_int = grid.n_interior
-        kv = np.asarray(spec.kernel, dtype=float)
-        if kv.shape != (k_theta + 1, n_int, n_int):
-            raise NonlocalValidationError(
-                f"space-time kernel shape {kv.shape} != {(k_theta + 1, n_int, n_int)} "
-                "(levels 0..theta, source node, target node)"
-            )
-        if not np.all(np.isfinite(kv)):
-            raise NonlocalValidationError("space-time kernel has non-finite values")
         w = _trapezoid_weights(k_theta + 1, grid.dt)
-        c.tensor = w[:, None, None] * kv * grid.cell_volume
-        c.max_level = k_theta
-        c.norm_bound = float(np.max(np.sum(np.abs(c.tensor), axis=(0, 1))))
+        if isinstance(spec, TimeKernel):
+            kv = _resample_time_kernel(spec.kernel, grid, k_theta + 1)
+            bad = np.flatnonzero(~np.isfinite(kv))
+            if bad.size:
+                _finite(kv[bad[0]], f"time kernel k({int(bad[0]) * grid.dt!r})")
+            c.level_weights[: k_theta + 1] = w * kv
+            c.norm_bound = float(np.sum(w * np.abs(kv)))
+            what, where = "time-kernel quadrature of the absolute kernel is", ""
+        else:
+            n_int = grid.n_interior
+            kv = np.asarray(spec.kernel, dtype=float)
+            if kv.shape != (k_theta + 1, n_int, n_int):
+                raise NonlocalValidationError(
+                    f"space-time kernel shape {kv.shape} != {(k_theta + 1, n_int, n_int)} "
+                    "(levels 0..theta, source node, target node)"
+                )
+            if not np.all(np.isfinite(kv)):
+                raise NonlocalValidationError("space-time kernel has non-finite values")
+            c.tensor = w[:, None, None] * kv * grid.cell_volume
+            c.norm_bound = float(np.max(np.sum(np.abs(c.tensor), axis=(0, 1))))
+            what, where = "space-time kernel bound is", " at some target node"
         if c.norm_bound > 1 + 1e-12:
-            raise NonlocalValidationError(
-                f"space-time kernel bound is {c.norm_bound:.6g} > 1 at some target node"
-            )
+            raise NonlocalValidationError(f"{what} {c.norm_bound:.6g} > 1{where}")
     elif isinstance(spec, Convex):
         if len(spec.weights) != len(spec.parts) or not spec.parts:
             raise NonlocalValidationError("convex combination needs matching weights and parts")

@@ -631,3 +631,42 @@ def test_unwritable_output_is_io_error(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
     assert main(["validate", "--config", str(cfg), "--out", str(blocker / "sub")]) == 3
+
+
+@pytest.mark.parametrize(
+    "domain,grid,beta,terminal",
+    [
+        ({"lo": [1e6], "hi": [1e6 + 1]}, {"nx": [21], "nt": 20, "T": 1.0}, [["0.5*(x-1000000)*(1000001-x)"]], f"sin({PI}*(x-1000000))"),
+        (
+            {"lo": [1e6, 0.0], "hi": [1e6 + 1, 1.0]},
+            {"nx": [9, 11], "nt": 10, "T": 1.0},
+            [["2*(x1-1000000)*(1000001-x1)*x2*(1-x2)", 0.0]],
+            f"sin({PI}*(x1-1000000))*sin({PI}*x2)",
+        ),
+    ],
+    ids=["1d", "2d"],
+)
+def test_validate_accepts_beta_that_vanishes_on_the_walls_of_an_offset_box(tmp_path, capsys, domain, grid, beta, terminal):
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain=domain,
+        grid=grid,
+        coefficients={"b": 0.1, "beta": beta},
+        data={"terminal": terminal},
+        montecarlo=None,
+    )
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, capsys.readouterr().err
+    # the terminal data has no t, in 2-D as in 1-D
+    cfg = write_config(tmp_path / "c.json", domain=domain, grid=grid, coefficients={"b": 0.1}, data={"terminal": "x1*t"}, montecarlo=None)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "invalid configuration: data.terminal: unbound identifier 't'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "samples", [[[0.0, 0.1], [0.0, 0.9], [0.5, 0.9]], [[0.0, 0.9], [0.0, 0.1], [0.5, 0.9]]], ids=["first", "swapped"]
+)
+def test_time_kernel_samples_at_one_time_are_a_validation_failure(tmp_path, capsys, samples):
+    cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"validation failed: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err

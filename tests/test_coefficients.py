@@ -326,3 +326,30 @@ def test_validate_names_the_first_non_finite_sample():
         "coefficient f is not finite at x = (0.0,), t = 0",
         "coefficient lam is not finite at x = (0.0,), t = 0.8",
     )
+
+
+# ---------------------------------------------------------------------------
+# The wall is read from the node index, not from coordinates
+# ---------------------------------------------------------------------------
+#
+# A coordinate test such as np.isclose(x, lo) counts every node within
+# 1e-5 * |lo| of lo as a wall node, which on an offset box is all of them.
+
+
+def test_validate_accepts_beta_that_vanishes_on_the_walls_of_an_offset_box():
+    g = make_grid(Domain((1e6,), (1e6 + 1,)), 21, 10, 1.0)
+    rep = validate(CoefficientSet.create(1, b=0.1, beta=[["0.5*(x-1000000)*(1000001-x)"]]), g)
+    assert rep.issues == ()
+    g2 = make_grid(Domain((1e6, 0.0), (1e6 + 1, 1.0)), (9, 11), 8, 1.0)
+    beta = [["2*(x1-1000000)*(1000001-x1)*x2*(1-x2)", "x2*(1-x2)*(x1-1000000)*(1000001-x1)"]]
+    assert validate(CoefficientSet.create(2, b=0.1, beta=beta), g2).issues == ()
+
+
+def test_beta_that_does_not_vanish_on_the_x2_walls_is_flagged():
+    g2 = make_grid(Domain((1e6, 0.0), (1e6 + 1, 1.0)), (9, 11), 8, 1.0)
+    rep = validate(CoefficientSet.create(2, b=0.1, beta=[["0.5*(x1-1000000)*(1000001-x1)", 0.0]]), g2)
+    assert rep.issues == ("beta must vanish on the boundary, found |beta| = 0.125 there",)
+    # the same on the unit box, where a coordinate test and the node index agree
+    g2 = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (9, 11), 8, 1.0)
+    rep = validate(CoefficientSet.create(2, b=0.1, beta=[[0.0, "x1*(1-x1)"]]), g2)
+    assert rep.issues == ("beta must vanish on the boundary, found |beta| = 0.25 there",)

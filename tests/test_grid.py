@@ -208,3 +208,19 @@ def test_boundary_is_structurally_zero():
     f = SpaceField.from_function(g, lambda x: np.ones_like(x))
     assert f.values.shape == (3,)
     assert sup_norm(f) == 1.0
+
+
+@pytest.mark.parametrize("lo,hi,nx", [((0.0,), (1.0,), (6,)), ((1e6, 0.0), (1e6 + 1, 1.0), (5, 7))])
+def test_mesh_agrees_with_axis_coords_and_interior_points(lo, hi, nx):
+    g = make_grid(Domain(lo, hi), nx, 3, 1.0)
+    for interior_only, shape in ((True, g.interior_shape), (False, g.nx)):
+        mesh = g.mesh(interior_only=interior_only)
+        assert len(mesh) == g.dim
+        for a, m in enumerate(mesh):
+            # coordinate a varies along array axis a alone
+            along_a = [1] * g.dim
+            along_a[a] = -1
+            assert m.shape == shape
+            assert np.array_equal(m, np.broadcast_to(g.axis_coords(a, interior_only).reshape(along_a), shape))
+    assert all(np.array_equal(m, d) for m, d in zip(g.mesh(interior_only=True), g.mesh()))
+    assert np.array_equal(g.interior_points(), np.stack([m.ravel() for m in g.mesh()], axis=-1))

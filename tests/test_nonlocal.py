@@ -165,6 +165,37 @@ def test_a_non_finite_weight_is_rejected_by_name(grid, spec, name):
         validate_spec(spec, grid)
 
 
+@pytest.mark.parametrize(
+    "samples,message",
+    [
+        ([[np.nan, 0.1], [0.5, 0.2]], r"sample 0 \[nan, 0\.1\] has a time that is not finite"),
+        ([[0.0, 0.1], [np.inf, 0.2]], r"sample 1 \[inf, 0\.2\] has a time that is not finite"),
+        ([[0, 0.1], [0, 0.9], [0.5, 0.9]], r"samples 0 \[0\.0, 0\.1\] and 1 \[0\.0, 0\.9\] share a time"),
+        ([[0, 0.9], [0, 0.1], [0.5, 0.9]], r"samples 0 \[0\.0, 0\.9\] and 1 \[0\.0, 0\.1\] share a time"),
+        ([[0.5, 0.9], [0.25, 0.1], [0.5, 0.2]], r"samples 0 \[0\.5, 0\.9\] and 2 \[0\.5, 0\.2\] share a time"),
+    ],
+    ids=["nan-time", "inf-time", "same-time", "same-time-swapped", "same-time-apart"],
+)
+def test_time_kernel_samples_without_one_time_order_are_rejected_by_name(grid, samples, message):
+    # np.interp needs finite, strictly increasing times; any order of them would be a guess
+    with pytest.raises(NonlocalValidationError, match=rf"^sampled time kernel: {message}$"):
+        validate_spec(TimeKernel(theta=0.5, kernel=samples), grid)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (InitialValue(1.5), "|weight| = 1.5 exceeds 1"),
+        (PointInTime(-2.0, 0.5), "|weight| = 2.0 exceeds 1"),
+        (TwoPoint(0.7, 0.2, -0.5, 0.5), f"|weight1| + |weight2| = {0.7 + 0.5} exceeds 1"),
+    ],
+)
+def test_a_point_coupling_over_the_bound_names_its_weights(grid, spec, message):
+    with pytest.raises(NonlocalValidationError) as err:
+        validate_spec(spec, grid)
+    assert str(err.value) == message
+
+
 def test_effective_theta_is_max_over_parts(grid):
     combo = Convex(
         weights=(0.3, 0.3),

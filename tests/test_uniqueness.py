@@ -1,0 +1,148 @@
+"""Property test of uniqueness: on small 1-D problems with lam <= 0 and a
+coupling of norm bound at most 0.9, Picard iteration and the dense direct
+solve of the same fixed point find the same solution, both satisfy the
+non-local terminal condition, and the solution's coupling reads nothing
+after its horizon."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bspde import (
+    CoefficientSet,
+    Convex,
+    Domain,
+    InitialValue,
+    PointInTime,
+    SpaceField,
+    SpaceTimeField,
+    SpaceTimeKernel,
+    TimeKernel,
+    TwoPoint,
+    make_grid,
+    solve_nonlocal,
+    solve_nonlocal_direct,
+    truncation_check,
+    validate,
+    validate_spec,
+)
+
+MAX_BOUND = 0.9
+# ||Q|| <= 0.9 shrinks the Picard residual by 0.9 per iteration at least:
+# 0.9**300 < 1e-13 takes a residual of order 1 below tol
+MAX_ITER = 300
+
+
+@st.composite
+def grids(draw):
+    nx = draw(st.integers(4, 9))
+    nt = draw(st.integers(3, 10))
+    T = draw(st.floats(0.25, 1.0))
+    return make_grid(Domain((0.0,), (1.0,)), nx, nt, T)
+
+
+@st.composite
+def coefficient_sets(draw):
+    """Constant, x- or t-dependent b, f and lam with lam <= 0, and an optional
+    beta that vanishes on the wall inside the ellipticity budget."""
+    b0 = draw(st.floats(0.05, 0.5))
+    b = draw(st.sampled_from([repr(b0), f"{b0!r} + {0.4 * b0!r}*sin(3*t)", f"{b0!r}*(1 + 0.5*x*(1-x))"]))
+    f0 = draw(st.floats(-1.0, 1.0))
+    f = draw(st.sampled_from([repr(f0), f"{f0!r}*cos(2*t)", f"{f0!r}*x"]))
+    l0 = draw(st.floats(0.0, 1.0))
+    lam = draw(st.sampled_from([repr(-l0), f"-{l0!r}*(1 + x)", f"-{l0!r}*(1 + sin(t))^2"]))
+    beta = []
+    if draw(st.booleans()):
+        # sup |c*x*(1-x)| = c/4, so b - beta^2/2 >= 0.6*b0 - c^2/32 > 0
+        beta = [[f"{draw(st.floats(0.0, np.sqrt(b0)))!r}*x*(1-x)"]]
+    return CoefficientSet.create(1, b=b, f=f, lam=lam, beta=beta)
+
+
+def _level_time(draw, grid, lo=0):
+    """A time that snaps to a level in [lo, nt - 1], up to 0.4 steps above it."""
+    return (draw(st.integers(lo, grid.nt - 1)) + draw(st.floats(0.0, 0.4))) * grid.dt
+
+
+def _scaled(make, grid, bound):
+    """make(scale) with the scale that gives it norm bound `bound`; make(1),
+    a kernel of absolute value at most 1 read before T <= 1, passes validation."""
+    raw = validate_spec(make(1.0), grid).norm_bound
+    return make(bound / raw) if raw > 0 else make(0.0)
+
+
+@st.composite
+def basic_couplings(draw, grid, bound):
+    """One of the five couplings that are not combinations, with norm bound at most `bound`."""
+    kind = draw(st.sampled_from(["initial", "point", "two", "tkernel", "stkernel"]))
+    if kind == "initial":
+        return InitialValue(draw(st.floats(-bound, bound)))
+    if kind == "point":
+        return PointInTime(draw(st.floats(-bound, bound)), _level_time(draw, grid))
+    if kind == "two":
+        w = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(2)])
+        w = w * (bound / max(np.sum(np.abs(w)), 1.0))
+        return TwoPoint(float(w[0]), _level_time(draw, grid), float(w[1]), _level_time(draw, grid))
+    theta = _level_time(draw, grid, lo=1)
+    levels = grid.nearest_level(theta)[0] + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "stkernel":
+        k = rng.uniform(-1.0, 1.0, (levels, grid.n_interior, grid.n_interior))
+        return _scaled(lambda c: SpaceTimeKernel(theta, c * k), grid, bound)
+    form = draw(st.sampled_from(["number", "expression", "samples"]))
+    if form == "number":
+        return _scaled(lambda c: TimeKernel(theta, c), grid, bound)
+    if form == "expression":
+        return _scaled(lambda c: TimeKernel(theta, f"{c!r}*exp(-t)*cos(3*t)"), grid, bound)
+    # distinct sample times in any order, spanning the levels read
+    times = rng.permutation(np.linspace(0.0, theta, draw(st.integers(2, 6))))
+    values = rng.uniform(-1.0, 1.0, len(times))
+    return _scaled(lambda c: TimeKernel(theta, np.column_stack([times, c * values])), grid, bound)
+
+
+@st.composite
+def couplings(draw, grid):
+    """Any of the six coupling types, a convex combination of 1-3 parts."""
+    if draw(st.booleans()):
+        return draw(basic_couplings(grid, MAX_BOUND))
+    n = draw(st.integers(1, 3))
+    w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(n)])
+    w = w * (draw(st.floats(0.2, 1.0)) / np.sum(w))
+    parts = tuple(draw(basic_couplings(grid, MAX_BOUND)) for _ in range(n))
+    return Convex(weights=tuple(float(v) for v in w), parts=parts)
+
+
+@st.composite
+def problems(draw):
+    grid = draw(grids())
+    coeffs = draw(coefficient_sets())
+    spec = draw(couplings(grid))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terminal = SpaceField(grid, rng.uniform(-1.0, 1.0, grid.interior_shape))
+    source = None
+    if draw(st.booleans()):
+        source = SpaceTimeField(grid, rng.uniform(-1.0, 1.0, (grid.nt + 1,) + grid.interior_shape))
+    return grid, coeffs, spec, source, terminal
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(problems())
+def test_picard_and_the_direct_solve_find_the_one_solution(problem):
+    grid, coeffs, spec, source, terminal = problem
+    assert not validate(coeffs, grid).violated
+    assert validate_spec(spec, grid).norm_bound <= MAX_BOUND * (1 + 1e-12)
+    picard = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12, max_iter=MAX_ITER)
+    direct = solve_nonlocal_direct(grid, coeffs, source, terminal, spec)
+    assert picard.report.converged
+    assert np.max(np.abs(picard.u.values - direct.u.values)) <= 1e-9
+    assert picard.report.bc_residual <= 1e-9
+    assert direct.report.bc_residual <= 1e-9
+    assert truncation_check(spec, picard.u)
+    assert truncation_check(spec, direct.u)

@@ -1,0 +1,101 @@
+"""Fingerprint every CLI command's outputs on the fixed benchmark inputs.
+
+    python3 tools/artifacts.py TREE OUT
+
+TREE is a checkout of this repository (its `src/` is the program run).  The
+tool writes the seed-101 and seed-102 inputs of every benchmark workload
+(with `perfbench/workloads.generate` of this checkout, so both trees of a
+comparison read the same inputs) and TREE's `configs/eigenmode.json` under
+the new directory OUT, runs each of the seven commands on each input in a
+fresh process with OPENBLAS_NUM_THREADS=1 and relative paths, and writes
+OUT/runs.jsonl: one JSON line per run with the input name, the command,
+the exit code, and the sha256 of stderr and of every artifact.
+`report.json` is hashed without its `timing_seconds`.
+
+A change that should not alter any output is byte-identical to its parent
+when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(HERE / "perfbench"))
+sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
+
+import workloads  # noqa: E402
+
+SEEDS = (101, 102)
+COMMANDS = ("validate", "cauchy", "solve", "qmatrix", "mccheck", "nubound", "converge")
+RUN_CLI = "import sys; from bspde.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _artifact_digest(path: Path) -> str:
+    if path.name != "report.json":
+        return _sha256(path.read_bytes())
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report.pop("timing_seconds", None)
+    return _sha256(json.dumps(report, indent=2, sort_keys=True).encode())
+
+
+def _inputs(tree: Path, out: Path) -> list[Path]:
+    """Write every input into its own directory under out; return them in run order."""
+    dirs = []
+    for workload in workloads.COMMANDS:
+        for seed in SEEDS:
+            d = out / f"{workload}-{seed}"
+            workloads.generate(workload, seed, d, tree)
+            dirs.append(d)
+    d = out / "eigenmode"
+    d.mkdir(parents=True)
+    shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
+    dirs.append(d)
+    return dirs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if out.exists():
+        print(f"{out} exists; give a new directory", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    lines = []
+    for d in _inputs(tree, out):
+        for cmd in COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_CLI, cmd, "--config", "config.json", "--out", cmd],
+                cwd=d,
+                env=env,
+                capture_output=True,
+            )
+            run_dir = d / cmd
+            files = sorted(p for p in run_dir.rglob("*") if p.is_file()) if run_dir.is_dir() else []
+            line = {
+                "input": d.name,
+                "command": cmd,
+                "exit": proc.returncode,
+                "stderr": _sha256(proc.stderr),
+                "artifacts": {str(p.relative_to(run_dir)): _artifact_digest(p) for p in files},
+            }
+            lines.append(json.dumps(line, sort_keys=True))
+            print(f"{d.name} {cmd}: exit {proc.returncode}", file=sys.stderr, flush=True)
+    (out / "runs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
