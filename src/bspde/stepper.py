@@ -19,7 +19,10 @@ the maximum principle sup|u| <= sup|terminal| + duration*sup|source|.
 Nodes are numbered lexicographically (last axis fastest), so each stencil
 offset is a fixed flat offset and the matrix is banded, with half-bandwidth
 w = 1 in 1-D and w = m2 + 1 in 2-D (m2 interior nodes along axis 2).  It goes
-straight into LAPACK band storage and is LU-factored with dgbtrf.
+straight into LAPACK band storage and is LU-factored with dgbtrf.  dgbtrf
+and dgbtrs are loaded from scipy's compiled wrappers alone (`_band_lu`),
+because the public `scipy.linalg.lapack` import runs the whole `scipy.linalg`
+package import: about 85 modules, 0.1 s and 25 MB, most of `import bspde.cli`.
 
 Every Picard iteration, feedback-matrix column and oracle solve sweeps the
 same problem again, so the last (grid, coefficients) problem keeps one
@@ -43,15 +46,47 @@ O(n w).
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSet
 from .grid import Grid, SpaceField, SpaceTimeField, sup_norm
+
+
+def _band_lu():
+    """dgbtrf and dgbtrs from scipy.linalg._flapack, loaded from its file and
+    registered under its name, so a later `import scipy.linalg` reuses it.  The
+    module has lived at scipy/linalg/_flapack<extension suffix> from scipy 1.10
+    to 1.17; where that file is missing or does not load, the public import
+    serves the same routines."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        # find_spec locates the scipy package without importing it
+        roots = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None) or []
+        files = (os.path.join(root, "linalg", "_flapack" + suffix) for root in roots for suffix in EXTENSION_SUFFIXES)
+        path = next((f for f in files if os.path.isfile(f)), None)
+        try:
+            if path is None:
+                raise ImportError(f"no {name} file")
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+            return dgbtrf, dgbtrs
+        sys.modules[name] = module
+    return sys.modules[name].dgbtrf, sys.modules[name].dgbtrs
+
+
+dgbtrf, dgbtrs = _band_lu()
 
 
 class LinearSolveError(RuntimeError):

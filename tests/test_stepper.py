@@ -1,9 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+import bspde
 from bspde import (
     CoefficientSet,
     Domain,
@@ -55,20 +62,24 @@ def _dense_step_matrix(g, c, t):
     return np.eye(len(nodes)) - g.dt * A
 
 
+def _one_step_problem(nx):
+    """A one-step grid with nx nodes (an int in 1-D, a pair in 2-D) and
+    coefficients whose drift changes sign across the box, with b12 != 0 in 2-D."""
+    if isinstance(nx, int):
+        g = make_grid(Domain((0.0,), (1.0,)), nx, 1, 0.3)
+        return g, CoefficientSet.create(1, b="0.1 + 0.05*x", f="3*x - 1.5", lam="-0.5 - x")
+    g = make_grid(Domain((0.0, -1.0), (1.0, 1.0)), nx, 1, 0.3)
+    b = [[0.2, "0.05 + 0.03*x2"], ["0.05 + 0.03*x2", 0.15]]
+    return g, CoefficientSet.create(2, b=b, f=["2 - 4*x1", "x2"], lam=-0.7)
+
+
 @pytest.mark.parametrize("nx", [3, 12, (3, 3), (3, 9), (9, 3), (5, 4), (6, 9)])
 def test_one_step_against_dense(nx):
     # one backward step (nt=1) against a dense solve; drift changes sign across
     # the box and b12 != 0, so stride order, row-end wrap-around and flat-offset
     # collisions on thin grids all show up as mismatches
     rng = np.random.default_rng(5)
-    if isinstance(nx, int):
-        g = make_grid(Domain((0.0,), (1.0,)), nx, 1, 0.3)
-        c = CoefficientSet.create(1, b="0.1 + 0.05*x", f="3*x - 1.5", lam="-0.5 - x")
-    else:
-        g = make_grid(Domain((0.0, -1.0), (1.0, 1.0)), nx, 1, 0.3)
-        c = CoefficientSet.create(
-            2, b=[[0.2, "0.05 + 0.03*x2"], ["0.05 + 0.03*x2", 0.15]], f=["2 - 4*x1", "x2"], lam=-0.7
-        )
+    g, c = _one_step_problem(nx)
     src, term = random_st_field(rng, g), random_field(rng, g)
     out = solve_terminal(g, c, source=src, terminal=term)
     M = _dense_step_matrix(g, c, 0.0)
@@ -512,3 +523,109 @@ def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
         phi = rhs.values + src_term + compiled.apply(sweep(SpaceField(g, phi))).values
     u = u_src.values + sweep(SpaceField(g, phi)).values
     assert sol.u.values.tobytes() == u.tobytes()
+
+
+# The stepper loads dgbtrf and dgbtrs from scipy.linalg._flapack's file, not
+# through the scipy.linalg package import.  The checks below that need a
+# fresh interpreter run one through _fresh.
+
+SRC = str(Path(bspde.__file__).resolve().parents[1])
+
+
+def _fresh(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter that imports bspde from this tree."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_scipy_linalg_and_sparse_out():
+    # either package import costs about 0.1 s of every CLI run
+    mods = json.loads(_fresh("import json, sys, bspde.cli; print(json.dumps(sorted(sys.modules)))"))
+    assert "scipy.linalg._flapack" in mods
+    assert "scipy.linalg" not in mods
+    assert "scipy.sparse" not in mods
+
+
+@pytest.mark.parametrize("nx", [12, (6, 9)])
+def test_stepper_routines_match_scipy_lapack_bit_for_bit(nx):
+    g, c = _one_step_problem(nx)
+    level, n = _assemble(g, c, 0.0), g.n_interior
+    w = level.w
+    assert w == (1 if g.dim == 1 else g.interior_shape[1] + 1)
+    ab = np.zeros((3 * w + 1, n), order="F")
+    for k, entries in level.bands.items():
+        rows, cols = _span(k, n)
+        ab[2 * w - k, cols] = entries[rows]
+    b = np.random.default_rng(23).uniform(-1.0, 1.0, n)
+    ours = stepper.dgbtrf(ab.copy(order="F"), w, w)
+    theirs = dgbtrf(ab.copy(order="F"), w, w)
+    assert ours[2] == theirs[2] == 0
+    assert ours[0].tobytes() == theirs[0].tobytes() and ours[1].tobytes() == theirs[1].tobytes()
+    x_ours, info_ours = stepper.dgbtrs(ours[0], w, w, b, ours[1])
+    x_theirs, info_theirs = dgbtrs(theirs[0], w, w, b, theirs[1])
+    assert info_ours == info_theirs == 0
+    assert x_ours.tobytes() == x_theirs.tobytes()
+
+
+@pytest.mark.parametrize("order", ["bspde.stepper, scipy.linalg.lapack", "scipy.linalg.lapack, bspde.stepper"])
+def test_one_flapack_module_whichever_is_imported_first(order):
+    out = _fresh(
+        f"import sys, {order}\n"
+        "from bspde import stepper\n"
+        "from scipy.linalg import lapack\n"
+        "print(stepper.dgbtrf is lapack.dgbtrf, stepper.dgbtrs is lapack.dgbtrs)\n"
+        "print(sys.modules['scipy.linalg._flapack'] is lapack._flapack)"
+    )
+    assert out.split() == ["True", "True", "True"]
+
+
+# importlib patched before bspde is imported: the stepper's file lookup
+# misses, finds a file that does not load (a scipy root {root} whose
+# linalg/_flapack file is not a shared object), or (a programming error in the
+# loader) gets no spec for the file it found
+_LOOKUPS = {
+    "direct": "",
+    "missing": "importlib.util.find_spec = lambda name, package=None: None",
+    "unloadable": """
+import importlib.machinery
+scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+scipy_spec.submodule_search_locations = [{root!r}]
+importlib.util.find_spec = lambda name, package=None: scipy_spec
+""",
+    "no spec": "importlib.util.spec_from_file_location = lambda name, location: None",
+}
+
+_SOLVE = """
+import hashlib
+import numpy as np
+from bspde import CoefficientSet, Domain, SpaceField, make_grid, solve_terminal, stepper
+public = "scipy.linalg" in sys.modules  # imported only by the fallback
+g = make_grid(Domain((0.0, -1.0), (1.0, 1.0)), (6, 9), 8, 0.5)
+c = CoefficientSet.create(2, b=[[0.2, 0.05], [0.05, "0.15 + 0.05*t"]], f=["2 - 4*x1", "x2"], lam=-0.7)
+out = solve_terminal(g, c, terminal=SpaceField(g, np.random.default_rng(7).uniform(-1, 1, g.interior_shape)))
+from scipy.linalg import lapack
+same = stepper.dgbtrf is lapack.dgbtrf and stepper.dgbtrs is lapack.dgbtrs
+print(public, same, hashlib.sha256(out.u.values.tobytes()).hexdigest())
+"""
+
+
+def _solve_with_lookup(lookup: str, root: str = "") -> list[str]:
+    return _fresh("import importlib.util, sys\n" + _LOOKUPS[lookup].format(root=root) + _SOLVE).split()
+
+
+def test_public_import_serves_when_the_flapack_file_is_missing_or_unloadable(tmp_path):
+    (tmp_path / "linalg").mkdir()
+    (tmp_path / "linalg" / ("_flapack" + EXTENSION_SUFFIXES[0])).write_bytes(b"not a shared object")
+    public, same, digest = _solve_with_lookup("direct")
+    assert (public, same) == ("False", "True")
+    for lookup in ("missing", "unloadable"):
+        assert _solve_with_lookup(lookup, str(tmp_path)) == ["True", "True", digest]
+
+
+def test_a_loader_fault_is_not_taken_for_a_missing_file():
+    with pytest.raises(AssertionError, match="AttributeError"):
+        _solve_with_lookup("no spec")

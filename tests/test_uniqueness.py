@@ -1,8 +1,10 @@
-"""Property test of uniqueness: on small 1-D problems with lam <= 0 and a
-coupling of norm bound at most 0.9, Picard iteration and the dense direct
-solve of the same fixed point find the same solution, both satisfy the
-non-local terminal condition, and the solution's coupling reads nothing
-after its horizon."""
+"""Property tests on small 1-D problems with lam <= 0 and a coupling of norm
+bound at most 0.9.  Uniqueness: Picard iteration and the dense direct solve
+of the same fixed point find the same solution, both satisfy the non-local
+terminal condition, and the solution's coupling reads nothing after its
+horizon.  Linearity: the solution of a combination of data is the same
+combination of solutions.  The discrete maximum principle: every backward
+solve is monotone and bounded by its data."""
 
 from __future__ import annotations
 
@@ -24,6 +26,8 @@ from bspde import (
     make_grid,
     solve_nonlocal,
     solve_nonlocal_direct,
+    solve_terminal,
+    sup_norm,
     truncation_check,
     validate,
     validate_spec,
@@ -33,6 +37,7 @@ MAX_BOUND = 0.9
 # ||Q|| <= 0.9 shrinks the Picard residual by 0.9 per iteration at least:
 # 0.9**300 < 1e-13 takes a residual of order 1 below tol
 MAX_ITER = 300
+DERANDOMIZED = dict(derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
@@ -126,13 +131,7 @@ def problems(draw):
     return grid, coeffs, spec, source, terminal
 
 
-@settings(
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=200, **DERANDOMIZED)
 @given(problems())
 def test_picard_and_the_direct_solve_find_the_one_solution(problem):
     grid, coeffs, spec, source, terminal = problem
@@ -146,3 +145,40 @@ def test_picard_and_the_direct_solve_find_the_one_solution(problem):
     assert direct.report.bc_residual <= 1e-9
     assert truncation_check(spec, picard.u)
     assert truncation_check(spec, direct.u)
+
+
+def _picard(grid, coeffs, spec, source, terminal):
+    """solve_nonlocal, stopped at 1e-12 relative to the data's sup norm."""
+    scale = max(sup_norm(terminal), sup_norm(source) if source is not None else 0.0)
+    sol = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12 * (scale or 1.0), max_iter=MAX_ITER)
+    assert sol.report.converged
+    return sol.u.values
+
+
+WEIGHTS = st.floats(-2.0, -0.1) | st.just(0.0) | st.floats(0.1, 2.0)
+
+
+@settings(max_examples=120, **DERANDOMIZED)
+@given(problems(), WEIGHTS, WEIGHTS, st.integers(0, 2**32 - 1))
+def test_the_solution_is_linear_in_the_data(problem, a, b, seed):
+    grid, coeffs, spec, source1, terminal1 = problem
+    rng = np.random.default_rng(seed)
+    terminal2 = SpaceField(grid, rng.uniform(-1.0, 1.0, grid.interior_shape))
+    source2 = SpaceTimeField(grid, rng.uniform(-1.0, 1.0, (grid.nt + 1,) + grid.interior_shape))
+    s1 = np.zeros_like(source2.values) if source1 is None else source1.values
+    u1 = _picard(grid, coeffs, spec, source1, terminal1)
+    u2 = _picard(grid, coeffs, spec, source2, terminal2)
+    source = SpaceTimeField(grid, a * s1 + b * source2.values)
+    terminal = SpaceField(grid, a * terminal1.values + b * terminal2.values)
+    u = _picard(grid, coeffs, spec, source, terminal)
+    scale = abs(a) * np.max(np.abs(u1)) + abs(b) * np.max(np.abs(u2))
+    assert np.max(np.abs(u - (a * u1 + b * u2))) <= 1e-9 * scale
+
+
+@settings(max_examples=200, **DERANDOMIZED)
+@given(problems())
+def test_every_backward_solve_obeys_the_maximum_principle(problem):
+    grid, coeffs, _, source, terminal = problem
+    diagnostics = solve_terminal(grid, coeffs, source=source, terminal=terminal).diagnostics
+    assert diagnostics.monotone
+    assert diagnostics.max_principle_slack >= -1e-12
