@@ -13,13 +13,13 @@ Exit codes: 0 success, 1 validation failure, 2 non-convergence, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ class NonConvergence(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config entry is missing or malformed."""
+    """A config entry is missing, unknown or malformed."""
 
 
 class CoefficientValidationFailure(ValueError):
@@ -87,62 +87,39 @@ def _number(value, path: str, kind=float):
     return number
 
 
-def _positive(value: float, path: str) -> float:
-    """`value`, the number at dotted `path`, which must be positive and finite."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{path}: must be positive and finite, got {value!r}")
+def _positive(value, path: str, kind=float):
+    """A positive finite number, or for kind int an integer of at least 1."""
+    value = _number(value, path, kind)
+    if not (value > 0 and (kind is int or math.isfinite(value))):
+        raise ConfigError(f"{path}: must be {'at least 1' if kind is int else 'positive and finite'}, got {value!r}")
     return value
 
 
-_MISSING = object()
+def _list(value, path: str, kind=list):
+    """A list (or, for kind str, a string): `output.dir: must be a string, got 5`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: must be {'a list' if kind is list else 'a string'}, got {value!r}")
+    return value
 
 
-class _Section:
-    """The JSON object at dotted path `where` of a config (the file itself
-    when `where` is empty).  Each entry read from it is reported by its own
-    dotted path, as in `grid.nt: missing`."""
-
-    def __init__(self, value, where: str):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where or 'config file'}: must be an object, got {value!r}")
-        self.value, self.where = value, where
-
-    def path(self, key: str) -> str:
-        return f"{self.where}.{key}" if self.where else key
-
-    def get(self, key: str, kind=None, default=_MISSING):
-        """Entry `key`, or `default` when the key is absent (and required
-        when there is no default).  A present entry of kind float or int is
-        converted by `_number`; one of kind list or str must be one."""
-        if key not in self.value:
-            if default is _MISSING:
-                raise ConfigError(f"{self.path(key)}: missing")
-            return default
-        value = self.value[key]
-        if kind in (float, int):
-            return _number(value, self.path(key), kind)
-        if kind is not None and not isinstance(value, kind):
-            what = "a list" if kind is list else "a string"
-            raise ConfigError(f"{self.path(key)}: must be {what}, got {value!r}")
-        return value
-
-    def section(self, key: str, default=_MISSING) -> "_Section":
-        return _Section(self.get(key, default=default), self.path(key))
-
-    def numbers(self, key: str, kind=float) -> tuple:
-        """A list entry of numbers, converted item by item (`domain.lo[1]`)."""
-        value, path = self.get(key), self.path(key)
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
-        return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
+def _numbers(value, path: str, kind=float):
+    """A list of numbers, converted item by item (`domain.lo[1]`); for kind int
+    (`grid.nx`, a node count per axis) one integer stands for every item."""
+    if kind is int and not isinstance(value, list):
+        return _number(value, path, int)
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
 
 
-@contextlib.contextmanager
-def _named(where: str):
-    """Report a fault that a constructor finds in the config entry at dotted
-    path `where` by that path, as in `coefficients: b must be 1x1`."""
+_integer, _string = partial(_number, kind=int), partial(_list, kind=str)
+
+
+def _built(where: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`; a fault that it finds in the config entry at
+    dotted path `where` is reported by that path, as in `coefficients: b must be 1x1`."""
     try:
-        yield
+        return build(*args, **kwargs)
     except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError) as e:
         raise ConfigError(f"{where}: {e}") from None
 
@@ -150,17 +127,13 @@ def _named(where: str):
 @dataclass
 class RunConfig:
     raw: dict
-    domain: Domain
+    entries: dict  # the config read through _CONFIG, every default filled in
     grid: Grid
     coeffs: CoefficientSet
     gamma: object | None
     terminal: SpaceField
     source: SpaceTimeField | None
-    tol: float
-    max_iter: int
     mc: PathConfig
-    points: list
-    theta_gap: float | None
     outdir: Path
 
 
@@ -176,6 +149,12 @@ def _expr(value, path: str, depth: int = 0):
         return as_entry(value)
     except (ExprError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from None
+
+
+def _source(value, path: str):
+    """`data.source`: none (null, as when absent), or the number 0, is no source."""
+    e = None if value is None else _expr(value, path)
+    return None if isinstance(value, (int, float)) and value == 0 else e
 
 
 def _time_kernel(value, path: str):
@@ -204,6 +183,70 @@ def _time_kernel(value, path: str):
     return samples
 
 
+_REQUIRED = object()
+# Every entry a config may hold: section -> key -> (reader of the JSON value at
+# a dotted path, default).  An absent entry's default is read like a present
+# entry unless it is None; a section is required when one of its entries is.
+_CONFIG = {
+    "domain": {"lo": (_numbers, _REQUIRED), "hi": (_numbers, _REQUIRED)},
+    "grid": {"nx": (partial(_numbers, kind=int), _REQUIRED), "nt": (_integer, _REQUIRED), "T": (_number, _REQUIRED)},
+    "coefficients": {
+        "b": (partial(_expr, depth=2), 1.0),
+        "f": (lambda v, path: None if v is None else _expr(v, path, 1), None),
+        "lam": (_expr, 0.0),
+        "beta": (lambda v, path: _expr(_list(v, path), path, 2), []),
+    },
+    "gamma": (lambda v, path: v, None),  # read by _gamma once the grid is built
+    "data": {"terminal": (_expr, 0.0), "source": (_source, None)},
+    "fixedpoint": {"tol": (_positive, 1e-8), "max_iter": (partial(_positive, kind=int), 200)},
+    "montecarlo": {
+        "dt_mc": (_number, 1e-4),
+        "n_paths": (_integer, 10000),
+        "seed": (_integer, 0),
+        "points": (_list, []),
+        "theta_gap": (_positive, None),
+    },
+    "output": {"dir": (_string, "out")},
+}
+_TYPE = {"type": (lambda v, path: v, _REQUIRED)}
+# gamma type -> (coupling, its entries), built from the entries by name
+_GAMMA = {
+    "initial_value": (InitialValue, {"weight": (_number, _REQUIRED)}),
+    "point_in_time": (PointInTime, {"weight": (_number, _REQUIRED), "t1": (_number, _REQUIRED)}),
+    "two_point": (TwoPoint, dict.fromkeys(("weight1", "t1", "weight2", "t2"), (_number, _REQUIRED))),
+    "time_kernel": (TimeKernel, {"theta": (_number, _REQUIRED), "kernel": (_time_kernel, _REQUIRED)}),
+    "space_time_kernel": (SpaceTimeKernel, {"theta": (_number, _REQUIRED), "csv": (_string, _REQUIRED)}),
+    "convex": (Convex, {"weights": (_numbers, _REQUIRED), "parts": (_list, _REQUIRED)}),
+}
+
+
+def _read(value, where: str, table: dict) -> dict:
+    """The JSON object at dotted path `where` (the file itself when empty) read
+    through `table`: the first key it does not list is reported as
+    `fixedpoint.tolerance: unknown entry (did you mean 'tol'?)`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config file'}: must be an object, got {value!r}")
+    for key in value:
+        if key not in table:
+            from difflib import get_close_matches  # only here: a good config does not need it
+            names = {name.lower(): name for name in table}
+            close = get_close_matches(key.lower(), names, n=1, cutoff=0.5)  # 0.5: `tolerance` finds `tol`
+            hint = f" (did you mean '{names[close[0]]}'?)" if close else ""
+            raise ConfigError(f"{where}{'.' if where else ''}{key}: unknown entry{hint}")
+    entries = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            spec = (spec, _REQUIRED if any(d is _REQUIRED for _, d in spec.values()) else {})
+        (reader, default), path = spec, f"{where}.{key}" if where else key
+        entry = value.get(key, default)
+        if entry is _REQUIRED:
+            raise ConfigError(f"{path}: missing")
+        if key in value or entry is not None:
+            entry = _read(entry, path, reader) if isinstance(reader, dict) else reader(entry, path)
+        entries[key] = entry
+    return entries
+
+
 def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.ndarray:
     """Evaluate the expression at dotted `path`, of x[,x2] (and t, when
     given), on the interior nodes."""
@@ -219,92 +262,54 @@ def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.
     return values
 
 
-def _sample_data(grid: Grid, data: _Section) -> tuple[SpaceField, SpaceTimeField | None]:
-    """The terminal data and the source of a config's `data` section on
-    `grid`, the source on every level; none, or the number 0, is no source."""
-    e = _expr(data.get("terminal", default=0.0), "data.terminal")
-    terminal = SpaceField(grid, _sample_space(grid, e, "data.terminal"))
-    entry = data.get("source", default=None)
-    e = None if entry is None else _expr(entry, "data.source")
-    if e is None or (isinstance(entry, (int, float)) and entry == 0):
+def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | None]:
+    """The terminal data and the source, on every level, of the read `data` entries on `grid`."""
+    terminal = SpaceField(grid, _sample_space(grid, data["terminal"], "data.terminal"))
+    if data["source"] is None:
         return terminal, None
-    return terminal, SpaceTimeField(grid, np.stack([_sample_space(grid, e, "data.source", t) for t in grid.times()]))
+    levels = [_sample_space(grid, data["source"], "data.source", t) for t in grid.times()]
+    return terminal, SpaceTimeField(grid, np.stack(levels))
 
 
-def _gamma_from_config(spec: _Section, grid: Grid, base_dir: Path):
-    """The coupling that the gamma spec `spec` describes."""
-    kind = spec.get("type")
-    if kind == "initial_value":
-        return InitialValue(weight=spec.get("weight", float))
-    if kind == "point_in_time":
-        return PointInTime(weight=spec.get("weight", float), t1=spec.get("t1", float))
-    if kind == "two_point":
-        w1, t1, w2, t2 = (spec.get(key, float) for key in ("weight1", "t1", "weight2", "t2"))
-        return TwoPoint(weight1=w1, t1=t1, weight2=w2, t2=t2)
-    if kind == "time_kernel":
-        theta = spec.get("theta", float)
-        return TimeKernel(theta=theta, kernel=_time_kernel(spec.get("kernel"), spec.path("kernel")))
-    if kind == "space_time_kernel":
-        theta = spec.get("theta", float)
-        with open(base_dir / spec.get("csv", str), "r", encoding="utf-8") as fh, _named(spec.path("csv")):
-            return SpaceTimeKernel(theta=theta, kernel=kernel_from_csv(fh, grid, theta))
-    if kind == "convex":
-        parts = spec.get("parts", list)
-        where = spec.path("parts")
-        parts = tuple(_gamma_from_config(_Section(p, f"{where}[{i}]"), grid, base_dir) for i, p in enumerate(parts))
-        return Convex(weights=spec.numbers("weights"), parts=parts)
-    raise ConfigError(f"{spec.path('type')}: unknown gamma type '{kind}'")
+def _gamma(spec, path: str, grid: Grid, base_dir: Path):
+    """The coupling that the gamma spec at dotted `path` describes, built from
+    the entries `_GAMMA` lists for its `type`.  Until the type is known, every
+    type's entries are listed, none required, so a bad `type` is reported."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    known = isinstance(kind, str) and kind in _GAMMA
+    tables = [_GAMMA[kind][1]] if known else [{k: (r, None) for k, (r, _) in t.items()} for _, t in _GAMMA.values()]
+    entries = _read(spec, path, {key: entry for table in (_TYPE, *tables) for key, entry in table.items()})
+    if not known:
+        raise ConfigError(f"{path}.type: unknown gamma type '{kind}'")
+    cls = _GAMMA[entries.pop("type")][0]
+    if cls is SpaceTimeKernel:
+        with open(base_dir / entries.pop("csv"), "r", encoding="utf-8") as fh:
+            entries["kernel"] = _built(f"{path}.csv", kernel_from_csv, fh, grid, entries["theta"])
+    if cls is Convex:
+        parts = enumerate(entries["parts"])
+        entries["parts"] = tuple(_gamma(part, f"{path}.parts[{i}]", grid, base_dir) for i, part in parts)
+    return cls(**entries)
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
-    config = _Section(raw, "")
-    dom = config.section("domain")
-    with _named("domain"):
-        domain = Domain(lo=dom.numbers("lo"), hi=dom.numbers("hi"))
-    gs = config.section("grid")
-    nx = gs.numbers("nx", int) if isinstance(gs.get("nx"), list) else gs.get("nx", int)
-    with _named("grid"):
-        grid = make_grid(domain, nx, gs.get("nt", int), gs.get("T", float))
-    cs = config.section("coefficients", {})
-    beta = cs.get("beta", list, [])
-    f = cs.get("f", default=None)
-    with _named("coefficients"):
-        coeffs = CoefficientSet.create(
-            dim=domain.dim,
-            b=_expr(cs.get("b", default=1.0), "coefficients.b", 2),
-            f=None if f is None else _expr(f, "coefficients.f", 1),
-            lam=_expr(cs.get("lam", default=0.0), "coefficients.lam"),
-            beta=_expr(beta, "coefficients.beta", 2),
-        )
-    gamma = config.get("gamma", default=None)
-    if gamma is not None:
-        gamma = _gamma_from_config(config.section("gamma"), grid, base_dir)
-    terminal, source = _sample_data(grid, config.section("data", {}))
-    fp = config.section("fixedpoint", {})
-    tol = _positive(fp.get("tol", float, 1e-8), "fixedpoint.tol")
-    max_iter = fp.get("max_iter", int, 200)
-    if max_iter < 1:
-        raise ConfigError(f"fixedpoint.max_iter: must be at least 1, got {max_iter!r}")
-    mc = config.section("montecarlo", {})
-    seed = mc.get("seed", int, 0) if seed_override is None else int(seed_override)
-    with _named("montecarlo"):
-        paths = PathConfig(dt_mc=mc.get("dt_mc", float, 1e-4), n_paths=mc.get("n_paths", int, 10000), seed=seed)
-    points = mc.get("points", list, [])
-    for i, pt in enumerate(points):
+    entries = _read(raw, "", _CONFIG)
+    domain = _built("domain", Domain, **entries["domain"])
+    grid = _built("grid", make_grid, domain, **entries["grid"])
+    coeffs = _built("coefficients", CoefficientSet.create, dim=domain.dim, **entries["coefficients"])
+    gamma = None if entries["gamma"] is None else _gamma(entries["gamma"], "gamma", grid, base_dir)
+    terminal, source = _sample_data(grid, entries["data"])
+    mc = entries["montecarlo"]
+    seed = mc["seed"] if seed_override is None else int(seed_override)
+    paths = _built("montecarlo", PathConfig, dt_mc=mc["dt_mc"], n_paths=mc["n_paths"], seed=seed)
+    for i, pt in enumerate(mc["points"]):
         if not (isinstance(pt, list) and len(pt) == domain.dim + 1 and all(type(v) in (int, float) for v in pt)):
             form = "[x1, s]" if domain.dim == 1 else "[x1, x2, s]"
             raise ConfigError(f"montecarlo.points[{i}]: must be {domain.dim + 1} numbers {form}, got {pt!r}")
-    theta_gap = mc.get("theta_gap", float, None)
-    if theta_gap is not None:
-        _positive(theta_gap, "montecarlo.theta_gap")
-    out_dir = config.section("output", {}).get("dir", str, "out")
-    outdir = Path(out_override) if out_override else base_dir / out_dir
-    return RunConfig(
-        raw, domain, grid, coeffs, gamma, terminal, source, tol, max_iter, paths, points, theta_gap, outdir
-    )
+    outdir = Path(out_override) if out_override else base_dir / entries["output"]["dir"]
+    return RunConfig(raw, entries, grid, coeffs, gamma, terminal, source, paths, outdir)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -325,7 +330,7 @@ def _validation_block(cfg: RunConfig) -> dict:
     }
     env = bounds(cfg.coeffs, cfg.grid)
     block.update({"sup_f1": env.sup_f1, "c_beta": env.c_beta, "delta_qv": env.delta_qv})
-    theta_gap = cfg.theta_gap
+    theta_gap = cfg.entries["montecarlo"]["theta_gap"]
     if cfg.gamma is not None:
         gr = validate_spec(cfg.gamma, cfg.grid)
         block.update(
@@ -338,7 +343,7 @@ def _validation_block(cfg: RunConfig) -> dict:
         if theta_gap is None:
             theta_gap = cfg.grid.T - gr.theta
     if theta_gap is not None:
-        nb = confinement_bound(cfg.domain, cfg.coeffs, cfg.grid, theta_gap)
+        nb = confinement_bound(cfg.grid.domain, cfg.coeffs, cfg.grid, theta_gap)
         block.update({"theta_gap": theta_gap, "nu": nb.nu, "sqrt_nu": nb.sqrt_nu})
     return block
 
@@ -359,9 +364,7 @@ def cmd_cauchy(cfg: RunConfig, validation: dict) -> dict:
 def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
     if cfg.gamma is None:
         raise NonlocalValidationError("solve requires a gamma section in the config")
-    sol = solve_nonlocal(
-        cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    sol = solve_nonlocal(cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma, **cfg.entries["fixedpoint"])
     if not sol.report.converged:
         raise NonConvergence(
             f"fixed point not converged after {sol.report.iterations} iterations "
@@ -396,10 +399,11 @@ def cmd_qmatrix(cfg: RunConfig, validation: dict) -> dict:
 
 
 def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
-    if not cfg.points:
+    points = cfg.entries["montecarlo"]["points"]
+    if not points:
         raise ConfigError("mccheck requires montecarlo.points in the config")
     problem = CauchyProblem(grid=cfg.grid, coeffs=cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
-    rows = compare_mc_pde(problem, cfg.points, cfg.mc)
+    rows = compare_mc_pde(problem, points, cfg.mc)
     _write_atomic(cfg.outdir / "mccheck.csv", comparison_to_csv(rows, cfg.grid.dim))
     return {
         "mccheck": {
@@ -413,7 +417,7 @@ def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
 def cmd_nubound(cfg: RunConfig, validation: dict) -> dict:
     if "theta_gap" not in validation:
         raise ConfigError("nubound needs montecarlo.theta_gap or a gamma section")
-    nb = confinement_bound(cfg.domain, cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
+    nb = confinement_bound(cfg.grid.domain, cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
     _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True) + "\n")
     return {"nubound": nb}
 
@@ -423,12 +427,12 @@ def cmd_converge(cfg: RunConfig, validation: dict) -> dict:
     nodes with the same time grid; the observed order comes from sup-norm
     differences at the shared coarse nodes at t = 0."""
     grids = [cfg.grid] + [
-        make_grid(cfg.domain, tuple((n - 1) * factor + 1 for n in cfg.grid.nx), cfg.grid.nt, cfg.grid.T)
+        make_grid(cfg.grid.domain, tuple((n - 1) * factor + 1 for n in cfg.grid.nx), cfg.grid.nt, cfg.grid.T)
         for factor in (2, 4)
     ]
     sols = [solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal).u]
     for g in grids[1:]:
-        term, src = _sample_data(g, _Section(cfg.raw.get("data", {}), "data"))
+        term, src = _sample_data(g, cfg.entries["data"])
         sols.append(solve_terminal(g, cfg.coeffs, source=src, terminal=term).u)
 
     def restrict(values: np.ndarray, factor: int) -> np.ndarray:

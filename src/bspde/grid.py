@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Doubles a backward solve may hold, checked before anything is allocated: 2 GiB, a
+# quarter of 8 GB and 500 times the largest grid in the test suite (41 x 41 at nt 200).
+MAX_SOLVE_DOUBLES = 2**28
+
 
 class GridError(ValueError):
     pass
@@ -86,6 +90,13 @@ class Grid:
         # a field of doubles on every node of every level must fit in one numpy array
         if 8 * (self.nt + 1) * math.prod(self.nx) > np.iinfo(np.intp).max:
             raise GridError("nx and nt ask for more nodes than a numpy array can hold")
+        # the solution on every level and one level's band LU factor, (3w + 1) rows of n_interior,
+        # where the stepper's half-bandwidth w is 1 in 1-D and (interior nodes of the last axis) + 1 in 2-D
+        w = 1 if len(self.nx) == 1 else self.nx[-1] - 1
+        doubles = (self.nt + 1) * math.prod(self.nx) + (3 * w + 1) * math.prod(n - 2 for n in self.nx)
+        if doubles > MAX_SOLVE_DOUBLES:
+            need = f"nx = {list(self.nx)} and nt = {self.nt} ask a solve to hold {doubles:.3g} doubles"
+            raise GridError(f"{need}, more than the limit of {MAX_SOLVE_DOUBLES:.3g}")
         object.__setattr__(
             self,
             "hx",

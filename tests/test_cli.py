@@ -670,3 +670,129 @@ def test_time_kernel_samples_at_one_time_are_a_validation_failure(tmp_path, caps
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"validation failed: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err
+
+
+@pytest.mark.parametrize("path", [("gamma",), ("coefficients", "f"), ("data", "source")], ids=".".join)
+def test_a_null_gamma_f_or_source_loads_as_absent(tmp_path, path):
+    def run(null: bool):
+        raw = json.loads(write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0}).read_text())
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        if null:
+            node[path[-1]] = None
+        else:
+            del node[path[-1]]
+        (tmp_path / "c.json").write_text(json.dumps(raw))
+        out = tmp_path / f"o-{null}"
+        assert main(["cauchy", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        report = read_report(out)
+        report.pop("timing_seconds"), report.pop("config")
+        return report, (out / "solution.csv").read_bytes()
+
+    assert run(null=True) == run(null=False)
+
+
+CONVEX_PART_T1 = {"type": "convex", "weights": [1.0], "parts": [{"type": "initial_value", "weight": 0.5, "t1": 0.2}]}
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"solver": {"method": "picard"}}, "solver: unknown entry"),
+        ({"fixedpoint": {"tolerance": 1e-3}}, "fixedpoint.tolerance: unknown entry (did you mean 'tol'?)"),
+        ({"montecarlo": {"npaths": 100}}, "montecarlo.npaths: unknown entry (did you mean 'n_paths'?)"),
+        ({"grid": {"nx": [41], "NT": 50, "T": 1.0}}, "grid.NT: unknown entry (did you mean 'nt'?)"),
+        ({"output": {"directory": "out"}}, "output.directory: unknown entry (did you mean 'dir'?)"),
+        ({"gamma": {"type": "initial_value", "weight": 0.5, "t1": 0.2}}, "gamma.t1: unknown entry"),
+        ({"gamma": {"type": "point_in_time", "weigth": 0.5, "t1": 0.2}}, "gamma.weigth: unknown entry (did you mean 'weight'?)"),
+        ({"gamma": {"weight": 0.5, "tpye": "initial_value"}}, "gamma.tpye: unknown entry (did you mean 'type'?)"),
+        ({"gamma": {"type": "initial_valu", "weight": 0.5}}, "gamma.type: unknown gamma type 'initial_valu'"),
+        ({"gamma": CONVEX_PART_T1}, "gamma.parts[0].t1: unknown entry"),
+    ],
+)
+def test_an_unknown_entry_or_type_names_its_dotted_path(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bspde: invalid configuration: {message}\n"
+
+
+def test_the_misspelt_roadmap_config_names_each_unknown_entry_in_turn(tmp_path, capsys):
+    # the shipped config with misspelt keys and an extra section: the first
+    # unknown entry in table order is reported; deleting it shows the next
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "eigenmode.json").read_text())
+    raw["fixedpoint"] = {"tolerance": 1e-3, "max_iters": 3}
+    raw["grid"]["NT"] = 5
+    raw["montecarlo"]["npaths"] = 100
+    raw["gamma"]["t1"] = 0.5
+    raw["fixed_point"] = {"method": "gmres"}
+    expected = [
+        (("fixed_point",), "fixedpoint"),
+        (("grid", "NT"), "nt"),
+        (("fixedpoint", "tolerance"), "tol"),
+        (("fixedpoint", "max_iters"), "max_iter"),
+        (("montecarlo", "npaths"), "n_paths"),
+        (("gamma", "t1"), None),  # read once the grid is built
+    ]
+    cfg = tmp_path / "c.json"
+    for path, hint in expected:
+        cfg.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        message = f"{'.'.join(path)}: unknown entry" + (f" (did you mean '{hint}'?)" if hint else "")
+        assert capsys.readouterr().err == f"bspde: invalid configuration: {message}\n"
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_the_seed_entry_is_read_under_a_seed_override(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": "a"})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "3"]) == 1
+    assert "invalid configuration: montecarlo.seed: must be an integer, got 'a'" in capsys.readouterr().err
+
+
+def test_a_grid_too_large_for_a_solve_fails_before_any_data_is_sampled(tmp_path, capsys, monkeypatch):
+    def sampled(*args):
+        pytest.fail("data was sampled")
+
+    monkeypatch.setattr(cli, "_sample_space", sampled)
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [2**20], "nt": 4096, "T": 1.0})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration: grid: nx = [1048576] and nt = 4096 ask a solve to hold 4.3e+09 doubles" in err
+
+
+def test_converge_fails_on_a_refined_grid_too_large_before_any_solve(tmp_path, capsys, monkeypatch):
+    # 200 nodes at nt = 2**20 hold 2.1e8 doubles, under the limit; 399 nodes hold 4.2e8
+    def solved(*args, **kwargs):
+        pytest.fail("a solve ran")
+
+    monkeypatch.setattr(cli, "solve_terminal", solved)
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [200], "nt": 2**20, "T": 1.0}, gamma=None)
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "validation failed: nx = [399] and nt = 1048576 ask a solve to hold 4.18e+08 doubles" in err
+
+
+def test_the_readme_table_lists_every_config_entry_with_its_default():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| entry | kind | default |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+    def default(cell):
+        return cli._REQUIRED if cell == "required" else None if cell.startswith("none") else json.loads(cell.strip("`"))
+
+    readme = [(name.strip("`"), default(cell)) for name, _, cell in cells]
+    table = []
+    for section, entries in cli._CONFIG.items():
+        if isinstance(entries, dict):
+            table += [(f"{section}.{key}", value) for key, (_, value) in entries.items()]
+        else:
+            table += [(section, entries[1])] + [(f"gamma.{key}", value) for key, (_, value) in cli._TYPE.items()]
+            for kind, (_, kind_entries) in cli._GAMMA.items():
+                table += [(f"gamma.{kind}.{key}", value) for key, (_, value) in kind_entries.items()]
+    assert readme == table

@@ -1,7 +1,10 @@
 """Fuzz the config loader: one or two entries of a working config are deleted
-or replaced by awkward values, and `validate`, `cauchy` and `nubound` must
-then end with an exit code, never a traceback or a warning.  Every
-configuration fault names its dotted path or section."""
+or set to awkward values, and `validate`, `cauchy` and `nubound` must then
+end with an exit code, never a traceback or a warning.  Every configuration
+fault names its dotted path or section.  The entries are those of the config
+and those of the loader's table, so absent optional entries are set too.  A
+key the table does not list, added or made by misspelling a present key, must
+be reported by its dotted path as an unknown entry."""
 
 import contextlib
 import copy
@@ -15,9 +18,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from bspde import cli
 from bspde.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,16 +55,34 @@ def _entries(node, path=()):
         yield from _entries(value, path + (key,))
 
 
+# (section, key) of every entry in the loader's table; the gamma keys of every type
+TABLE_PATHS = [(section, key) for section, table in cli._CONFIG.items() if isinstance(table, dict) for key in table]
+TABLE_PATHS += [("gamma", key) for table in (cli._TYPE, *(t for _, t in cli._GAMMA.values())) for key in table]
+NAMES = {key for section, key in TABLE_PATHS} | set(cli._CONFIG)
+
+
 def _mutate(config, path, value):
-    """Delete the entry at `path` (value is None) or set it to `value`."""
+    """Delete the entry at `path` (value is None) or set it to `value`.  The
+    section of a table path is made when it is missing, and left alone when
+    an earlier mutation made it something other than an object."""
     *parents, last = path
     node = config
     for key in parents:
-        node = node[key]
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     if value is None:
         del node[last]
-    else:
+    elif isinstance(node, dict) or isinstance(last, int):
         node[last] = copy.deepcopy(value)
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def _dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
 
 
 MUTATIONS = st.lists(st.tuples(st.integers(0, 1 << 16), st.none() | st.sampled_from(POOL)), min_size=1, max_size=2)
@@ -78,7 +100,8 @@ def test_a_mutated_config_ends_with_an_exit_code(bases, base, mutations):
     d = bases[base]
     config = json.loads((d / "config.json").read_text())
     for pick, value in mutations:
-        paths = list(_entries(config))
+        # an entry is deleted from the config, or set from the config or the table
+        paths = list(dict.fromkeys([*_entries(config), *(TABLE_PATHS if value is not None else ())]))
         if paths:
             _mutate(config, paths[pick % len(paths)], value)
     path = d / "mutated.json"
@@ -91,6 +114,48 @@ def test_a_mutated_config_ends_with_an_exit_code(bases, base, mutations):
         assert code in (0, 1, 2, 3), (command, config)
         if code == 1:
             assert EXIT_1.match(err.getvalue()), (command, err.getvalue())
+
+
+KEY = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+
+
+@settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    base=st.sampled_from(["shipped", *workloads.COMMANDS]),
+    misspell=st.booleans(),
+    pick=st.integers(0, 1 << 16),
+    edit=st.tuples(st.sampled_from(["insert", "delete", "replace", "swap"]), st.integers(0, 16), KEY),
+)
+def test_a_key_the_table_does_not_list_is_an_unknown_entry(bases, capsys, base, misspell, pick, edit):
+    d = bases[base]
+    config = json.loads((d / "config.json").read_text())
+    if misspell:  # one character of a present key inserted, deleted, replaced or swapped
+        keys = [path for path in _entries(config) if isinstance(path[-1], str)]
+        *parents, key = keys[pick % len(keys)]
+        how, at, char = edit
+        at, char = at % (len(key) + 1), char[0]
+        new = {
+            "insert": key[:at] + char + key[at:],
+            "delete": key[:at] + key[at + 1 :],
+            "replace": key[:at] + char + key[at + 1 :],
+            "swap": key[: at - 1] + key[at : at + 1] + key[at - 1 : at] + key[at + 1 :] if at else key,
+        }[how]
+    else:  # a new key in the config or in one of its objects
+        objects = [()] + [path for path in _entries(config) if isinstance(_at(config, path), dict)]
+        parents, key, new = list(objects[pick % len(objects)]), None, edit[2]
+    assume(new and new not in NAMES)
+    node = _at(config, parents)
+    node[new] = node.pop(key) if key is not None else 1.0
+    (d / "mutated.json").write_text(json.dumps(config))
+    assert main(["validate", "--config", str(d / "mutated.json"), "--out", str(d / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bspde: invalid configuration: {_dotted([*parents, new])}: unknown entry"), err
 
 
 @pytest.mark.parametrize(
