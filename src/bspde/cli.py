@@ -38,6 +38,7 @@ from .nonlocal_ops import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
+    _snap_before_T,
     kernel_from_csv,
     validate_spec,
 )
@@ -283,6 +284,7 @@ def _gamma(spec, path: str, grid: Grid, base_dir: Path):
         raise ConfigError(f"{path}.type: unknown gamma type '{kind}'")
     cls = _GAMMA[entries.pop("type")][0]
     if cls is SpaceTimeKernel:
+        _built(f"{path}.theta", _snap_before_T, grid, entries["theta"], "theta")
         with open(base_dir / entries.pop("csv"), "r", encoding="utf-8") as fh:
             entries["kernel"] = _built(f"{path}.csv", kernel_from_csv, fh, grid, entries["theta"])
     if cls is Convex:
@@ -488,7 +490,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"bspde: i/o error: {e}", file=sys.stderr)
         return 3
     except VALIDATION_ERRORS as e:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -65,16 +65,23 @@ class TimeKernel:
     kernel: object
 
 
+class KernelEntries(NamedTuple):
+    """The entries a space-time kernel sets, four 1-D arrays of one length: time
+    level, source node y, target node x (flat interior indices) and k there."""
+
+    level: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    value: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpaceTimeKernel:
-    """integral_0^theta dt integral_D k(t, y, x) u(y, t) dy on grid nodes.
-
-    kernel has shape (levels, n_interior, n_interior): time level, source node
-    y (flat lexicographic), target node x (flat lexicographic).
-    """
+    """integral_0^theta dt integral_D k(t, y, x) u(y, t) dy on grid nodes, with k
+    the KernelEntries at levels 0..theta's level: others are 0, repeats add."""
 
     theta: float
-    kernel: np.ndarray
+    kernel: KernelEntries
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,9 @@ class NonlocalReport:
     snap_distances: tuple[float, ...]
 
 
-def _trapezoid_weights(n_levels: int, dt: float) -> np.ndarray:
-    """Quadrature weights on levels 0..n_levels-1; zero-length integral when 1 level."""
-    if n_levels == 1:
-        return np.zeros(1)
-    w = np.full(n_levels, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def _snap_before_T(grid: Grid, t: float, what: str) -> tuple[int, float]:
+    if not grid.time_in_range(t):
+        raise NonlocalValidationError(f"{what} = {t} lies outside [0, {grid.T}]")
     k, dist = grid.nearest_level(t)
     if k >= grid.nt:
         raise NonlocalValidationError(
@@ -118,26 +118,19 @@ def _snap_before_T(grid: Grid, t: float, what: str) -> tuple[int, float]:
 
 
 class _Compiled:
-    """Discrete realization: per-level scalar weights plus an optional
-    space-time weight tensor, applied additively."""
+    """Discrete realization: per-level scalar weights plus space-time entries,
+    applied additively: weight[i] (trapezoid weight and cell volume folded in)
+    times u at flat index read[i] = level * n_interior + y, summed per node
+    target[i] by np.bincount in entry order, which is (level, y) for one CSV."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.level_weights = np.zeros(grid.nt + 1)
-        self.tensor: np.ndarray | None = None  # (levels read, n_int, n_int), weights folded
+        self.read = self.target = np.zeros(0, dtype=np.intp)
+        self.weight = np.zeros(0)
         self.max_level = 0
         self.snap_distances: list[float] = []
         self.norm_bound = 0.0
-
-    def add_tensor(self, t: np.ndarray) -> None:
-        if self.tensor is None:
-            self.tensor = t.copy()
-        elif t.shape[0] <= self.tensor.shape[0]:
-            self.tensor[: t.shape[0]] += t
-        else:
-            t = t.copy()
-            t[: self.tensor.shape[0]] += self.tensor
-            self.tensor = t
 
     def apply(self, u: SpaceTimeField) -> SpaceField:
         if u.grid is not self.grid and (
@@ -151,9 +144,8 @@ class _Compiled:
         L = self.max_level + 1
         vals = u.values[:L].reshape(L, -1)
         out = self.level_weights[:L] @ vals
-        if self.tensor is not None:
-            Lt = self.tensor.shape[0]
-            out = out + np.einsum("kyx,ky->x", self.tensor, vals[:Lt])
+        if self.target.size:
+            out = out + np.bincount(self.target, self.weight * vals.take(self.read), self.grid.n_interior)
         return SpaceField(self.grid, out.reshape(self.grid.interior_shape))
 
 
@@ -223,7 +215,8 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         k_theta, dist = _snap_before_T(grid, spec.theta, "theta")
         c.snap_distances.append(dist)
         c.max_level = k_theta
-        w = _trapezoid_weights(k_theta + 1, grid.dt)
+        w = np.full(k_theta + 1, grid.dt if k_theta else 0.0)  # trapezoid weights; all 0 when theta's level is 0
+        w[[0, -1]] *= 0.5
         if isinstance(spec, TimeKernel):
             kv = _resample_time_kernel(spec.kernel, grid, k_theta + 1)
             bad = np.flatnonzero(~np.isfinite(kv))
@@ -233,17 +226,20 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
             c.norm_bound = float(np.sum(w * np.abs(kv)))
             what, where = "time-kernel quadrature of the absolute kernel is", ""
         else:
-            n_int = grid.n_interior
-            kv = np.asarray(spec.kernel, dtype=float)
-            if kv.shape != (k_theta + 1, n_int, n_int):
-                raise NonlocalValidationError(
-                    f"space-time kernel shape {kv.shape} != {(k_theta + 1, n_int, n_int)} "
-                    "(levels 0..theta, source node, target node)"
-                )
-            if not np.all(np.isfinite(kv)):
+            n = grid.n_interior
+            entries = [np.asarray(a) for a in spec.kernel] if isinstance(spec.kernel, KernelEntries) else []
+            if not entries or entries[0].ndim != 1 or len({a.shape for a in entries}) != 1:
+                raise NonlocalValidationError("space-time kernel must be KernelEntries: four 1-D arrays of one length")
+            *index, value = entries
+            for name, idx, top in zip(("levels", "source nodes", "target nodes"), index, (k_theta, n - 1, n - 1)):
+                if not np.issubdtype(idx.dtype, np.integer) or np.any((idx < 0) | (idx > top)):
+                    raise NonlocalValidationError(f"space-time kernel {name} must be integers in [0, {top}]")
+            if not np.all(np.isfinite(value)):
                 raise NonlocalValidationError("space-time kernel has non-finite values")
-            c.tensor = w[:, None, None] * kv * grid.cell_volume
-            c.norm_bound = float(np.max(np.sum(np.abs(c.tensor), axis=(0, 1))))
+            level, source, c.target = (a.astype(np.intp) for a in index)
+            c.read = level * n + source
+            c.weight = w[level] * value * grid.cell_volume
+            c.norm_bound = float(np.bincount(c.target, np.abs(c.weight), n).max())
             what, where = "space-time kernel bound is", " at some target node"
         if c.norm_bound > 1 + 1e-12:
             raise NonlocalValidationError(f"{what} {c.norm_bound:.6g} > 1{where}")
@@ -261,8 +257,9 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         for w, part in zip(ws, spec.parts):
             sub = _compile(part, grid)
             c.level_weights += w * sub.level_weights
-            if sub.tensor is not None:
-                c.add_tensor(w * sub.tensor)
+            c.read = np.concatenate([c.read, sub.read])
+            c.target = np.concatenate([c.target, sub.target])
+            c.weight = np.concatenate([c.weight, w * sub.weight])
             c.max_level = max(c.max_level, sub.max_level)
             c.snap_distances += sub.snap_distances
             c.norm_bound += w * sub.norm_bound
@@ -322,7 +319,7 @@ def _snap_nodes(grid: Grid, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, ok
 
 
-def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
+def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
     """Read a tabulated space-time kernel from the CSV file object `fh`, with
     columns t,x1[,x2],y1[,y2],k.
 
@@ -332,10 +329,11 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
     (ties to the lower node) and must lie within half a step of it.  Entries
     that no row sets are zero, and a later row for the same (level, y, x)
     overwrites an earlier one.  Every non-empty row has exactly as many
-    fields as the header, every field is a number, and t, x and y are
-    finite; a row that breaks any of these rules raises
-    NonlocalValidationError naming its 1-based line.  Returns the kernel
-    array for SpaceTimeKernel(theta, ...).
+    fields as the header and every field is a finite number; a row that
+    breaks any of these rules raises NonlocalValidationError naming its
+    1-based line.  Returns the
+    KernelEntries for SpaceTimeKernel(theta, ...), one per (level, y, x)
+    set, in that order.
     """
     k_theta, _ = _snap_before_T(grid, theta, "theta")
     n_int = grid.n_interior
@@ -363,7 +361,7 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
 
     rows = np.frombuffer(fields).reshape(-1, len(expected))
     t, xs, ys, kv = rows[:, 0], rows[:, 1 : 1 + dim], rows[:, 1 + dim : 1 + 2 * dim], rows[:, -1]
-    finite = np.isfinite(rows[:, :-1]).all(axis=1)
+    finite = np.isfinite(rows).all(axis=1)
     timely = grid.time_in_range(t)
     lvl = grid.nearest_levels(np.where(timely, t, 0.0))
     y, y_ok = _snap_nodes(grid, ys)
@@ -372,7 +370,7 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         if not finite[i]:
-            why = "t, x and y must be finite"
+            why = f"k = {kv[i]} is not finite" if np.isfinite(rows[i, :-1]).all() else "t, x and y must be finite"
         elif not timely[i]:
             why = f"time {t[i]} outside [0, {grid.T}]"
         elif lvl[i] > k_theta:
@@ -382,11 +380,8 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> np.ndarray:
             why = f"coordinate {off[0]} is not a grid node"
         raise NonlocalValidationError(f"kernel CSV line {lines[i]}: {why}")
 
-    out = np.zeros((k_theta + 1, n_int, n_int))
     flat = (lvl * n_int + y) * n_int + x
-    # np.put leaves the winner of a repeated index unspecified: keep each
-    # address's last row only.
+    # each address's last row, in (level, y, x) order
     _, first_from_end = np.unique(flat[::-1], return_index=True)
     last = len(flat) - 1 - first_from_end
-    np.put(out, flat[last], kv[last])
-    return out
+    return KernelEntries(lvl[last], y[last], x[last], kv[last])

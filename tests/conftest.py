@@ -12,6 +12,7 @@ from bspde import (
     Domain,
     Grid,
     InitialValue,
+    KernelEntries,
     PointInTime,
     SpaceField,
     SpaceTimeField,
@@ -72,6 +73,12 @@ def random_coeffs_1d(rng: np.random.Generator, allow_time_dep: bool = True) -> C
     return CoefficientSet.create(1, b=b, f=f, lam=lam, beta=beta)
 
 
+def dense_entries(k: np.ndarray) -> KernelEntries:
+    """Every entry of a dense (levels, n, n) kernel, zeros included, in C order."""
+    level, source, target = np.indices(k.shape).reshape(3, -1)
+    return KernelEntries(level, source, target, k.ravel())
+
+
 def random_spec(rng: np.random.Generator, grid: Grid, max_bound: float = 0.8, depth: int = 0):
     """A non-local spec valid on `grid` with norm bound <= max_bound."""
     kinds = ["initial", "point", "two", "tkernel", "stkernel"]
@@ -101,10 +108,10 @@ def random_spec(rng: np.random.Generator, grid: Grid, max_bound: float = 0.8, de
         lvl = int(rng.integers(1, min(grid.nt, 8)))
         n = grid.n_interior
         k = rng.uniform(-1, 1, (lvl + 1, n, n))
-        spec = SpaceTimeKernel(theta=lvl * grid.dt, kernel=k)
+        spec = SpaceTimeKernel(theta=lvl * grid.dt, kernel=dense_entries(k))
         bound = _compile(spec, grid).norm_bound
         target = max_bound * rng.uniform(0.2, 1.0)
-        return SpaceTimeKernel(theta=lvl * grid.dt, kernel=k * (target / bound))
+        return SpaceTimeKernel(theta=lvl * grid.dt, kernel=dense_entries(k * (target / bound)))
     # convex of two parts; total weight <= 1 keeps the combined bound <= max_bound
     w = rng.uniform(0.2, 0.5, 2)
     parts = tuple(random_spec(rng, grid, max_bound=max_bound, depth=1) for _ in range(2))

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bspde import cli, coefficients, stepper
+from bspde import cli, coefficients, stepper, validate_spec
 from bspde.cli import main
 
 PI = "3.141592653589793"
@@ -318,6 +319,73 @@ def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "gamma, message",
+    [
+        ({"type": "time_kernel", "theta": -0.1, "kernel": 1.0}, "validation failed: theta = -0.1 lies outside [0, 1.0]"),
+        ({"type": "point_in_time", "weight": 0.5, "t1": 1.5}, "validation failed: t1 = 1.5 lies outside [0, 1.0]"),
+        (
+            {"type": "two_point", "weight1": 0.5, "t1": 0.25, "weight2": 0.25, "t2": -0.1},
+            "validation failed: t2 = -0.1 lies outside [0, 1.0]",
+        ),
+        (
+            {"type": "space_time_kernel", "theta": -0.1, "csv": "kern.csv"},
+            "invalid configuration: gamma.theta: theta = -0.1 lies outside [0, 1.0]",
+        ),
+        (
+            {"type": "space_time_kernel", "theta": 1.0, "csv": "kern.csv"},
+            "invalid configuration: gamma.theta: theta = 1.0 snaps to the terminal level",
+        ),
+        (
+            {"type": "convex", "weights": [0.5], "parts": [{"type": "space_time_kernel", "theta": 1.5, "csv": "kern.csv"}]},
+            "invalid configuration: gamma.parts[0].theta: theta = 1.5 lies outside [0, 1.0]",
+        ),
+    ],
+)
+def test_a_coupling_time_out_of_range_names_its_entry(tmp_path, capsys, gamma, message):
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,1.0\n")
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [5], "nt": 4, "T": 1.0}, gamma=gamma)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"bspde: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["config", "csv"])
+def test_a_config_or_kernel_csv_that_is_not_utf8_is_an_io_error(tmp_path, capsys, which):
+    kernel = b"t,x1,y1,k\n0.0,0.25,0.5,1.0\n" + (b"0.0,0.5,0.5,\xff\n" if which == "csv" else b"")
+    (tmp_path / "kern.csv").write_bytes(kernel)
+    gamma = {"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"}
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [5], "nt": 4, "T": 1.0}, gamma=gamma)
+    if which == "config":
+        cfg.write_bytes(b'{"domain": \xff}')
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "bspde: i/o error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+def test_a_one_row_kernel_csv_on_a_2d_grid_loads_and_validates_in_little_memory(tmp_path):
+    """The kernel is held as the entries its CSV sets: one row on 33 x 33
+    nodes with nt = 40 and theta = 0.5, where a dense (levels, n, n) kernel
+    would be 21 x 961 x 961 doubles (155 MB), traces a peak under 16 MB."""
+    (tmp_path / "kern.csv").write_text("t,x1,x2,y1,y2,k\n0.0,0.5,0.5,0.25,0.25,1.0\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain={"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        grid={"nx": [33, 33], "nt": 40, "T": 1.0},
+        coefficients={"b": 0.1},
+        gamma={"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"},
+        data={"terminal": "x1*x2"},
+        montecarlo=None,
+    )
+    tracemalloc.start()
+    try:
+        loaded = cli.load_config(str(cfg))
+        report = validate_spec(loaded.gamma, loaded.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.norm_bound == 0.5 * (1 / 40) / 32**2
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         {"grid": {"nx": [41], "nt": 50, "T": 1e308}},
@@ -613,6 +681,19 @@ def test_kernel_csv_nan_coordinate_is_a_validation_failure(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "kernel CSV line 3: t, x and y must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, shown", [("nan", "nan"), ("1e400", "inf")])
+def test_kernel_csv_non_finite_k_names_its_line_at_load(tmp_path, capsys, k, shown):
+    (tmp_path / "kern.csv").write_text(f"t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.25,0.5,{k}\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"nx": [5], "nt": 4, "T": 1.0},
+        gamma={"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"},
+    )
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"bspde: invalid configuration: gamma.csv: kernel CSV line 3: k = {shown} is not finite" in err
 
 
 def test_kernel_csv_short_row_is_a_validation_failure(tmp_path, capsys):

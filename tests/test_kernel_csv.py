@@ -5,9 +5,11 @@ with its own copy of the level rule (floor(t/dt + 0.5), ties down, then
 clipped) and each coordinate to argmin |xs - c| (ties to the first node),
 and writes out[level, y, x] row by row, so a later row overwrites an
 earlier one.  Beyond that it rejects a non-finite t, x or y, which argmin
-would otherwise snap to node 0, and reports every rejected row by its
-physical line as `Rejected`.  The reader under test must return the same
-array bit for bit, or reject the same line.
+would otherwise snap to node 0, and a non-finite k, and reports every
+rejected row by its physical line as `Rejected`.  The reader under test
+returns the entries it sets; `_dense_from_csv` writes them into the same
+array, which must equal the reference's bit for bit, or the reader must
+reject the same line.
 """
 
 import csv
@@ -65,7 +67,7 @@ def _reference_kernel_from_csv(fh, grid, theta):
             if len(row) != 2 + 2 * dim:
                 raise ValueError("wrong width")
             vals = [float(v) for v in row]
-            if not all(math.isfinite(v) for v in vals[:-1]):
+            if not all(math.isfinite(v) for v in vals):
                 raise ValueError("non-finite")
             t, xs, ys, kval = vals[0], vals[1 : 1 + dim], vals[1 + dim : 1 + 2 * dim], vals[-1]
             lvl = _reference_level(grid, t)
@@ -74,6 +76,18 @@ def _reference_kernel_from_csv(fh, grid, theta):
             out[lvl, node_index(ys), node_index(xs)] = kval
         except ValueError:
             raise Rejected(reader.line_num) from None
+    return out
+
+
+def _dense_from_csv(fh, grid, theta):
+    """kernel_from_csv's entries written into a (levels, n, n) array; they
+    must come in (level, y, x) order, each address once."""
+    entries = kernel_from_csv(fh, grid, theta)
+    n = grid.n_interior
+    out = np.zeros((grid.nearest_level(theta)[0] + 1, n, n))
+    flat = np.ravel_multi_index((entries.level, entries.source, entries.target), out.shape)
+    assert np.all(np.diff(flat) > 0)
+    out.flat[flat] = entries.value
     return out
 
 
@@ -182,7 +196,7 @@ PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[Heal
 def test_same_kernel_as_the_per_row_reader(case):
     text, grid, theta, _ = case
     expected = _outcome(_reference_kernel_from_csv, text, grid, theta)
-    assert _outcome(kernel_from_csv, text, grid, theta) == expected
+    assert _outcome(_dense_from_csv, text, grid, theta) == expected
 
 
 def _fault(draw, grid, k_theta):
@@ -194,11 +208,15 @@ def _fault(draw, grid, k_theta):
     y = [repr(float(grid.axis_coords(a)[draw(st.integers(0, shape[a] - 1))])) for a in range(dim)]
     k = "1.0"
     kind = draw(
-        st.sampled_from(["word", "empty", "short", "long", "early", "late", "beyond", "wall", "outside", "nonfinite"])
+        st.sampled_from(
+            ["word", "empty", "short", "long", "early", "late", "beyond", "wall", "outside", "nonfinite", "nonfinite_k"]
+        )
     )
     fields = [t, *x, *y, k]
     if kind in ("word", "empty"):
         fields[draw(st.integers(0, len(fields) - 1))] = "abc" if kind == "word" else ""
+    elif kind == "nonfinite_k":
+        fields[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400"]))
     elif kind == "short":
         fields.pop(draw(st.integers(0, len(fields) - 1)))
     elif kind == "long":
@@ -232,13 +250,13 @@ def test_both_readers_reject_the_same_row(data):
     text = "\n".join(rows) + "\n"
     expected = _outcome(_reference_kernel_from_csv, text, grid, theta)
     assert expected == ("rejected", at + 1)
-    assert _outcome(kernel_from_csv, text, grid, theta) == expected
+    assert _outcome(_dense_from_csv, text, grid, theta) == expected
 
 
 def test_both_readers_keep_the_last_row_and_round_ties_down():
     g = make_grid(Domain((0.25,), (1.25,)), 5, 4, 1.0)  # interior nodes 0.5, 0.75, 1.0
     text = "t,x1,y1,k\n0.125,0.625,0.5,1.0\n0.0,0.5,0.5,2.0\n0.125,0.625,0.5,3.0\n"
-    for read in (_reference_kernel_from_csv, kernel_from_csv):
+    for read in (_reference_kernel_from_csv, _dense_from_csv):
         out = read(io.StringIO(text), g, 0.5)
         assert out[0, 0, 0] == 3.0
         assert np.count_nonzero(out) == 1
@@ -259,4 +277,4 @@ def test_same_kernel_on_a_full_table(dim):
     rows = rows[::-1] + rows[: len(pts) ** 2 // 2]
     text = header + "\n" + "\n".join(rows) + "\n"
     expected = _reference_kernel_from_csv(io.StringIO(text), g, 0.3)
-    assert kernel_from_csv(io.StringIO(text), g, 0.3).tobytes() == expected.tobytes()
+    assert _dense_from_csv(io.StringIO(text), g, 0.3).tobytes() == expected.tobytes()

@@ -7,6 +7,7 @@ from bspde import (
     Convex,
     Domain,
     InitialValue,
+    KernelEntries,
     NonlocalValidationError,
     PointInTime,
     SpaceField,
@@ -22,7 +23,7 @@ from bspde import (
     validate_spec,
 )
 
-from conftest import random_spec, random_st_field
+from conftest import dense_entries, random_spec, random_st_field
 
 
 @pytest.fixture
@@ -89,14 +90,40 @@ def test_space_time_kernel_shapes_and_bound(grid):
     n = grid.n_interior
     lvl = 4
     k = np.ones((lvl + 1, n, n))
-    spec = SpaceTimeKernel(theta=lvl * grid.dt, kernel=k)
+    spec = SpaceTimeKernel(theta=lvl * grid.dt, kernel=dense_entries(k))
     rep = validate_spec(spec, grid)
     # integral of 1 over y in D and t in [0, 0.2]: cellvol*n*dt-sum = ~0.2 * (11/12)
     assert 0 < rep.norm_bound <= 1
-    with pytest.raises(NonlocalValidationError):
-        validate_spec(SpaceTimeKernel(theta=lvl * grid.dt, kernel=np.ones((lvl, n, n))), grid)
-    with pytest.raises(NonlocalValidationError):
-        validate_spec(SpaceTimeKernel(theta=lvl * grid.dt, kernel=k * 20.0), grid)
+    with pytest.raises(NonlocalValidationError, match="bound is 3.66667 > 1"):
+        validate_spec(SpaceTimeKernel(theta=lvl * grid.dt, kernel=dense_entries(k * 20.0)), grid)
+
+
+def _entries(**changes):
+    """One valid entry, level 1, node 2 to node 3, k = 0.5, with some fields replaced."""
+    fields = {"level": [1], "source": [2], "target": [3], "value": [0.5]} | changes
+    return KernelEntries(*(np.asarray(v) for v in fields.values()))
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        (np.ones((5, 11, 11)), "must be KernelEntries: four 1-D arrays of one length"),
+        (_entries(value=[0.5, 0.5]), "must be KernelEntries: four 1-D arrays of one length"),
+        (_entries(level=[[1]], source=[[2]], target=[[3]], value=[[0.5]]), "four 1-D arrays of one length"),
+        (_entries(level=[1.0]), r"levels must be integers in \[0, 4\]"),
+        (_entries(level=[5]), r"levels must be integers in \[0, 4\]"),
+        (_entries(level=[-1]), r"levels must be integers in \[0, 4\]"),
+        (_entries(source=[11]), r"source nodes must be integers in \[0, 10\]"),
+        (_entries(source=[True]), r"source nodes must be integers in \[0, 10\]"),
+        (_entries(target=[-1]), r"target nodes must be integers in \[0, 10\]"),
+        (_entries(value=[np.nan]), "space-time kernel has non-finite values"),
+        (_entries(value=[-np.inf]), "space-time kernel has non-finite values"),
+    ],
+)
+def test_space_time_kernel_entries_that_break_a_check(grid, kernel, message):
+    validate_spec(SpaceTimeKernel(theta=0.2, kernel=_entries()), grid)
+    with pytest.raises(NonlocalValidationError, match=message):
+        validate_spec(SpaceTimeKernel(theta=0.2, kernel=kernel), grid)
 
 
 def test_apply_is_linear(grid):
@@ -213,9 +240,7 @@ def test_kernel_csv_roundtrip():
     for x in (0.25, 0.5, 0.75):
         rows.append(f"0.0,{x},0.25,1.0")
     kern = kernel_from_csv(io.StringIO("\n".join(rows)), g, theta=0.5)
-    assert kern.shape == (3, 3, 3)
-    assert np.array_equal(kern[0, 0, :], np.ones(3))
-    assert kern[1:].sum() == 0.0
+    assert [a.tolist() for a in kern] == [[0, 0, 0], [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0]]
     spec = SpaceTimeKernel(theta=0.5, kernel=kern)
     validate_spec(spec, g)
     with pytest.raises(NonlocalValidationError):
@@ -244,6 +269,8 @@ def test_kernel_csv_row_of_the_wrong_width(row):
         ("0.0,0.25,0.0,1.0", "coordinate 0.0 is not a grid node"),
         ("0.0,nan,0.5,1.0", "t, x and y must be finite"),
         ("inf,0.25,0.5,1.0", "t, x and y must be finite"),
+        ("0.0,0.25,0.5,nan", "k = nan is not finite"),
+        ("0.0,0.25,0.5,-1e400", "k = -inf is not finite"),
     ],
 )
 def test_kernel_csv_row_errors_name_the_line(row, why):

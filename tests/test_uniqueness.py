@@ -4,7 +4,8 @@ of the same fixed point find the same solution, both satisfy the non-local
 terminal condition, and the solution's coupling reads nothing after its
 horizon.  Linearity: the solution of a combination of data is the same
 combination of solutions.  The discrete maximum principle: every backward
-solve is monotone and bounded by its data."""
+solve is monotone and bounded by its data.  Kernel entries: a space-time
+kernel's entries apply as the dense kernel they set."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from bspde import (
     Convex,
     Domain,
     InitialValue,
+    KernelEntries,
     PointInTime,
     SpaceField,
     SpaceTimeField,
@@ -32,6 +34,9 @@ from bspde import (
     validate,
     validate_spec,
 )
+
+from bspde.nonlocal_ops import _compile
+from conftest import dense_entries
 
 MAX_BOUND = 0.9
 # ||Q|| <= 0.9 shrinks the Picard residual by 0.9 per iteration at least:
@@ -94,7 +99,7 @@ def basic_couplings(draw, grid, bound):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "stkernel":
         k = rng.uniform(-1.0, 1.0, (levels, grid.n_interior, grid.n_interior))
-        return _scaled(lambda c: SpaceTimeKernel(theta, c * k), grid, bound)
+        return _scaled(lambda c: SpaceTimeKernel(theta, dense_entries(c * k)), grid, bound)
     form = draw(st.sampled_from(["number", "expression", "samples"]))
     if form == "number":
         return _scaled(lambda c: TimeKernel(theta, c), grid, bound)
@@ -182,3 +187,75 @@ def test_every_backward_solve_obeys_the_maximum_principle(problem):
     diagnostics = solve_terminal(grid, coeffs, source=source, terminal=terminal).diagnostics
     assert diagnostics.monotone
     assert diagnostics.max_principle_slack >= -1e-12
+
+
+def _dense_weights(spec, grid):
+    """The space-time kernels of spec as one dense (levels, n, n) weight array,
+    folded as the entries are (trapezoid weight times k times the cell
+    volume); convex parts scale and add, repeated entries add."""
+    n = grid.n_interior
+    if isinstance(spec, Convex):
+        parts = [w * _dense_weights(part, grid) for w, part in zip(spec.weights, spec.parts)]
+        out = np.zeros((max(len(p) for p in parts), n, n))
+        for p in parts:
+            out[: len(p)] += p
+        return out
+    if not isinstance(spec, SpaceTimeKernel):
+        return np.zeros((0, n, n))
+    levels = grid.nearest_level(spec.theta)[0] + 1
+    k = np.zeros((levels, n, n))
+    np.add.at(k, tuple(spec.kernel[:3]), spec.kernel.value)
+    trapezoid = np.full(levels, grid.dt)
+    trapezoid[[0, -1]] = 0.5 * grid.dt
+    return trapezoid[:, None, None] * k * grid.cell_volume
+
+
+@st.composite
+def kernel_entries(draw, grid, form, level=None):
+    """A space-time kernel on `grid` of norm bound at most 1, read up to
+    `level` (drawn when None): every entry in (level, y, x) order or only
+    some of them ("ordered"), the same shuffled, or with some entries listed
+    twice ("repeated")."""
+    if level is None:
+        level = draw(st.integers(1, grid.nt - 1))
+    theta = (level + draw(st.floats(0.0, 0.4))) * grid.dt
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # |k| <= 1/2, listed at most twice, over t <= T <= 1 and y in (0, 1): bound <= 1
+    entries = dense_entries(rng.uniform(-0.5, 0.5, (level + 1, grid.n_interior, grid.n_interior)))
+    size = len(entries.value)
+    keep = np.flatnonzero(rng.random(size) < draw(st.sampled_from([1.0, 0.5, 0.1])))
+    if form == "shuffled":
+        keep = rng.permutation(keep)
+    if form == "repeated":
+        keep = rng.permutation(np.concatenate([keep, rng.choice(size, size // 2 + 1, replace=False)]))
+    return SpaceTimeKernel(theta, KernelEntries(*(a[keep] for a in entries)))
+
+
+@settings(max_examples=200, **DERANDOMIZED)
+@given(st.data(), grids(), st.sampled_from(["ordered", "shuffled", "repeated", "convex"]))
+def test_kernel_entries_apply_as_the_dense_kernel(data, grid, form):
+    """_Compiled.apply on entries against einsum on the dense kernel they set:
+    bit-equal for one kernel in (level, y, x) order, and within 1e-14 of the
+    sum of |terms| per target when the entries are summed in another order:
+    shuffled, repeated, or a convex combination of two kernels with different
+    level counts (and a level-weight part)."""
+    if form == "convex":
+        low = data.draw(st.integers(1, grid.nt - 2))
+        high = data.draw(st.integers(low + 1, grid.nt - 1))
+        parts = [data.draw(kernel_entries(grid, f, lvl)) for f, lvl in (("ordered", low), ("shuffled", high))]
+        w = data.draw(st.floats(0.1, 0.8))
+        spec = Convex((w, 0.8 - w, 0.2), (*data.draw(st.permutations(parts)), InitialValue(0.5)))
+    else:
+        spec = data.draw(kernel_entries(grid, form))
+    compiled = _compile(spec, grid)
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (grid.nt + 1, grid.n_interior))
+    dense = _dense_weights(spec, grid)
+    levels = compiled.max_level + 1
+    expected = compiled.level_weights[:levels] @ u[:levels] + np.einsum("kyx,ky->x", dense, u[: len(dense)])
+    got = compiled.apply(SpaceTimeField(grid, u)).values
+    if form == "ordered":
+        assert got.tobytes() == expected.tobytes()
+    else:
+        scale = np.abs(compiled.level_weights[:levels]) @ np.abs(u[:levels])
+        scale += np.einsum("kyx,ky->x", np.abs(dense), np.abs(u[: len(dense)]))
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale)
