@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -53,17 +54,9 @@ class ConfigError(ValueError):
     """A config entry is missing, unknown or malformed."""
 
 
-class CoefficientValidationFailure(ValueError):
-    """Coefficient validation failed; the message joins the report's issues."""
-
-    def __init__(self, issues):
-        super().__init__("; ".join(issues))
-
-
 # Faults of the configuration; any other exception is a bug and propagates.
 VALIDATION_ERRORS = (
     ConfigError,
-    CoefficientValidationFailure,
     GridError,
     CoefficientError,
     NonlocalValidationError,
@@ -121,7 +114,7 @@ def _built(where: str, build, *args, **kwargs):
     dotted path `where` is reported by that path, as in `coefficients: b must be 1x1`."""
     try:
         return build(*args, **kwargs)
-    except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError) as e:
+    except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError, EvalError) as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
@@ -272,9 +265,20 @@ def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | N
     return terminal, SpaceTimeField(grid, np.stack(levels))
 
 
+@contextmanager
+def _utf8(path):
+    """The text file at `path`; a byte that is not UTF-8 is an i/o error naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise OSError(f"{e} in {path}") from None
+
+
 def _gamma(spec, path: str, grid: Grid, base_dir: Path):
     """The coupling that the gamma spec at dotted `path` describes, built from
-    the entries `_GAMMA` lists for its `type`.  Until the type is known, every
+    the entries `_GAMMA` lists for its `type` and validated, its times first,
+    so that a fault names the path of its entry.  Until the type is known, every
     type's entries are listed, none required, so a bad `type` is reported."""
     kind = spec.get("type") if isinstance(spec, dict) else None
     known = isinstance(kind, str) and kind in _GAMMA
@@ -283,18 +287,22 @@ def _gamma(spec, path: str, grid: Grid, base_dir: Path):
     if not known:
         raise ConfigError(f"{path}.type: unknown gamma type '{kind}'")
     cls = _GAMMA[entries.pop("type")][0]
+    for key in ("t1", "t2", "theta"):
+        if key in entries:
+            _built(f"{path}.{key}", _snap_before_T, grid, entries[key], key)
     if cls is SpaceTimeKernel:
-        _built(f"{path}.theta", _snap_before_T, grid, entries["theta"], "theta")
-        with open(base_dir / entries.pop("csv"), "r", encoding="utf-8") as fh:
+        with _utf8(base_dir / entries.pop("csv")) as fh:
             entries["kernel"] = _built(f"{path}.csv", kernel_from_csv, fh, grid, entries["theta"])
     if cls is Convex:
         parts = enumerate(entries["parts"])
         entries["parts"] = tuple(_gamma(part, f"{path}.parts[{i}]", grid, base_dir) for i, part in parts)
-    return cls(**entries)
+    coupling = cls(**entries)
+    _built(path, validate_spec, coupling, grid)
+    return coupling
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
     entries = _read(raw, "", _CONFIG)
@@ -323,8 +331,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _validation_block(cfg: RunConfig) -> dict:
     rep = validate(cfg.coeffs, cfg.grid)
-    if rep.violated:
-        raise CoefficientValidationFailure(rep.issues)
+    rep.raise_if_violated()
     block = {
         "delta": rep.delta,
         "argmin_point": list(rep.argmin_point),
@@ -345,7 +352,7 @@ def _validation_block(cfg: RunConfig) -> dict:
         if theta_gap is None:
             theta_gap = cfg.grid.T - gr.theta
     if theta_gap is not None:
-        nb = confinement_bound(cfg.grid.domain, cfg.coeffs, cfg.grid, theta_gap)
+        nb = confinement_bound(cfg.coeffs, cfg.grid, theta_gap)
         block.update({"theta_gap": theta_gap, "nu": nb.nu, "sqrt_nu": nb.sqrt_nu})
     return block
 
@@ -419,7 +426,7 @@ def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
 def cmd_nubound(cfg: RunConfig, validation: dict) -> dict:
     if "theta_gap" not in validation:
         raise ConfigError("nubound needs montecarlo.theta_gap or a gamma section")
-    nb = confinement_bound(cfg.grid.domain, cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
+    nb = confinement_bound(cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
     _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True) + "\n")
     return {"nubound": nb}
 
@@ -490,7 +497,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (OSError, json.JSONDecodeError) as e:
         print(f"bspde: i/o error: {e}", file=sys.stderr)
         return 3
     except VALIDATION_ERRORS as e:

@@ -129,6 +129,14 @@ class CoefficientSet:
                 out[k, :, i] = _eval_entry(vec[i], env, (npts,))
         return out
 
+    def columns_at(self, points: np.ndarray, t: float) -> np.ndarray:
+        """(npts, n, n) noise columns btilde_j at arbitrary (strictly evaluable) points."""
+        resid = 2.0 * self.b_at(points, t)
+        if self.n_beta:  # an einsum over no beta is zero, but takes 0.13 ms for 1e4 points at every path step
+            bs = self.beta_at(points, t)  # (N, npts, n)
+            resid -= np.einsum("kpi,kpj->pij", bs, bs)
+        return _spd_sqrt(resid)
+
     @property
     def lam_is_zero(self) -> bool:
         return isinstance(self.lam, Num) and self.lam.value == 0.0
@@ -182,6 +190,11 @@ class EllipticityReport:
     argmin_time: float
     violated: bool
     issues: tuple[str, ...] = ()
+
+    def raise_if_violated(self) -> None:
+        """Raise CoefficientError with the issues, joined by '; ', if the set is violated."""
+        if self.violated:
+            raise CoefficientError("; ".join(self.issues))
 
 
 class CoefficientBounds(NamedTuple):
@@ -289,49 +302,3 @@ def _spd_sqrt(mats: np.ndarray) -> np.ndarray:
     out[:, 0, 0] += s
     out[:, 1, 1] += s
     return out / denom[:, None, None]
-
-
-@dataclass(frozen=True)
-class DiffusionDecomposition:
-    """Extra noise columns btilde_j completing 2b = sum beta beta^T + sum btilde btilde^T.
-
-    `max_residual` is the largest reconstruction error of 2b over every grid
-    node at every level, or at t = 0 alone when no entry reads t;
-    `columns_at` evaluates the columns at arbitrary positions for the path
-    simulator.
-    """
-
-    coeffs: CoefficientSet
-    grid: Grid
-    max_residual: float
-
-    @property
-    def n_columns(self) -> int:
-        return self.coeffs.dim
-
-    def columns_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        """(npts, n, M) square-root columns at arbitrary (strictly evaluable) points."""
-        resid = 2.0 * self.coeffs.b_at(points, t)
-        if self.coeffs.n_beta:  # an einsum over no beta is zero, but takes 0.13 ms for 1e4 points at every path step
-            bs = self.coeffs.beta_at(points, t)  # (N, npts, n)
-            resid -= np.einsum("kpi,kpj->pij", bs, bs)
-        return _spd_sqrt(resid)
-
-
-def decompose(coeffs: CoefficientSet, grid: Grid) -> DiffusionDecomposition:
-    """Square-root columns of 2b - sum beta beta^T, checked at the nodes and
-    levels `validate` samples.
-
-    Requires a validated set (delta > 0); raises if the residual matrix fails
-    to be positive definite at any sample.
-    """
-    pts, _, times = _samples(coeffs, grid)
-    max_resid = 0.0
-    for t in times:
-        two_b = 2.0 * coeffs.b_at(pts, t)
-        bs = coeffs.beta_at(pts, t)
-        outer = np.einsum("kpi,kpj->pij", bs, bs)
-        root = _spd_sqrt(two_b - outer)
-        recon = np.einsum("pik,pjk->pij", root, root) + outer
-        max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
-    return DiffusionDecomposition(coeffs=coeffs, grid=grid, max_residual=max_resid)

@@ -64,6 +64,7 @@ class _TerminalMap:
         source: SpaceTimeField | None = None,
         terminal_rhs: SpaceField | None = None,
     ):
+        grid.check_fields(terminal=terminal_rhs)  # the source is checked by its sweep
         self.grid, self.coeffs, self.compiled = grid, coeffs, _compile(spec, grid)
         zeros = np.zeros(grid.interior_shape)
         self.u_src = source_response(grid, coeffs, source) if source is not None else None

@@ -163,6 +163,12 @@ class Grid:
         k = int(self.nearest_levels(t))
         return k, abs(k * self.dt - t)
 
+    def check_fields(self, **fields) -> None:
+        """Raise ValueError naming the first given field (None is none) that lies on another grid."""
+        for name, f in fields.items():
+            if f is not None and f.grid != self:
+                raise ValueError(f"the {name} field lies on another grid")
+
 
 def make_grid(domain: Domain, nx, nt: int, T: float) -> Grid:
     """Build a uniform grid; nx may be an int (same count on every axis) or a sequence."""

@@ -8,17 +8,18 @@ confinement probabilities upward by O(sqrt(dt_mc)); small default steps and
 the comparison allowance absorb this, and the bias direction is the safe one
 for every inequality asserted here.
 
-Every estimate runs through one batched path engine, `_simulate`, over a list
-of start points sharing a horizon; `compare_mc_pde` calls it once for all of
-its points.  Stream layout: batch bi of the n_paths paths draws from
-default_rng([seed, bi]) one (nb, N + M) block of standard normals per step,
-and that block is shared by every point still running at the step.  A batch
-stops drawing once all of its paths have exited, and its stream is never read
-after that.  Each point's paths therefore see exactly the draws a run of that
-point alone would see, so the layout named by NORMAL_SAMPLER is unchanged and
-estimates do not depend on which other points run alongside.  A run whose
-total work, points x n_paths x steps, exceeds MAX_PATH_STEPS is rejected
-before anything is allocated.
+Every estimate samples one `CauchyProblem`, whose coefficients must pass
+`validate` on its grid (the cached survey), through one batched path engine,
+`_simulate`, over a list of start points sharing a horizon; `compare_mc_pde`
+calls it once for all of its points.  Stream layout: batch bi of the n_paths
+paths draws from default_rng([seed, bi]) one (nb, N + M) block of standard
+normals per step, and that block is shared by every point still running at the
+step.  A batch stops drawing once all of its paths have exited, and its stream
+is never read after that.  Each point's paths therefore see exactly the draws
+a run of that point alone would see, so the layout named by NORMAL_SAMPLER is
+unchanged and estimates do not depend on which other points run alongside.  A
+run whose total work, points x n_paths x steps, exceeds MAX_PATH_STEPS is
+rejected before anything is allocated.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -29,13 +30,13 @@ comparison point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, DiffusionDecomposition, bounds, decompose
-from .grid import Domain, Grid, Interpolant, SpaceField, SpaceTimeField, sup_norm
+from .coefficients import CoefficientSet, bounds, validate
+from .grid import Grid, Interpolant, SpaceField, SpaceTimeField, sup_norm
 from .stepper import solve_terminal
 
 # Discount convention: with the zeroth-order term lam*u inside the spatial
@@ -81,6 +82,20 @@ class PathConfig:
 
 
 @dataclass(frozen=True)
+class CauchyProblem:
+    """The backward problem a path estimate samples: coefficients on a grid,
+    and a source and terminal data on that grid (None is zero)."""
+
+    grid: Grid
+    coeffs: CoefficientSet
+    source: SpaceTimeField | None = None
+    terminal: SpaceField | None = None
+
+    def __post_init__(self):
+        self.grid.check_fields(source=self.source, terminal=self.terminal)
+
+
+@dataclass(frozen=True)
 class McEstimate:
     mean: float
     stderr: float
@@ -88,16 +103,13 @@ class McEstimate:
     n_exited: int
 
 
-def _checked_start(
-    dec: DiffusionDecomposition, x, s: float, horizon: float, cfg: PathConfig
-) -> tuple[np.ndarray, float]:
+def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> tuple[np.ndarray, float]:
     """Check a start point (x, s) of paths that run to `horizon` against the
     horizon, the grid and the path step; return x as a (dim,) array and s
     clamped to the horizon."""
     if s > horizon + 1e-12:
         raise MonteCarloError(f"s = {s} is beyond the horizon T = {horizon}")
     s = min(s, horizon)
-    grid = dec.grid
     x = np.asarray(x, dtype=float).reshape(grid.dim)
     if not grid.domain.contains(x):
         raise MonteCarloError(f"start point {tuple(x.tolist())} must lie strictly inside the domain")
@@ -154,15 +166,10 @@ class _LivePaths:
 
 
 def _simulate(
-    dec: DiffusionDecomposition,
-    starts: Sequence[tuple[np.ndarray, float]],
-    horizon: float,
-    cfg: PathConfig,
-    terminal: SpaceField | None = None,
-    source: SpaceTimeField | None = None,
+    problem: CauchyProblem, starts: Sequence[tuple[np.ndarray, float]], horizon: float, cfg: PathConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate cfg.n_paths characteristics from each checked start (x_p, s_p)
-    to the shared `horizon`.
+    """Simulate cfg.n_paths characteristics of the problem from each checked
+    start (x_p, s_p) to the shared `horizon`.
 
     Returns per-path payoff values and the alive mask at the horizon, both of
     shape (n_points, n_paths).
@@ -192,19 +199,18 @@ def _simulate(
             f"montecarlo.dt_mc = {cfg.dt_mc} ask for {path_steps:.3g} path steps, "
             f"more than the limit of {MAX_PATH_STEPS:.0e}"
         )
-    grid = dec.grid
-    coeffs = dec.coeffs
+    grid, coeffs, source, terminal = problem.grid, problem.coeffs, problem.source, problem.terminal
     lo = np.asarray(grid.domain.lo)
     hi = np.asarray(grid.domain.hi)
     N = coeffs.n_beta
-    M = dec.n_columns
+    M = grid.dim
     const = coeffs.is_constant
     if const:
         x0 = 0.5 * (lo + hi)[None, :]  # every entry is a number, so any point will do
         f_c = coeffs.f_at(x0, 0.0)[0]
         lam_c = float(coeffs.lam_at(x0, 0.0)[0])
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else None
-        btilde_c = dec.columns_at(x0, 0.0)[0]  # (dim, M)
+        btilde_c = coeffs.columns_at(x0, 0.0)[0]  # (dim, M)
     discount = not coeffs.lam_is_zero
     term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
     src_interp = Interpolant(grid, source.values) if source is not None else None
@@ -252,7 +258,7 @@ def _simulate(
                         dy += root_dt * _matmul(d[:, :N], beta_c)
                 else:
                     dy = coeffs.f_at(y_eval, t) * dt_eff
-                    dy += root_dt * np.einsum("ndm,nm->nd", dec.columns_at(y_eval, t), d[:, N:])
+                    dy += root_dt * np.einsum("ndm,nm->nd", coeffs.columns_at(y_eval, t), d[:, N:])
                     if N:
                         dy += root_dt * np.einsum("knd,nk->nd", coeffs.beta_at(y_eval, t), d[:, :N])
                 y += dy
@@ -298,30 +304,27 @@ def _estimate(values: np.ndarray, alive: np.ndarray, cfg: PathConfig) -> McEstim
     )
 
 
-def feynman_kac(
-    dec: DiffusionDecomposition,
-    x,
-    s: float,
-    cfg: PathConfig,
-    terminal: SpaceField | None = None,
-    source: SpaceTimeField | None = None,
-) -> McEstimate:
+def feynman_kac(problem: CauchyProblem, x, s: float, cfg: PathConfig) -> McEstimate:
     """Path estimate of the backward solution at (x, s): discounted terminal
     payoff for paths that never leave the box before T, plus the discounted
     running source up to the first exit."""
-    T = dec.grid.T
-    values, alive = _simulate(dec, [_checked_start(dec, x, s, T, cfg)], T, cfg, terminal=terminal, source=source)
+    validate(problem.coeffs, problem.grid).raise_if_violated()
+    T = problem.grid.T
+    values, alive = _simulate(problem, [_checked_start(problem.grid, x, s, T, cfg)], T, cfg)
     return _estimate(values[0], alive[0], cfg)
 
 
 def confinement_probability(
-    dec: DiffusionDecomposition, x, s: float, theta_gap: float, cfg: PathConfig
+    problem: CauchyProblem, x, s: float, theta_gap: float, cfg: PathConfig
 ) -> McEstimate:
-    """Fraction of paths still inside the box at s + theta_gap, with binomial stderr."""
+    """Fraction of the problem's paths still inside the box at s + theta_gap,
+    with binomial stderr; the paths carry no payoff."""
+    validate(problem.coeffs, problem.grid).raise_if_violated()
     if theta_gap < 0:
         raise MonteCarloError("theta_gap must be >= 0")
     horizon = s + theta_gap
-    _, (alive,) = _simulate(dec, [_checked_start(dec, x, s, horizon, cfg)], horizon, cfg)
+    paths = CauchyProblem(problem.grid, problem.coeffs)
+    _, (alive,) = _simulate(paths, [_checked_start(problem.grid, x, s, horizon, cfg)], horizon, cfg)
     p = float(np.mean(alive))
     stderr = math.sqrt(p * (1.0 - p) / cfg.n_paths)
     return McEstimate(mean=p, stderr=stderr, n_paths=cfg.n_paths, n_exited=int(np.count_nonzero(~alive)))
@@ -400,9 +403,7 @@ def _interval_confinement(lo: float, hi: float, x0: float, tau: float) -> tuple[
     return total, terms
 
 
-def confinement_bound(
-    domain: Domain, coeffs: CoefficientSet, grid: Grid, theta_gap: float
-) -> ConfinementBound:
+def confinement_bound(coeffs: CoefficientSet, grid: Grid, theta_gap: float) -> ConfinementBound:
     """Analytic bound on the stay-inside probability over an extra time theta_gap.
 
     The first-axis interval is widened by the drift envelope, the quadratic
@@ -412,7 +413,7 @@ def confinement_bound(
     """
     if not theta_gap > 0:
         raise MonteCarloError("theta_gap must be positive")
-    d1, d2 = domain.lo[0], domain.hi[0]
+    d1, d2 = grid.domain.lo[0], grid.domain.hi[0]
     env = bounds(coeffs, grid)
     if not env.delta_qv > 0:
         raise MonteCarloError("smallest eigenvalue of 2b must be positive (validate the coefficients)")
@@ -436,14 +437,6 @@ def confinement_bound(
 # ---------------------------------------------------------------------------
 # PDE-vs-MC comparison
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CauchyProblem:
-    grid: Grid
-    coeffs: CoefficientSet
-    source: SpaceTimeField | None
-    terminal: SpaceField
 
 
 @dataclass
@@ -473,14 +466,15 @@ def compare_mc_pde(
     coefficient set on the path side (negative-control hook).
     """
     grid = problem.grid
-    dec = decompose(mc_coeffs if mc_coeffs is not None else problem.coeffs, grid)
+    paths = problem if mc_coeffs is None else replace(problem, coeffs=mc_coeffs)
+    validate(paths.coeffs, grid).raise_if_violated()
     pts, starts = [], []
     for pt in points:
         pt = [float(v) for v in pt]
         x, s = pt[: grid.dim], pt[grid.dim]
-        starts.append(_checked_start(dec, x, s, grid.T, cfg))
+        starts.append(_checked_start(grid, x, s, grid.T, cfg))
         pts.append((x, s))
-    values, alive = _simulate(dec, starts, grid.T, cfg, terminal=problem.terminal, source=problem.source)
+    values, alive = _simulate(paths, starts, grid.T, cfg)
     u = solve_terminal(grid, problem.coeffs, source=problem.source, terminal=problem.terminal).u
     scale = sup_norm(u)
     interp = Interpolant(grid, u.values)

@@ -133,11 +133,7 @@ class _Compiled:
         self.norm_bound = 0.0
 
     def apply(self, u: SpaceTimeField) -> SpaceField:
-        if u.grid is not self.grid and (
-            u.grid.nx != self.grid.nx
-            or u.grid.nt != self.grid.nt
-            or u.grid.domain != self.grid.domain
-        ):
+        if u.grid is not self.grid and u.grid != self.grid:
             raise NonlocalValidationError("field grid does not match the validated grid")
         if u.n_levels <= self.max_level:
             raise NonlocalValidationError("field does not cover the operator's horizon")

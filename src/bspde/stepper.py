@@ -261,6 +261,7 @@ def solve_terminal(
     s = grid.nt if level is None else int(level)
     if not 0 < s <= grid.nt:
         raise ValueError(f"terminal level must be in 1..{grid.nt}, got {s}")
+    grid.check_fields(source=source, terminal=terminal)
     if terminal is None:
         terminal = SpaceField.zeros(grid)
     if source is not None and source.n_levels < s + 1:

@@ -21,7 +21,6 @@ from bspde import (
     compare_mc_pde,
     confinement_bound,
     confinement_probability,
-    decompose,
     make_grid,
     solve_nonlocal,
     solve_nonlocal_direct,
@@ -142,17 +141,17 @@ def test_criterion_06_contraction_vs_confinement_bound():
     ]
     details = []
     ok = True
-    dec = decompose(coeffs, g)
+    heat = CauchyProblem(g, coeffs)
     cfg = PathConfig(dt_mc=1e-3, n_paths=10000, seed=606)
     for spec in specs:
         theta = validate_spec(spec, g).theta
         assert theta <= 0.5 * g.T
-        nu = confinement_bound(g.domain, coeffs, g, g.T - theta).nu
+        nu = confinement_bound(coeffs, g, g.T - theta).nu
         sol = solve_nonlocal(g, coeffs, None, xi, spec, tol=1e-10)
         tail = sol.report.ratios[-3:]
         eventual = float(np.median(tail))
         ok &= eventual <= math.sqrt(nu) + 0.05
-        est = confinement_probability(dec, [0.5], 0.0, g.T - theta, cfg)
+        est = confinement_probability(heat, [0.5], 0.0, g.T - theta, cfg)
         ok &= est.mean <= nu + 3.0 * est.stderr
         details.append(f"theta={theta:.2f}: ratio {eventual:.3f} <= sqrt({nu:.3f})+0.05, mc {est.mean:.3f} <= nu+3se")
     _report(6, ok, "; ".join(details))
@@ -183,7 +182,7 @@ def test_criterion_08_solution_bound():
         xi = random_field(rng, g)
         src = random_st_field(rng, g) if rng.random() < 0.5 else None
         sol = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-8)
-        nu = confinement_bound(g.domain, coeffs, g, T - theta).nu
+        nu = confinement_bound(coeffs, g, T - theta).nu
         C = T + (1 + T) / (1 - math.sqrt(nu))
         rhs = C * ((sup_norm(src) if src is not None else 0.0) + sup_norm(xi))
         worst_margin = min(worst_margin, rhs - sup_norm(sol.u))

@@ -321,11 +321,14 @@ def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
 @pytest.mark.parametrize(
     "gamma, message",
     [
-        ({"type": "time_kernel", "theta": -0.1, "kernel": 1.0}, "validation failed: theta = -0.1 lies outside [0, 1.0]"),
-        ({"type": "point_in_time", "weight": 0.5, "t1": 1.5}, "validation failed: t1 = 1.5 lies outside [0, 1.0]"),
+        (
+            {"type": "time_kernel", "theta": -0.1, "kernel": 1.0},
+            "invalid configuration: gamma.theta: theta = -0.1 lies outside [0, 1.0]",
+        ),
+        ({"type": "point_in_time", "weight": 0.5, "t1": 1.5}, "invalid configuration: gamma.t1: t1 = 1.5 lies outside [0, 1.0]"),
         (
             {"type": "two_point", "weight1": 0.5, "t1": 0.25, "weight2": 0.25, "t2": -0.1},
-            "validation failed: t2 = -0.1 lies outside [0, 1.0]",
+            "invalid configuration: gamma.t2: t2 = -0.1 lies outside [0, 1.0]",
         ),
         (
             {"type": "space_time_kernel", "theta": -0.1, "csv": "kern.csv"},
@@ -338,6 +341,14 @@ def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
         (
             {"type": "convex", "weights": [0.5], "parts": [{"type": "space_time_kernel", "theta": 1.5, "csv": "kern.csv"}]},
             "invalid configuration: gamma.parts[0].theta: theta = 1.5 lies outside [0, 1.0]",
+        ),
+        (
+            {"type": "convex", "weights": [0.5, 0.5], "parts": [{"type": "initial_value", "weight": 0.5}, {"type": "point_in_time", "weight": 1.5, "t1": 0.5}]},
+            "invalid configuration: gamma.parts[1]: |weight| = 1.5 exceeds 1",
+        ),
+        (
+            {"type": "time_kernel", "theta": 0.5, "kernel": "sqrt(t - 2)"},
+            "invalid configuration: gamma: sqrt of a negative value",
         ),
     ],
 )
@@ -357,7 +368,9 @@ def test_a_config_or_kernel_csv_that_is_not_utf8_is_an_io_error(tmp_path, capsys
     if which == "config":
         cfg.write_bytes(b'{"domain": \xff}')
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "bspde: i/o error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bspde: i/o error: 'utf-8' codec can't decode byte 0xff" in err
+    assert err.rstrip().endswith(f"invalid start byte in {cfg if which == 'config' else tmp_path / 'kern.csv'}")
 
 
 def test_a_one_row_kernel_csv_on_a_2d_grid_loads_and_validates_in_little_memory(tmp_path):
@@ -750,7 +763,7 @@ def test_time_kernel_samples_at_one_time_are_a_validation_failure(tmp_path, caps
     cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert f"validation failed: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err
+    assert f"invalid configuration: gamma: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err
 
 
 @pytest.mark.parametrize("path", [("gamma",), ("coefficients", "f"), ("data", "source")], ids=".".join)

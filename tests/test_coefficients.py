@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from bspde import CoefficientSet, Domain, bounds, cli, decompose, make_grid, validate
-from bspde.coefficients import CoefficientError, _spd_sqrt, _survey, _sym_eig_range
+from bspde import (
+    CauchyProblem,
+    CoefficientSet,
+    Domain,
+    PathConfig,
+    SpaceField,
+    bounds,
+    cli,
+    compare_mc_pde,
+    confinement_probability,
+    feynman_kac,
+    make_grid,
+    validate,
+)
+from bspde.coefficients import CoefficientError, _samples, _spd_sqrt, _survey, _sym_eig_range
 
 from conftest import random_coeffs_1d
 
@@ -59,32 +72,74 @@ def test_delta_is_a_true_minimum(grid1):
             assert np.min(m) >= rep.delta - 1e-14
 
 
+# The square-root decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T
+# is `CoefficientSet.columns_at`, the noise columns btilde_j the path engine draws with.
+
+
+def max_residual(coeffs, grid):
+    """Largest error of 2b rebuilt from beta and the noise columns over the
+    nodes and levels the survey samples (t = 0 alone when no entry reads t)."""
+    pts, _, times = _samples(coeffs, grid)
+    worst = 0.0
+    for t in times:
+        two_b = 2.0 * coeffs.b_at(pts, t)
+        outer = _reference_outer(coeffs, pts, t)
+        cols = coeffs.columns_at(pts, t)
+        recon = np.einsum("pik,pjk->pij", cols, cols) + outer
+        worst = max(worst, float(np.max(np.abs(two_b - recon))))
+    return worst
+
+
 def test_decompose_scalar_values(grid1):
-    dec = decompose(CoefficientSet.create(1, b=1.0, beta=[["1*x*(1-x)"]]), grid1)
-    assert dec.max_residual <= 1e-10
-    dec2 = decompose(CoefficientSet.create(1, b=0.1), grid1)
+    assert max_residual(CoefficientSet.create(1, b=1.0, beta=[["1*x*(1-x)"]]), grid1) <= 1e-10
     pts = grid1.interior_points()
-    assert np.allclose(dec2.columns_at(pts, 0.0)[:, 0, 0], np.sqrt(0.2))
+    assert np.allclose(CoefficientSet.create(1, b=0.1).columns_at(pts, 0.0)[:, 0, 0], np.sqrt(0.2))
 
 
 def test_decompose_2d_identity(grid2):
-    dec = decompose(CoefficientSet.create(2, b=[[1.0, 0.0], [0.0, 1.0]]), grid2)
-    pts = grid2.interior_points()
-    cols = dec.columns_at(pts, 0.0)
+    c = CoefficientSet.create(2, b=[[1.0, 0.0], [0.0, 1.0]])
+    cols = c.columns_at(grid2.interior_points(), 0.0)
     assert np.allclose(cols, np.sqrt(2.0) * np.eye(2)[None, :, :])
-    assert dec.max_residual <= 1e-10
+    assert max_residual(c, grid2) <= 1e-10
 
 
 def test_decompose_2d_mixed_reconstructs(grid2):
-    c = CoefficientSet.create(2, b=[[0.3, 0.1], [0.1, 0.2]])
-    dec = decompose(c, grid2)
-    assert dec.max_residual <= 1e-10
+    assert max_residual(CoefficientSet.create(2, b=[[0.3, 0.1], [0.1, 0.2]]), grid2) <= 1e-10
 
 
 def test_decompose_rejects_indefinite(grid1):
-    c = CoefficientSet.create(1, b=0.4, beta=[[1.0]])  # 2b - beta^2 = -0.2
-    with pytest.raises(CoefficientError):
-        decompose(c, grid1)
+    """2b - beta^2 = -0.2: there are no noise columns, and every path entry
+    refuses the set with the survey's issues, before it checks a start point
+    (1.5 lies outside the box)."""
+    c = CoefficientSet.create(1, b=0.4, beta=[[1.0]])
+    with pytest.raises(CoefficientError, match="residual diffusion is not positive definite"):
+        c.columns_at(grid1.interior_points(), 0.0)
+    problem = CauchyProblem(grid1, c, terminal=SpaceField.zeros(grid1))
+    control = CauchyProblem(grid1, CoefficientSet.create(1, b=0.4))
+    cfg = PathConfig(dt_mc=0.05, n_paths=100, seed=1)
+    runs = [
+        lambda: feynman_kac(problem, [1.5], 0.0, cfg),
+        lambda: confinement_probability(problem, [1.5], 0.0, 0.5, cfg),
+        lambda: compare_mc_pde(problem, [[1.5, 0.0]], cfg),
+        lambda: compare_mc_pde(control, [[1.5, 0.0]], cfg, mc_coeffs=c),
+    ]
+    for run in runs:
+        with pytest.raises(CoefficientError) as err:
+            run()
+        assert str(err.value) == "; ".join(validate(c, grid1).issues)
+        assert str(err.value).startswith("uniform ellipticity violated: margin delta = -0.1")
+
+
+def test_path_entries_read_the_cached_survey(grid1):
+    c = CoefficientSet.create(1, b="0.2 + 0.1*x")
+    assert not validate(c, grid1).violated
+    misses = _survey.cache_info().misses
+    problem = CauchyProblem(grid1, c, terminal=SpaceField.zeros(grid1))
+    cfg = PathConfig(dt_mc=0.05, n_paths=100, seed=1)
+    feynman_kac(problem, [0.5], 0.0, cfg)
+    confinement_probability(problem, [0.5], 0.0, 0.5, cfg)
+    compare_mc_pde(problem, [[0.5, 0.0]], cfg)
+    assert _survey.cache_info().misses == misses
 
 
 def test_bounds_cases(grid1, grid2):
@@ -111,7 +166,7 @@ def test_reconstruction_battery(grid1):
     rng = np.random.default_rng(7)
     for _ in range(20):
         c = random_coeffs_1d(rng)
-        assert decompose(c, grid1).max_residual <= 1e-10
+        assert max_residual(c, grid1) <= 1e-10
 
 
 def test_evaluation_error_carries_context(grid1):
@@ -134,7 +189,7 @@ def test_create_shape_errors():
 # ---------------------------------------------------------------------------
 #
 # The reference functions below are the earlier validate, bounds and
-# decompose: each walks every node at every one of the nt + 1 levels with its
+# decompose (the square-root decomposition): each walks every node at every one of the nt + 1 levels with its
 # own loop, whether or not an entry reads t.  The survey samples t = 0 alone
 # when no entry reads t and validates and bounds from one pass; it must give
 # the same numbers bit for bit.
@@ -257,9 +312,9 @@ def test_survey_matches_the_per_level_loops(name, grid1, grid2):
         expected = reference_max_residual(c, g)
     except CoefficientError:
         with pytest.raises(CoefficientError):
-            decompose(c, g)
+            max_residual(c, g)
     else:
-        assert decompose(c, g).max_residual == expected
+        assert max_residual(c, g) == expected
 
 
 def test_survey_sets_cover_their_cases(grid1):

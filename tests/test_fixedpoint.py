@@ -183,7 +183,7 @@ def test_solution_bound_battery(small_grid):
         xi = random_field(rng, small_grid)
         src = random_st_field(rng, small_grid) if rng.random() < 0.5 else None
         sol = solve_nonlocal(small_grid, coeffs, src, xi, spec, tol=1e-8)
-        nu = confinement_bound(small_grid.domain, coeffs, small_grid, T - theta).nu
+        nu = confinement_bound(coeffs, small_grid, T - theta).nu
         C = T + (1 + T) / (1 - math.sqrt(nu))
         src_sup = sup_norm(src) if src is not None else 0.0
         assert sup_norm(sol.u) <= C * (src_sup + sup_norm(xi)) + 1e-12
@@ -220,3 +220,12 @@ def test_geometric_series_2d_product_eigenmode():
     sol = solve_nonlocal(g, coeffs, None, xi, InitialValue(0.5), tol=1e-9)
     rho = math.exp(-0.2 * math.pi**2 * 0.5)
     assert sup_norm(sol.terminal) == pytest.approx(1.0 / (1.0 - 0.5 * rho), rel=0.01)
+
+
+@pytest.mark.parametrize("solve", [solve_nonlocal, solve_nonlocal_direct])
+def test_terminal_data_on_another_grid_is_refused(small_grid, solve):
+    # same interior shape on a box twice as wide: its values would be read as if on small_grid
+    wide = make_grid(Domain((0.0,), (2.0,)), 21, 30, 1.0)
+    with pytest.raises(ValueError, match="the terminal field lies on another grid"):
+        solve(small_grid, heat(), None, SpaceField(wide, np.ones(19)), InitialValue(0.5))
+

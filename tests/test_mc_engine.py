@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bspde import CoefficientSet, Domain, PathConfig, SpaceField, SpaceTimeField, decompose, make_grid, validate
+from bspde import CauchyProblem, CoefficientSet, Domain, PathConfig, SpaceField, SpaceTimeField, make_grid, validate
 from bspde import montecarlo
 from bspde.grid import Interpolant
 from bspde.montecarlo import LAMBDA_DISCOUNT_SIGN, _simulate
@@ -22,9 +22,8 @@ SMALL_BATCH = 128
 N_PATHS = 300  # batches of 128, 128 and 44
 
 
-def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
-    grid = dec.grid
-    coeffs = dec.coeffs
+def _reference_run_paths(problem, x, s, horizon, cfg):
+    grid, coeffs, terminal, source = problem.grid, problem.coeffs, problem.terminal, problem.source
     domain = grid.domain
     dim = grid.dim
     x = np.asarray(x, dtype=float).reshape(dim)
@@ -32,14 +31,14 @@ def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
     hi = np.asarray(domain.hi)
     n_steps = max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
     N = coeffs.n_beta
-    M = dec.n_columns
+    M = dim
     const = coeffs.is_constant
     if const:
         x0 = x[None, :]
         f_c = coeffs.f_at(x0, 0.0)[0]
         lam_c = float(coeffs.lam_at(x0, 0.0)[0])
         beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else np.zeros((0, dim))
-        btilde_c = dec.columns_at(x0, 0.0)[0]
+        btilde_c = coeffs.columns_at(x0, 0.0)[0]
     lam_zero = coeffs.lam_is_zero
     term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
     src_interp = Interpolant(grid, source.values) if source is not None else None
@@ -74,7 +73,7 @@ def _reference_run_paths(dec, x, s, horizon, cfg, terminal=None, source=None):
                     dy = dy + root_dt * (draws[:, :N] @ beta_c)
             else:
                 dy = coeffs.f_at(y_eval, t) * dt_eff
-                cols = dec.columns_at(y_eval, t)
+                cols = coeffs.columns_at(y_eval, t)
                 dy = dy + root_dt * np.einsum("ndm,nm->nd", cols, draws[:, N:])
                 if N:
                     bv = coeffs.beta_at(y_eval, t)
@@ -97,12 +96,12 @@ def small_batches(monkeypatch):
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", SMALL_BATCH)
 
 
-def _assert_engine_matches_reference(dec, starts, horizon, cfg, terminal=None, source=None):
+def _assert_engine_matches_reference(problem, starts, horizon, cfg):
     checked = [(np.asarray(x, dtype=float), s) for x, s in starts]
-    values, alive = _simulate(dec, checked, horizon, cfg, terminal=terminal, source=source)
+    values, alive = _simulate(problem, checked, horizon, cfg)
     assert values.shape == (len(starts), cfg.n_paths)
     for p, (x, s) in enumerate(starts):
-        want_v, want_a = _reference_run_paths(dec, x, s, horizon, cfg, terminal=terminal, source=source)
+        want_v, want_a = _reference_run_paths(problem, x, s, horizon, cfg)
         assert np.array_equal(alive[p], want_a), f"alive differs at point {p}"
         assert np.array_equal(values[p], want_v), f"values differ at point {p}"
         assert values[p].tobytes() == want_v.tobytes()
@@ -112,13 +111,12 @@ def _assert_engine_matches_reference(dec, starts, horizon, cfg, terminal=None, s
 def test_engine_1d_constant_with_source_and_discount(small_batches):
     g = make_grid(Domain((0.0,), (1.0,)), 41, 50, 1.0)
     coeffs = CoefficientSet.create(1, b=0.2, f=0.3, lam=-0.7)
-    dec = decompose(coeffs, g)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
     src = SpaceTimeField.from_function(g, lambda x, t: x * (1 - x) * (1 + t))
     cfg = PathConfig(dt_mc=0.005, n_paths=N_PATHS, seed=31)
     # two points share s = 0, one starts at a grid level, one between levels, one at T
     starts = [([0.5], 0.0), ([0.2], 0.5), ([0.35], 0.0), ([0.8], 0.73), ([0.6], g.T)]
-    _, alive = _assert_engine_matches_reference(dec, starts, g.T, cfg, terminal=term, source=src)
+    _, alive = _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
     assert not alive[0].all() and alive[4].all()
 
 
@@ -133,12 +131,11 @@ def test_engine_2d_variable_coefficients_with_beta(small_batches):
         beta=[[f"0.4*{bump}", f"0.3*{bump}"], [f"-0.2*{bump}", "0.0"]],
     )
     assert not validate(coeffs, g).violated
-    dec = decompose(coeffs, g)
     term = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
     src = SpaceTimeField.from_function(g, lambda x1, x2, t: x1 * (1 - x1) * x2 * (1 - x2) * np.exp(-t))
     cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=47)
     starts = [([0.4, 0.5], 0.0), ([0.7, 0.3], 0.25), ([0.5, 0.6], 0.0)]
-    _assert_engine_matches_reference(dec, starts, g.T, cfg, terminal=term, source=src)
+    _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
 
 
 def test_engine_2d_constant_full_diffusion(small_batches):
@@ -146,18 +143,17 @@ def test_engine_2d_constant_full_diffusion(small_batches):
     # matrix product over the live rows rather than a scalar multiple
     g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 11, 20, 1.0)
     coeffs = CoefficientSet.create(2, b=[[0.15, 0.05], [0.05, 0.1]], f=[0.2, -0.1], lam=-0.3)
-    dec = decompose(coeffs, g)
-    term = SpaceField.from_function(g, lambda x1, x2: x1 * (1 - x1) * x2)
+    problem = CauchyProblem(g, coeffs, terminal=SpaceField.from_function(g, lambda x1, x2: x1 * (1 - x1) * x2))
     cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=5)
-    _assert_engine_matches_reference(dec, [([0.3, 0.6], 0.0), ([0.5, 0.5], 0.4)], g.T, cfg, terminal=term)
+    _assert_engine_matches_reference(problem, [([0.3, 0.6], 0.0), ([0.5, 0.5], 0.4)], g.T, cfg)
 
 
 def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
     g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
-    dec = decompose(CoefficientSet.create(1, b=0.5), g)
+    problem = CauchyProblem(g, CoefficientSet.create(1, b=0.5))
     cfg = PathConfig(dt_mc=0.05, n_paths=N_PATHS, seed=12)
     theta_gap = 100.0
-    want_v, want_a = _reference_run_paths(dec, [0.5], 0.0, theta_gap, cfg)
+    want_v, want_a = _reference_run_paths(problem, [0.5], 0.0, theta_gap, cfg)
     assert not want_a.any()
 
     blocks = []
@@ -172,8 +168,8 @@ def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
             return self._rng.standard_normal(size)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    est = montecarlo.confinement_probability(dec, [0.5], 0.0, theta_gap, cfg)
-    values, alive = _simulate(dec, [(np.array([0.5]), 0.0)], theta_gap, cfg)
+    est = montecarlo.confinement_probability(problem, [0.5], 0.0, theta_gap, cfg)
+    values, alive = _simulate(problem, [(np.array([0.5]), 0.0)], theta_gap, cfg)
     assert est.mean == 0.0 and est.n_exited == N_PATHS
     assert np.array_equal(alive[0], want_a)
     assert values[0].tobytes() == want_v.tobytes()

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from bspde import (
     compare_mc_pde,
     confinement_bound,
     confinement_probability,
-    decompose,
     feynman_kac,
     make_grid,
 )
@@ -26,7 +28,7 @@ def heat_setup(nx=101, nt=100, b=0.1):
     dom = Domain((0.0,), (1.0,))
     g = make_grid(dom, nx, nt, 1.0)
     coeffs = CoefficientSet.create(1, b=b)
-    return dom, g, coeffs, decompose(coeffs, g)
+    return dom, g, coeffs, CauchyProblem(g, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +98,12 @@ def test_confinement_bound_of_an_extreme_interval(hi, f, nu):
     # the widened interval is 2e-300 long (L**2 underflows), or 2e308 (L overflows)
     dom = Domain((0.0,), (hi,))
     g = make_grid(dom, 11, 10, 1.0)
-    assert confinement_bound(dom, CoefficientSet.create(1, b=0.1, f=f), g, 1.0).nu == nu
+    assert confinement_bound(CoefficientSet.create(1, b=0.1, f=f), g, 1.0).nu == nu
 
 
 def test_confinement_bound_reference_case():
     dom, g, coeffs, _ = heat_setup()
-    nb = confinement_bound(dom, coeffs, g, 1.0)
+    nb = confinement_bound(coeffs, g, 1.0)
     assert nb.Dhat1 == (pytest.approx(-1.0), pytest.approx(1.0))
     assert nb.delta_qv == pytest.approx(0.2)
     assert nb.nu == pytest.approx(0.9493, abs=2e-4)
@@ -112,44 +114,44 @@ def test_confinement_bound_reference_case():
 def test_confinement_bound_monotone_in_inputs():
     dom, g, _, _ = heat_setup()
     nus_in_gap = [
-        confinement_bound(dom, CoefficientSet.create(1, b=0.1), g, th).nu for th in (0.25, 0.5, 1.0, 2.0)
+        confinement_bound(CoefficientSet.create(1, b=0.1), g, th).nu for th in (0.25, 0.5, 1.0, 2.0)
     ]
     assert all(a > b for a, b in zip(nus_in_gap, nus_in_gap[1:]))
-    nus_in_b = [confinement_bound(dom, CoefficientSet.create(1, b=b), g, 1.0).nu for b in (0.05, 0.1, 1.0)]
+    nus_in_b = [confinement_bound(CoefficientSet.create(1, b=b), g, 1.0).nu for b in (0.05, 0.1, 1.0)]
     assert all(a > b for a, b in zip(nus_in_b, nus_in_b[1:]))
     # the gap -> 0 limit approaches certainty of staying inside
-    assert confinement_bound(dom, CoefficientSet.create(1, b=0.1), g, 0.01).nu > 0.99
+    assert confinement_bound(CoefficientSet.create(1, b=0.1), g, 0.01).nu > 0.99
 
 
 def test_confinement_bound_drift_widens_interval():
     dom, g, _, _ = heat_setup()
     coeffs = CoefficientSet.create(1, b=0.1, f=0.7)
-    nb = confinement_bound(dom, coeffs, g, 1.0)
+    nb = confinement_bound(coeffs, g, 1.0)
     assert nb.K1 == pytest.approx(-1.0 - 0.7)
     assert nb.K2 == pytest.approx(0.0 + 0.7)
     assert nb.Dhat1 == (pytest.approx(-1.7), pytest.approx(1.7))
     with pytest.raises(MonteCarloError):
-        confinement_bound(dom, coeffs, g, 0.0)
+        confinement_bound(coeffs, g, 0.0)
 
 
 def test_mc_confinement_below_analytic_bound():
-    dom, g, coeffs, dec = heat_setup(nx=41, nt=50)
+    dom, g, coeffs, heat = heat_setup(nx=41, nt=50)
     cfg = PathConfig(dt_mc=1e-3, n_paths=10000, seed=11)
-    nb = confinement_bound(dom, coeffs, g, 1.0)
+    nb = confinement_bound(coeffs, g, 1.0)
     for x in (0.3, 0.5, 0.8):
-        est = confinement_probability(dec, [x], 0.0, 1.0, cfg)
+        est = confinement_probability(heat, [x], 0.0, 1.0, cfg)
         assert est.mean <= nb.nu + 3 * est.stderr
     # zero gap: everyone is still inside
-    est0 = confinement_probability(dec, [0.5], 0.0, 0.0, cfg)
+    est0 = confinement_probability(heat, [0.5], 0.0, 0.0, cfg)
     assert est0.mean == 1.0
     assert est0.n_exited == 0
 
 
 def test_mc_confinement_matches_exact_law():
     # dy = sqrt(2b) dW from the center of (0,1): exact survival by time change
-    dom, g, coeffs, dec = heat_setup(nx=41, nt=50)
+    dom, g, coeffs, heat = heat_setup(nx=41, nt=50)
     cfg = PathConfig(dt_mc=2e-4, n_paths=20000, seed=4)
-    est = confinement_probability(dec, [0.5], 0.0, 1.0, cfg)
+    est = confinement_probability(heat, [0.5], 0.0, 1.0, cfg)
     exact = _images_confinement(0.0, 1.0, 0.5, 0.2)
     # sampled-exit bias inflates survival; allow it on top of 3 sigma
     assert est.mean >= exact - 3 * est.stderr
@@ -157,48 +159,63 @@ def test_mc_confinement_matches_exact_law():
 
 
 def test_very_long_gap_empties_the_box():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=10)
+    dom, g, coeffs, heat = heat_setup(nx=21, nt=10)
     cfg = PathConfig(dt_mc=0.05, n_paths=2000, seed=3)
-    est = confinement_probability(dec, [0.5], 0.0, 100.0, cfg)
+    est = confinement_probability(heat, [0.5], 0.0, 100.0, cfg)
     assert est.mean <= 0.01
 
 
 def test_feynman_kac_at_terminal_time_is_exact():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=10)
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=10)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
     cfg = PathConfig(dt_mc=0.05, n_paths=500, seed=9)
-    est = feynman_kac(dec, [0.3], g.T, cfg, terminal=term)
+    est = feynman_kac(CauchyProblem(g, coeffs, terminal=term), [0.3], g.T, cfg)
     assert est.mean == pytest.approx(math.sin(math.pi * 0.3), abs=1e-12)
     assert est.stderr == 0.0
     assert est.n_exited == 0
 
 
 def test_feynman_kac_eigenmode():
-    dom, g, coeffs, dec = heat_setup(nx=101, nt=200)
+    dom, g, coeffs, _ = heat_setup(nx=101, nt=200)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
     cfg = PathConfig(dt_mc=2e-4, n_paths=20000, seed=21)
-    est = feynman_kac(dec, [0.5], 0.0, cfg, terminal=term)
+    est = feynman_kac(CauchyProblem(g, coeffs, terminal=term), [0.5], 0.0, cfg)
     target = math.exp(-0.1 * math.pi**2)
     assert abs(est.mean - target) <= 3 * est.stderr + 0.02
 
 
 def test_feynman_kac_occupation_bound():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=20)
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
     src = SpaceTimeField(g, np.ones((g.nt + 1,) + g.interior_shape))
     cfg = PathConfig(dt_mc=0.01, n_paths=2000, seed=5)
-    est = feynman_kac(dec, [0.5], 0.25, cfg, source=src)
+    est = feynman_kac(CauchyProblem(g, coeffs, source=src), [0.5], 0.25, cfg)
     assert 0.0 < est.mean <= g.T - 0.25 + 1e-12
 
 
 def test_feynman_kac_deterministic_per_seed():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=20)
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
     term = SpaceField.from_function(g, lambda x: x * (1 - x))
     cfg = PathConfig(dt_mc=0.01, n_paths=3000, seed=1234)
-    a = feynman_kac(dec, [0.4], 0.0, cfg, terminal=term)
-    b = feynman_kac(dec, [0.4], 0.0, cfg, terminal=term)
+    problem = CauchyProblem(g, coeffs, terminal=term)
+    a = feynman_kac(problem, [0.4], 0.0, cfg)
+    b = feynman_kac(problem, [0.4], 0.0, cfg)
     assert a == b  # bit-identical dataclasses
-    c = feynman_kac(dec, [0.4], 0.0, PathConfig(dt_mc=0.01, n_paths=3000, seed=99), terminal=term)
+    c = feynman_kac(problem, [0.4], 0.0, PathConfig(dt_mc=0.01, n_paths=3000, seed=99))
     assert c.mean != a.mean
+
+
+def test_the_tracer_reads_a_feynman_kac_call(monkeypatch):
+    """The benchmark's span reader takes the horizon from args[0].grid.T, s
+    from args[2] and the path step from args[3]: (problem, x, s, cfg)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's directory as it is
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    _, g, coeffs, _ = heat_setup(nx=21, nt=10)
+    args = (CauchyProblem(g, coeffs, terminal=SpaceField.zeros(g)), [0.3], 0.25, PathConfig(dt_mc=0.05, n_paths=200, seed=3))
+    out = feynman_kac(*args)
+    assert 0 < out.n_exited < 200
+    assert tracing.ATTRS_OF["montecarlo.feynman_kac"](args, {}, out) == {"paths": 200, "steps": 15, "exited": out.n_exited}
 
 
 def test_paths_freeze_after_exit(monkeypatch):
@@ -217,23 +234,29 @@ def test_paths_freeze_after_exit(monkeypatch):
     )
     cases = [
         (
-            decompose(CoefficientSet.create(1, b=0.3, f=0.2, lam=-0.7), g1),
+            CauchyProblem(
+                g1,
+                CoefficientSet.create(1, b=0.3, f=0.2, lam=-0.7),
+                SpaceTimeField.from_function(g1, lambda x, t: 1.0 + x * (1 - x) * (1 + t)),
+                SpaceField.from_function(g1, lambda x: np.sin(np.pi * x)),
+            ),
             [([0.5], 0.0), ([0.3], 0.25)],
-            SpaceField.from_function(g1, lambda x: np.sin(np.pi * x)),
-            SpaceTimeField.from_function(g1, lambda x, t: 1.0 + x * (1 - x) * (1 + t)),
         ),
         (
-            decompose(variable, g2),
+            CauchyProblem(
+                g2,
+                variable,
+                SpaceTimeField.from_function(g2, lambda x1, x2, t: 1.0 + x1 * x2 * np.exp(-t)),
+                SpaceField.from_function(g2, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)),
+            ),
             [([0.4, 0.5], 0.0), ([0.7, 0.3], 0.25)],
-            SpaceField.from_function(g2, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)),
-            SpaceTimeField.from_function(g2, lambda x1, x2, t: 1.0 + x1 * x2 * np.exp(-t)),
         ),
     ]
     cfg = PathConfig(dt_mc=1 / 64, n_paths=300, seed=8)
-    for dec, starts, term, src in cases:
+    for problem, starts in cases:
         checked = [(np.asarray(x, dtype=float), s) for x, s in starts]
-        v_mid, alive_mid = _simulate(dec, checked, 0.5, cfg, terminal=term, source=src)
-        v_end, alive_end = _simulate(dec, checked, 1.0, cfg, terminal=term, source=src)
+        v_mid, alive_mid = _simulate(problem, checked, 0.5, cfg)
+        v_end, alive_end = _simulate(problem, checked, 1.0, cfg)
         gone = ~alive_mid
         assert np.count_nonzero(gone) > 100, "expected many exits by 0.5"
         assert not (alive_end & gone).any()
@@ -241,21 +264,31 @@ def test_paths_freeze_after_exit(monkeypatch):
         assert (v_mid[gone] > 0).all()
 
 
+@pytest.mark.parametrize("which", ["terminal", "source"])
+def test_a_problem_refuses_data_on_another_grid(which):
+    # the same interior shape and levels with T = 2: the paths would read it as the data at t = T = 1
+    _, g, coeffs, _ = heat_setup(nx=21, nt=10)
+    later = make_grid(g.domain, 21, 10, 2.0)
+    field = SpaceField(later, np.ones(19)) if which == "terminal" else SpaceTimeField(later, np.ones((11, 19)))
+    with pytest.raises(ValueError, match=f"the {which} field lies on another grid"):
+        CauchyProblem(g, coeffs, **{which: field})
+
+
 def test_path_config_validation():
     with pytest.raises(MonteCarloError):
         PathConfig(dt_mc=0.0, n_paths=1000, seed=1)
     with pytest.raises(MonteCarloError):
         PathConfig(dt_mc=0.01, n_paths=50, seed=1)
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=10)  # grid dt = 0.1
+    dom, g, coeffs, heat = heat_setup(nx=21, nt=10)  # grid dt = 0.1
     cfg = PathConfig(dt_mc=0.5, n_paths=200, seed=1)
     with pytest.raises(MonteCarloError):
-        confinement_probability(dec, [0.5], 0.0, 1.0, cfg)
+        confinement_probability(heat, [0.5], 0.0, 1.0, cfg)
     with pytest.raises(MonteCarloError):
-        feynman_kac(dec, [1.5], 0.0, PathConfig(dt_mc=0.05, n_paths=200, seed=1))
+        feynman_kac(heat, [1.5], 0.0, PathConfig(dt_mc=0.05, n_paths=200, seed=1))
 
 
 def test_compare_mc_pde_zero_problem():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=20)
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
     problem = CauchyProblem(grid=g, coeffs=coeffs, source=None, terminal=SpaceField.zeros(g))
     cfg = PathConfig(dt_mc=0.01, n_paths=500, seed=2)
     rows = compare_mc_pde(problem, [[0.5, 0.0], [0.25, 0.5]], cfg)
@@ -276,7 +309,7 @@ def test_compare_mc_pde_negative_control_flags_mismatch():
 
 
 def test_comparison_csv_format():
-    dom, g, coeffs, dec = heat_setup(nx=21, nt=20)
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
     problem = CauchyProblem(grid=g, coeffs=coeffs, source=None, terminal=SpaceField.zeros(g))
     cfg = PathConfig(dt_mc=0.01, n_paths=200, seed=2)
     rows = compare_mc_pde(problem, [[0.5, 0.0]], cfg)
@@ -292,10 +325,9 @@ def test_discount_sign_against_closed_form():
     dom = Domain((0.0,), (1.0,))
     g = make_grid(dom, 101, 100, 1.0)
     coeffs = CoefficientSet.create(1, b=0.1, lam=-1.0)
-    dec = decompose(coeffs, g)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
     cfg = PathConfig(dt_mc=5e-4, n_paths=20000, seed=13)
-    est = feynman_kac(dec, [0.5], 0.0, cfg, terminal=term)
+    est = feynman_kac(CauchyProblem(g, coeffs, terminal=term), [0.5], 0.0, cfg)
     target = math.exp(-(0.1 * math.pi**2 + 1.0))
     assert abs(est.mean - target) <= 3 * est.stderr + 0.01
 
@@ -304,10 +336,9 @@ def test_feynman_kac_2d_product_eigenmode():
     dom = Domain((0.0, 0.0), (1.0, 1.0))
     g = make_grid(dom, (41, 41), 100, 0.5)
     coeffs = CoefficientSet.create(2, b=[0.1, 0.1])
-    dec = decompose(coeffs, g)
     term = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
     cfg = PathConfig(dt_mc=5e-4, n_paths=20000, seed=17)
-    est = feynman_kac(dec, [0.5, 0.5], 0.0, cfg, terminal=term)
+    est = feynman_kac(CauchyProblem(g, coeffs, terminal=term), [0.5, 0.5], 0.0, cfg)
     target = math.exp(-0.2 * math.pi**2 * 0.5)
     assert abs(est.mean - target) <= 3 * est.stderr + 0.03
 

@@ -289,3 +289,17 @@ def test_grid_mismatch_rejected(grid):
     u = random_st_field(rng, other)
     with pytest.raises(NonlocalValidationError):
         _compile(InitialValue(1.0), grid).apply(u)
+
+
+def test_a_field_on_a_grid_of_another_horizon_is_rejected():
+    """Same nodes and levels, T = 2 instead of 1: the weights compiled for
+    dt = 0.05 would give 0.5 where the field's own grid integrates to 1.0."""
+    from bspde.nonlocal_ops import _compile
+
+    g1, g2 = (make_grid(Domain((0.0,), (1.0,)), 11, 20, T) for T in (1.0, 2.0))
+    compiled = _compile(TimeKernel(0.5, 1.0), g1)
+    ones = np.ones((21, 9))
+    assert np.allclose(compiled.apply(SpaceTimeField(g1, ones)).values, 0.5)
+    assert np.allclose(apply_nonlocal(TimeKernel(1.0, 1.0), SpaceTimeField(g2, ones)).values, 1.0)
+    with pytest.raises(NonlocalValidationError, match="field grid does not match the validated grid"):
+        compiled.apply(SpaceTimeField(g2, ones))

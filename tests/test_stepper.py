@@ -246,6 +246,15 @@ def _richardson_order(f_drift: float) -> float:
     return float(np.log2(d1 / d2))
 
 
+@pytest.mark.parametrize("which", ["terminal", "source"])
+def test_data_on_another_grid_is_refused(which):
+    # the same interior shape and levels on a box twice as wide
+    g, wide = (make_grid(Domain((0.0,), (hi,)), 11, 10, 1.0) for hi in (1.0, 2.0))
+    field = SpaceField(wide, np.ones(9)) if which == "terminal" else SpaceTimeField(wide, np.ones((11, 9)))
+    with pytest.raises(ValueError, match=f"the {which} field lies on another grid"):
+        solve_terminal(g, CoefficientSet.create(1, b=0.1), **{which: field})
+
+
 def test_grid_convergence_order_central():
     assert _richardson_order(0.0) >= 1.8
 
