@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import Grid, GridError, SpaceField, SpaceTimeField, sup_norm
 from .nonlocal_ops import NonlocalSpec, _compile
-from .stepper import source_response, terminal_response
+from .stepper import SolutionRangeError, solve_terminal
 
 DENSE_CAP = 2000  # most interior nodes the dense feedback matrix is built for
 
@@ -51,6 +51,15 @@ class NonlocalSolution:
     report: FixedPointReport
 
 
+def _in_range(*terms: np.ndarray) -> np.ndarray:
+    """The sum of finite arrays; SolutionRangeError when it overflows."""
+    with np.errstate(over="ignore"):
+        total = sum(terms[1:], terms[0])
+    if not np.isfinite(total).all():
+        raise SolutionRangeError("the non-local solution overflows: the data are too large")
+    return total
+
+
 class _TerminalMap:
     """The affine terminal map Phi -> r + Q Phi on interior values.  The
     coupling is compiled and the source response swept once; `q` is the only
@@ -67,22 +76,22 @@ class _TerminalMap:
         grid.check_fields(terminal=terminal_rhs)  # the source is checked by its sweep
         self.grid, self.coeffs, self.compiled = grid, coeffs, _compile(spec, grid)
         zeros = np.zeros(grid.interior_shape)
-        self.u_src = source_response(grid, coeffs, source) if source is not None else None
+        self.u_src = solve_terminal(grid, coeffs, source=source).u if source is not None else None
         self.terminal_rhs = terminal_rhs.values if terminal_rhs is not None else zeros
-        self.r = self.terminal_rhs + (self.compiled.apply(self.u_src).values if source is not None else zeros)
+        self.r = _in_range(self.terminal_rhs, self.compiled.apply(self.u_src).values if source is not None else zeros)
 
     def q(self, phi: np.ndarray) -> np.ndarray:
         """Q phi: one terminal sweep from phi, then one coupling application."""
-        return self.compiled.apply(terminal_response(self.grid, self.coeffs, SpaceField(self.grid, phi))).values
+        return self.compiled.apply(solve_terminal(self.grid, self.coeffs, terminal=SpaceField(self.grid, phi)).u).values
 
     def solution(self, phi: np.ndarray, residuals=(), ratios=(), converged: bool = True) -> NonlocalSolution:
         """The solution for terminal value phi: its terminal response plus the
         source response, with the boundary-condition residual recomputed
         independently of how phi was found."""
         terminal_field = SpaceField(self.grid, phi)
-        u_term = terminal_response(self.grid, self.coeffs, terminal_field)
-        u = u_term if self.u_src is None else SpaceTimeField(self.grid, self.u_src.values + u_term.values)
-        bc = u.values[-1] - self.compiled.apply(u).values - self.terminal_rhs
+        u_term = solve_terminal(self.grid, self.coeffs, terminal=terminal_field).u
+        u = u_term if self.u_src is None else SpaceTimeField(self.grid, _in_range(self.u_src.values, u_term.values))
+        bc = _in_range(u.values[-1], -self.compiled.apply(u).values, -self.terminal_rhs)
         report = FixedPointReport(
             iterations=len(residuals),
             residuals=tuple(residuals),
@@ -123,8 +132,8 @@ def solve_nonlocal(
     ratios: list[float] = []
     converged = False
     for m in range(1, max_iter + 1):
-        phi_new = fmap.r + fmap.q(phi)
-        res = float(np.max(np.abs(phi_new - phi)))
+        phi_new = _in_range(fmap.r, fmap.q(phi))
+        res = float(np.max(np.abs(_in_range(phi_new, -phi))))
         residuals.append(res)
         if m >= 2 and residuals[-2] > 0:
             ratios.append(res / residuals[-2])
@@ -189,4 +198,4 @@ def solve_nonlocal_direct(
             f"I minus the feedback matrix is numerically singular (its sup norm is "
             f"{fm.sup_norm:.6g}, so an operator with norm >= 1 slipped through validation)"
         ) from e
-    return fmap.solution(phi.reshape(grid.interior_shape))
+    return fmap.solution(_in_range(phi).reshape(grid.interior_shape))

@@ -204,21 +204,16 @@ class SpaceField:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """One interior-node slice per time level 0..n_levels-1 on a shared grid.
-
-    Full-horizon fields have n_levels = nt + 1; backward solves stopped at an
-    intermediate level s carry levels 0..s only.
-    """
+    """One interior-node slice per time level 0..nt on a shared grid."""
 
     grid: Grid
-    values: np.ndarray  # shape (n_levels, *interior_shape)
+    values: np.ndarray  # shape (nt + 1, *interior_shape)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != self.grid.dim + 1 or v.shape[1:] != self.grid.interior_shape:
-            raise GridError(f"space-time field shape {v.shape} does not match grid")
-        if v.shape[0] < 1 or v.shape[0] > self.grid.nt + 1:
-            raise GridError(f"{v.shape[0]} time levels but grid has {self.grid.nt + 1}")
+        shape = (self.grid.nt + 1,) + self.grid.interior_shape
+        if v.shape != shape:
+            raise GridError(f"space-time field shape {v.shape} != (nt + 1, *interior shape) {shape}")
         if not np.all(np.isfinite(v)):
             raise GridError("field contains non-finite values")
         object.__setattr__(self, "values", v)
@@ -231,9 +226,8 @@ class SpaceTimeField:
         return SpaceField(self.grid, self.values[k])
 
     @classmethod
-    def zeros(cls, grid: Grid, n_levels: int | None = None) -> "SpaceTimeField":
-        n = grid.nt + 1 if n_levels is None else n_levels
-        return cls(grid, np.zeros((n,) + grid.interior_shape))
+    def zeros(cls, grid: Grid) -> "SpaceTimeField":
+        return cls(grid, np.zeros((grid.nt + 1,) + grid.interior_shape))
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "SpaceTimeField":
@@ -314,17 +308,16 @@ def refine(f: SpaceTimeField, factor: int) -> SpaceTimeField:
     interp = Interpolant(g, f.values)
 
     out = np.empty((fine.nt + 1,) + fine.interior_shape)
-    # Spatial interpolation of the stored coarse levels, then linear in time.
-    coarse_in_space = [interp.at_nodes(coords, k) for k in range(f.n_levels)]
-    n_fine_levels = (f.n_levels - 1) * factor + 1
-    for j in range(n_fine_levels):
+    # Spatial interpolation of the coarse levels, then linear in time.
+    coarse_in_space = [interp.at_nodes(coords, k) for k in range(g.nt + 1)]
+    for j in range(fine.nt + 1):
         k0, r = divmod(j, factor)
         if r == 0:
             out[j] = coarse_in_space[k0]
         else:
             w = r / factor
             out[j] = (1.0 - w) * coarse_in_space[k0] + w * coarse_in_space[k0 + 1]
-    return SpaceTimeField(fine, out[:n_fine_levels])
+    return SpaceTimeField(fine, out)
 
 
 def field_to_csv(f: SpaceField | SpaceTimeField) -> str:

@@ -290,12 +290,19 @@ def _simulate(
 
 
 def _estimate(values: np.ndarray, alive: np.ndarray, cfg: PathConfig) -> McEstimate:
-    """Sample mean and standard error of one point's path values."""
+    """Sample mean and standard error of one point's path values.  Should
+    either overflow, the values being near the float range, both are computed
+    again as 2**e times those of 2**-e values, with max |2**-e values| in [0.5, 1)."""
     if np.all(values == values[0]):
         mean, stderr = float(values[0]), 0.0  # constant sample: no roundoff from the mean reduction
     else:
-        mean = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
+        with np.errstate(over="ignore"):
+            for e in (0, math.frexp(float(np.max(np.abs(values))))[1]):
+                v = np.ldexp(values, -e)
+                mean = float(np.ldexp(np.mean(v), e))
+                stderr = float(np.ldexp(np.std(v, ddof=1) / math.sqrt(cfg.n_paths), e))
+                if math.isfinite(mean) and math.isfinite(stderr):
+                    break
     return McEstimate(
         mean=mean,
         stderr=stderr,

@@ -135,8 +135,6 @@ class _Compiled:
     def apply(self, u: SpaceTimeField) -> SpaceField:
         if u.grid is not self.grid and u.grid != self.grid:
             raise NonlocalValidationError("field grid does not match the validated grid")
-        if u.n_levels <= self.max_level:
-            raise NonlocalValidationError("field does not cover the operator's horizon")
         L = self.max_level + 1
         vals = u.values[:L].reshape(L, -1)
         out = self.level_weights[:L] @ vals

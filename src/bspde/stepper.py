@@ -33,7 +33,7 @@ node: 3 doubles per node in 1-D, 5 in 2-D without a mixed term and 9 with
 one.  The store also keeps the factor of the last slot it served, (3w + 1)
 doubles per node (on a 33 x 33 grid with nt = 40: 1.5 MB of levels and a
 0.75 MB factor).  So a t-independent problem is factored once per process,
-and a t-dependent sweep factors each level it reaches.
+and a t-dependent sweep factors every level.
 
 Each step is one dgbtrs call on one right-hand side.  The sup-norm residual
 |rhs - A x| is checked once per run of steps that share a factor (the whole
@@ -94,7 +94,7 @@ class LinearSolveError(RuntimeError):
 
 
 class SolutionRangeError(LinearSolveError):
-    """A step from finite data overflowed: the data are too large for doubles."""
+    """A solve from finite data overflowed: the data are too large for doubles."""
 
 
 @dataclass
@@ -107,7 +107,7 @@ class SolveDiagnostics:
 
 @dataclass
 class SolveOutput:
-    u: SpaceTimeField  # levels 0..level
+    u: SpaceTimeField  # levels 0..nt
     diagnostics: SolveDiagnostics
 
 
@@ -250,34 +250,28 @@ def solve_terminal(
     coeffs: CoefficientSet,
     source: SpaceTimeField | None = None,
     terminal: SpaceField | None = None,
-    level: int | None = None,
 ) -> SolveOutput:
-    """March the backward problem from time level `level` (default nt) to 0.
+    """March the backward problem from the terminal level nt down to 0.
 
-    source may be None (zero) or a space-time field covering levels 0..level;
-    terminal None means zero terminal data.  Returns the solution on levels
-    0..level together with monotonicity / maximum-principle diagnostics.
+    source None means zero source, terminal None zero terminal data.  Returns
+    the solution on levels 0..nt together with monotonicity /
+    maximum-principle diagnostics.
     """
-    s = grid.nt if level is None else int(level)
-    if not 0 < s <= grid.nt:
-        raise ValueError(f"terminal level must be in 1..{grid.nt}, got {s}")
     grid.check_fields(source=source, terminal=terminal)
     if terminal is None:
         terminal = SpaceField.zeros(grid)
-    if source is not None and source.n_levels < s + 1:
-        raise ValueError("source field does not cover levels 0..level")
 
-    n = grid.n_interior
-    u = np.empty((s + 1, n))
-    u[s] = terminal.values.ravel()
+    nt, n = grid.nt, grid.n_interior
+    u = np.empty((nt + 1, n))
+    u[nt] = terminal.values.ravel()
     # rhs of step k: u^{k+1} + dt*source^k
-    src = None if source is None else grid.dt * source.values[:s].reshape(s, n)
+    src = None if source is None else grid.dt * source.values[:nt].reshape(nt, n)
     worst_offdiag = 0.0
     max_resid = 0.0
     store = _store(grid, coeffs)  # looked up once: hashing is not free
     # runs of levels lo..hi-1 that share one slot (slot lo), last run first
-    width = s if len(store.slots) == 1 else 1
-    for hi in range(s, 0, -width):
+    width = nt if len(store.slots) == 1 else 1
+    for hi in range(nt, 0, -width):
         lo = hi - width
         system = store.system(lo)
         worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
@@ -290,9 +284,8 @@ def solve_terminal(
         rhs = u[lo + 1 : hi + 1] if src is None else u[lo + 1 : hi + 1] + src[lo:hi]
         max_resid = max(max_resid, system.residual(rhs, u[lo:hi]))
 
-    out = SpaceTimeField(grid, u.reshape((s + 1,) + grid.interior_shape))
-    duration = grid.dt * s
-    bound = sup_norm(terminal) + duration * (sup_norm(source) if source is not None else 0.0)
+    out = SpaceTimeField(grid, u.reshape((nt + 1,) + grid.interior_shape))
+    bound = sup_norm(terminal) + grid.dt * nt * (sup_norm(source) if source is not None else 0.0)
     diags = SolveDiagnostics(
         monotone=worst_offdiag <= 0.0,
         worst_positive_offdiag=worst_offdiag,
@@ -300,13 +293,3 @@ def solve_terminal(
         max_linear_residual=max_resid,
     )
     return SolveOutput(u=out, diagnostics=diags)
-
-
-def source_response(grid: Grid, coeffs: CoefficientSet, source: SpaceTimeField) -> SpaceTimeField:
-    """Backward solve with zero terminal data (response to the source alone)."""
-    return solve_terminal(grid, coeffs, source=source).u
-
-
-def terminal_response(grid: Grid, coeffs: CoefficientSet, terminal: SpaceField) -> SpaceTimeField:
-    """Backward solve with zero source (response to the terminal data alone)."""
-    return solve_terminal(grid, coeffs, terminal=terminal).u

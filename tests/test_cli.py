@@ -423,6 +423,12 @@ def test_data_too_large_for_the_solve_is_a_validation_failure(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", gamma=None, data={"terminal": 1e308, "source": 1e308})
     assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "validation failed: a backward step from finite data overflows" in capsys.readouterr().err
+    # r is near 1e308 and the fixed point r / (1 - about 0.99) is beyond it: no numpy warning on the way
+    gamma = {"type": "initial_value", "weight": 0.99}
+    cfg = write_config(tmp_path / "c.json", gamma=gamma, coefficients={"b": 0.01}, data={"terminal": 0.0, "source": 1e308})
+    for command in ("solve", "qmatrix"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "validation failed: the non-local solution overflows: the data are too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Fuzz the config loader: one or two entries of a working config are deleted
-or set to awkward values, and `validate`, `cauchy` and `nubound` must then
-end with an exit code, never a traceback or a warning.  Every configuration
+or set to awkward values, and every command must then end with an exit code,
+never a traceback or a warning.  Every configuration
 fault names its dotted path or section.  The entries are those of the config
 and those of the loader's table, so absent optional entries are set too.  A
 key the table does not list, added or made by misspelling a present key, must
@@ -30,7 +30,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 POOL = (0, -1, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, "a", [], {})
-COMMANDS = ("validate", "cauchy", "nubound")
+COMMANDS = ("validate", "cauchy", "nubound", "solve", "qmatrix", "mccheck", "converge")
+# qmatrix and converge run on the 1-D bases only: on grid-2d one t-dependent 961-column
+# assembly takes seconds and converge refines to 129 x 129.  eigenmode-mc is the shipped
+# config with another montecarlo section, which qmatrix does not read.
+SKIP = {"grid-2d": ("qmatrix", "converge"), "eigenmode-mc": ("qmatrix",)}
 # `invalid configuration: <dotted path>: ...` or `validation failed: ...`
 EXIT_1 = re.compile(r"bspde: (invalid configuration: [A-Za-z_0-9]+(\.[A-Za-z_0-9]+|\[\d+\])*: |validation failed: )")
 
@@ -38,12 +42,17 @@ EXIT_1 = re.compile(r"bspde: (invalid configuration: [A-Za-z_0-9]+(\.[A-Za-z_0-9
 @pytest.fixture(scope="module")
 def bases(tmp_path_factory):
     """Name -> directory holding config.json: the shipped config and the
-    three workloads."""
+    three workloads, with their Monte-Carlo sections cut to 200 paths."""
     out = {"shipped": tmp_path_factory.mktemp("shipped")}
     (out["shipped"] / "config.json").write_text((ROOT / "configs" / "eigenmode.json").read_text())
     for name in workloads.COMMANDS:
         out[name] = tmp_path_factory.mktemp(name)
         workloads.generate(name, 101, out[name], ROOT)
+    for d in out.values():
+        config = json.loads((d / "config.json").read_text())
+        if "montecarlo" in config:
+            config["montecarlo"]["n_paths"] = 200
+        (d / "config.json").write_text(json.dumps(config))
     return out
 
 
@@ -106,7 +115,7 @@ def test_a_mutated_config_ends_with_an_exit_code(bases, base, mutations):
             _mutate(config, paths[pick % len(paths)], value)
     path = d / "mutated.json"
     path.write_text(json.dumps(config))
-    for command in COMMANDS:
+    for command in (c for c in COMMANDS if c not in SKIP.get(base, ())):
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")

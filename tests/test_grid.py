@@ -198,8 +198,20 @@ def test_field_csv_matches_the_row_by_row_writer(nx):
     g = make_grid(Domain(lo, hi), nx, 5, 0.7)
     v = rng.standard_normal((g.nt + 1,) + g.interior_shape) * 10.0 ** rng.integers(-30, 30, (g.nt + 1,) + g.interior_shape)
     v.flat[:3] = (0.0, -0.0, 1e300)
-    for f in (SpaceTimeField(g, v), SpaceTimeField(g, v[:3]), SpaceField(g, v[2])):
+    for f in (SpaceTimeField(g, v), SpaceField(g, v[2])):
         assert field_to_csv(f) == _reference_field_to_csv(f)
+
+
+@pytest.mark.parametrize("nx", [6, (5, 4)])
+def test_a_space_time_field_holds_every_level_or_is_refused(nx):
+    lo, hi = ((0.0,), (1.0,)) if isinstance(nx, int) else ((0.0, 0.0), (1.0, 1.0))
+    g = make_grid(Domain(lo, hi), nx, 5, 1.0)
+    for n_levels in (1, 2, g.nt, g.nt + 2):
+        with pytest.raises(GridError, match=r"!= \(nt \+ 1, \*interior shape\) \(6, "):
+            SpaceTimeField(g, np.zeros((n_levels,) + g.interior_shape))
+    with pytest.raises(GridError, match="nt \\+ 1"):
+        SpaceTimeField(g, np.zeros(g.interior_shape))  # one level without its axis
+    assert SpaceTimeField.zeros(g).n_levels == g.nt + 1
 
 
 def test_boundary_is_structurally_zero():

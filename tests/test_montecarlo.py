@@ -192,6 +192,17 @@ def test_feynman_kac_occupation_bound():
     assert 0.0 < est.mean <= g.T - 0.25 + 1e-12
 
 
+def test_an_estimate_near_the_float_range_is_the_scaled_estimate():
+    # the squares of 2**1000 * sin overflow; the mean and the stderr must not
+    dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
+    term = SpaceField.from_function(g, lambda x: np.sin(3 * x))
+    cfg = PathConfig(dt_mc=2e-3, n_paths=200, seed=7)
+    est = feynman_kac(CauchyProblem(g, coeffs, terminal=term), [0.5], 0.0, cfg)
+    big = feynman_kac(CauchyProblem(g, coeffs, terminal=SpaceField(g, np.ldexp(term.values, 1000))), [0.5], 0.0, cfg)
+    assert est.stderr > 0
+    assert (big.mean, big.stderr) == (math.ldexp(est.mean, 1000), math.ldexp(est.stderr, 1000))
+
+
 def test_feynman_kac_deterministic_per_seed():
     dom, g, coeffs, _ = heat_setup(nx=21, nt=20)
     term = SpaceField.from_function(g, lambda x: x * (1 - x))

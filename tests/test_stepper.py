@@ -21,10 +21,8 @@ from bspde import (
     make_grid,
     solve_nonlocal,
     solve_terminal,
-    source_response,
     stepper,
     sup_norm,
-    terminal_response,
 )
 from bspde.nonlocal_ops import _compile
 from bspde.stepper import LinearSolveError, _assemble, _span, _store, _System
@@ -121,11 +119,11 @@ def test_eigenmode_with_zeroth_order_discount():
     assert amp == pytest.approx(math.exp(-0.1 * math.pi**2) * math.exp(-1.0), rel=0.01)
 
 
-def test_source_response_reaches_steady_state():
+def test_a_constant_source_reaches_the_steady_state():
     # long horizon with unit source: -b u'' = 1, so u = 5 x (1 - x) at b = 0.1
     g = make_grid(Domain((0.0,), (1.0,)), 51, 100, 20.0)
     src = SpaceTimeField(g, np.ones((g.nt + 1,) + g.interior_shape))
-    u = source_response(g, heat_coeffs(b=0.1), src)
+    u = solve_terminal(g, heat_coeffs(b=0.1), source=src).u
     xs = g.axis_coords(0)
     assert np.max(np.abs(u.values[0] - 5 * xs * (1 - xs))) <= 0.02 * 1.25
     assert sup_norm(u.level(0)) == pytest.approx(1.25, rel=0.02)
@@ -134,7 +132,7 @@ def test_source_response_reaches_steady_state():
 def test_source_zero_gives_zero():
     g = make_grid(Domain((0.0,), (1.0,)), 11, 5, 1.0)
     src = SpaceTimeField.zeros(g)
-    assert sup_norm(source_response(g, heat_coeffs(), src)) == 0.0
+    assert sup_norm(solve_terminal(g, heat_coeffs(), source=src).u) == 0.0
 
 
 def test_linearity_1d():
@@ -163,7 +161,7 @@ def test_operator_split_is_the_full_solve():
     src = random_st_field(rng, g)
     term = random_field(rng, g)
     full = solve_terminal(g, c, source=src, terminal=term).u
-    split = source_response(g, c, src).values + terminal_response(g, c, term).values
+    split = solve_terminal(g, c, source=src).u.values + solve_terminal(g, c, terminal=term).u.values
     assert np.max(np.abs(full.values - split)) <= 1e-10
 
 
@@ -183,7 +181,7 @@ def test_max_principle_battery_1d():
         bound = sup_norm(term) + T * sup_norm(src)
         assert sup_norm(out.u) <= bound + 1e-12
         # terminal response alone contracts the sup norm
-        assert sup_norm(terminal_response(g, c, term)) <= sup_norm(term) + 1e-12
+        assert sup_norm(solve_terminal(g, c, terminal=term).u) <= sup_norm(term) + 1e-12
 
 
 def test_max_principle_2d():
@@ -273,32 +271,21 @@ def test_time_dependent_coefficients_run():
     assert sup_norm(out.u) <= sup_norm(term) + 1e-12
 
 
-def test_level_argument_partial_horizon():
-    g = make_grid(Domain((0.0,), (1.0,)), 21, 10, 1.0)
-    term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    out = solve_terminal(g, heat_coeffs(), terminal=term, level=5)
-    assert out.u.n_levels == 6
-    assert out.u.level(5).values == pytest.approx(term.values)
-    with pytest.raises(ValueError):
-        solve_terminal(g, heat_coeffs(), terminal=term, level=11)
-
-
 def _fresh_system(g, c, t):
     return _System(_assemble(g, c, t), g.n_interior, t)
 
 
-def _reference_sweep(g, c, terminal, source=None, level=None):
+def _reference_sweep(g, c, terminal, source=None):
     """The per-step sweep: a fresh system per level (one per sweep when no
     coefficient depends on t), a fresh rhs per step, one dgbtrs and that
     step's residual over the bands in their order."""
-    s = g.nt if level is None else level
     shape = g.interior_shape
-    u = np.empty((s + 1,) + shape)
-    u[s] = terminal.values
+    u = np.empty((g.nt + 1,) + shape)
+    u[g.nt] = terminal.values
     worst = 0.0
-    resids = []  # per step, from level s - 1 down to 0
+    resids = []  # per step, from level nt - 1 down to 0
     system = None
-    for k in range(s - 1, -1, -1):
+    for k in range(g.nt - 1, -1, -1):
         if system is None or c.is_time_dependent:
             system = _fresh_system(g, c, g.dt * k)
             worst = max(worst, system.worst_positive_offdiag)
@@ -316,9 +303,9 @@ def _reference_sweep(g, c, terminal, source=None, level=None):
     return u, worst, resids
 
 
-def _assert_matches_reference(g, c, terminal, source=None, level=None):
-    out = solve_terminal(g, c, source=source, terminal=terminal, level=level)
-    u, worst, resids = _reference_sweep(g, c, source=source, terminal=terminal, level=level)
+def _assert_matches_reference(g, c, terminal, source=None):
+    out = solve_terminal(g, c, source=source, terminal=terminal)
+    u, worst, resids = _reference_sweep(g, c, source=source, terminal=terminal)
     assert out.u.values.tobytes() == u.tobytes()
     assert out.diagnostics.worst_positive_offdiag == worst
     assert out.diagnostics.max_linear_residual == max(resids)
@@ -332,7 +319,7 @@ C2_TIME = CoefficientSet.create(2, b=["0.2 + 0.1*t", "0.1 + 0.05*x1"], f=["0.4*c
 
 
 @pytest.mark.parametrize(
-    "nx,nt,coeffs,with_source,level",
+    "nx,nt,coeffs,with_source,restart",
     [
         (23, 30, C1_CONST, False, None),
         (23, 30, C1_CONST, True, 17),
@@ -344,12 +331,20 @@ C2_TIME = CoefficientSet.create(2, b=["0.2 + 0.1*t", "0.1 + 0.05*x1"], f=["0.4*c
         ((6, 9), 12, C2_TIME, False, None),
     ],
 )
-def test_sweep_matches_the_per_step_reference(nx, nt, coeffs, with_source, level):
+def test_sweep_matches_the_per_step_reference(nx, nt, coeffs, with_source, restart):
     rng = np.random.default_rng(11)
     lo, hi = ((0.0,), (1.0,)) if coeffs.dim == 1 else ((0.0, -1.0), (1.0, 1.0))
     g = make_grid(Domain(lo, hi), nx, nt, 0.8)
     src = random_st_field(rng, g) if with_source else None
-    _assert_matches_reference(g, coeffs, source=src, terminal=random_field(rng, g), level=level)
+    term = random_field(rng, g)
+    _assert_matches_reference(g, coeffs, source=src, terminal=term)
+    if restart is not None:
+        # the sweep restarted from its level `restart` is the sweep of the grid that ends there
+        u = solve_terminal(g, coeffs, source=src, terminal=term).u.values[: restart + 1]
+        short = make_grid(g.domain, nx, restart, restart * g.dt)
+        short_src = None if src is None else SpaceTimeField(short, src.values[: restart + 1])
+        again = solve_terminal(short, coeffs, source=short_src, terminal=SpaceField(short, u[-1])).u.values
+        assert np.max(np.abs(again - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("coeffs", [C1_CONST, C2_CONST])
@@ -408,18 +403,15 @@ def test_store_factors_a_problem_once_or_each_level_once_per_sweep(monkeypatch):
     src, term = random_st_field(rng, g), random_field(rng, g)
     solve_terminal(g, C1_CONST, source=src, terminal=term)
     solve_nonlocal(g, C1_CONST, src, term, InitialValue(weight=0.5))
-    solve_terminal(g, C1_CONST, terminal=term, level=5)
+    solve_terminal(g, C1_CONST, terminal=term)
     fm = assemble_feedback_matrix(g, C1_CONST, InitialValue(weight=0.5))
     assert fm.matrix.shape == (g.n_interior, g.n_interior)
     assert calls == [g.n_interior]
-    # t-dependent: each sweep factors every level it reaches, once
+    # t-dependent: each sweep factors every level, once
     calls.clear()
-    for level in (None, 5, None):
-        solve_terminal(g, C1_TIME, terminal=term, level=level)
-    assert len(calls) == 2 * g.nt + 5
-    # the last sweep ended on level 0, whose factor is kept
-    solve_terminal(g, C1_TIME, terminal=term, level=1)
-    assert len(calls) == 2 * g.nt + 5
+    for _ in range(3):
+        solve_terminal(g, C1_TIME, terminal=term)
+    assert len(calls) == 3 * g.nt
 
 
 @pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
@@ -459,8 +451,7 @@ def _count_b_at(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("first_level", [None, 7])
-def test_level_store_serves_every_later_sweep(monkeypatch, first_level):
+def test_level_store_serves_every_later_sweep(monkeypatch):
     def problem():
         return _grid_2d(), CoefficientSet.create(2, b=["0.2 + 0.1*t", "0.1 + 0.05*x1"], f=["0.4*cos(t)", "-0.3"], lam="-0.2*t")
 
@@ -469,14 +460,13 @@ def test_level_store_serves_every_later_sweep(monkeypatch, first_level):
     rng = np.random.default_rng(15)
     src, term = random_st_field(rng, g1), random_field(rng, g1)
     calls = _count_b_at(monkeypatch)
-    first = solve_terminal(g1, c1, source=src, terminal=term, level=first_level)
-    assert len(calls) == (first_level or g1.nt)
+    first = solve_terminal(g1, c1, source=src, terminal=term)
     second = solve_terminal(g2, c2, source=src, terminal=term)
-    # the second sweep assembles only the levels the first did not reach
+    # the second sweep assembles no level again
     assert sorted(calls) == [g1.dt * k for k in range(g1.nt)]
     assert (_store.cache_info().hits, _store.cache_info().misses) == (1, 1)
-    for out, level in ((first, first_level), (second, None)):
-        u, worst, resids = _reference_sweep(g1, c1, source=src, terminal=term, level=level)
+    u, worst, resids = _reference_sweep(g1, c1, source=src, terminal=term)
+    for out in (first, second):
         assert out.u.values.tobytes() == u.tobytes()
         assert out.diagnostics.worst_positive_offdiag == worst
         assert out.diagnostics.max_linear_residual == max(resids)

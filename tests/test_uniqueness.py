@@ -4,13 +4,17 @@ of the same fixed point find the same solution, both satisfy the non-local
 terminal condition, and the solution's coupling reads nothing after its
 horizon.  Linearity: the solution of a combination of data is the same
 combination of solutions.  The discrete maximum principle: every backward
-solve is monotone and bounded by its data.  Kernel entries: a space-time
-kernel's entries apply as the dense kernel they set."""
+solve is monotone and bounded by its data, `refine` never raises the sup
+norm, and a monotone non-local solution keeps criterion 8's a-priori bound.
+Kernel entries: a space-time kernel's entries apply as the dense kernel they
+set."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bspde import (
@@ -25,7 +29,9 @@ from bspde import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
+    confinement_bound,
     make_grid,
+    refine,
     solve_nonlocal,
     solve_nonlocal_direct,
     solve_terminal,
@@ -187,6 +193,29 @@ def test_every_backward_solve_obeys_the_maximum_principle(problem):
     diagnostics = solve_terminal(grid, coeffs, source=source, terminal=terminal).diagnostics
     assert diagnostics.monotone
     assert diagnostics.max_principle_slack >= -1e-12
+
+
+@settings(max_examples=100, **DERANDOMIZED)
+@given(problems(), st.integers(2, 3))
+def test_refine_never_raises_the_sup_norm(problem, factor):
+    grid, coeffs, _, source, terminal = problem
+    for field in (solve_terminal(grid, coeffs, source=source, terminal=terminal).u, source):
+        if field is not None:
+            assert sup_norm(refine(field, factor)) <= sup_norm(field)
+
+
+@settings(max_examples=100, **DERANDOMIZED)
+@given(problems())
+def test_a_monotone_solution_keeps_the_a_priori_bound(problem):
+    """Criterion 8: sup|u| <= [T + (1 + T)/(1 - sqrt(nu))] (sup|source| + sup|data|),
+    nu the confinement bound over the gap T - theta after the coupling's horizon."""
+    grid, coeffs, spec, source, terminal = problem
+    assume(solve_terminal(grid, coeffs).diagnostics.monotone)
+    sol = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12, max_iter=MAX_ITER)
+    T = grid.T
+    nu = confinement_bound(coeffs, grid, T - validate_spec(spec, grid).theta).nu
+    data = (sup_norm(source) if source is not None else 0.0) + sup_norm(terminal)
+    assert sup_norm(sol.u) <= (T + (1 + T) / (1 - math.sqrt(nu))) * data
 
 
 def _dense_weights(spec, grid):
