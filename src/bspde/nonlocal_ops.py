@@ -14,7 +14,8 @@ discrete operator holds by construction.
 from __future__ import annotations
 
 import csv
-from array import array
+import re
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -313,6 +314,33 @@ def _snap_nodes(grid: Grid, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, ok
 
 
+# a number as np.loadtxt reads it, once stripped of whitespace: Python's float
+# grammar in ASCII and without underscores
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE)
+
+
+def _kernel_csv_line(fh, start: int, width: int, row: int = -1) -> str | None:
+    """Scan the kernel CSV's data rows again from `start`, one at a time:
+    'line N' for the non-empty data row numbered `row` (from 0), else the
+    first row that np.loadtxt refuses, as 'line N has ... fields, ...' or
+    'line N: why', else None.  N is the physical line; the header is line 1."""
+    fh.seek(start)
+    reader = csv.reader(fh)
+    try:
+        for i, fields in enumerate(f for f in reader if f):
+            line = reader.line_num + 1
+            if i == row:
+                return f"line {line}"
+            if len(fields) != width:
+                return f"line {line} has {len(fields)} fields, the header has {width}"
+            bad = [v for v in fields if not _NUMBER.fullmatch(v.strip())]
+            if bad:
+                return f"line {line}: could not convert string to float: {bad[0]!r}"
+    except csv.Error as err:  # a lone CR inside a line, say
+        return f"line {reader.line_num + 1}: {err}"
+    return None
+
+
 def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
     """Read a tabulated space-time kernel from the CSV file object `fh`, with
     columns t,x1[,x2],y1[,y2],k.
@@ -323,37 +351,41 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
     (ties to the lower node) and must lie within half a step of it.  Entries
     that no row sets are zero, and a later row for the same (level, y, x)
     overwrites an earlier one.  Every non-empty row has exactly as many
-    fields as the header and every field is a finite number; a row that
-    breaks any of these rules raises NonlocalValidationError naming its
-    1-based line.  Returns the
-    KernelEntries for SpaceTimeKernel(theta, ...), one per (level, y, x)
-    set, in that order.
+    fields as the header, and every field is a finite number in Python's
+    float grammar written in ASCII without underscores (surrounding
+    whitespace and double quotes allowed); a row that breaks any of these
+    rules raises NonlocalValidationError naming its 1-based physical line.
+    Returns the KernelEntries for SpaceTimeKernel(theta, ...), one per
+    (level, y, x) set, in that order.
+
+    The data rows are parsed by one np.loadtxt call streaming from `fh`; only
+    when it refuses the file, or a parsed row breaks a rule, are the rows read
+    again one at a time to name the line.
     """
     k_theta, _ = _snap_before_T(grid, theta, "theta")
     n_int = grid.n_interior
     dim = grid.dim
     expected = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)] + ["k"]
-    reader = csv.reader(fh)
-    header = next(reader, [])
+    width = len(expected)
+    header = next(csv.reader([fh.readline()]))
     if [h.strip() for h in header] != expected:
         raise NonlocalValidationError(f"kernel CSV header must be {','.join(expected)}")
 
-    fields = array("d")
-    lines = array("q")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise NonlocalValidationError(
-                f"kernel CSV line {reader.line_num} has {len(row)} fields, the header has {len(expected)}"
-            )
-        try:
-            fields.extend(map(float, row))
-        except ValueError as err:
-            raise NonlocalValidationError(f"kernel CSV line {reader.line_num}: {err}") from None
-        lines.append(reader.line_num)
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # header only
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        if rows.size == 0:
+            rows = rows.reshape(0, width)
+        elif rows.shape[1] != width:  # np.loadtxt takes the first row's width for every row
+            raise ValueError(f"rows of {rows.shape[1]} fields, the header has {width}")
+    except UnicodeDecodeError:
+        raise
+    except ValueError as err:
+        where = _kernel_csv_line(fh, start, width)
+        raise NonlocalValidationError(f"kernel CSV {where}" if where else f"kernel CSV: {err}") from None
 
-    rows = np.frombuffer(fields).reshape(-1, len(expected))
     t, xs, ys, kv = rows[:, 0], rows[:, 1 : 1 + dim], rows[:, 1 + dim : 1 + 2 * dim], rows[:, -1]
     finite = np.isfinite(rows).all(axis=1)
     timely = grid.time_in_range(t)
@@ -372,7 +404,7 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
         else:
             off = np.concatenate([ys[i][~y_ok[i]], xs[i][~x_ok[i]]])
             why = f"coordinate {off[0]} is not a grid node"
-        raise NonlocalValidationError(f"kernel CSV line {lines[i]}: {why}")
+        raise NonlocalValidationError(f"kernel CSV {_kernel_csv_line(fh, start, width, i)}: {why}")
 
     flat = (lvl * n_int + y) * n_int + x
     # each address's last row, in (level, y, x) order

@@ -162,6 +162,8 @@ def _assemble(grid: Grid, coeffs: CoefficientSet, t: float) -> _Level:
     # every sweep that the store serves shares these through _System.bands and _terms
     kept = {k: e for k, e in bands.items() if np.any(e)}
     for e in kept.values():
+        if not np.isfinite(e).all():  # a sweep assembles with overflow warnings off
+            raise LinearSolveError(f"the step matrix at t = {t:.6g} is not finite")
         e.flags.writeable = False
     return _Level(kept, max(abs(k) for k in bands), worst)
 
@@ -193,18 +195,22 @@ class _System:
         if info != 0:
             raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info})")
 
-    def residual(self, rhs: np.ndarray, x: np.ndarray) -> float:
-        """sup |rhs - M x| over a block of steps, one step per row.  Should
+    def residual(self, rhs: np.ndarray, x: np.ndarray, *data: np.ndarray) -> float:
+        """sup |rhs - M x| over a block of steps, one step per row, where rhs
+        is computed from the arrays `data`, one row per step as well.  Should
         M x overflow, x being near the float range, it is computed again as
         2**e sup |2**-e rhs - M 2**-e x| with sup |2**-e x| in [0.5, 1),
-        which is exact for normal doubles."""
+        which is exact for normal doubles.  A step whose data are finite and
+        whose x is not, the rhs or the solve having overflowed, raises
+        SolutionRangeError."""
         res = self._sup_residual(rhs, x)
         if not np.isfinite(res) and np.isfinite(x).all():
             e = math.frexp(float(np.max(np.abs(x))))[1]
             with np.errstate(over="ignore"):
                 res = float(np.ldexp(self._sup_residual(np.ldexp(rhs, -e), np.ldexp(x, -e)), e))
         if not np.isfinite(res):
-            if np.any(~np.isfinite(x).all(axis=1) & np.isfinite(rhs).all(axis=1)):
+            finite_data = np.logical_and.reduce([np.isfinite(d).all(axis=1) for d in data])
+            if np.any(~np.isfinite(x).all(axis=1) & finite_data):
                 raise SolutionRangeError("a backward step from finite data overflows: the data are too large")
             raise LinearSolveError(f"banded linear solve failed (residual {res})")
         return res
@@ -264,25 +270,31 @@ def solve_terminal(
     nt, n = grid.nt, grid.n_interior
     u = np.empty((nt + 1, n))
     u[nt] = terminal.values.ravel()
-    # rhs of step k: u^{k+1} + dt*source^k
-    src = None if source is None else grid.dt * source.values[:nt].reshape(nt, n)
+    raw = None if source is None else source.values[:nt].reshape(nt, n)
     worst_offdiag = 0.0
     max_resid = 0.0
     store = _store(grid, coeffs)  # looked up once: hashing is not free
     # runs of levels lo..hi-1 that share one slot (slot lo), last run first
     width = nt if len(store.slots) == 1 else 1
-    for hi in range(nt, 0, -width):
-        lo = hi - width
-        system = store.system(lo)
-        worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
-        for k in range(hi - 1, lo - 1, -1):
+    # an rhs that overflows from finite data is reported by residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rhs of step k: u^{k+1} + dt*source^k
+        src = None if raw is None else grid.dt * raw
+        for hi in range(nt, 0, -width):
+            lo = hi - width
+            system = store.system(lo)
+            worst_offdiag = max(worst_offdiag, system.worst_positive_offdiag)
+            for k in range(hi - 1, lo - 1, -1):
+                if src is None:
+                    u[k] = u[k + 1]
+                else:
+                    np.add(u[k + 1], src[k], out=u[k])
+                system.solve(u[k])
+            prev = u[lo + 1 : hi + 1]
             if src is None:
-                u[k] = u[k + 1]
+                max_resid = max(max_resid, system.residual(prev, u[lo:hi], prev))
             else:
-                np.add(u[k + 1], src[k], out=u[k])
-            system.solve(u[k])
-        rhs = u[lo + 1 : hi + 1] if src is None else u[lo + 1 : hi + 1] + src[lo:hi]
-        max_resid = max(max_resid, system.residual(rhs, u[lo:hi]))
+                max_resid = max(max_resid, system.residual(prev + src[lo:hi], u[lo:hi], prev, raw[lo:hi]))
 
     out = SpaceTimeField(grid, u.reshape((nt + 1,) + grid.interior_shape))
     bound = sup_norm(terminal) + grid.dt * nt * (sup_norm(source) if source is not None else 0.0)

@@ -431,6 +431,15 @@ def test_data_too_large_for_the_solve_is_a_validation_failure(tmp_path, capsys):
         assert "validation failed: the non-local solution overflows: the data are too large" in capsys.readouterr().err
 
 
+def test_an_rhs_that_overflows_from_finite_data_is_a_validation_failure(tmp_path, capsys):
+    # the first step's rhs 1.7e308 + dt*1e308 overflows; it is reported without a numpy warning or a traceback
+    data = {"terminal": 1.7e308, "source": 1e308}
+    cfg = write_config(tmp_path / "c.json", gamma=None, grid={"nx": [9], "nt": 2, "T": 1.0}, coefficients={"b": 0.1}, data=data)
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "bspde: validation failed: a backward step from finite data overflows: the data are too large\n"
+
+
 @pytest.mark.parametrize(
     "coefficients,name",
     [

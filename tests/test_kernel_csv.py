@@ -278,3 +278,142 @@ def test_same_kernel_on_a_full_table(dim):
     text = header + "\n" + "\n".join(rows) + "\n"
     expected = _reference_kernel_from_csv(io.StringIO(text), g, 0.3)
     assert _dense_from_csv(io.StringIO(text), g, 0.3).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def picard_1d_kernel():
+    """Every (level, y, x) of a 41-node, nt = 100 grid up to theta = 0.15
+    once, 24,336 rows written like the benchmark's picard-1d kernel."""
+    g = make_grid(Domain((0.0,), (1.0,)), 41, 100, 1.0)
+    xs = [repr(float(v)) for v in g.axis_coords(0)]
+    k = iter(np.random.default_rng(41).random(16 * len(xs) ** 2).tolist())
+    rows = [f"{lvl * g.dt!r},{x},{y},{next(k)!r}" for lvl in range(16) for y in xs for x in xs]
+    return g, "t,x1,y1,k\n" + "\n".join(rows) + "\n"
+
+
+def test_same_kernel_on_a_picard_1d_size_table(picard_1d_kernel):
+    g, text = picard_1d_kernel
+    assert text.count("\n") == 24_337
+    expected = _outcome(_reference_kernel_from_csv, text, g, 0.15)
+    assert expected[0] == "ok" and np.count_nonzero(np.frombuffer(expected[2])) == 24_336
+    assert _outcome(_dense_from_csv, text, g, 0.15) == expected
+
+
+def test_reading_a_picard_1d_size_table_traces_under_4_mb(picard_1d_kernel, tmp_path):
+    """The rows stream from the file: the parsed table and the arrays built
+    from it, not the text, make the peak."""
+    import tracemalloc
+
+    g, text = picard_1d_kernel
+    path = tmp_path / "kernel.csv"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tracemalloc.reset_peak()
+            entries = kernel_from_csv(fh, g, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entries.value) == 24_336
+    assert peak < 4 * 2**20
+
+
+G4 = make_grid(Domain((0.0,), (1.0,)), 5, 4, 1.0)  # interior nodes 0.25, 0.5, 0.75
+ROWS = ["0.0,0.25,0.5,1.0", "0.25,0.5,0.75,2.0", "0.0,0.25,0.5,3.0"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,x1,y1,k\r\n" + "\r\n".join(ROWS) + "\r\n",
+        "t,x1,y1,k\n" + "\n".join(ROWS),
+        "t,x1,y1,k\r\n" + "\r\n".join(ROWS),
+        "t,x1,y1,k\r\n\r\n" + "\r\n\r\n".join(ROWS) + "\r\n\r\n",
+        '"t","x1",y1,"k"\n' + "\n".join(",".join(f'"{v}"' for v in row.split(",")) for row in ROWS) + "\n",
+        "t,x1,y1,k\n" + "\n".join(f' {row.replace(",", " , ")}\t' for row in ROWS) + "\n",
+    ],
+    ids=["crlf", "no-final-newline", "crlf-no-final-newline", "crlf-blank-lines", "quoted", "spaces"],
+)
+def test_same_kernel_whatever_the_line_ends_and_quotes(text):
+    expected = _outcome(_reference_kernel_from_csv, text, G4, 0.5)
+    assert expected[0] == "ok"
+    assert _outcome(_dense_from_csv, text, G4, 0.5) == expected
+
+
+@pytest.mark.parametrize("text", ["t,x1,y1,k\n", "t,x1,y1,k", "t,x1,y1,k\r\n\r\n\n"])
+def test_a_header_only_file_sets_no_entry(text):
+    # a numpy warning ("input contained no data") would fail this suite
+    entries = kernel_from_csv(io.StringIO(text), G4, 0.5)
+    assert all(len(a) == 0 for a in entries)
+    assert _outcome(_dense_from_csv, text, G4, 0.5) == _outcome(_reference_kernel_from_csv, text, G4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,x1,y1,k\n0.0,0.25,0.5,1.0,9.0\n", "kernel CSV line 2 has 5 fields, the header has 4"),
+        ("t,x1,y1,k\n\n0.0,0.25,0.5\n", "kernel CSV line 3 has 3 fields, the header has 4"),
+        ("t,x1,y1,k\n0.0,0.25,0.5,1.0,9.0\n0.0,0.25,0.5,1.0,9.0\n", "kernel CSV line 2 has 5 fields, the header has 4"),
+        ("t,x1,y1,k\n\n\n0.0,0.25,0.5,1.0\n\n\n0.0,abc,0.5,1.0\n", "kernel CSV line 7: could not convert string to float: 'abc'"),
+        ("t,x1,y1,k\r\n\r\n0.0,0.25,0.5,1.0\r\n\r\n\r\n0.0,0.25,0.5,\r\n", "kernel CSV line 6: could not convert string to float: ''"),
+        ("t,x1,y1,k\n\n0.0,0.25,0.5,1.0\n\n\n0.75,0.25,0.5,1.0\n", "kernel CSV line 6: row at t = 0.75 lies beyond theta = 0.5"),
+        ('t,x1,y1,k\n"0.0","0.25\n",0.5,1.0\n\n0.0,0.0,0.5,1.0\n', "kernel CSV line 5: coordinate 0.0 is not a grid node"),
+    ],
+    ids=["only-row-long", "only-row-short", "every-row-long", "word", "empty-field", "beyond-theta", "quoted-newline"],
+)
+def test_a_fault_names_its_physical_line(text, message):
+    with pytest.raises(NonlocalValidationError) as err:
+        kernel_from_csv(io.StringIO(text), G4, 0.5)
+    assert str(err.value) == message
+    line = int(re.match(r"kernel CSV line (\d+)", message).group(1))
+    assert _outcome(_reference_kernel_from_csv, text, G4, 0.5) == ("rejected", line)
+
+
+@pytest.mark.parametrize("field", ["1_0", "1_000.5", "١", "1.٠"])
+def test_a_number_outside_the_ascii_grammar_is_refused(field):
+    """Python's float() takes underscore digit groups and non-ASCII digits;
+    the reader does not."""
+    text = f"t,x1,y1,k\n0.0,0.25,0.5,1.0\n\n0.0,0.25,0.5,{field}\n"
+    with pytest.raises(NonlocalValidationError) as err:
+        kernel_from_csv(io.StringIO(text), G4, 0.5)
+    assert str(err.value) == f"kernel CSV line 4: could not convert string to float: {field!r}"
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789.eE+-_ \t\u00a0infatyINFATY\u0661xj", max_size=8),
+        st.from_regex(r"[ +-]?[0-9_]{0,3}\.?[0-9]{0,3}(?:[eE][+-]?[0-9]{0,2})?[ ]?", fullmatch=True),
+    )
+)
+def test_the_line_scan_refuses_exactly_the_fields_np_loadtxt_refuses(field):
+    """A field that np.loadtxt refuses is named by its line, and one that it
+    takes passes the scan, which goes on to name the later row at fault."""
+    text = f"t,x1,y1,k\n0.0,0.25,0.5,{field}\n0.75,0.25,0.5,1.0\n"
+    with pytest.raises(NonlocalValidationError) as err:
+        kernel_from_csv(io.StringIO(text), G4, 0.5)
+    try:
+        value = np.loadtxt(io.StringIO(f"{field},0\n"), delimiter=",")[0]
+    except ValueError:
+        assert str(err.value) == f"kernel CSV line 2: could not convert string to float: {field!r}"
+    else:
+        if np.isfinite(value):
+            assert str(err.value) == "kernel CSV line 3: row at t = 0.75 lies beyond theta = 0.5"
+        else:
+            assert str(err.value) == f"kernel CSV line 2: k = {value} is not finite"
+
+
+def test_a_lone_cr_inside_a_line_is_refused_by_its_line():
+    text = "t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.25,0.5,1.0\r0.0,0.5,0.5,1.0\n"
+    with pytest.raises(NonlocalValidationError, match="^kernel CSV line 3: new-line character seen in unquoted field"):
+        kernel_from_csv(io.StringIO(text), G4, 0.5)
+
+
+def test_a_refusal_the_line_scan_cannot_place_gives_numpys_reason(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("the reason np.loadtxt gives")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    with pytest.raises(NonlocalValidationError, match="^kernel CSV: the reason np.loadtxt gives$"):
+        kernel_from_csv(io.StringIO("t,x1,y1,k\n0.0,0.25,0.5,1.0\n"), G4, 0.5)

@@ -25,7 +25,7 @@ from bspde import (
     sup_norm,
 )
 from bspde.nonlocal_ops import _compile
-from bspde.stepper import LinearSolveError, _assemble, _span, _store, _System
+from bspde.stepper import LinearSolveError, SolutionRangeError, _assemble, _span, _store, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -422,6 +422,31 @@ def test_non_finite_terminal_raises(coeffs, bad):
     term.values[4] = bad  # past SpaceField's own check
     with pytest.raises(LinearSolveError):
         solve_terminal(g, coeffs, terminal=term)
+
+
+@pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
+@pytest.mark.parametrize("T, terminal", [(1.0, 1.7e308), (10.0, 0.0)])
+def test_an_rhs_that_overflows_from_finite_data_is_a_range_error(coeffs, T, terminal):
+    # nt = 2: the first step's rhs terminal + dt*source overflows, through dt*source alone when dt = 5;
+    # a numpy warning would fail this suite
+    g = make_grid(Domain((0.0,), (1.0,)), 9, 2, T)
+    term = SpaceField(g, np.full(g.interior_shape, terminal))
+    src = SpaceTimeField(g, np.full((g.nt + 1,) + g.interior_shape, 1e308))
+    with pytest.raises(SolutionRangeError, match="a backward step from finite data overflows: the data are too large"):
+        solve_terminal(g, coeffs, source=src, terminal=term)
+
+
+@pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
+def test_non_finite_data_or_coefficients_are_not_a_range_error(coeffs):
+    g = make_grid(Domain((0.0,), (1.0,)), 9, 2, 1.0)
+    src = SpaceTimeField.zeros(g)
+    src.values[1, 3] = np.inf  # past SpaceTimeField's own check
+    with pytest.raises(LinearSolveError, match="residual") as err:
+        solve_terminal(g, coeffs, source=src)
+    assert not isinstance(err.value, SolutionRangeError)
+    for b in ("exp(1000)", "0.1*exp(2000*t)"):
+        with pytest.raises(LinearSolveError, match=r"the step matrix at t = \S+ is not finite"):
+            solve_terminal(g, CoefficientSet.create(1, b=b), terminal=SpaceField.zeros(g))
 
 
 # b12 nonzero at every node, and (on the (6, 9) grid, t > 0) at the node

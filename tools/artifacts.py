@@ -5,12 +5,16 @@
 TREE is a checkout of this repository (its `src/` is the program run).  The
 tool writes the seed-101 and seed-102 inputs of every benchmark workload
 (with `perfbench/workloads.generate` of this checkout, so both trees of a
-comparison read the same inputs) and TREE's `configs/eigenmode.json` under
-the new directory OUT, runs each of the seven commands on each input in a
-fresh process with OPENBLAS_NUM_THREADS=1 and relative paths, and writes
-OUT/runs.jsonl: one JSON line per run with the input name, the command,
-the exit code, and the sha256 of stderr and of every artifact.
-`report.json` is hashed without its `timing_seconds`.
+comparison read the same inputs), `picard-1d-101-dialect` (picard-1d-101
+with its kernel CSV rewritten in another dialect: CRLF line ends, a blank
+line every 1000 rows and quoted `k` fields, so its `solution.csv` and
+`qmatrix.csv` hash as picard-1d-101's do) and TREE's
+`configs/eigenmode.json` under the new directory OUT, runs each of the
+seven commands on each input in a fresh process with
+OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
+JSON line per run with the input name, the command, the exit code, and the
+sha256 of stderr and of every artifact.  `report.json` is hashed without
+its `timing_seconds`.
 
 A change that should not alter any output is byte-identical to its parent
 when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
@@ -49,6 +53,22 @@ def _artifact_digest(path: Path) -> str:
     return _sha256(json.dumps(report, indent=2, sort_keys=True).encode())
 
 
+def _dialect(src: Path, d: Path) -> Path:
+    """A copy of the input in src whose kernel CSV has CRLF line ends, a blank
+    line after every 1000 rows and its `k` fields quoted."""
+    d.mkdir()
+    shutil.copyfile(src / "config.json", d / "config.json")
+    header, *rows = (src / "kernel.csv").read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for i, row in enumerate(rows, 1):
+        head, k = row.rsplit(",", 1)
+        lines.append(f'{head},"{k}"')
+        if i % 1000 == 0:
+            lines.append("")
+    (d / "kernel.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return d
+
+
 def _inputs(tree: Path, out: Path) -> list[Path]:
     """Write every input into its own directory under out; return them in run order."""
     dirs = []
@@ -57,6 +77,7 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
             d = out / f"{workload}-{seed}"
             workloads.generate(workload, seed, d, tree)
             dirs.append(d)
+    dirs.append(_dialect(out / "picard-1d-101", out / "picard-1d-101-dialect"))
     d = out / "eigenmode"
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
