@@ -9,11 +9,12 @@ from .coefficients import (
     bounds,
     validate,
 )
-from .exprdsl import EvalError, Expr, ExprError, evaluate, parse, to_string
+from .exprdsl import EvalError, Expr, ExprError, evaluate, parse
 from .fixedpoint import (
     FeedbackMatrix,
     FixedPointDivergence,
     FixedPointReport,
+    NonlocalProblem,
     NonlocalSolution,
     assemble_feedback_matrix,
     solve_nonlocal,
@@ -27,12 +28,9 @@ from .grid import (
     SpaceTimeField,
     field_to_csv,
     make_grid,
-    refine,
     sup_norm,
-    weighted_l2_norm,
 )
 from .montecarlo import (
-    CauchyProblem,
     ComparisonRow,
     ConfinementBound,
     McEstimate,
@@ -52,12 +50,10 @@ from .nonlocal_ops import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
-    apply_nonlocal,
     kernel_from_csv,
-    truncation_check,
     validate_spec,
 )
-from .stepper import SolveOutput, solve_terminal
+from .stepper import CauchyProblem, SolveOutput, solve_terminal
 
 __version__ = "0.1.0"
 
@@ -81,6 +77,7 @@ __all__ = [
     "InitialValue",
     "KernelEntries",
     "McEstimate",
+    "NonlocalProblem",
     "NonlocalReport",
     "NonlocalSolution",
     "NonlocalValidationError",
@@ -92,7 +89,6 @@ __all__ = [
     "SpaceTimeKernel",
     "TimeKernel",
     "TwoPoint",
-    "apply_nonlocal",
     "assemble_feedback_matrix",
     "bounds",
     "compare_mc_pde",
@@ -104,14 +100,10 @@ __all__ = [
     "kernel_from_csv",
     "make_grid",
     "parse",
-    "refine",
     "solve_nonlocal",
     "solve_nonlocal_direct",
     "solve_terminal",
     "sup_norm",
-    "to_string",
-    "truncation_check",
     "validate",
     "validate_spec",
-    "weighted_l2_norm",
 ]

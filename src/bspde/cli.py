@@ -28,9 +28,9 @@ import numpy as np
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
 from .exprdsl import EvalError, Expr, ExprError, bind, free_variables
-from .fixedpoint import FixedPointDivergence, solve_nonlocal, solve_nonlocal_direct, assemble_feedback_matrix
+from .fixedpoint import FixedPointDivergence, NonlocalProblem, assemble_feedback_matrix, solve_nonlocal, solve_nonlocal_direct
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
-from .montecarlo import CauchyProblem, MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
+from .montecarlo import MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
 from .nonlocal_ops import (
     Convex,
     InitialValue,
@@ -43,7 +43,7 @@ from .nonlocal_ops import (
     kernel_from_csv,
     validate_spec,
 )
-from .stepper import SolutionRangeError, solve_terminal
+from .stepper import CauchyProblem, SolutionRangeError, solve_terminal
 
 
 class NonConvergence(RuntimeError):
@@ -123,10 +123,8 @@ class RunConfig:
     raw: dict
     entries: dict  # the config read through _CONFIG, every default filled in
     grid: Grid
-    coeffs: CoefficientSet
-    gamma: object | None
-    terminal: SpaceField
-    source: SpaceTimeField | None
+    cauchy: CauchyProblem
+    problem: NonlocalProblem | None  # the cauchy problem coupled by gamma; None without gamma
     mc: PathConfig
     outdir: Path
 
@@ -256,13 +254,14 @@ def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.
     return values
 
 
-def _sample_data(grid: Grid, data: dict) -> tuple[SpaceField, SpaceTimeField | None]:
-    """The terminal data and the source, on every level, of the read `data` entries on `grid`."""
+def _sample_data(grid: Grid, coeffs: CoefficientSet, data: dict) -> CauchyProblem:
+    """The Cauchy problem of `coeffs` with the read `data` entries on `grid`:
+    the terminal data, and the source on every level."""
     terminal = SpaceField(grid, _sample_space(grid, data["terminal"], "data.terminal"))
     if data["source"] is None:
-        return terminal, None
+        return CauchyProblem(grid, coeffs, terminal=terminal)
     levels = [_sample_space(grid, data["source"], "data.source", t) for t in grid.times()]
-    return terminal, SpaceTimeField(grid, np.stack(levels))
+    return CauchyProblem(grid, coeffs, SpaceTimeField(grid, np.stack(levels)), terminal)
 
 
 @contextmanager
@@ -310,7 +309,7 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     grid = _built("grid", make_grid, domain, **entries["grid"])
     coeffs = _built("coefficients", CoefficientSet.create, dim=domain.dim, **entries["coefficients"])
     gamma = None if entries["gamma"] is None else _gamma(entries["gamma"], "gamma", grid, base_dir)
-    terminal, source = _sample_data(grid, entries["data"])
+    cauchy = _sample_data(grid, coeffs, entries["data"])
     mc = entries["montecarlo"]
     seed = mc["seed"] if seed_override is None else int(seed_override)
     paths = _built("montecarlo", PathConfig, dt_mc=mc["dt_mc"], n_paths=mc["n_paths"], seed=seed)
@@ -319,7 +318,8 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
             form = "[x1, s]" if domain.dim == 1 else "[x1, x2, s]"
             raise ConfigError(f"montecarlo.points[{i}]: must be {domain.dim + 1} numbers {form}, got {pt!r}")
     outdir = Path(out_override) if out_override else base_dir / entries["output"]["dir"]
-    return RunConfig(raw, entries, grid, coeffs, gamma, terminal, source, paths, outdir)
+    problem = None if gamma is None else NonlocalProblem(cauchy, gamma)
+    return RunConfig(raw, entries, grid, cauchy, problem, paths, outdir)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -330,18 +330,19 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _validation_block(cfg: RunConfig) -> dict:
-    rep = validate(cfg.coeffs, cfg.grid)
+    coeffs = cfg.cauchy.coeffs
+    rep = validate(coeffs, cfg.grid)
     rep.raise_if_violated()
     block = {
         "delta": rep.delta,
         "argmin_point": list(rep.argmin_point),
         "argmin_time": rep.argmin_time,
     }
-    env = bounds(cfg.coeffs, cfg.grid)
+    env = bounds(coeffs, cfg.grid)
     block.update({"sup_f1": env.sup_f1, "c_beta": env.c_beta, "delta_qv": env.delta_qv})
     theta_gap = cfg.entries["montecarlo"]["theta_gap"]
-    if cfg.gamma is not None:
-        gr = validate_spec(cfg.gamma, cfg.grid)
+    if cfg.problem is not None:
+        gr = cfg.problem.compiled.report()
         block.update(
             {
                 "gamma_theta": gr.theta,
@@ -352,7 +353,7 @@ def _validation_block(cfg: RunConfig) -> dict:
         if theta_gap is None:
             theta_gap = cfg.grid.T - gr.theta
     if theta_gap is not None:
-        nb = confinement_bound(cfg.coeffs, cfg.grid, theta_gap)
+        nb = confinement_bound(coeffs, cfg.grid, theta_gap)
         block.update({"theta_gap": theta_gap, "nu": nb.nu, "sqrt_nu": nb.sqrt_nu})
     return block
 
@@ -362,18 +363,18 @@ def cmd_validate(cfg: RunConfig, validation: dict) -> dict:
 
 
 def cmd_cauchy(cfg: RunConfig, validation: dict) -> dict:
-    out = solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
+    out = solve_terminal(cfg.cauchy)
     _write_atomic(cfg.outdir / "solution.csv", field_to_csv(out.u))
     return {
         "diagnostics": asdict(out.diagnostics),
-        "norms": {"sup_u": sup_norm(out.u), "sup_terminal": sup_norm(cfg.terminal)},
+        "norms": {"sup_u": sup_norm(out.u), "sup_terminal": sup_norm(cfg.cauchy.terminal)},
     }
 
 
 def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
-    if cfg.gamma is None:
+    if cfg.problem is None:
         raise NonlocalValidationError("solve requires a gamma section in the config")
-    sol = solve_nonlocal(cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma, **cfg.entries["fixedpoint"])
+    sol = solve_nonlocal(cfg.problem, **cfg.entries["fixedpoint"])
     if not sol.report.converged:
         raise NonConvergence(
             f"fixed point not converged after {sol.report.iterations} iterations "
@@ -388,18 +389,18 @@ def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
         "norms": {
             "sup_u": sup_norm(sol.u),
             "sup_terminal": sup_norm(sol.terminal),
-            "sup_terminal_rhs": sup_norm(cfg.terminal),
+            "sup_terminal_rhs": sup_norm(cfg.cauchy.terminal),
         },
     }
 
 
 def cmd_qmatrix(cfg: RunConfig, validation: dict) -> dict:
-    if cfg.gamma is None:
+    if cfg.problem is None:
         raise NonlocalValidationError("qmatrix requires a gamma section in the config")
-    fm = assemble_feedback_matrix(cfg.grid, cfg.coeffs, cfg.gamma)
+    fm = assemble_feedback_matrix(cfg.problem)
     lines = [",".join(repr(float(v)) for v in row) for row in fm.matrix]
     _write_atomic(cfg.outdir / "qmatrix.csv", "\n".join(lines) + "\n")
-    sol = solve_nonlocal_direct(cfg.grid, cfg.coeffs, cfg.source, cfg.terminal, cfg.gamma)
+    sol = solve_nonlocal_direct(cfg.problem)
     return {
         "qmatrix": {"sup_norm": fm.sup_norm, "n": fm.matrix.shape[0]},
         "direct": sol.report.to_dict(),
@@ -411,8 +412,7 @@ def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
     points = cfg.entries["montecarlo"]["points"]
     if not points:
         raise ConfigError("mccheck requires montecarlo.points in the config")
-    problem = CauchyProblem(grid=cfg.grid, coeffs=cfg.coeffs, source=cfg.source, terminal=cfg.terminal)
-    rows = compare_mc_pde(problem, points, cfg.mc)
+    rows = compare_mc_pde(cfg.cauchy, points, cfg.mc)
     _write_atomic(cfg.outdir / "mccheck.csv", comparison_to_csv(rows, cfg.grid.dim))
     return {
         "mccheck": {
@@ -426,8 +426,8 @@ def cmd_mccheck(cfg: RunConfig, validation: dict) -> dict:
 def cmd_nubound(cfg: RunConfig, validation: dict) -> dict:
     if "theta_gap" not in validation:
         raise ConfigError("nubound needs montecarlo.theta_gap or a gamma section")
-    nb = confinement_bound(cfg.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
-    _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True) + "\n")
+    nb = confinement_bound(cfg.cauchy.coeffs, cfg.grid, validation["theta_gap"]).to_dict()
+    _write_atomic(cfg.outdir / "nubound.json", json.dumps(nb, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return {"nubound": nb}
 
 
@@ -439,10 +439,9 @@ def cmd_converge(cfg: RunConfig, validation: dict) -> dict:
         make_grid(cfg.grid.domain, tuple((n - 1) * factor + 1 for n in cfg.grid.nx), cfg.grid.nt, cfg.grid.T)
         for factor in (2, 4)
     ]
-    sols = [solve_terminal(cfg.grid, cfg.coeffs, source=cfg.source, terminal=cfg.terminal).u]
+    sols = [solve_terminal(cfg.cauchy).u]
     for g in grids[1:]:
-        term, src = _sample_data(g, cfg.entries["data"])
-        sols.append(solve_terminal(g, cfg.coeffs, source=src, terminal=term).u)
+        sols.append(solve_terminal(_sample_data(g, cfg.cauchy.coeffs, cfg.entries["data"])).u)
 
     def restrict(values: np.ndarray, factor: int) -> np.ndarray:
         sl = tuple(slice(factor - 1, None, factor) for _ in range(cfg.grid.dim))
@@ -453,9 +452,9 @@ def cmd_converge(cfg: RunConfig, validation: dict) -> dict:
     u2 = restrict(sols[2].values[0], 4)
     d1 = float(np.max(np.abs(u0 - u1)))
     d2 = float(np.max(np.abs(u1 - u2)))
-    order = float(np.log2(d1 / d2)) if d1 > 0 and d2 > 0 else float("nan")
+    order = float(np.log2(d1 / d2)) if d1 > 0 and d2 > 0 else None  # none when a difference is 0
     lines = ["nx,hx,diff_to_finer,order"]
-    lines.append(f"{grids[0].nx[0]},{grids[0].hx[0]!r},{d1!r},{order!r}")
+    lines.append(f"{grids[0].nx[0]},{grids[0].hx[0]!r},{d1!r},{'' if order is None else repr(order)}")
     lines.append(f"{grids[1].nx[0]},{grids[1].hx[0]!r},{d2!r},")
     lines.append(f"{grids[2].nx[0]},{grids[2].hx[0]!r},,")
     _write_atomic(cfg.outdir / "converge.csv", "\n".join(lines) + "\n")
@@ -473,15 +472,27 @@ COMMANDS = {
 }
 
 
+def _echo(value):
+    """The config `value` as the report echoes it: a NaN or an infinity, which
+    JSON has no number for, as its repr string, e.g. 'inf'."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _echo(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return value
+
+
 def _run(name: str, cfg: RunConfig) -> None:
     """Validate once, run command `name`, and write its report.json: the
     command's own sections inside the envelope every command shares."""
     t0 = time.perf_counter()
     validation = _validation_block(cfg)
-    report = {"command": name, "config": cfg.raw, "validation": validation}
+    report = {"command": name, "config": _echo(cfg.raw), "validation": validation}
     report.update(COMMANDS[name](cfg, validation))
     report["timing_seconds"] = time.perf_counter() - t0
-    _write_atomic(cfg.outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(cfg.outdir / "report.json", json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:

@@ -293,11 +293,6 @@ def evaluate(e: Expr, env: dict):
     return e.eval(env)
 
 
-def to_string(e: Expr) -> str:
-    """Canonical fully-parenthesized form; parse(to_string(e)) == e."""
-    return str(e)
-
-
 def free_variables(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}

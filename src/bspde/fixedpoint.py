@@ -1,25 +1,28 @@
 """Picard iteration on the terminal value for the non-local problem, plus a
 dense direct solve used as a desk-scale oracle.
 
-The terminal condition u(.,T) = terminal_rhs + (non-local functional of u)
-is the affine fixed point Phi = r + Q Phi of the terminal map, where
-r = terminal_rhs + G(source response), Q Phi = G(terminal response of Phi)
-and G is the validated non-local map.  Picard iterates the map, the feedback
+A `NonlocalProblem` is a `stepper.CauchyProblem`, whose terminal data are
+terminal_rhs, and a coupling G.  Its terminal condition
+u(.,T) = terminal_rhs + G u is the affine fixed point Phi = r + Q Phi of the
+terminal map, where r = terminal_rhs + G(source response) and
+Q Phi = G(terminal response of Phi).  Picard iterates the map, the feedback
 matrix is Q applied to each basis field, and the direct solve solves
-(I - Q) Phi = r with it; all three evaluate the map through `_TerminalMap`.
-Because G is a discrete contraction composed with a max-principle-bounded
-solve, the iteration converges geometrically.
+(I - Q) Phi = r with it; all three take the problem, which compiles G once
+and sweeps the source response once.  Because G is a discrete contraction
+composed with a max-principle-bounded solve, the iteration converges
+geometrically.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridError, SpaceField, SpaceTimeField, sup_norm
+from .grid import GridError, SpaceField, SpaceTimeField, sup_norm
 from .nonlocal_ops import NonlocalSpec, _compile
-from .stepper import SolutionRangeError, solve_terminal
+from .stepper import CauchyProblem, SolutionRangeError, solve_terminal
 
 DENSE_CAP = 2000  # most interior nodes the dense feedback matrix is built for
 
@@ -60,36 +63,42 @@ def _in_range(*terms: np.ndarray) -> np.ndarray:
     return total
 
 
-class _TerminalMap:
-    """The affine terminal map Phi -> r + Q Phi on interior values.  The
-    coupling is compiled and the source response swept once; `q` is the only
-    place that applies Q.  Without source and terminal_rhs, r is zero."""
+class NonlocalProblem:
+    """The non-local problem of `cauchy` coupled by `spec`, as its affine
+    terminal map Phi -> r + Q Phi on interior values.  The coupling is
+    compiled on construction; the source response is swept when r is first
+    read, and kept.  `q` is the only place that applies Q."""
 
-    def __init__(
-        self,
-        grid: Grid,
-        coeffs,
-        spec: NonlocalSpec,
-        source: SpaceTimeField | None = None,
-        terminal_rhs: SpaceField | None = None,
-    ):
-        grid.check_fields(terminal=terminal_rhs)  # the source is checked by its sweep
-        self.grid, self.coeffs, self.compiled = grid, coeffs, _compile(spec, grid)
-        zeros = np.zeros(grid.interior_shape)
-        self.u_src = solve_terminal(grid, coeffs, source=source).u if source is not None else None
-        self.terminal_rhs = terminal_rhs.values if terminal_rhs is not None else zeros
-        self.r = _in_range(self.terminal_rhs, self.compiled.apply(self.u_src).values if source is not None else zeros)
+    def __init__(self, cauchy: CauchyProblem, spec: NonlocalSpec):
+        self.cauchy, self.spec = cauchy, spec
+        self.grid, self.coeffs, self.compiled = cauchy.grid, cauchy.coeffs, _compile(spec, cauchy.grid)
+        self.zeros = np.zeros(self.grid.interior_shape)
+        self.terminal_rhs = cauchy.terminal.values if cauchy.terminal is not None else self.zeros
+
+    @cached_property
+    def u_src(self) -> SpaceTimeField | None:
+        """The source response: the sweep from zero terminal data (None without a source)."""
+        source = self.cauchy.source
+        return None if source is None else solve_terminal(CauchyProblem(self.grid, self.coeffs, source=source)).u
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        u_src = self.u_src
+        return _in_range(self.terminal_rhs, self.zeros if u_src is None else self.compiled.apply(u_src).values)
+
+    def _terminal_response(self, terminal: SpaceField) -> SpaceTimeField:
+        return solve_terminal(CauchyProblem(self.grid, self.coeffs, terminal=terminal)).u
 
     def q(self, phi: np.ndarray) -> np.ndarray:
         """Q phi: one terminal sweep from phi, then one coupling application."""
-        return self.compiled.apply(solve_terminal(self.grid, self.coeffs, terminal=SpaceField(self.grid, phi)).u).values
+        return self.compiled.apply(self._terminal_response(SpaceField(self.grid, phi))).values
 
     def solution(self, phi: np.ndarray, residuals=(), ratios=(), converged: bool = True) -> NonlocalSolution:
         """The solution for terminal value phi: its terminal response plus the
         source response, with the boundary-condition residual recomputed
         independently of how phi was found."""
         terminal_field = SpaceField(self.grid, phi)
-        u_term = solve_terminal(self.grid, self.coeffs, terminal=terminal_field).u
+        u_term = self._terminal_response(terminal_field)
         u = u_term if self.u_src is None else SpaceTimeField(self.grid, _in_range(self.u_src.values, u_term.values))
         bc = _in_range(u.values[-1], -self.compiled.apply(u).values, -self.terminal_rhs)
         report = FixedPointReport(
@@ -102,15 +111,7 @@ class _TerminalMap:
         return NonlocalSolution(u=u, terminal=terminal_field, report=report)
 
 
-def solve_nonlocal(
-    grid: Grid,
-    coeffs,
-    source: SpaceTimeField | None,
-    terminal_rhs: SpaceField,
-    spec: NonlocalSpec,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> NonlocalSolution:
+def solve_nonlocal(problem: NonlocalProblem, tol: float = 1e-8, max_iter: int = 200) -> NonlocalSolution:
     """Picard iteration starting from Phi_0 = terminal_rhs.
 
     Each iteration is one evaluation of the fixed-point map.  Convergence is
@@ -125,14 +126,13 @@ def solve_nonlocal(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    fmap = _TerminalMap(grid, coeffs, spec, source, terminal_rhs)
 
-    phi = terminal_rhs.values
+    phi = problem.terminal_rhs
     residuals: list[float] = []
     ratios: list[float] = []
     converged = False
     for m in range(1, max_iter + 1):
-        phi_new = _in_range(fmap.r, fmap.q(phi))
+        phi_new = _in_range(problem.r, problem.q(phi))
         res = float(np.max(np.abs(_in_range(phi_new, -phi))))
         residuals.append(res)
         if m >= 2 and residuals[-2] > 0:
@@ -150,7 +150,7 @@ def solve_nonlocal(
             converged = True
             break
 
-    return fmap.solution(phi, residuals, ratios, converged)
+    return problem.solution(phi, residuals, ratios, converged)
 
 
 @dataclass
@@ -161,41 +161,34 @@ class FeedbackMatrix:
     sup_norm: float  # max absolute row sum
 
 
-def assemble_feedback_matrix(grid: Grid, coeffs, spec: NonlocalSpec) -> FeedbackMatrix:
+def assemble_feedback_matrix(problem: NonlocalProblem) -> FeedbackMatrix:
     """Column j is Q applied to the j-th canonical basis field.
 
     Refuses grids with more than DENSE_CAP interior nodes; the matrix is dense.
     """
-    n = grid.n_interior
+    n = problem.grid.n_interior
     if n > DENSE_CAP:
         raise GridError(f"{n} interior nodes exceed the dense-matrix cap {DENSE_CAP}")
-    fmap = _TerminalMap(grid, coeffs, spec)
     Q = np.empty((n, n))
-    basis = np.zeros(grid.interior_shape)
+    basis = np.zeros(problem.grid.interior_shape)
     flat = basis.ravel()
     for j in range(n):
         flat[j] = 1.0
-        Q[:, j] = fmap.q(basis).ravel()  # the sweep copies basis into its own levels
+        Q[:, j] = problem.q(basis).ravel()  # the sweep copies basis into its own levels
         flat[j] = 0.0
     return FeedbackMatrix(matrix=Q, sup_norm=float(np.max(np.sum(np.abs(Q), axis=1))))
 
 
-def solve_nonlocal_direct(
-    grid: Grid,
-    coeffs,
-    source: SpaceTimeField | None,
-    terminal_rhs: SpaceField,
-    spec: NonlocalSpec,
-) -> NonlocalSolution:
+def solve_nonlocal_direct(problem: NonlocalProblem) -> NonlocalSolution:
     """Solve (I - Q) Phi = r of the terminal map by dense elimination on the
     feedback matrix Q; the oracle counterpart of solve_nonlocal."""
-    fmap = _TerminalMap(grid, coeffs, spec, source, terminal_rhs)
-    fm = assemble_feedback_matrix(grid, coeffs, spec)
+    r = problem.r
+    fm = assemble_feedback_matrix(problem)
     try:
-        phi = np.linalg.solve(np.eye(grid.n_interior) - fm.matrix, fmap.r.ravel())
+        phi = np.linalg.solve(np.eye(problem.grid.n_interior) - fm.matrix, r.ravel())
     except np.linalg.LinAlgError as e:
         raise RuntimeError(
             f"I minus the feedback matrix is numerically singular (its sup norm is "
             f"{fm.sup_norm:.6g}, so an operator with norm >= 1 slipped through validation)"
         ) from e
-    return fmap.solution(_in_range(phi).reshape(grid.interior_shape))
+    return problem.solution(_in_range(phi).reshape(problem.grid.interior_shape))

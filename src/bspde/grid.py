@@ -6,7 +6,8 @@ not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
 function or expression on the grid.
 Between nodes a field is multilinear and zero on the wall: `Interpolant` is
 the one implementation of that rule, read by the path estimator (terminal
-data, source, grid solution) and by `refine`.
+data, source, grid solution).  `Grid.check_fields` refuses a field on
+another grid; `stepper.CauchyProblem` is its one caller.
 """
 
 from __future__ import annotations
@@ -235,22 +236,11 @@ class SpaceTimeField:
         mesh, ones = grid.mesh(), np.ones(grid.interior_shape)
         return cls(grid, np.stack([np.asarray(fn(*mesh, t), dtype=float) * ones for t in grid.times()]))
 
-    def zeroed_after_level(self, k: int) -> "SpaceTimeField":
-        """Copy with all levels strictly after k set to zero."""
-        v = self.values.copy()
-        v[k + 1 :] = 0.0
-        return SpaceTimeField(self.grid, v)
-
 
 def sup_norm(f: SpaceField | SpaceTimeField) -> float:
     """Max absolute node value (over all time levels for a space-time field)."""
     v = f.values
     return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def weighted_l2_norm(f: SpaceField) -> float:
-    """sqrt(sum of value^2 * cell volume); discrete stand-in for the L2(D) norm."""
-    return float(np.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
 
 
 class Interpolant:
@@ -264,14 +254,10 @@ class Interpolant:
         self.full[(slice(None),) + (slice(1, -1),) * grid.dim] = levels
 
     def __call__(self, pts: np.ndarray, level: int = 0) -> np.ndarray:
-        """Level `level` at the positions pts, shape (n, dim)."""
+        """Level `level` at the positions pts, shape (n, dim); the 2**dim
+        corners of a cell are summed with the first axis varying fastest."""
         g = self.grid
-        return self.at_nodes([(pts[:, a] - g.domain.lo[a]) / g.hx[a] for a in range(g.dim)], level)
-
-    def at_nodes(self, coords, level: int = 0) -> np.ndarray:
-        """Level `level` at node-index coordinates (node i of an axis at i),
-        one array per axis; the 2**dim corners of a cell are summed with the
-        first axis varying fastest."""
+        coords = [(pts[:, a] - g.domain.lo[a]) / g.hx[a] for a in range(g.dim)]  # node i of an axis at i
         full = self.full[level]
         nodes, weights = [], []
         for n, u in zip(self.grid.nx, coords):
@@ -287,37 +273,6 @@ class Interpolant:
                 term = term * w[s]
             total = term if total is None else total + term
         return total
-
-
-def refine(f: SpaceTimeField, factor: int) -> SpaceTimeField:
-    """Linear interpolation onto a grid with (nx-1)*factor+1 nodes per axis and
-    nt*factor time steps. Interpolated values are convex combinations of the
-    originals (boundary zeros included), so the sup norm cannot grow."""
-    factor = int(factor)
-    if factor < 2:
-        raise GridError(f"refinement factor must be >= 2, got {factor}")
-    g = f.grid
-    fine = make_grid(
-        g.domain,
-        tuple((n - 1) * factor + 1 for n in g.nx),
-        g.nt * factor,
-        g.T,
-    )
-    # fine node j of an axis sits at coarse coordinate j / factor, exactly
-    coords = np.meshgrid(*[np.arange(1, n - 1) / factor for n in fine.nx], indexing="ij")
-    interp = Interpolant(g, f.values)
-
-    out = np.empty((fine.nt + 1,) + fine.interior_shape)
-    # Spatial interpolation of the coarse levels, then linear in time.
-    coarse_in_space = [interp.at_nodes(coords, k) for k in range(g.nt + 1)]
-    for j in range(fine.nt + 1):
-        k0, r = divmod(j, factor)
-        if r == 0:
-            out[j] = coarse_in_space[k0]
-        else:
-            w = r / factor
-            out[j] = (1.0 - w) * coarse_in_space[k0] + w * coarse_in_space[k0 + 1]
-    return SpaceTimeField(fine, out)
 
 
 def field_to_csv(f: SpaceField | SpaceTimeField) -> str:

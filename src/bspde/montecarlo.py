@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, bounds, validate
-from .grid import Grid, Interpolant, SpaceField, SpaceTimeField, sup_norm
-from .stepper import solve_terminal
+from .grid import Grid, Interpolant, sup_norm
+from .stepper import CauchyProblem, solve_terminal
 
 # Discount convention: with the zeroth-order term lam*u inside the spatial
 # operator of the backward equation, the path functional that reproduces the
@@ -79,20 +79,6 @@ class PathConfig:
             raise MonteCarloError("n_paths asks for more paths than a numpy array can hold")
         if int(self.seed) != self.seed or self.seed < 0:
             raise MonteCarloError("seed must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class CauchyProblem:
-    """The backward problem a path estimate samples: coefficients on a grid,
-    and a source and terminal data on that grid (None is zero)."""
-
-    grid: Grid
-    coeffs: CoefficientSet
-    source: SpaceTimeField | None = None
-    terminal: SpaceField | None = None
-
-    def __post_init__(self):
-        self.grid.check_fields(source=self.source, terminal=self.terminal)
 
 
 @dataclass(frozen=True)
@@ -482,7 +468,7 @@ def compare_mc_pde(
         starts.append(_checked_start(grid, x, s, grid.T, cfg))
         pts.append((x, s))
     values, alive = _simulate(paths, starts, grid.T, cfg)
-    u = solve_terminal(grid, problem.coeffs, source=problem.source, terminal=problem.terminal).u
+    u = solve_terminal(problem).u
     scale = sup_norm(u)
     interp = Interpolant(grid, u.values)
     rows = []

@@ -143,6 +143,13 @@ class _Compiled:
             out = out + np.bincount(self.target, self.weight * vals.take(self.read), self.grid.n_interior)
         return SpaceField(self.grid, out.reshape(self.grid.interior_shape))
 
+    def report(self) -> NonlocalReport:
+        return NonlocalReport(
+            theta=float(self.max_level * self.grid.dt),
+            norm_bound=self.norm_bound,
+            snap_distances=tuple(self.snap_distances),
+        )
+
 
 def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
     ts = grid.times()[:n_levels]
@@ -269,30 +276,7 @@ def validate_spec(spec: NonlocalSpec, grid: Grid) -> NonlocalReport:
     Returns the snapped effective horizon (largest time level the operator
     reads), the discrete norm bound, and the snap distances.
     """
-    c = _compile(spec, grid)
-    return NonlocalReport(
-        theta=float(c.max_level * grid.dt),
-        norm_bound=c.norm_bound,
-        snap_distances=tuple(c.snap_distances),
-    )
-
-
-def apply_nonlocal(spec: NonlocalSpec, u: SpaceTimeField) -> SpaceField:
-    """Evaluate the non-local functional of u with the validated discrete weights."""
-    return _compile(spec, u.grid).apply(u)
-
-
-def truncation_check(spec: NonlocalSpec, u: SpaceTimeField, theta: float | None = None) -> bool:
-    """True iff the operator gives bit-identical results on u and on u zeroed
-    strictly after theta (default: the spec's own validated horizon)."""
-    c = _compile(spec, u.grid)
-    if theta is None:
-        k_theta = c.max_level
-    else:
-        k_theta, _ = u.grid.nearest_level(theta)
-    full = c.apply(u)
-    truncated = c.apply(u.zeroed_after_level(k_theta))
-    return bool(np.array_equal(full.values, truncated.values))
+    return _compile(spec, grid).report()
 
 
 def _snap_nodes(grid: Grid, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

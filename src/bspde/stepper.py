@@ -24,6 +24,9 @@ and dgbtrs are loaded from scipy's compiled wrappers alone (`_band_lu`),
 because the public `scipy.linalg.lapack` import runs the whole `scipy.linalg`
 package import: about 85 modules, 0.1 s and 25 MB, most of `import bspde.cli`.
 
+A sweep solves one `CauchyProblem`: coefficients on a grid, and a source
+and terminal data on that grid.
+
 Every Picard iteration, feedback-matrix column and oracle solve sweeps the
 same problem again, so the last (grid, coefficients) problem keeps one
 store.  It has one slot per distinct level: one when no coefficient depends
@@ -97,11 +100,26 @@ class SolutionRangeError(LinearSolveError):
     """A solve from finite data overflowed: the data are too large for doubles."""
 
 
+@dataclass(frozen=True)
+class CauchyProblem:
+    """The backward problem on a grid: coefficients, and a source and
+    terminal data on that grid (None is zero)."""
+
+    grid: Grid
+    coeffs: CoefficientSet
+    source: SpaceTimeField | None = None
+    terminal: SpaceField | None = None
+
+    def __post_init__(self):
+        self.grid.check_fields(source=self.source, terminal=self.terminal)
+
+
 @dataclass
 class SolveDiagnostics:
     monotone: bool
     worst_positive_offdiag: float  # of (I - dt*A_h); 0 when the scheme is monotone
-    max_principle_slack: float  # bound minus achieved sup; negative = violated
+    # bound minus achieved sup, negative = violated; None when the bound overflows
+    max_principle_slack: float | None
     max_linear_residual: float
 
 
@@ -251,21 +269,14 @@ def _store(grid: Grid, coeffs: CoefficientSet) -> _Store:
     return _Store(grid, coeffs)
 
 
-def solve_terminal(
-    grid: Grid,
-    coeffs: CoefficientSet,
-    source: SpaceTimeField | None = None,
-    terminal: SpaceField | None = None,
-) -> SolveOutput:
+def solve_terminal(problem: CauchyProblem) -> SolveOutput:
     """March the backward problem from the terminal level nt down to 0.
 
-    source None means zero source, terminal None zero terminal data.  Returns
-    the solution on levels 0..nt together with monotonicity /
+    Returns the solution on levels 0..nt together with monotonicity /
     maximum-principle diagnostics.
     """
-    grid.check_fields(source=source, terminal=terminal)
-    if terminal is None:
-        terminal = SpaceField.zeros(grid)
+    grid, coeffs, source = problem.grid, problem.coeffs, problem.source
+    terminal = problem.terminal if problem.terminal is not None else SpaceField.zeros(grid)
 
     nt, n = grid.nt, grid.n_interior
     u = np.empty((nt + 1, n))
@@ -301,7 +312,7 @@ def solve_terminal(
     diags = SolveDiagnostics(
         monotone=worst_offdiag <= 0.0,
         worst_positive_offdiag=worst_offdiag,
-        max_principle_slack=bound - sup_norm(out),
+        max_principle_slack=bound - sup_norm(out) if math.isfinite(bound) else None,
         max_linear_residual=max_resid,
     )
     return SolveOutput(u=out, diagnostics=diags)

@@ -1,5 +1,6 @@
-"""Shared builders for randomized batteries (all seeded, no global state), and
-a fixture that empties the per-problem caches before every test."""
+"""Shared builders for randomized batteries (all seeded, no global state), the
+coupling checks of the non-local tests, and a fixture that empties the
+per-problem caches before every test."""
 
 from __future__ import annotations
 
@@ -24,6 +25,21 @@ from bspde import (
     stepper,
 )
 from bspde.nonlocal_ops import _compile
+
+
+def apply_nonlocal(spec, u: SpaceTimeField) -> SpaceField:
+    """The coupling `spec` applied to u with its validated discrete weights."""
+    return _compile(spec, u.grid).apply(u)
+
+
+def truncation_check(spec, u: SpaceTimeField, theta: float | None = None) -> bool:
+    """True iff the coupling gives bit-identical results on u and on u zeroed
+    strictly after theta (default: the coupling's own validated horizon)."""
+    c = _compile(spec, u.grid)
+    k_theta = c.max_level if theta is None else u.grid.nearest_level(theta)[0]
+    cut = u.values.copy()
+    cut[k_theta + 1 :] = 0.0
+    return bool(np.array_equal(c.apply(u).values, c.apply(SpaceTimeField(u.grid, cut)).values))
 
 
 @pytest.fixture(autouse=True)

@@ -12,6 +12,7 @@ from bspde import (
     CoefficientSet,
     Domain,
     InitialValue,
+    NonlocalProblem,
     PathConfig,
     PointInTime,
     SpaceField,
@@ -47,7 +48,7 @@ def _eigen_grid(nx=201, nt=400):
 def test_criterion_01_cauchy_eigenmode():
     g = _eigen_grid()
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    out = solve_terminal(g, CoefficientSet.create(1, b=0.1), terminal=term)
+    out = solve_terminal(CauchyProblem(g, CoefficientSet.create(1, b=0.1), terminal=term))
     amp = sup_norm(out.u.level(0))
     rel = abs(amp - RHO) / RHO
     _report(1, rel <= 0.01, f"Cauchy eigenmode amplitude {amp:.6f} vs {RHO:.6f} (rel err {rel:.2e} <= 1%)")
@@ -56,7 +57,8 @@ def test_criterion_01_cauchy_eigenmode():
 def test_criterion_02_nonlocal_geometric_series():
     g = _eigen_grid()
     xi = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    sol = solve_nonlocal(g, CoefficientSet.create(1, b=0.1), None, xi, InitialValue(0.5), tol=1e-8)
+    problem = NonlocalProblem(CauchyProblem(g, CoefficientSet.create(1, b=0.1), terminal=xi), InitialValue(0.5))
+    sol = solve_nonlocal(problem, tol=1e-8)
     amp = sup_norm(sol.terminal)
     target = 1.0 / (1.0 - 0.5 * RHO)
     rel_amp = abs(amp - target) / target
@@ -80,7 +82,7 @@ def test_criterion_03_bc_residual_battery():
         spec = random_spec(rng, g)
         xi = random_field(rng, g)
         src = random_st_field(rng, g) if rng.random() < 0.5 else None
-        sol = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-8)
+        sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec), tol=1e-8)
         assert sol.report.converged
         worst = max(worst, sol.report.bc_residual)
     _report(3, worst <= 1e-8, f"worst terminal-condition residual {worst:.2e} <= 1e-8 over 50 random instances")
@@ -97,8 +99,8 @@ def test_criterion_04_picard_vs_direct_oracle():
         spec = random_spec(rng, g)
         xi = random_field(rng, g)
         src = random_st_field(rng, g) if rng.random() < 0.5 else None
-        a = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-11)
-        b = solve_nonlocal_direct(g, coeffs, src, xi, spec)
+        a = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec), tol=1e-11)
+        b = solve_nonlocal_direct(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec))
         worst = max(worst, float(np.max(np.abs(a.u.values - b.u.values))))
     _report(4, worst <= 1e-8, f"Picard vs dense-inverse difference {worst:.2e} <= 1e-8 over 20 instances")
 
@@ -115,10 +117,11 @@ def test_criterion_05_discrete_maximum_principle():
         coeffs = random_coeffs_1d(rng)
         src = random_st_field(rng, g, scale=rng.uniform(0.1, 3.0))
         term = random_field(rng, g, scale=rng.uniform(0.1, 3.0))
-        out = solve_terminal(g, coeffs, source=src, terminal=term)
+        out = solve_terminal(CauchyProblem(g, coeffs, source=src, terminal=term))
         assert out.diagnostics.monotone
         worst_excess = max(worst_excess, sup_norm(out.u) - (sup_norm(term) + T * sup_norm(src)))
-        worst_contract = max(worst_contract, sup_norm(solve_terminal(g, coeffs, terminal=term).u) - sup_norm(term))
+        contract = sup_norm(solve_terminal(CauchyProblem(g, coeffs, terminal=term)).u) - sup_norm(term)
+        worst_contract = max(worst_contract, contract)
     ok = worst_excess <= 1e-12 and worst_contract <= 1e-12
     _report(
         5,
@@ -146,7 +149,7 @@ def test_criterion_06_contraction_vs_confinement_bound():
         theta = validate_spec(spec, g).theta
         assert theta <= 0.5 * g.T
         nu = confinement_bound(coeffs, g, g.T - theta).nu
-        sol = solve_nonlocal(g, coeffs, None, xi, spec, tol=1e-10)
+        sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, terminal=xi), spec), tol=1e-10)
         tail = sol.report.ratios[-3:]
         eventual = float(np.median(tail))
         ok &= eventual <= math.sqrt(nu) + 0.05
@@ -180,7 +183,7 @@ def test_criterion_08_solution_bound():
         theta = validate_spec(spec, g).theta
         xi = random_field(rng, g)
         src = random_st_field(rng, g) if rng.random() < 0.5 else None
-        sol = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-8)
+        sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec), tol=1e-8)
         nu = confinement_bound(coeffs, g, T - theta).nu
         C = T + (1 + T) / (1 - math.sqrt(nu))
         rhs = C * ((sup_norm(src) if src is not None else 0.0) + sup_norm(xi))
@@ -199,7 +202,7 @@ def test_criterion_09_grid_convergence_orders():
             g = make_grid(Domain((0.0,), (1.0,)), nx, 200, 1.0)
             c = CoefficientSet.create(1, b=0.1, f=f_drift)
             term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-            sols.append(solve_terminal(g, c, terminal=term).u.values[0])
+            sols.append(solve_terminal(CauchyProblem(g, c, terminal=term)).u.values[0])
         d1 = np.max(np.abs(sols[0] - sols[1][1::2]))
         d2 = np.max(np.abs(sols[1] - sols[2][1::2]))
         return float(np.log2(d1 / d2))

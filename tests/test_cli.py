@@ -209,7 +209,7 @@ def test_the_source_expression_is_parsed_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", grid=grid, data=data)
     loaded = cli.load_config(str(cfg))
     assert texts.count("x*t") == 1
-    assert loaded.source.values[3] == pytest.approx(loaded.grid.axis_coords(0) * loaded.grid.dt * 3)
+    assert loaded.cauchy.source.values[3] == pytest.approx(loaded.grid.axis_coords(0) * loaded.grid.dt * 3)
 
 
 @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ def test_a_one_row_kernel_csv_on_a_2d_grid_loads_and_validates_in_little_memory(
     tracemalloc.start()
     try:
         loaded = cli.load_config(str(cfg))
-        report = validate_spec(loaded.gamma, loaded.grid)
+        report = validate_spec(loaded.problem.spec, loaded.grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -652,6 +652,68 @@ def test_converge_command(tmp_path):
     lines = (out / "converge.csv").read_text().strip().split("\n")
     assert lines[0] == "nx,hx,diff_to_finer,order"
     assert len(lines) == 4
+
+
+def _not_json(constant):
+    raise ValueError(f"report.json holds {constant}, which JSON has no number for")
+
+
+def read_strict_report(outdir: Path) -> dict:
+    return json.loads((outdir / "report.json").read_text(), parse_constant=_not_json)
+
+
+def test_a_max_principle_bound_that_overflows_has_no_slack(tmp_path):
+    # sup|terminal| + T sup|source| = 2e308 overflows, while the solution stays below 1.8e308
+    data = {"terminal": 1e308, "source": 1e308}
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 1000, "T": 1.0}, data=data, gamma=None)
+    out = tmp_path / "o"
+    assert main(["cauchy", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = read_strict_report(out)
+    assert rep["diagnostics"]["max_principle_slack"] is None
+    assert 1e308 <= rep["norms"]["sup_u"] < math.inf
+
+
+def test_converge_on_zero_data_has_no_order(tmp_path):
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [9], "nt": 10, "T": 1.0}, data={"terminal": 0.0}, gamma=None)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_strict_report(out)["converge"] == {"diff_coarse": 0.0, "diff_fine": 0.0, "order": None}
+    assert (out / "converge.csv").read_text().splitlines()[1] == "9,0.125,0.0,"
+
+
+def test_a_non_finite_config_number_is_echoed_as_its_repr(tmp_path):
+    mc = {"dt_mc": math.inf, "n_paths": 500, "points": [[math.nan, 0.0]]}
+    cfg = write_config(tmp_path / "c.json", montecarlo=mc)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_strict_report(out)["config"]["montecarlo"] == {"dt_mc": "inf", "n_paths": 500, "points": [["nan", 0.0]]}
+
+
+def test_qmatrix_compiles_the_coupling_only_while_loading(tmp_path, monkeypatch):
+    from bspde import fixedpoint, nonlocal_ops
+
+    parts = [{"type": "initial_value", "weight": 0.5}, {"type": "point_in_time", "weight": 0.5, "t1": 0.5}]
+    gamma = {"type": "convex", "weights": [0.5, 0.5], "parts": parts}
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [11], "nt": 20, "T": 1.0}, gamma=gamma, data={"source": "x"})
+    loading, compiles = [], []
+    real_compile, real_load = nonlocal_ops._compile, cli.load_config
+
+    def compile_(spec, grid):
+        compiles.append(bool(loading))
+        return real_compile(spec, grid)
+
+    def load(*args, **kwargs):
+        loading.append(True)
+        try:
+            return real_load(*args, **kwargs)
+        finally:
+            loading.pop()
+
+    for module in (fixedpoint, nonlocal_ops):
+        monkeypatch.setattr(module, "_compile", compile_)
+    monkeypatch.setattr(cli, "load_config", load)
+    assert main(["qmatrix", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert compiles and all(compiles)
 
 
 def test_space_time_kernel_from_csv_config(tmp_path):

@@ -1,6 +1,7 @@
 """Fuzz the config loader: one or two entries of a working config are deleted
 or set to awkward values, and every command must then end with an exit code,
-never a traceback or a warning.  Every configuration
+never a traceback or a warning, and a run that ends with 0 writes a
+report.json that is strict JSON (no NaN or Infinity).  Every configuration
 fault names its dotted path or section.  The entries are those of the config
 and those of the loader's table, so absent optional entries are set too.  A
 key the table does not list, added or made by misspelling a present key, must
@@ -22,12 +23,27 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bspde import cli
-from bspde.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+
+def _not_json(constant):
+    raise ValueError(f"report.json holds {constant}, which JSON has no number for")
+
+
+def main(argv):
+    """cli.main; a run that ends with 0 must have written a strict JSON report.
+    The check sits here, not in a test body, because Hypothesis derives the
+    derandomized examples of a test from its source."""
+    code = cli.main(argv)
+    if code == 0:
+        out = Path(argv[argv.index("--out") + 1])
+        json.loads((out / "report.json").read_text(), parse_constant=_not_json)
+    return code
+
 
 POOL = (0, -1, 1e-300, 1e308, math.inf, -math.inf, math.nan, True, "a", [], {})
 COMMANDS = ("validate", "cauchy", "nubound", "solve", "qmatrix", "mccheck", "converge")

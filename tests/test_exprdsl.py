@@ -15,7 +15,6 @@ from bspde.exprdsl import (
     evaluate,
     free_variables,
     parse,
-    to_string,
 )
 
 
@@ -189,7 +188,7 @@ def test_thousand_random_expressions_match_reference():
     checked = 0
     while checked < 1000:
         e = _random_expr(rng, depth=4)
-        text = to_string(e)
+        text = str(e)
         assert parse(text) == e  # canonical print/parse round trip
         env = {"x": float(rng.uniform(-2, 2)), "t": float(rng.uniform(0, 2))}
         try:

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from bspde import (
+    CauchyProblem,
     CoefficientSet,
     Domain,
     FixedPointDivergence,
     GridError,
     InitialValue,
+    NonlocalProblem,
     PointInTime,
     SpaceField,
     assemble_feedback_matrix,
     make_grid,
     solve_nonlocal,
     solve_nonlocal_direct,
+    solve_terminal,
     sup_norm,
 )
 
@@ -31,7 +34,8 @@ def small_grid():
 
 
 def test_zero_problem_one_iteration(small_grid):
-    sol = solve_nonlocal(small_grid, heat(), None, SpaceField.zeros(small_grid), InitialValue(0.5))
+    zero = CauchyProblem(small_grid, heat(), terminal=SpaceField.zeros(small_grid))
+    sol = solve_nonlocal(NonlocalProblem(zero, InitialValue(0.5)))
     assert sol.report.iterations == 1
     assert sol.report.converged
     assert sup_norm(sol.u) == 0.0
@@ -41,7 +45,7 @@ def test_zero_problem_one_iteration(small_grid):
 def test_kappa_zero_reduces_to_terminal_data(small_grid):
     rng = np.random.default_rng(0)
     xi = random_field(rng, small_grid)
-    sol = solve_nonlocal(small_grid, heat(), None, xi, PointInTime(0.0, 0.4))
+    sol = solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, heat(), terminal=xi), PointInTime(0.0, 0.4)))
     assert np.array_equal(sol.terminal.values, xi.values)
     assert sol.report.iterations == 2
     assert sol.report.converged
@@ -50,7 +54,7 @@ def test_kappa_zero_reduces_to_terminal_data(small_grid):
 def test_geometric_series_eigenmode():
     g = make_grid(Domain((0.0,), (1.0,)), 201, 400, 1.0)
     xi = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    sol = solve_nonlocal(g, heat(0.1), None, xi, InitialValue(0.5), tol=1e-8)
+    sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, heat(0.1), terminal=xi), InitialValue(0.5)), tol=1e-8)
     rho = math.exp(-0.1 * math.pi**2)
     assert sup_norm(sol.terminal) == pytest.approx(1.0 / (1.0 - 0.5 * rho), rel=1e-2)
     ratio = 0.5 * rho
@@ -66,7 +70,7 @@ def test_bc_residual_battery(small_grid):
         spec = random_spec(rng, small_grid)
         xi = random_field(rng, small_grid)
         src = random_st_field(rng, small_grid) if rng.random() < 0.5 else None
-        sol = solve_nonlocal(small_grid, coeffs, src, xi, spec, tol=1e-8)
+        sol = solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, coeffs, src, xi), spec), tol=1e-8)
         assert sol.report.converged
         assert sol.report.bc_residual <= 1e-8
         # iterate-difference stop, then the independent confirmation bound
@@ -88,37 +92,38 @@ def test_picard_matches_direct_oracle():
         spec = random_spec(rng, g)
         xi = random_field(rng, g)
         src = random_st_field(rng, g) if rng.random() < 0.5 else None
-        a = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-11)
-        b = solve_nonlocal_direct(g, coeffs, src, xi, spec)
+        a = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec), tol=1e-11)
+        b = solve_nonlocal_direct(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec))
         assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-8
         assert np.max(np.abs(a.terminal.values - b.terminal.values)) <= 1e-8
 
 
 def test_direct_trivial_cases(small_grid):
-    sol = solve_nonlocal_direct(small_grid, heat(), None, SpaceField.zeros(small_grid), InitialValue(0.9))
+    zero = CauchyProblem(small_grid, heat(), terminal=SpaceField.zeros(small_grid))
+    sol = solve_nonlocal_direct(NonlocalProblem(zero, InitialValue(0.9)))
     assert sup_norm(sol.terminal) == 0.0
     rng = np.random.default_rng(3)
     xi = random_field(rng, small_grid)
-    sol2 = solve_nonlocal_direct(small_grid, heat(), None, xi, PointInTime(0.0, 0.5))
+    sol2 = solve_nonlocal_direct(NonlocalProblem(CauchyProblem(small_grid, heat(), terminal=xi), PointInTime(0.0, 0.5)))
     assert np.allclose(sol2.terminal.values, xi.values, atol=1e-13)
     assert sol2.report.bc_residual <= 1e-12
 
 
 def test_feedback_matrix_zero_for_zero_weight(small_grid):
-    fm = assemble_feedback_matrix(small_grid, heat(), PointInTime(0.0, 0.3))
+    fm = assemble_feedback_matrix(NonlocalProblem(CauchyProblem(small_grid, heat()), PointInTime(0.0, 0.3)))
     assert fm.sup_norm == 0.0
     assert np.all(fm.matrix == 0.0)
 
 
 def test_feedback_matrix_row_sums_bounded_by_max_principle(small_grid):
-    fm = assemble_feedback_matrix(small_grid, heat(0.1), InitialValue(1.0))
+    fm = assemble_feedback_matrix(NonlocalProblem(CauchyProblem(small_grid, heat(0.1)), InitialValue(1.0)))
     assert np.all(fm.matrix >= -1e-14)  # monotone scheme: entrywise nonnegative
     assert fm.sup_norm <= 1.0 + 1e-12
 
 
 def test_feedback_matrix_eigenmode_action():
     g = make_grid(Domain((0.0,), (1.0,)), 31, 100, 1.0)
-    fm = assemble_feedback_matrix(g, heat(0.1), InitialValue(1.0))
+    fm = assemble_feedback_matrix(NonlocalProblem(CauchyProblem(g, heat(0.1)), InitialValue(1.0)))
     v = np.sin(np.pi * g.axis_coords(0))
     rho = math.exp(-0.1 * math.pi**2)
     got = fm.matrix @ v
@@ -128,9 +133,9 @@ def test_feedback_matrix_eigenmode_action():
 def test_feedback_matrix_cap():
     g = make_grid(Domain((0.0,), (1.0,)), 2003, 4, 1.0)  # 2001 interior nodes
     with pytest.raises(GridError, match="2001 interior nodes exceed the dense-matrix cap 2000"):
-        assemble_feedback_matrix(g, heat(), InitialValue(1.0))
+        assemble_feedback_matrix(NonlocalProblem(CauchyProblem(g, heat()), InitialValue(1.0)))
     with pytest.raises(GridError, match="dense-matrix cap"):
-        solve_nonlocal_direct(g, heat(), None, SpaceField.zeros(g), InitialValue(0.5))
+        solve_nonlocal_direct(NonlocalProblem(CauchyProblem(g, heat(), terminal=SpaceField.zeros(g)), InitialValue(0.5)))
 
 
 def test_divergence_abort(small_grid):
@@ -149,7 +154,8 @@ def test_divergence_abort(small_grid):
     fp._compile = lambda s, g: compiled
     try:
         with pytest.raises(FixedPointDivergence) as exc:
-            solve_nonlocal(small_grid, heat(0.01), None, xi, spec, tol=1e-10, max_iter=100)
+            problem = NonlocalProblem(CauchyProblem(small_grid, heat(0.01), terminal=xi), spec)
+            solve_nonlocal(problem, tol=1e-10, max_iter=100)
         assert len(exc.value.report.ratios) >= 5
     finally:
         fp._compile = orig
@@ -158,7 +164,8 @@ def test_divergence_abort(small_grid):
 def test_max_iter_returns_unconverged(small_grid):
     rng = np.random.default_rng(6)
     xi = random_field(rng, small_grid)
-    sol = solve_nonlocal(small_grid, heat(0.001), None, xi, InitialValue(0.99), tol=1e-14, max_iter=3)
+    problem = NonlocalProblem(CauchyProblem(small_grid, heat(0.001), terminal=xi), InitialValue(0.99))
+    sol = solve_nonlocal(problem, tol=1e-14, max_iter=3)
     assert not sol.report.converged
     assert sol.report.iterations == 3
 
@@ -167,7 +174,7 @@ def test_max_iter_returns_unconverged(small_grid):
 def test_solve_nonlocal_rejects_bad_controls(small_grid, kw):
     xi = random_field(np.random.default_rng(6), small_grid)
     with pytest.raises(ValueError, match="tol must be positive|max_iter must be at least 1"):
-        solve_nonlocal(small_grid, heat(0.1), None, xi, InitialValue(0.5), **kw)
+        solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, heat(0.1), terminal=xi), InitialValue(0.5)), **kw)
 
 
 def test_solution_bound_battery(small_grid):
@@ -182,7 +189,7 @@ def test_solution_bound_battery(small_grid):
         theta = validate_spec(spec, small_grid).theta
         xi = random_field(rng, small_grid)
         src = random_st_field(rng, small_grid) if rng.random() < 0.5 else None
-        sol = solve_nonlocal(small_grid, coeffs, src, xi, spec, tol=1e-8)
+        sol = solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, coeffs, src, xi), spec), tol=1e-8)
         nu = confinement_bound(coeffs, small_grid, T - theta).nu
         C = T + (1 + T) / (1 - math.sqrt(nu))
         src_sup = sup_norm(src) if src is not None else 0.0
@@ -206,8 +213,8 @@ def test_picard_matches_direct_2d(coeffs, with_source):
     xi = random_field(rng, g)
     src = random_st_field(rng, g) if with_source else None
     spec = PointInTime(0.6, 0.5)
-    a = solve_nonlocal(g, coeffs, src, xi, spec, tol=1e-11)
-    b = solve_nonlocal_direct(g, coeffs, src, xi, spec)
+    a = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec), tol=1e-11)
+    b = solve_nonlocal_direct(NonlocalProblem(CauchyProblem(g, coeffs, src, xi), spec))
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-8
     assert a.report.bc_residual <= 1e-10
     assert b.report.bc_residual <= 1e-12
@@ -217,15 +224,35 @@ def test_geometric_series_2d_product_eigenmode():
     g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (41, 41), 120, 0.5)
     coeffs = CoefficientSet.create(2, b=[0.1, 0.1])
     xi = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    sol = solve_nonlocal(g, coeffs, None, xi, InitialValue(0.5), tol=1e-9)
+    sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, coeffs, terminal=xi), InitialValue(0.5)), tol=1e-9)
     rho = math.exp(-0.2 * math.pi**2 * 0.5)
     assert sup_norm(sol.terminal) == pytest.approx(1.0 / (1.0 - 0.5 * rho), rel=0.01)
 
 
-@pytest.mark.parametrize("solve", [solve_nonlocal, solve_nonlocal_direct])
-def test_terminal_data_on_another_grid_is_refused(small_grid, solve):
-    # same interior shape on a box twice as wide: its values would be read as if on small_grid
-    wide = make_grid(Domain((0.0,), (2.0,)), 21, 30, 1.0)
-    with pytest.raises(ValueError, match="the terminal field lies on another grid"):
-        solve(small_grid, heat(), None, SpaceField(wide, np.ones(19)), InitialValue(0.5))
+def test_a_problem_compiles_once_and_sweeps_its_source_response_once(small_grid, monkeypatch):
+    import bspde.fixedpoint as fp
+    import bspde.nonlocal_ops as ops
+
+    rng = np.random.default_rng(8)
+    cauchy = CauchyProblem(small_grid, heat(0.1), random_st_field(rng, small_grid), random_field(rng, small_grid))
+    problem = NonlocalProblem(cauchy, random_spec(rng, small_grid))
+    compiles, sources = [], []
+    real = ops._compile
+
+    def compile_(spec, grid):
+        compiles.append(spec)
+        return real(spec, grid)
+
+    def sweep(p):
+        sources.append(p.source)
+        return solve_terminal(p)
+
+    for module in (fp, ops):
+        monkeypatch.setattr(module, "_compile", compile_)
+    monkeypatch.setattr(fp, "solve_terminal", sweep)
+    picard = solve_nonlocal(problem, tol=1e-12)
+    direct = solve_nonlocal_direct(problem)
+    assert np.max(np.abs(picard.u.values - direct.u.values)) <= 1e-10
+    assert compiles == []
+    assert [s is cauchy.source for s in sources if s is not None] == [True]
 

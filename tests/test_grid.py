@@ -8,13 +8,11 @@ from bspde import (
     SpaceTimeField,
     field_to_csv,
     make_grid,
-    refine,
     sup_norm,
-    weighted_l2_norm,
 )
 
 from bspde.grid import Interpolant
-from conftest import random_field, random_st_field
+from conftest import random_field
 
 
 def test_make_grid_1d_spacing():
@@ -65,62 +63,6 @@ def test_sup_norm_is_a_norm():
         s = float(rng.uniform(-3, 3))
         assert sup_norm(SpaceField(g, s * a.values)) == pytest.approx(abs(s) * sup_norm(a), rel=1e-14)
         assert sup_norm(SpaceField(g, a.values + b.values)) <= sup_norm(a) + sup_norm(b) + 1e-15
-
-
-def test_weighted_l2_norm_quadrature():
-    g = make_grid(Domain((0.0,), (1.0,)), 101, 4, 1.0)
-    assert weighted_l2_norm(SpaceField.zeros(g)) == 0.0
-    one = SpaceField(g, np.ones(g.interior_shape))
-    assert weighted_l2_norm(one) == pytest.approx(1.0, rel=0.02)
-    f = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    assert weighted_l2_norm(f) == pytest.approx(np.sqrt(0.5), rel=1e-6)
-
-
-def test_refine_reproduces_piecewise_linear_and_constant():
-    # the wall is structurally zero, so the exactness class of the refinement
-    # is piecewise-linear data vanishing there: a hat with its peak on a node
-    g = make_grid(Domain((0.0,), (1.0,)), 5, 3, 1.0)
-    hat = SpaceTimeField.from_function(g, lambda x, t: np.minimum(x, 1 - x) * (1.0 - 0.3 * t))
-    fine = refine(hat, 2)
-    exact = SpaceTimeField.from_function(fine.grid, lambda x, t: np.minimum(x, 1 - x) * (1.0 - 0.3 * t))
-    assert np.allclose(fine.values, exact.values, atol=1e-14)
-    const = SpaceTimeField(g, np.full((g.nt + 1,) + g.interior_shape, 0.7))
-    fine_c = refine(const, 3)
-    # constants persist away from the wall; interior-of-interior nodes keep 0.7
-    mid = fine_c.values[:, 3:-3]
-    assert np.allclose(mid, 0.7, atol=1e-14)
-
-
-def test_refine_interpolation_error_second_order():
-    g = make_grid(Domain((0.0,), (1.0,)), 11, 4, 1.0)
-    f = SpaceTimeField.from_function(g, lambda x, t: np.sin(np.pi * x))
-    fine = refine(f, 2)
-    exact = SpaceTimeField.from_function(fine.grid, lambda x, t: np.sin(np.pi * x))
-    err = np.max(np.abs(fine.values - exact.values))
-    h = g.hx[0]
-    assert err <= (np.pi * h) ** 2 / 8 * 1.05  # classical linear-interp bound
-
-
-def test_refine_does_not_increase_sup_norm():
-    rng = np.random.default_rng(3)
-    g = make_grid(Domain((0.0,), (1.0,)), 9, 4, 1.0)
-    for _ in range(20):
-        f = random_st_field(rng, g)
-        assert sup_norm(refine(f, 2)) <= sup_norm(f) + 1e-12
-
-
-def test_refine_2d_and_errors():
-    g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (5, 7), 2, 1.0)
-
-    def tent(x1, x2, t):
-        return np.minimum(x1, 1 - x1) * np.minimum(x2, 1 - x2)
-
-    f = SpaceTimeField.from_function(g, tent)
-    fine = refine(f, 2)
-    exact = SpaceTimeField.from_function(fine.grid, tent)
-    assert np.allclose(fine.values, exact.values, atol=1e-14)
-    with pytest.raises(GridError):
-        refine(f, 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -15,15 +15,13 @@ from bspde import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
-    apply_nonlocal,
     kernel_from_csv,
     make_grid,
     sup_norm,
-    truncation_check,
     validate_spec,
 )
 
-from conftest import dense_entries, random_spec, random_st_field
+from conftest import apply_nonlocal, dense_entries, random_spec, random_st_field, truncation_check
 
 
 @pytest.fixture

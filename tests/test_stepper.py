@@ -12,9 +12,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import bspde
 from bspde import (
+    CauchyProblem,
     CoefficientSet,
     Domain,
     InitialValue,
+    NonlocalProblem,
     SpaceField,
     SpaceTimeField,
     assemble_feedback_matrix,
@@ -79,7 +81,7 @@ def test_one_step_against_dense(nx):
     rng = np.random.default_rng(5)
     g, c = _one_step_problem(nx)
     src, term = random_st_field(rng, g), random_field(rng, g)
-    out = solve_terminal(g, c, source=src, terminal=term)
+    out = solve_terminal(CauchyProblem(g, c, source=src, terminal=term))
     M = _dense_step_matrix(g, c, 0.0)
     expect = np.linalg.solve(M, term.values.ravel() + g.dt * src.values[0].ravel())
     assert np.max(np.abs(out.u.values[0].ravel() - expect)) <= 1e-12
@@ -92,12 +94,12 @@ def test_singular_system_raises():
     g = make_grid(Domain((0.0,), (1.0,)), 3, 1, 0.5)
     c = CoefficientSet.create(1, b=0.0, lam=2.0)  # 1 - dt*lam = 0 at the one interior node
     with pytest.raises(LinearSolveError):
-        solve_terminal(g, c)
+        solve_terminal(CauchyProblem(g, c))
 
 
 def test_zero_problem_gives_zero():
     g = make_grid(Domain((0.0,), (1.0,)), 21, 10, 1.0)
-    out = solve_terminal(g, heat_coeffs())
+    out = solve_terminal(CauchyProblem(g, heat_coeffs()))
     assert sup_norm(out.u) == 0.0
 
 
@@ -105,7 +107,7 @@ def test_eigenmode_decay_1d():
     # separation of variables: terminal sin(pi x) decays by exp(-b pi^2 T)
     g = make_grid(Domain((0.0,), (1.0,)), 201, 400, 1.0)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    out = solve_terminal(g, heat_coeffs(b=0.1), terminal=term)
+    out = solve_terminal(CauchyProblem(g, heat_coeffs(b=0.1), terminal=term))
     amp = sup_norm(out.u.level(0))
     assert amp == pytest.approx(math.exp(-0.1 * math.pi**2), rel=0.01)
     assert out.u.level(g.nt).values == pytest.approx(term.values)  # exact terminal
@@ -114,7 +116,7 @@ def test_eigenmode_decay_1d():
 def test_eigenmode_with_zeroth_order_discount():
     g = make_grid(Domain((0.0,), (1.0,)), 201, 400, 1.0)
     term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-    out = solve_terminal(g, heat_coeffs(b=0.1, lam=-1.0), terminal=term)
+    out = solve_terminal(CauchyProblem(g, heat_coeffs(b=0.1, lam=-1.0), terminal=term))
     amp = sup_norm(out.u.level(0))
     assert amp == pytest.approx(math.exp(-0.1 * math.pi**2) * math.exp(-1.0), rel=0.01)
 
@@ -123,7 +125,7 @@ def test_a_constant_source_reaches_the_steady_state():
     # long horizon with unit source: -b u'' = 1, so u = 5 x (1 - x) at b = 0.1
     g = make_grid(Domain((0.0,), (1.0,)), 51, 100, 20.0)
     src = SpaceTimeField(g, np.ones((g.nt + 1,) + g.interior_shape))
-    u = solve_terminal(g, heat_coeffs(b=0.1), source=src).u
+    u = solve_terminal(CauchyProblem(g, heat_coeffs(b=0.1), source=src)).u
     xs = g.axis_coords(0)
     assert np.max(np.abs(u.values[0] - 5 * xs * (1 - xs))) <= 0.02 * 1.25
     assert sup_norm(u.level(0)) == pytest.approx(1.25, rel=0.02)
@@ -132,7 +134,7 @@ def test_a_constant_source_reaches_the_steady_state():
 def test_source_zero_gives_zero():
     g = make_grid(Domain((0.0,), (1.0,)), 11, 5, 1.0)
     src = SpaceTimeField.zeros(g)
-    assert sup_norm(solve_terminal(g, heat_coeffs(), source=src).u) == 0.0
+    assert sup_norm(solve_terminal(CauchyProblem(g, heat_coeffs(), source=src)).u) == 0.0
 
 
 def test_linearity_1d():
@@ -144,13 +146,15 @@ def test_linearity_1d():
         F1, F2 = random_field(rng, g), random_field(rng, g)
         a, b = rng.uniform(-2, 2, 2)
         combo = solve_terminal(
-            g,
-            c,
-            source=SpaceTimeField(g, a * p1.values + b * p2.values),
-            terminal=SpaceField(g, a * F1.values + b * F2.values),
+            CauchyProblem(
+                g,
+                c,
+                source=SpaceTimeField(g, a * p1.values + b * p2.values),
+                terminal=SpaceField(g, a * F1.values + b * F2.values),
+            )
         ).u
-        u1 = solve_terminal(g, c, source=p1, terminal=F1).u
-        u2 = solve_terminal(g, c, source=p2, terminal=F2).u
+        u1 = solve_terminal(CauchyProblem(g, c, source=p1, terminal=F1)).u
+        u2 = solve_terminal(CauchyProblem(g, c, source=p2, terminal=F2)).u
         assert np.max(np.abs(combo.values - a * u1.values - b * u2.values)) <= 1e-10
 
 
@@ -160,8 +164,9 @@ def test_operator_split_is_the_full_solve():
     c = random_coeffs_1d(rng)
     src = random_st_field(rng, g)
     term = random_field(rng, g)
-    full = solve_terminal(g, c, source=src, terminal=term).u
-    split = solve_terminal(g, c, source=src).u.values + solve_terminal(g, c, terminal=term).u.values
+    full = solve_terminal(CauchyProblem(g, c, source=src, terminal=term)).u
+    split = solve_terminal(CauchyProblem(g, c, source=src)).u.values
+    split += solve_terminal(CauchyProblem(g, c, terminal=term)).u.values
     assert np.max(np.abs(full.values - split)) <= 1e-10
 
 
@@ -176,12 +181,12 @@ def test_max_principle_battery_1d():
         c = random_coeffs_1d(rng)
         src = random_st_field(rng, g, scale=rng.uniform(0.1, 3.0))
         term = random_field(rng, g, scale=rng.uniform(0.1, 3.0))
-        out = solve_terminal(g, c, source=src, terminal=term)
+        out = solve_terminal(CauchyProblem(g, c, source=src, terminal=term))
         assert out.diagnostics.monotone
         bound = sup_norm(term) + T * sup_norm(src)
         assert sup_norm(out.u) <= bound + 1e-12
         # terminal response alone contracts the sup norm
-        assert sup_norm(solve_terminal(g, c, terminal=term).u) <= sup_norm(term) + 1e-12
+        assert sup_norm(solve_terminal(CauchyProblem(g, c, terminal=term)).u) <= sup_norm(term) + 1e-12
 
 
 def test_max_principle_2d():
@@ -191,7 +196,7 @@ def test_max_principle_2d():
     for _ in range(10):
         src = random_st_field(rng, g)
         term = random_field(rng, g)
-        out = solve_terminal(g, c, source=src, terminal=term)
+        out = solve_terminal(CauchyProblem(g, c, source=src, terminal=term))
         assert out.diagnostics.monotone
         assert sup_norm(out.u) <= sup_norm(term) + g.T * sup_norm(src) + 1e-12
 
@@ -216,7 +221,7 @@ def test_manufactured_2d_mixed_derivative_exact():
 
     src = SpaceTimeField.from_function(g, rhs)
     term = SpaceField.from_function(g, lambda x1, x2: uex(x1, x2, g.T))
-    out = solve_terminal(g, c, source=src, terminal=term)
+    out = solve_terminal(CauchyProblem(g, c, source=src, terminal=term))
     exact = SpaceTimeField.from_function(g, uex)
     assert np.max(np.abs(out.u.values - exact.values)) <= 1e-9
     assert not out.diagnostics.monotone  # mixed term flagged
@@ -227,7 +232,7 @@ def test_product_eigenmode_2d():
     g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (41, 41), 200, 0.5)
     c = CoefficientSet.create(2, b=[0.1, 0.1])
     term = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    out = solve_terminal(g, c, terminal=term)
+    out = solve_terminal(CauchyProblem(g, c, terminal=term))
     assert sup_norm(out.u.level(0)) == pytest.approx(math.exp(-0.2 * math.pi**2 * 0.5), rel=0.01)
 
 
@@ -238,7 +243,7 @@ def _richardson_order(f_drift: float) -> float:
         g = make_grid(Domain((0.0,), (1.0,)), nx, 200, 1.0)
         c = heat_coeffs(b=0.1, f=f_drift)
         term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
-        sols.append(solve_terminal(g, c, terminal=term).u.values[0])
+        sols.append(solve_terminal(CauchyProblem(g, c, terminal=term)).u.values[0])
     d1 = np.max(np.abs(sols[0] - sols[1][1::2]))
     d2 = np.max(np.abs(sols[1] - sols[2][1::2]))
     return float(np.log2(d1 / d2))
@@ -246,11 +251,12 @@ def _richardson_order(f_drift: float) -> float:
 
 @pytest.mark.parametrize("which", ["terminal", "source"])
 def test_data_on_another_grid_is_refused(which):
-    # the same interior shape and levels on a box twice as wide
+    # the same interior shape and levels on a box twice as wide: every sweep,
+    # non-local solve and path estimate would read it as if on g
     g, wide = (make_grid(Domain((0.0,), (hi,)), 11, 10, 1.0) for hi in (1.0, 2.0))
     field = SpaceField(wide, np.ones(9)) if which == "terminal" else SpaceTimeField(wide, np.ones((11, 9)))
     with pytest.raises(ValueError, match=f"the {which} field lies on another grid"):
-        solve_terminal(g, CoefficientSet.create(1, b=0.1), **{which: field})
+        CauchyProblem(g, CoefficientSet.create(1, b=0.1), **{which: field})
 
 
 def test_grid_convergence_order_central():
@@ -266,7 +272,7 @@ def test_time_dependent_coefficients_run():
     g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
     c = CoefficientSet.create(1, b="0.1 + 0.05*sin(3*t)", f="0.2*cos(t)", lam="-0.1*(1+t)")
     term = SpaceField.from_function(g, lambda x: x * (1 - x))
-    out = solve_terminal(g, c, terminal=term)
+    out = solve_terminal(CauchyProblem(g, c, terminal=term))
     assert out.diagnostics.monotone
     assert sup_norm(out.u) <= sup_norm(term) + 1e-12
 
@@ -304,7 +310,7 @@ def _reference_sweep(g, c, terminal, source=None):
 
 
 def _assert_matches_reference(g, c, terminal, source=None):
-    out = solve_terminal(g, c, source=source, terminal=terminal)
+    out = solve_terminal(CauchyProblem(g, c, source=source, terminal=terminal))
     u, worst, resids = _reference_sweep(g, c, source=source, terminal=terminal)
     assert out.u.values.tobytes() == u.tobytes()
     assert out.diagnostics.worst_positive_offdiag == worst
@@ -340,10 +346,10 @@ def test_sweep_matches_the_per_step_reference(nx, nt, coeffs, with_source, resta
     _assert_matches_reference(g, coeffs, source=src, terminal=term)
     if restart is not None:
         # the sweep restarted from its level `restart` is the sweep of the grid that ends there
-        u = solve_terminal(g, coeffs, source=src, terminal=term).u.values[: restart + 1]
+        u = solve_terminal(CauchyProblem(g, coeffs, source=src, terminal=term)).u.values[: restart + 1]
         short = make_grid(g.domain, nx, restart, restart * g.dt)
         short_src = None if src is None else SpaceTimeField(short, src.values[: restart + 1])
-        again = solve_terminal(short, coeffs, source=short_src, terminal=SpaceField(short, u[-1])).u.values
+        again = solve_terminal(CauchyProblem(short, coeffs, short_src, SpaceField(short, u[-1]))).u.values
         assert np.max(np.abs(again - u)) <= 1e-12 * np.max(np.abs(u))
 
 
@@ -367,8 +373,8 @@ def test_factor_cache_is_keyed_on_values():
     (g1, c1), (g2, c2) = problem(), problem()
     assert g1 is not g2 and c1 is not c2
     term = random_field(np.random.default_rng(12), g1)
-    first = solve_terminal(g1, c1, terminal=term)
-    second = solve_terminal(g2, c2, terminal=term)
+    first = solve_terminal(CauchyProblem(g1, c1, terminal=term))
+    second = solve_terminal(CauchyProblem(g2, c2, terminal=term))
     info = _store.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert first.u.values.tobytes() == second.u.values.tobytes()
@@ -401,16 +407,16 @@ def test_store_factors_a_problem_once_or_each_level_once_per_sweep(monkeypatch):
     calls = _count_dgbtrf(monkeypatch)
     # t-independent: one factor serves every sweep, every feedback-matrix column included
     src, term = random_st_field(rng, g), random_field(rng, g)
-    solve_terminal(g, C1_CONST, source=src, terminal=term)
-    solve_nonlocal(g, C1_CONST, src, term, InitialValue(weight=0.5))
-    solve_terminal(g, C1_CONST, terminal=term)
-    fm = assemble_feedback_matrix(g, C1_CONST, InitialValue(weight=0.5))
+    solve_terminal(CauchyProblem(g, C1_CONST, source=src, terminal=term))
+    solve_nonlocal(NonlocalProblem(CauchyProblem(g, C1_CONST, src, term), InitialValue(weight=0.5)))
+    solve_terminal(CauchyProblem(g, C1_CONST, terminal=term))
+    fm = assemble_feedback_matrix(NonlocalProblem(CauchyProblem(g, C1_CONST), InitialValue(weight=0.5)))
     assert fm.matrix.shape == (g.n_interior, g.n_interior)
     assert calls == [g.n_interior]
     # t-dependent: each sweep factors every level, once
     calls.clear()
     for _ in range(3):
-        solve_terminal(g, C1_TIME, terminal=term)
+        solve_terminal(CauchyProblem(g, C1_TIME, terminal=term))
     assert len(calls) == 3 * g.nt
 
 
@@ -421,7 +427,7 @@ def test_non_finite_terminal_raises(coeffs, bad):
     term = SpaceField.zeros(g)
     term.values[4] = bad  # past SpaceField's own check
     with pytest.raises(LinearSolveError):
-        solve_terminal(g, coeffs, terminal=term)
+        solve_terminal(CauchyProblem(g, coeffs, terminal=term))
 
 
 @pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
@@ -433,7 +439,7 @@ def test_an_rhs_that_overflows_from_finite_data_is_a_range_error(coeffs, T, term
     term = SpaceField(g, np.full(g.interior_shape, terminal))
     src = SpaceTimeField(g, np.full((g.nt + 1,) + g.interior_shape, 1e308))
     with pytest.raises(SolutionRangeError, match="a backward step from finite data overflows: the data are too large"):
-        solve_terminal(g, coeffs, source=src, terminal=term)
+        solve_terminal(CauchyProblem(g, coeffs, source=src, terminal=term))
 
 
 @pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])
@@ -442,11 +448,11 @@ def test_non_finite_data_or_coefficients_are_not_a_range_error(coeffs):
     src = SpaceTimeField.zeros(g)
     src.values[1, 3] = np.inf  # past SpaceTimeField's own check
     with pytest.raises(LinearSolveError, match="residual") as err:
-        solve_terminal(g, coeffs, source=src)
+        solve_terminal(CauchyProblem(g, coeffs, source=src))
     assert not isinstance(err.value, SolutionRangeError)
     for b in ("exp(1000)", "0.1*exp(2000*t)"):
         with pytest.raises(LinearSolveError, match=r"the step matrix at t = \S+ is not finite"):
-            solve_terminal(g, CoefficientSet.create(1, b=b), terminal=SpaceField.zeros(g))
+            solve_terminal(CauchyProblem(g, CoefficientSet.create(1, b=b), terminal=SpaceField.zeros(g)))
 
 
 # b12 nonzero at every node, and (on the (6, 9) grid, t > 0) at the node
@@ -485,8 +491,8 @@ def test_level_store_serves_every_later_sweep(monkeypatch):
     rng = np.random.default_rng(15)
     src, term = random_st_field(rng, g1), random_field(rng, g1)
     calls = _count_b_at(monkeypatch)
-    first = solve_terminal(g1, c1, source=src, terminal=term)
-    second = solve_terminal(g2, c2, source=src, terminal=term)
+    first = solve_terminal(CauchyProblem(g1, c1, source=src, terminal=term))
+    second = solve_terminal(CauchyProblem(g2, c2, source=src, terminal=term))
     # the second sweep assembles no level again
     assert sorted(calls) == [g1.dt * k for k in range(g1.nt)]
     assert (_store.cache_info().hits, _store.cache_info().misses) == (1, 1)
@@ -533,7 +539,7 @@ def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
     g = make_grid(Domain((0.0,), (1.0,)), 23, 30, 0.8)
     spec = InitialValue(weight=0.6)
     src, rhs = random_st_field(rng, g), random_field(rng, g)
-    sol = solve_nonlocal(g, C1_TIME, src, rhs, spec, tol=1e-10)
+    sol = solve_nonlocal(NonlocalProblem(CauchyProblem(g, C1_TIME, src, rhs), spec), tol=1e-10)
     assert sol.report.converged and sol.report.iterations > 5
 
     def sweep(terminal, source=None):
@@ -628,11 +634,11 @@ importlib.util.find_spec = lambda name, package=None: scipy_spec
 _SOLVE = """
 import hashlib
 import numpy as np
-from bspde import CoefficientSet, Domain, SpaceField, make_grid, solve_terminal, stepper
+from bspde import CauchyProblem, CoefficientSet, Domain, SpaceField, make_grid, solve_terminal, stepper
 public = "scipy.linalg" in sys.modules  # imported only by the fallback
 g = make_grid(Domain((0.0, -1.0), (1.0, 1.0)), (6, 9), 8, 0.5)
 c = CoefficientSet.create(2, b=[[0.2, 0.05], [0.05, "0.15 + 0.05*t"]], f=["2 - 4*x1", "x2"], lam=-0.7)
-out = solve_terminal(g, c, terminal=SpaceField(g, np.random.default_rng(7).uniform(-1, 1, g.interior_shape)))
+out = solve_terminal(CauchyProblem(g, c, terminal=SpaceField(g, np.random.default_rng(7).uniform(-1, 1, g.interior_shape))))
 from scipy.linalg import lapack
 same = stepper.dgbtrf is lapack.dgbtrf and stepper.dgbtrs is lapack.dgbtrs
 print(public, same, hashlib.sha256(out.u.values.tobytes()).hexdigest())

@@ -4,8 +4,8 @@ of the same fixed point find the same solution, both satisfy the non-local
 terminal condition, and the solution's coupling reads nothing after its
 horizon.  Linearity: the solution of a combination of data is the same
 combination of solutions.  The discrete maximum principle: every backward
-solve is monotone and bounded by its data, `refine` never raises the sup
-norm, and a monotone non-local solution keeps criterion 8's a-priori bound.
+solve is monotone and bounded by its data, and a monotone non-local solution
+keeps criterion 8's a-priori bound.
 Kernel entries: a space-time kernel's entries apply as the dense kernel they
 set."""
 
@@ -18,11 +18,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bspde import (
+    CauchyProblem,
     CoefficientSet,
     Convex,
     Domain,
     InitialValue,
     KernelEntries,
+    NonlocalProblem,
     PointInTime,
     SpaceField,
     SpaceTimeField,
@@ -31,18 +33,16 @@ from bspde import (
     TwoPoint,
     confinement_bound,
     make_grid,
-    refine,
     solve_nonlocal,
     solve_nonlocal_direct,
     solve_terminal,
     sup_norm,
-    truncation_check,
     validate,
     validate_spec,
 )
 
 from bspde.nonlocal_ops import _compile
-from conftest import dense_entries
+from conftest import dense_entries, truncation_check
 
 MAX_BOUND = 0.9
 # ||Q|| <= 0.9 shrinks the Picard residual by 0.9 per iteration at least:
@@ -148,8 +148,9 @@ def test_picard_and_the_direct_solve_find_the_one_solution(problem):
     grid, coeffs, spec, source, terminal = problem
     assert not validate(coeffs, grid).violated
     assert validate_spec(spec, grid).norm_bound <= MAX_BOUND * (1 + 1e-12)
-    picard = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12, max_iter=MAX_ITER)
-    direct = solve_nonlocal_direct(grid, coeffs, source, terminal, spec)
+    nonlocal_problem = NonlocalProblem(CauchyProblem(grid, coeffs, source, terminal), spec)
+    picard = solve_nonlocal(nonlocal_problem, tol=1e-12, max_iter=MAX_ITER)
+    direct = solve_nonlocal_direct(nonlocal_problem)
     assert picard.report.converged
     assert np.max(np.abs(picard.u.values - direct.u.values)) <= 1e-9
     assert picard.report.bc_residual <= 1e-9
@@ -161,7 +162,8 @@ def test_picard_and_the_direct_solve_find_the_one_solution(problem):
 def _picard(grid, coeffs, spec, source, terminal):
     """solve_nonlocal, stopped at 1e-12 relative to the data's sup norm."""
     scale = max(sup_norm(terminal), sup_norm(source) if source is not None else 0.0)
-    sol = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12 * (scale or 1.0), max_iter=MAX_ITER)
+    nonlocal_problem = NonlocalProblem(CauchyProblem(grid, coeffs, source, terminal), spec)
+    sol = solve_nonlocal(nonlocal_problem, tol=1e-12 * (scale or 1.0), max_iter=MAX_ITER)
     assert sol.report.converged
     return sol.u.values
 
@@ -190,18 +192,9 @@ def test_the_solution_is_linear_in_the_data(problem, a, b, seed):
 @given(problems())
 def test_every_backward_solve_obeys_the_maximum_principle(problem):
     grid, coeffs, _, source, terminal = problem
-    diagnostics = solve_terminal(grid, coeffs, source=source, terminal=terminal).diagnostics
+    diagnostics = solve_terminal(CauchyProblem(grid, coeffs, source=source, terminal=terminal)).diagnostics
     assert diagnostics.monotone
     assert diagnostics.max_principle_slack >= -1e-12
-
-
-@settings(max_examples=100, **DERANDOMIZED)
-@given(problems(), st.integers(2, 3))
-def test_refine_never_raises_the_sup_norm(problem, factor):
-    grid, coeffs, _, source, terminal = problem
-    for field in (solve_terminal(grid, coeffs, source=source, terminal=terminal).u, source):
-        if field is not None:
-            assert sup_norm(refine(field, factor)) <= sup_norm(field)
 
 
 @settings(max_examples=100, **DERANDOMIZED)
@@ -210,8 +203,9 @@ def test_a_monotone_solution_keeps_the_a_priori_bound(problem):
     """Criterion 8: sup|u| <= [T + (1 + T)/(1 - sqrt(nu))] (sup|source| + sup|data|),
     nu the confinement bound over the gap T - theta after the coupling's horizon."""
     grid, coeffs, spec, source, terminal = problem
-    assume(solve_terminal(grid, coeffs).diagnostics.monotone)
-    sol = solve_nonlocal(grid, coeffs, source, terminal, spec, tol=1e-12, max_iter=MAX_ITER)
+    assume(solve_terminal(CauchyProblem(grid, coeffs)).diagnostics.monotone)
+    nonlocal_problem = NonlocalProblem(CauchyProblem(grid, coeffs, source, terminal), spec)
+    sol = solve_nonlocal(nonlocal_problem, tol=1e-12, max_iter=MAX_ITER)
     T = grid.T
     nu = confinement_bound(coeffs, grid, T - validate_spec(spec, grid).theta).nu
     data = (sup_norm(source) if source is not None else 0.0) + sup_norm(terminal)
