@@ -177,6 +177,14 @@ def test_solve_nonlocal_rejects_bad_controls(small_grid, kw):
         solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, heat(0.1), terminal=xi), InitialValue(0.5)), **kw)
 
 
+@pytest.mark.parametrize("solve", [solve_nonlocal, solve_nonlocal_direct])
+def test_terminal_data_on_another_grid_is_refused(small_grid, solve):
+    # same interior shape on a box twice as wide: its values would be read as if on small_grid
+    wide = make_grid(Domain((0.0,), (2.0,)), 21, 30, 1.0)
+    with pytest.raises(ValueError, match="the terminal field lies on another grid"):
+        solve(NonlocalProblem(CauchyProblem(small_grid, heat(), terminal=SpaceField(wide, np.ones(19))), InitialValue(0.5)))
+
+
 def test_solution_bound_battery(small_grid):
     # sup u <= [T + (1+T)/(1-sqrt(nu))] (sup source + sup terminal-rhs)
     from bspde import confinement_bound, validate_spec
