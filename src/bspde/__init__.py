@@ -51,7 +51,6 @@ from .nonlocal_ops import (
     TimeKernel,
     TwoPoint,
     kernel_from_csv,
-    validate_spec,
 )
 from .stepper import CauchyProblem, SolveOutput, solve_terminal
 
@@ -105,5 +104,4 @@ __all__ = [
     "solve_terminal",
     "sup_norm",
     "validate",
-    "validate_spec",
 ]

@@ -41,7 +41,6 @@ from .nonlocal_ops import (
     TwoPoint,
     _snap_before_T,
     kernel_from_csv,
-    validate_spec,
 )
 from .stepper import CauchyProblem, SolutionRangeError, solve_terminal
 
@@ -111,11 +110,13 @@ _integer, _string = partial(_number, kind=int), partial(_list, kind=str)
 
 def _built(where: str, build, *args, **kwargs):
     """`build(*args, **kwargs)`; a fault that it finds in the config entry at
-    dotted path `where` is reported by that path, as in `coefficients: b must be 1x1`."""
+    dotted path `where` is reported by that path, as in `coefficients: b must be 1x1`,
+    and a coupling's fault by the path of its entry, as in `gamma.parts[1].t1: ...`."""
     try:
         return build(*args, **kwargs)
     except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError, EvalError) as e:
-        raise ConfigError(f"{where}: {e}") from None
+        entry = getattr(e, "entry", "")
+        raise ConfigError(f"{where}{entry and '.'}{entry}: {e}") from None
 
 
 @dataclass
@@ -275,10 +276,10 @@ def _utf8(path):
 
 
 def _gamma(spec, path: str, grid: Grid, base_dir: Path):
-    """The coupling that the gamma spec at dotted `path` describes, built from
-    the entries `_GAMMA` lists for its `type` and validated, its times first,
-    so that a fault names the path of its entry.  Until the type is known, every
-    type's entries are listed, none required, so a bad `type` is reported."""
+    """The coupling that the gamma spec at dotted `path` describes, read from the
+    entries `_GAMMA` lists for its `type` (every type's, none required, until the
+    type is known) and from its kernel CSV, which needs theta snapped; the rest
+    of its rules are checked when its problem is built."""
     kind = spec.get("type") if isinstance(spec, dict) else None
     known = isinstance(kind, str) and kind in _GAMMA
     tables = [_GAMMA[kind][1]] if known else [{k: (r, None) for k, (r, _) in t.items()} for _, t in _GAMMA.values()]
@@ -286,18 +287,14 @@ def _gamma(spec, path: str, grid: Grid, base_dir: Path):
     if not known:
         raise ConfigError(f"{path}.type: unknown gamma type '{kind}'")
     cls = _GAMMA[entries.pop("type")][0]
-    for key in ("t1", "t2", "theta"):
-        if key in entries:
-            _built(f"{path}.{key}", _snap_before_T, grid, entries[key], key)
     if cls is SpaceTimeKernel:
+        _built(path, _snap_before_T, grid, entries["theta"], "theta")
         with _utf8(base_dir / entries.pop("csv")) as fh:
             entries["kernel"] = _built(f"{path}.csv", kernel_from_csv, fh, grid, entries["theta"])
     if cls is Convex:
         parts = enumerate(entries["parts"])
         entries["parts"] = tuple(_gamma(part, f"{path}.parts[{i}]", grid, base_dir) for i, part in parts)
-    coupling = cls(**entries)
-    _built(path, validate_spec, coupling, grid)
-    return coupling
+    return cls(**entries)
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
@@ -308,8 +305,9 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     domain = _built("domain", Domain, **entries["domain"])
     grid = _built("grid", make_grid, domain, **entries["grid"])
     coeffs = _built("coefficients", CoefficientSet.create, dim=domain.dim, **entries["coefficients"])
-    gamma = None if entries["gamma"] is None else _gamma(entries["gamma"], "gamma", grid, base_dir)
     cauchy = _sample_data(grid, coeffs, entries["data"])
+    gamma = None if entries["gamma"] is None else _gamma(entries["gamma"], "gamma", grid, base_dir)
+    problem = None if gamma is None else _built("gamma", NonlocalProblem, cauchy, gamma)  # the one compile
     mc = entries["montecarlo"]
     seed = mc["seed"] if seed_override is None else int(seed_override)
     paths = _built("montecarlo", PathConfig, dt_mc=mc["dt_mc"], n_paths=mc["n_paths"], seed=seed)
@@ -318,7 +316,6 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
             form = "[x1, s]" if domain.dim == 1 else "[x1, x2, s]"
             raise ConfigError(f"montecarlo.points[{i}]: must be {domain.dim + 1} numbers {form}, got {pt!r}")
     outdir = Path(out_override) if out_override else base_dir / entries["output"]["dir"]
-    problem = None if gamma is None else NonlocalProblem(cauchy, gamma)
     return RunConfig(raw, entries, grid, cauchy, problem, paths, outdir)
 
 

@@ -18,8 +18,9 @@ step.  A batch stops drawing once all of its paths have exited, and its stream
 is never read after that.  Each point's paths therefore see exactly the draws
 a run of that point alone would see, so the layout named by NORMAL_SAMPLER is
 unchanged and estimates do not depend on which other points run alongside.  A
-run whose total work, points x n_paths x steps, exceeds MAX_PATH_STEPS is
-rejected before anything is allocated.
+run whose total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or
+whose path values, points x n_paths doubles held to the end, exceed the
+grid's MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, bounds, validate
-from .grid import Grid, Interpolant, sup_norm
+from .grid import MAX_SOLVE_DOUBLES, Grid, Interpolant, sup_norm
 from .stepper import CauchyProblem, solve_terminal
 
 # Discount convention: with the zeroth-order term lam*u inside the spatial
@@ -184,6 +185,11 @@ def _simulate(
             f"{len(starts)} montecarlo.points x montecarlo.n_paths = {n} x up to {max_steps} steps of "
             f"montecarlo.dt_mc = {cfg.dt_mc} ask for {path_steps:.3g} path steps, "
             f"more than the limit of {MAX_PATH_STEPS:.0e}"
+        )
+    if len(starts) * n > MAX_SOLVE_DOUBLES:  # a start at the horizon takes no steps but holds its values
+        raise MonteCarloError(
+            f"{len(starts)} montecarlo.points x montecarlo.n_paths = {n} ask to hold {len(starts) * n:.3g} "
+            f"path values, more than the limit of {MAX_SOLVE_DOUBLES:.3g}"
         )
     grid, coeffs, source, terminal = problem.grid, problem.coeffs, problem.source, problem.terminal
     lo = np.asarray(grid.domain.lo)

@@ -4,11 +4,11 @@ theta strictly below the horizon.
 
 Supported forms: a multiple of u(.,0) or of u(.,t1), a two-point combination,
 a time-kernel integral, a full space-time kernel integral, and convex
-combinations of these.  Validation snaps every referenced time to the nearest
-grid level (ties round down), resamples kernels onto grid levels, and bounds
-the resulting discrete weights by 1 in the sup-to-sup operator norm; the
-application routine uses exactly the same weights, so contractivity of the
-discrete operator holds by construction.
+combinations of these.  `_compile` alone checks them: it snaps every time
+to the nearest grid level (ties round down), resamples kernels onto grid
+levels, and bounds the resulting discrete weights by 1 in the sup-to-sup
+operator norm, naming the entry at fault; the application routine uses exactly
+the same weights, so contractivity of the discrete operator holds by construction.
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .exprdsl import Expr, parse
+from .exprdsl import EvalError, Expr, parse
 from .grid import Grid, SpaceField, SpaceTimeField
 
 
 class NonlocalValidationError(ValueError):
-    pass
+    """A coupling breaks a rule at `entry`, its dotted path inside the coupling:
+    "t1", "parts[1]", "parts[0].theta", or "" for the coupling itself."""
+
+    def __init__(self, message: str, entry: str = ""):
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,13 @@ class NonlocalReport:
 
 def _snap_before_T(grid: Grid, t: float, what: str) -> tuple[int, float]:
     if not grid.time_in_range(t):
-        raise NonlocalValidationError(f"{what} = {t} lies outside [0, {grid.T}]")
+        raise NonlocalValidationError(f"{what} = {t} lies outside [0, {grid.T}]", what)
     k, dist = grid.nearest_level(t)
     if k >= grid.nt:
         raise NonlocalValidationError(
             f"{what} = {t} snaps to the terminal level; the non-local operator "
-            f"must read strictly before T = {grid.T}"
+            f"must read strictly before T = {grid.T}",
+            what,
         )
     return k, dist
 
@@ -198,17 +204,16 @@ def _point_terms(spec) -> list[tuple[str, float, str | None, float | None]]:
 def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
     c = _Compiled(grid)
     if isinstance(spec, (InitialValue, PointInTime, TwoPoint)):
-        terms = _point_terms(spec)
+        terms = _point_terms(spec)  # the times are checked before the weights
+        snaps = [(0, None) if tname is None else _snap_before_T(grid, t, tname) for _, _, tname, t in terms]
         for name, w, _, _ in terms:
             _finite(w, name)
         total = sum(abs(w) for _, w, _, _ in terms)
         if total > 1:
             names = " + ".join(f"|{name}|" for name, _, _, _ in terms)
             raise NonlocalValidationError(f"{names} = {total} exceeds 1")
-        for _, w, tname, t in terms:
-            k = 0
-            if tname is not None:
-                k, dist = _snap_before_T(grid, t, tname)
+        for (_, w, _, _), (k, dist) in zip(terms, snaps):
+            if dist is not None:
                 c.snap_distances.append(dist)
             c.level_weights[k] += w
             c.max_level = max(c.max_level, k)
@@ -256,8 +261,12 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         if float(np.sum(ws)) > 1 + 1e-12:
             raise NonlocalValidationError(f"convex weights sum to {float(np.sum(ws)):.6g} > 1")
         c.norm_bound = 0.0
-        for w, part in zip(ws, spec.parts):
-            sub = _compile(part, grid)
+        for i, (w, part) in enumerate(zip(ws, spec.parts)):
+            try:
+                sub = _compile(part, grid)
+            except (NonlocalValidationError, EvalError) as e:  # named by its part
+                inner = getattr(e, "entry", "")
+                raise NonlocalValidationError(str(e), f"parts[{i}]" + (inner and f".{inner}")) from None
             c.level_weights += w * sub.level_weights
             c.read = np.concatenate([c.read, sub.read])
             c.target = np.concatenate([c.target, sub.target])
@@ -268,15 +277,6 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
     else:
         raise NonlocalValidationError(f"unknown non-local operator type {type(spec)!r}")
     return c
-
-
-def validate_spec(spec: NonlocalSpec, grid: Grid) -> NonlocalReport:
-    """Check the parameter and discrete-norm constraints; raises on violation.
-
-    Returns the snapped effective horizon (largest time level the operator
-    reads), the discrete norm bound, and the snap distances.
-    """
-    return _compile(spec, grid).report()
 
 
 def _snap_nodes(grid: Grid, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
 """Shared builders for randomized batteries (all seeded, no global state), the
-coupling checks of the non-local tests, and a fixture that empties the
+coupling report and checks of the non-local tests, and a fixture that empties the
 per-problem caches before every test."""
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from bspde import (
     Grid,
     InitialValue,
     KernelEntries,
+    NonlocalReport,
     PointInTime,
     SpaceField,
     SpaceTimeField,
@@ -25,6 +26,12 @@ from bspde import (
     stepper,
 )
 from bspde.nonlocal_ops import _compile
+
+
+def validate_spec(spec, grid: Grid) -> NonlocalReport:
+    """The coupling's report on grid: its horizon, norm bound and snap distances;
+    raises NonlocalValidationError when it breaks a rule."""
+    return _compile(spec, grid).report()
 
 
 def apply_nonlocal(spec, u: SpaceTimeField) -> SpaceField:

@@ -27,11 +27,10 @@ from bspde import (
     solve_nonlocal_direct,
     solve_terminal,
     sup_norm,
-    validate_spec,
 )
 from bspde.cli import main
 
-from conftest import random_coeffs_1d, random_field, random_spec, random_st_field
+from conftest import random_coeffs_1d, random_field, random_spec, random_st_field, validate_spec
 
 RHO = math.exp(-0.1 * math.pi**2)  # eigenmode decay over T=1 at b=0.1
 

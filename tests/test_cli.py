@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspde import cli, coefficients, stepper, validate_spec
+from bspde import cli, coefficients, stepper
 from bspde.cli import main
+
+from conftest import validate_spec
 
 PI = "3.141592653589793"
 
@@ -350,6 +352,10 @@ def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
             {"type": "time_kernel", "theta": 0.5, "kernel": "sqrt(t - 2)"},
             "invalid configuration: gamma: sqrt of a negative value",
         ),
+        (
+            {"type": "convex", "weights": [0.5, 0.5], "parts": [{"type": "initial_value", "weight": 0.5}, {"type": "time_kernel", "theta": 0.5, "kernel": "sqrt(t - 2)"}]},
+            "invalid configuration: gamma.parts[1]: sqrt of a negative value",
+        ),
     ],
 )
 def test_a_coupling_time_out_of_range_names_its_entry(tmp_path, capsys, gamma, message):
@@ -631,6 +637,16 @@ def test_a_path_run_beyond_the_work_limit_is_a_validation_failure(tmp_path, mc):
     assert "path steps, more than the limit of 1e+11" in proc.stderr
 
 
+def test_path_values_beyond_the_memory_limit_are_a_validation_failure(tmp_path, capsys):
+    # a start at s = T takes no steps, so the work limit passes, but the
+    # (points, n_paths) values of 1e17 paths would take 711 PiB
+    cfg = write_config(tmp_path / "c.json", montecarlo={"seed": 7, "points": [[0.5, 1.0]], "n_paths": 10**17})
+    assert main(["mccheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "validation failed: 1 montecarlo.points x montecarlo.n_paths = 100000000000000000 ask to hold 1e+17 path values" in err
+    assert "more than the limit of 2.68e+08" in err
+
+
 def test_nubound_command(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "o"
@@ -714,6 +730,34 @@ def test_qmatrix_compiles_the_coupling_only_while_loading(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "load_config", load)
     assert main(["qmatrix", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert compiles and all(compiles)
+
+
+@pytest.mark.parametrize(
+    "gamma,compiles",
+    [
+        (
+            {"type": "convex", "weights": [0.5, 0.5], "parts": [{"type": "initial_value", "weight": 0.5}, {"type": "point_in_time", "weight": 0.5, "t1": 0.5}]},
+            3,
+        ),
+        ({"type": "point_in_time", "weight": 0.5, "t1": 0.5}, 1),
+    ],
+    ids=["convex", "single"],
+)
+def test_validate_compiles_the_coupling_once(tmp_path, monkeypatch, gamma, compiles):
+    # one compile of the whole coupling, which compiles each convex part once
+    from bspde import fixedpoint, nonlocal_ops
+
+    specs, real_compile = [], nonlocal_ops._compile
+
+    def compile_(spec, grid):
+        specs.append(spec)
+        return real_compile(spec, grid)
+
+    for module in (fixedpoint, nonlocal_ops):
+        monkeypatch.setattr(module, "_compile", compile_)
+    cfg = write_config(tmp_path / "c.json", gamma=gamma)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(specs) == compiles
 
 
 def test_space_time_kernel_from_csv_config(tmp_path):

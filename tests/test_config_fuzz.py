@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from bspde import cli
@@ -113,6 +113,7 @@ def _dotted(path):
 MUTATIONS = st.lists(st.tuples(st.integers(0, 1 << 16), st.none() | st.sampled_from(POOL)), min_size=1, max_size=2)
 
 
+@seed(23547972845249817337653449001762655931664642425105187973153632340080903705525825905367852770895326993652362974626595)
 @settings(
     max_examples=80,
     derandomize=True,
@@ -144,6 +145,7 @@ def test_a_mutated_config_ends_with_an_exit_code(bases, base, mutations):
 KEY = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
 
 
+@seed(3460419325213386404778460643449253820426602327444980315532772520793742595297913654407191014526095023853499248401767)
 @settings(
     max_examples=50,
     derandomize=True,

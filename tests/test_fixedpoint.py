@@ -76,7 +76,7 @@ def test_bc_residual_battery(small_grid):
         # iterate-difference stop, then the independent confirmation bound
         ratio = sol.report.ratios[-1] if sol.report.ratios else 0.0
         if ratio < 1.0:
-            from bspde import validate_spec
+            from conftest import validate_spec
 
             bound = validate_spec(spec, small_grid).norm_bound
             assert sol.report.bc_residual <= 1e-8 * (1 + bound / (1 - ratio)) + 1e-15
@@ -187,7 +187,8 @@ def test_terminal_data_on_another_grid_is_refused(small_grid, solve):
 
 def test_solution_bound_battery(small_grid):
     # sup u <= [T + (1+T)/(1-sqrt(nu))] (sup source + sup terminal-rhs)
-    from bspde import confinement_bound, validate_spec
+    from bspde import confinement_bound
+    from conftest import validate_spec
 
     rng = np.random.default_rng(77)
     T = small_grid.T

@@ -18,10 +18,9 @@ from bspde import (
     kernel_from_csv,
     make_grid,
     sup_norm,
-    validate_spec,
 )
 
-from conftest import apply_nonlocal, dense_entries, random_spec, random_st_field, truncation_check
+from conftest import apply_nonlocal, dense_entries, random_spec, random_st_field, truncation_check, validate_spec
 
 
 @pytest.fixture
@@ -219,6 +218,23 @@ def test_a_point_coupling_over_the_bound_names_its_weights(grid, spec, message):
     with pytest.raises(NonlocalValidationError) as err:
         validate_spec(spec, grid)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec,entry",
+    [
+        (TwoPoint(0.5, 0.25, 0.25, 1.5), "t2"),
+        (Convex(weights=(0.5, 0.5), parts=(InitialValue(0.5), TimeKernel(theta=-0.1, kernel=1.0))), "parts[1].theta"),
+        (Convex(weights=(0.5,), parts=(Convex(weights=(0.5, 0.5), parts=(InitialValue(0.5), PointInTime(0.5, 1.0))),)), "parts[0].parts[1].t1"),
+        (Convex(weights=(0.5,), parts=(TimeKernel(theta=0.5, kernel="sqrt(t - 2)"),)), "parts[0]"),
+        (TimeKernel(theta=0.5, kernel=2.1), ""),
+    ],
+    ids=["time", "part-time", "nested-part-time", "part-eval", "bound"],
+)
+def test_a_coupling_fault_names_its_entry(grid, spec, entry):
+    with pytest.raises(NonlocalValidationError) as err:
+        validate_spec(spec, grid)
+    assert err.value.entry == entry
 
 
 def test_effective_theta_is_max_over_parts(grid):

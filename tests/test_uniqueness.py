@@ -38,11 +38,10 @@ from bspde import (
     solve_terminal,
     sup_norm,
     validate,
-    validate_spec,
 )
 
 from bspde.nonlocal_ops import _compile
-from conftest import dense_entries, truncation_check
+from conftest import dense_entries, truncation_check, validate_spec
 
 MAX_BOUND = 0.9
 # ||Q|| <= 0.9 shrinks the Picard residual by 0.9 per iteration at least:

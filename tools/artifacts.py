@@ -8,9 +8,10 @@ tool writes the seed-101 and seed-102 inputs of every benchmark workload
 comparison read the same inputs), `picard-1d-101-dialect` (picard-1d-101
 with its kernel CSV rewritten in another dialect: CRLF line ends, a blank
 line every 1000 rows and quoted `k` fields, so its `solution.csv` and
-`qmatrix.csv` hash as picard-1d-101's do) and TREE's
-`configs/eigenmode.json` under the new directory OUT, runs each of the
-seven commands on each input in a fresh process with
+`qmatrix.csv` hash as picard-1d-101's do), the inputs of `FAULTS`
+(picard-1d-101 with one fault each, so that their stderr fingerprints the
+fault messages) and TREE's `configs/eigenmode.json` under the new directory
+OUT, runs each of the seven commands on each input in a fresh process with
 OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
 JSON line per run with the input name, the command, the exit code, and the
 sha256 of stderr and of every artifact.  `report.json` is hashed without
@@ -39,6 +40,16 @@ import workloads  # noqa: E402
 SEEDS = (101, 102)
 COMMANDS = ("validate", "cauchy", "solve", "qmatrix", "mccheck", "nubound", "converge")
 RUN_CLI = "import sys; from bspde.cli import main; sys.exit(main(sys.argv[1:]))"
+# picard-1d-101 (a convex coupling of an initial value and a space-time kernel)
+# with one fault: name -> edit of its config and of its kernel CSV's data rows
+FAULTS = {
+    "part-theta": lambda config, rows: config["gamma"]["parts"][1].update(theta=1.5),
+    "part-t1": lambda config, rows: config["gamma"]["parts"][0].update(type="point_in_time", t1=1.5),
+    "part-weight": lambda config, rows: config["gamma"]["parts"][0].update(weight=1.5),
+    "csv-extra-field": lambda config, rows: rows.insert(5, rows[5] + ",1.0"),
+    "unknown-entry": lambda config, rows: config["gamma"]["parts"][0].update(t1=0.5),
+    "terminal-overflow": lambda config, rows: config["data"].update(terminal="exp(1000*x)"),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -69,6 +80,17 @@ def _dialect(src: Path, d: Path) -> Path:
     return d
 
 
+def _fault(src: Path, d: Path, edit) -> Path:
+    """A copy of the input in src with the fault that `edit` makes."""
+    d.mkdir()
+    config = json.loads((src / "config.json").read_text(encoding="utf-8"))
+    header, *rows = (src / "kernel.csv").read_text(encoding="utf-8").splitlines()
+    edit(config, rows)
+    (d / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+    (d / "kernel.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return d
+
+
 def _inputs(tree: Path, out: Path) -> list[Path]:
     """Write every input into its own directory under out; return them in run order."""
     dirs = []
@@ -78,6 +100,7 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
             workloads.generate(workload, seed, d, tree)
             dirs.append(d)
     dirs.append(_dialect(out / "picard-1d-101", out / "picard-1d-101-dialect"))
+    dirs += [_fault(out / "picard-1d-101", out / f"picard-1d-101-{name}", edit) for name, edit in FAULTS.items()]
     d = out / "eigenmode"
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
