@@ -14,13 +14,16 @@ Every estimate samples one `CauchyProblem`, whose coefficients must pass
 calls it once for all of its points.  Stream layout: batch bi of the n_paths
 paths draws from default_rng([seed, bi]) one (nb, N + M) block of standard
 normals per step, and that block is shared by every point still running at the
-step.  A batch stops drawing once all of its paths have exited, and its stream
-is never read after that.  Each point's paths therefore see exactly the draws
-a run of that point alone would see, so the layout named by NORMAL_SAMPLER is
-unchanged and estimates do not depend on which other points run alongside.  A
-run whose total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or
-whose path values, points x n_paths doubles held to the end, exceed the
-grid's MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
+step.  One helper thread draws the blocks up to two steps ahead, into three
+buffers of the batch, while the paths advance; it draws no block for a step at
+or beyond the horizon.  A batch stops reading once all of its paths have
+exited, which leaves at most two drawn blocks unread.  Each point's paths
+therefore see exactly the draws a run of that point alone would see, so the
+layout named by NORMAL_SAMPLER is unchanged and estimates do not depend on
+which other points run alongside.  A run whose total work, points x n_paths
+x steps, exceeds MAX_PATH_STEPS, or whose path values, points x n_paths
+doubles held to the end, exceed the grid's MAX_SOLVE_DOUBLES, is rejected
+before anything is allocated.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -169,7 +172,12 @@ def _simulate(
     first sampled position outside the closed box, and its value is written
     out then; it is dropped from the arrays once a quarter of them has
     exited, and until then carried along with its updates masked out of
-    every output.  A batch stops drawing once none of its paths is left.
+    every output.  A batch stops reading draws once none of its paths is left.
+
+    The blocks are drawn on one helper thread, opened and joined by this call:
+    block j + 2 is drawn into the buffer of block j - 1 while step j runs, and
+    once a batch's first block is asked for, only that thread touches the
+    batch's generator.
     """
     n = cfg.n_paths
     by_time: dict[float, list[int]] = {}
@@ -209,75 +217,83 @@ def _simulate(
 
     values = np.zeros((len(starts), n))
     alive = np.zeros((len(starts), n), dtype=bool)
-    for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
-        base = bi * BATCH_SIZE
-        nb = min(BATCH_SIZE, n - base)
-        rng = np.random.default_rng([cfg.seed, bi])
-        per_array = max(1, BATCH_SIZE // nb)
-        lives = []
-        for s, n_steps, pids in groups:
-            for c in range(0, len(pids), per_array):
-                chunk = pids[c : c + per_array]
-                xs = np.stack([starts[p][0] for p in chunk])
-                lives.append((s, n_steps, _LivePaths(xs, chunk, nb, discount, src_interp is not None)))
-        for j in range(max_steps):
-            running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
-            if not running:
-                break
-            draws = rng.standard_normal((nb, N + M))
-            for s, lp in running:
-                t = s + j * cfg.dt_mc
-                dt_eff = min(cfg.dt_mc, horizon - t)
-                d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
-                y = lp.y
-                y_eval = y if const else np.clip(y, lo, hi)
-                if src_interp is not None:
-                    level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
-                    inc = src_interp(y_eval, level)
+    from concurrent.futures import ThreadPoolExecutor  # only here: most commands run no paths
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
+            base = bi * BATCH_SIZE
+            nb = min(BATCH_SIZE, n - base)
+            rng = np.random.default_rng([cfg.seed, bi])
+            bufs = np.empty((3, nb, N + M))  # block j is drawn into bufs[j % 3]
+            ahead = [helper.submit(rng.standard_normal, out=bufs[k]) for k in range(min(2, max_steps))]
+            per_array = max(1, BATCH_SIZE // nb)
+            lives = []
+            for s, n_steps, pids in groups:
+                for c in range(0, len(pids), per_array):
+                    chunk = pids[c : c + per_array]
+                    xs = np.stack([starts[p][0] for p in chunk])
+                    lives.append((s, n_steps, _LivePaths(xs, chunk, nb, discount, src_interp is not None)))
+            for j in range(max_steps):
+                running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
+                if not running:
+                    break
+                ahead.pop(0).result()
+                if j + 2 < max_steps:  # into the buffer of block j - 1, copied out at step j - 1
+                    ahead.append(helper.submit(rng.standard_normal, out=bufs[(j + 2) % 3]))
+                draws = bufs[j % 3]
+                for s, lp in running:
+                    t = s + j * cfg.dt_mc
+                    dt_eff = min(cfg.dt_mc, horizon - t)
+                    d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
+                    y = lp.y
+                    y_eval = y if const else np.clip(y, lo, hi)
+                    if src_interp is not None:
+                        level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
+                        inc = src_interp(y_eval, level)
+                        if discount:
+                            inc *= np.exp(lp.gam)
+                        inc *= dt_eff
+                        lp.acc += inc
                     if discount:
-                        inc *= np.exp(lp.gam)
-                    inc *= dt_eff
-                    lp.acc += inc
-                if discount:
-                    lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
-                    lp.gam += LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff
-                root_dt = math.sqrt(dt_eff)
-                if const:
-                    dy = _matmul(d[:, N:], btilde_c.T)
-                    dy *= root_dt
-                    dy += f_c * dt_eff
-                    if N:
-                        dy += root_dt * _matmul(d[:, :N], beta_c)
-                else:
-                    dy = coeffs.f_at(y_eval, t) * dt_eff
-                    dy += root_dt * np.einsum("ndm,nm->nd", coeffs.columns_at(y_eval, t), d[:, N:])
-                    if N:
-                        dy += root_dt * np.einsum("knd,nk->nd", coeffs.beta_at(y_eval, t), d[:, :N])
-                y += dy
-                del d, dy, y_eval  # freed before a compaction copies the state
-                gone = np.zeros(len(y), dtype=bool)
-                for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
-                    gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
-                gone &= lp.active
-                if gone.any():
-                    if lp.acc is not None:
-                        p, r = lp.where(gone)
-                        values[p, base + r] = lp.acc[gone]
-                    lp.active &= ~gone
-                    lp.n_active -= int(np.count_nonzero(gone))
-                    if 4 * lp.n_active <= 3 * lp.active.size:
-                        lp.compact()
-        for _, _, lp in lives:
-            lp.compact()
-            v = lp.acc if lp.acc is not None else 0.0
-            if term_interp is not None:
-                payoff = term_interp(lp.y)
-                if discount:
-                    payoff = np.exp(lp.gam) * payoff
-                v = v + payoff
-            p, r = lp.where()
-            values[p, base + r] = v
-            alive[p, base + r] = True
+                        lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
+                        lp.gam += LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff
+                    root_dt = math.sqrt(dt_eff)
+                    if const:
+                        dy = _matmul(d[:, N:], btilde_c.T)
+                        dy *= root_dt
+                        dy += f_c * dt_eff
+                        if N:
+                            dy += root_dt * _matmul(d[:, :N], beta_c)
+                    else:
+                        dy = coeffs.f_at(y_eval, t) * dt_eff
+                        dy += root_dt * np.einsum("ndm,nm->nd", coeffs.columns_at(y_eval, t), d[:, N:])
+                        if N:
+                            dy += root_dt * np.einsum("knd,nk->nd", coeffs.beta_at(y_eval, t), d[:, :N])
+                    y += dy
+                    del d, dy, y_eval  # freed before a compaction copies the state
+                    gone = np.zeros(len(y), dtype=bool)
+                    for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
+                        gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
+                    gone &= lp.active
+                    if gone.any():
+                        if lp.acc is not None:
+                            p, r = lp.where(gone)
+                            values[p, base + r] = lp.acc[gone]
+                        lp.active &= ~gone
+                        lp.n_active -= int(np.count_nonzero(gone))
+                        if 4 * lp.n_active <= 3 * lp.active.size:
+                            lp.compact()
+            for _, _, lp in lives:
+                lp.compact()
+                v = lp.acc if lp.acc is not None else 0.0
+                if term_interp is not None:
+                    payoff = term_interp(lp.y)
+                    if discount:
+                        payoff = np.exp(lp.gam) * payoff
+                    v = v + payoff
+                p, r = lp.where()
+                values[p, base + r] = v
+                alive[p, base + r] = True
     return values, alive
 
 

@@ -9,6 +9,7 @@ BATCH_SIZE is shrunk so that several batches run at a small cost.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -163,9 +164,9 @@ def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
         def __init__(self, seed):
             self._rng = real_default_rng(seed)
 
-        def standard_normal(self, size):
+        def standard_normal(self, size=None, out=None):
             blocks.append(size)
-            return self._rng.standard_normal(size)
+            return self._rng.standard_normal(size, out=out)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     est = montecarlo.confinement_probability(problem, [0.5], 0.0, theta_gap, cfg)
@@ -177,3 +178,72 @@ def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
     n_steps = int(math.ceil(theta_gap / cfg.dt_mc - 1e-12))
     # every batch empties within a few hundred of its 2000 steps, then stops
     assert len(blocks) < n_batches * n_steps // 2
+
+
+@pytest.fixture
+def draws_per_batch(monkeypatch):
+    """Batch index -> the number of normal blocks its stream has drawn."""
+    counts = {}
+    real_default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._bi = seed[1]
+            counts.setdefault(self._bi, 0)
+            self._rng = real_default_rng(seed)
+
+        def standard_normal(self, size=None, out=None):
+            counts[self._bi] += 1
+            return self._rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    return counts
+
+
+def test_each_batch_draws_one_block_per_step_and_none_at_the_horizon(small_batches, draws_per_batch):
+    # the diffusion is too weak for any path to reach the wall, so no batch stops early
+    g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
+    problem = CauchyProblem(g, CoefficientSet.create(1, b=1e-3), terminal=SpaceField.from_function(g, lambda x: x))
+    cfg = PathConfig(dt_mc=0.05, n_paths=N_PATHS, seed=8)
+    values, alive = _simulate(problem, [(np.array([0.5]), 0.0), (np.array([0.4]), 0.5)], g.T, cfg)
+    assert draws_per_batch == {0: 20, 1: 20, 2: 20}
+    assert alive.all()
+    for p, (x, s) in enumerate([([0.5], 0.0), ([0.4], 0.5)]):
+        assert values[p].tobytes() == _reference_run_paths(problem, x, s, g.T, cfg)[0].tobytes()
+
+    draws_per_batch.clear()
+    values, alive = _simulate(problem, [(np.array([0.3]), g.T)], g.T, cfg)
+    assert alive.all() and np.array_equal(values[0], np.full(N_PATHS, 0.3))
+    assert draws_per_batch == {0: 0, 1: 0, 2: 0}
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_at", [None, 1, 7, 45])
+def test_the_draw_thread_ends_with_the_run(small_batches, monkeypatch, fail_at):
+    # the source is read once per step of each 20-step batch: calls 1 and 7 fall in the first, 45 in the third
+    g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
+    src = SpaceTimeField.from_function(g, lambda x, t: x * (1 - x))
+    problem = CauchyProblem(g, CoefficientSet.create(1, b=1e-3), src)
+    cfg = PathConfig(dt_mc=0.05, n_paths=N_PATHS, seed=9)
+    calls = []
+    real_call = Interpolant.__call__
+
+    def failing_call(self, pts, level=0):
+        calls.append(level)
+        if len(calls) == fail_at:
+            raise _Interrupted
+        return real_call(self, pts, level)
+
+    monkeypatch.setattr(Interpolant, "__call__", failing_call)
+    threads = threading.active_count()
+    if fail_at is None:
+        _simulate(problem, [(np.array([0.5]), 0.0)], g.T, cfg)
+        assert len(calls) == 3 * 20
+    else:
+        with pytest.raises(_Interrupted):
+            _simulate(problem, [(np.array([0.5]), 0.0)], g.T, cfg)
+        assert len(calls) == fail_at
+    assert threading.active_count() == threads

@@ -574,12 +574,14 @@ def _fresh(code: str) -> str:
 
 def test_importing_the_cli_leaves_scipy_linalg_and_sparse_out():
     # either package import costs about 0.1 s of every CLI run; difflib, which
-    # only a config with an unknown entry needs, adds about 128 KB of RSS
+    # only a config with an unknown entry needs, adds about 128 KB of RSS, and
+    # concurrent.futures, which only a path run needs, about 3 ms
     mods = json.loads(_fresh("import json, sys, bspde.cli; print(json.dumps(sorted(sys.modules)))"))
     assert "scipy.linalg._flapack" in mods
     assert "scipy.linalg" not in mods
     assert "scipy.sparse" not in mods
     assert "difflib" not in mods
+    assert "concurrent.futures" not in mods
 
 
 @pytest.mark.parametrize("nx", [12, (6, 9)])

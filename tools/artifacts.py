@@ -10,12 +10,14 @@ with its kernel CSV rewritten in another dialect: CRLF line ends, a blank
 line every 1000 rows and quoted `k` fields, so its `solution.csv` and
 `qmatrix.csv` hash as picard-1d-101's do), the inputs of `FAULTS`
 (picard-1d-101 with one fault each, so that their stderr fingerprints the
-fault messages) and TREE's `configs/eigenmode.json` under the new directory
-OUT, runs each of the seven commands on each input in a fresh process with
-OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
-JSON line per run with the input name, the command, the exit code, and the
-sha256 of stderr and of every artifact.  `report.json` is hashed without
-its `timing_seconds`.
+fault messages), `eigenmode-mc-101-batches` (eigenmode-mc-101 with 140000
+paths, so three batches with a short last one, and one more point at the
+horizon, whose group takes no steps beside the groups that do) and TREE's
+`configs/eigenmode.json` under the new directory OUT, runs each of the seven
+commands on each input in a fresh process with OPENBLAS_NUM_THREADS=1 and
+relative paths, and writes OUT/runs.jsonl: one JSON line per run with the
+input name, the command, the exit code, and the sha256 of stderr and of
+every artifact.  `report.json` is hashed without its `timing_seconds`.
 
 A change that should not alter any output is byte-identical to its parent
 when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
@@ -91,6 +93,17 @@ def _fault(src: Path, d: Path, edit) -> Path:
     return d
 
 
+def _batches(src: Path, d: Path) -> Path:
+    """A copy of the input in src with 140000 paths and one more point at the horizon."""
+    d.mkdir()
+    config = json.loads((src / "config.json").read_text(encoding="utf-8"))
+    mc = config["montecarlo"]
+    mc["n_paths"] = 140000
+    mc["points"].append([0.5, config["grid"]["T"]])
+    (d / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return d
+
+
 def _inputs(tree: Path, out: Path) -> list[Path]:
     """Write every input into its own directory under out; return them in run order."""
     dirs = []
@@ -101,6 +114,7 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
             dirs.append(d)
     dirs.append(_dialect(out / "picard-1d-101", out / "picard-1d-101-dialect"))
     dirs += [_fault(out / "picard-1d-101", out / f"picard-1d-101-{name}", edit) for name, edit in FAULTS.items()]
+    dirs.append(_batches(out / "eigenmode-mc-101", out / "eigenmode-mc-101-batches"))
     d = out / "eigenmode"
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
