@@ -6,8 +6,8 @@ not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
 function or expression on the grid.
 Between nodes a field is multilinear and zero on the wall: `Interpolant` is
 the one implementation of that rule, read by the path estimator (terminal
-data, source, grid solution).  `Grid.check_fields` refuses a field on
-another grid; `stepper.CauchyProblem` is its one caller.
+data, source, grid solution).  `stepper.CauchyProblem` refuses a field on
+another grid.
 """
 
 from __future__ import annotations
@@ -163,12 +163,6 @@ class Grid:
             raise GridError(f"time {t} outside [0, {self.T}]")
         k = int(self.nearest_levels(t))
         return k, abs(k * self.dt - t)
-
-    def check_fields(self, **fields) -> None:
-        """Raise ValueError naming the first given field (None is none) that lies on another grid."""
-        for name, f in fields.items():
-            if f is not None and f.grid != self:
-                raise ValueError(f"the {name} field lies on another grid")
 
 
 def make_grid(domain: Domain, nx, nt: int, T: float) -> Grid:

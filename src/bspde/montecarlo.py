@@ -8,22 +8,23 @@ confinement probabilities upward by O(sqrt(dt_mc)); small default steps and
 the comparison allowance absorb this, and the bias direction is the safe one
 for every inequality asserted here.
 
-Every estimate samples one `CauchyProblem`, whose coefficients must pass
-`validate` on its grid (the cached survey), through one batched path engine,
-`_simulate`, over a list of start points sharing a horizon; `compare_mc_pde`
-calls it once for all of its points.  Stream layout: batch bi of the n_paths
-paths draws from default_rng([seed, bi]) one (nb, N + M) block of standard
-normals per step, and that block is shared by every point still running at the
-step.  One helper thread draws the blocks up to two steps ahead, into three
-buffers of the batch, while the paths advance; it draws no block for a step at
-or beyond the horizon.  A batch stops reading once all of its paths have
-exited, which leaves at most two drawn blocks unread.  Each point's paths
-therefore see exactly the draws a run of that point alone would see, so the
-layout named by NORMAL_SAMPLER is unchanged and estimates do not depend on
-which other points run alongside.  A run whose total work, points x n_paths
-x steps, exceeds MAX_PATH_STEPS, or whose path values, points x n_paths
-doubles held to the end, exceed the grid's MAX_SOLVE_DOUBLES, is rejected
-before anything is allocated.
+Every estimate samples one `CauchyProblem` through one batched path engine,
+`_simulate`, over a list of raw (x, s) start points sharing a horizon;
+`compare_mc_pde` calls it once for all of its points.  `_simulate` is the one
+check of an estimate's inputs: the coefficients (`validate` on the grid, the
+cached survey), dt_mc against the grid step, and each start.  Stream layout:
+batch bi of the n_paths paths draws from default_rng([seed, bi]) one
+(nb, N + M) block of standard normals per step, and that block is shared by
+every point still running at the step.  One helper thread draws the blocks
+up to two steps ahead, into three buffers of the batch, while the paths
+advance; it draws no block for a step at or beyond the horizon.  A batch stops
+reading once all of its paths have exited, which leaves at most two drawn
+blocks unread.  Each point's paths therefore see exactly the draws a run of
+that point alone would see, so the layout named by NORMAL_SAMPLER is unchanged
+and estimates do not depend on which other points run alongside.  A run whose
+total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path
+values, points x n_paths doubles held to the end, exceed the grid's
+MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -93,23 +94,23 @@ class McEstimate:
     n_exited: int
 
 
-def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> tuple[np.ndarray, float]:
+def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> tuple[np.ndarray, float, int]:
     """Check a start point (x, s) of paths that run to `horizon` against the
-    horizon, the grid and the path step; return x as a (dim,) array and s
-    clamped to the horizon."""
+    horizon and the grid; return x as a (dim,) array, s clamped to the
+    horizon and the number of path steps from s to the horizon."""
     if s > horizon + 1e-12:
         raise MonteCarloError(f"s = {s} is beyond the horizon T = {horizon}")
     s = min(s, horizon)
-    x = np.asarray(x, dtype=float).reshape(grid.dim)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != grid.dim:
+        raise MonteCarloError(f"start point {tuple(x.tolist())} must have one coordinate per grid axis ({grid.dim})")
     if not grid.domain.contains(x):
         raise MonteCarloError(f"start point {tuple(x.tolist())} must lie strictly inside the domain")
-    if cfg.dt_mc > grid.dt + 1e-12:
-        raise MonteCarloError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
     if not 0.0 <= s <= horizon:
         raise MonteCarloError(f"need 0 <= s <= horizon, got s={s}, horizon={horizon}")
     if (horizon - s) / cfg.dt_mc > np.iinfo(np.intp).max:
         raise MonteCarloError(f"dt_mc = {cfg.dt_mc} asks for more path steps to the horizon than numpy can index")
-    return x, s
+    return x, s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,10 +157,13 @@ class _LivePaths:
 
 
 def _simulate(
-    problem: CauchyProblem, starts: Sequence[tuple[np.ndarray, float]], horizon: float, cfg: PathConfig
+    problem: CauchyProblem, points: Sequence[tuple[Sequence[float], float]], horizon: float, cfg: PathConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate cfg.n_paths characteristics of the problem from each checked
-    start (x_p, s_p) to the shared `horizon`.
+    """Simulate cfg.n_paths characteristics of the problem from each start
+    (x_p, s_p) to the shared `horizon`, once the path estimate's inputs pass
+    its one check, in this order: the coefficients (`validate` on the grid),
+    dt_mc against the grid step, each start (`_checked_start`), then the
+    run's work and memory limits, all before anything is allocated.
 
     Returns per-path payoff values and the alive mask at the horizon, both of
     shape (n_points, n_paths).
@@ -179,13 +183,16 @@ def _simulate(
     once a batch's first block is asked for, only that thread touches the
     batch's generator.
     """
+    grid, coeffs, source, terminal = problem.grid, problem.coeffs, problem.source, problem.terminal
+    validate(coeffs, grid).raise_if_violated()
+    if cfg.dt_mc > grid.dt + 1e-12:
+        raise MonteCarloError(f"dt_mc = {cfg.dt_mc} exceeds the grid step {grid.dt}")
+    starts = [_checked_start(grid, x, s, horizon, cfg) for x, s in points]
     n = cfg.n_paths
-    by_time: dict[float, list[int]] = {}
-    for p, (_, s) in enumerate(starts):
-        by_time.setdefault(s, []).append(p)
-    groups = [
-        (s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12))), pids) for s, pids in by_time.items()
-    ]
+    by_time: dict[float, tuple[int, list[int]]] = {}
+    for p, (_, s, n_steps) in enumerate(starts):
+        by_time.setdefault(s, (n_steps, []))[1].append(p)
+    groups = [(s, n_steps, pids) for s, (n_steps, pids) in by_time.items()]
     max_steps = max((g[1] for g in groups), default=0)
     path_steps = n * sum(n_steps * len(pids) for _, n_steps, pids in groups)
     if path_steps > MAX_PATH_STEPS:
@@ -199,7 +206,6 @@ def _simulate(
             f"{len(starts)} montecarlo.points x montecarlo.n_paths = {n} ask to hold {len(starts) * n:.3g} "
             f"path values, more than the limit of {MAX_SOLVE_DOUBLES:.3g}"
         )
-    grid, coeffs, source, terminal = problem.grid, problem.coeffs, problem.source, problem.terminal
     lo = np.asarray(grid.domain.lo)
     hi = np.asarray(grid.domain.hi)
     N = coeffs.n_beta
@@ -323,9 +329,7 @@ def feynman_kac(problem: CauchyProblem, x, s: float, cfg: PathConfig) -> McEstim
     """Path estimate of the backward solution at (x, s): discounted terminal
     payoff for paths that never leave the box before T, plus the discounted
     running source up to the first exit."""
-    validate(problem.coeffs, problem.grid).raise_if_violated()
-    T = problem.grid.T
-    values, alive = _simulate(problem, [_checked_start(problem.grid, x, s, T, cfg)], T, cfg)
+    values, alive = _simulate(problem, [(x, s)], problem.grid.T, cfg)
     return _estimate(values[0], alive[0], cfg)
 
 
@@ -334,12 +338,10 @@ def confinement_probability(
 ) -> McEstimate:
     """Fraction of the problem's paths still inside the box at s + theta_gap,
     with binomial stderr; the paths carry no payoff."""
-    validate(problem.coeffs, problem.grid).raise_if_violated()
     if theta_gap < 0:
         raise MonteCarloError("theta_gap must be >= 0")
-    horizon = s + theta_gap
     paths = CauchyProblem(problem.grid, problem.coeffs)
-    _, (alive,) = _simulate(paths, [_checked_start(problem.grid, x, s, horizon, cfg)], horizon, cfg)
+    _, (alive,) = _simulate(paths, [(x, s)], s + theta_gap, cfg)
     p = float(np.mean(alive))
     stderr = math.sqrt(p * (1.0 - p) / cfg.n_paths)
     return McEstimate(mean=p, stderr=stderr, n_paths=cfg.n_paths, n_exited=int(np.count_nonzero(~alive)))
@@ -482,14 +484,8 @@ def compare_mc_pde(
     """
     grid = problem.grid
     paths = problem if mc_coeffs is None else replace(problem, coeffs=mc_coeffs)
-    validate(paths.coeffs, grid).raise_if_violated()
-    pts, starts = [], []
-    for pt in points:
-        pt = [float(v) for v in pt]
-        x, s = pt[: grid.dim], pt[grid.dim]
-        starts.append(_checked_start(grid, x, s, grid.T, cfg))
-        pts.append((x, s))
-    values, alive = _simulate(paths, starts, grid.T, cfg)
+    pts = [(x, s) for *x, s in ([float(v) for v in pt] for pt in points)]
+    values, alive = _simulate(paths, pts, grid.T, cfg)
     u = solve_terminal(problem).u
     scale = sup_norm(u)
     interp = Interpolant(grid, u.values)

@@ -111,7 +111,9 @@ class CauchyProblem:
     terminal: SpaceField | None = None
 
     def __post_init__(self):
-        self.grid.check_fields(source=self.source, terminal=self.terminal)
+        for name, f in (("source", self.source), ("terminal", self.terminal)):
+            if f is not None and f.grid != self.grid:
+                raise ValueError(f"the {name} field lies on another grid")
 
 
 @dataclass

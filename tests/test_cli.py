@@ -379,6 +379,18 @@ def test_a_config_or_kernel_csv_that_is_not_utf8_is_an_io_error(tmp_path, capsys
     assert err.rstrip().endswith(f"invalid start byte in {cfg if which == 'config' else tmp_path / 'kern.csv'}")
 
 
+def test_a_non_utf8_byte_past_the_kernel_csv_header_block_is_an_io_error(tmp_path, capsys):
+    # 1000 rows put the byte past the first block the header read decodes, so the row parser meets it
+    rows = b"0.0,0.25,0.5,1.0\n" * 1000
+    (tmp_path / "k.csv").write_bytes(b"t,x1,y1,k\n" + rows + b"0.0,0.5,0.5,\xff\n")
+    gamma = {"type": "space_time_kernel", "theta": 0.5, "csv": "k.csv"}
+    cfg = write_config(tmp_path / "c.json", grid={"nx": [5], "nt": 4, "T": 1.0}, gamma=gamma)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "bspde: i/o error: 'utf-8' codec can't decode byte 0xff" in err
+    assert err.rstrip().endswith(f"invalid start byte in {tmp_path / 'k.csv'}")
+
+
 def test_a_one_row_kernel_csv_on_a_2d_grid_loads_and_validates_in_little_memory(tmp_path):
     """The kernel is held as the entries its CSV sets: one row on 33 x 33
     nodes with nt = 40 and theta = 0.5, where a dense (levels, n, n) kernel
@@ -471,6 +483,19 @@ def test_malformed_time_kernel_samples_are_a_validation_failure(tmp_path, capsys
     cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "sampled time kernel must be a sequence of (time, value) pairs" in capsys.readouterr().err
+
+
+def test_an_empty_sampled_time_kernel_names_its_entry(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": []})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    message = "gamma.kernel: a sampled time kernel must be a sequence of (time, value) pairs, got []"
+    assert f"bspde: invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_qmatrix_without_gamma_is_a_validation_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", gamma=None)
+    assert main(["qmatrix", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "bspde: validation failed: qmatrix requires a gamma section in the config" in capsys.readouterr().err
 
 
 def test_mccheck_without_points_is_a_validation_failure(tmp_path, capsys):

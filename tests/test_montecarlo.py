@@ -1,7 +1,9 @@
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from bspde import (
     make_grid,
 )
 from bspde import montecarlo
+from bspde.coefficients import CoefficientError
 from bspde.montecarlo import MonteCarloError, _interval_confinement, _simulate, comparison_to_csv
 
 
@@ -296,6 +299,76 @@ def test_path_config_validation():
         confinement_probability(heat, [0.5], 0.0, 1.0, cfg)
     with pytest.raises(MonteCarloError):
         feynman_kac(heat, [1.5], 0.0, PathConfig(dt_mc=0.05, n_paths=200, seed=1))
+
+
+class Fault(NamedTuple):
+    """One bad input on the 1-D heat grid of step 0.01 up to T = 1, and what it raises."""
+
+    error: type
+    message: str
+    x: tuple = (0.5,)
+    s: float = 0.0
+    dt_mc: float = 0.01
+    coeffs: dict = {"b": 0.1}
+    theta_gap: float = 0.5
+
+
+START_FAULTS = {
+    "outside-the-box": Fault(MonteCarloError, "start point (1.5,) must lie strictly inside the domain", x=(1.5,)),
+    "x-too-long": Fault(
+        MonteCarloError, "start point (0.5, 0.5) must have one coordinate per grid axis (1)", x=(0.5, 0.5)
+    ),
+    "x-empty": Fault(MonteCarloError, "start point () must have one coordinate per grid axis (1)", x=()),
+    "beyond-the-horizon": Fault(MonteCarloError, "s = 1.2 is beyond the horizon T = 1.0", s=1.2),
+    "s-nan": Fault(MonteCarloError, "need 0 <= s <= horizon, got s=nan", s=math.nan),
+    "dt_mc-above-the-grid-step": Fault(MonteCarloError, "dt_mc = 0.1 exceeds the grid step 0.01", dt_mc=0.1),
+    "dt_mc-tiny": Fault(
+        MonteCarloError, "dt_mc = 1e-300 asks for more path steps to the horizon than numpy can index", dt_mc=1e-300
+    ),
+    # the run's checks come before any start's, and the coefficients' before dt_mc's
+    "dt_mc-before-the-start": Fault(MonteCarloError, "dt_mc = 0.1 exceeds the grid step 0.01", x=(1.5,), dt_mc=0.1),
+    "coefficients-before-the-start": Fault(
+        CoefficientError,
+        "uniform ellipticity violated: margin delta = -0.1 at x = (0.0,), t = 0",
+        x=(1.5,),
+        dt_mc=0.1,
+        coeffs={"b": 0.4, "beta": [[1.0]]},
+    ),
+}
+# the two checks of confinement_probability and confinement_bound themselves
+OWN_FAULTS = {
+    "theta_gap-negative": Fault(MonteCarloError, "theta_gap must be >= 0", theta_gap=-0.5),
+    "b-zero": Fault(MonteCarloError, "smallest eigenvalue of 2b must be positive", coeffs={"b": 0.0}),
+}
+ESTIMATES = {
+    "feynman_kac": lambda problem, f, cfg: feynman_kac(problem, f.x, f.s, cfg),
+    "confinement_probability": lambda problem, f, cfg: confinement_probability(problem, f.x, f.s, f.theta_gap, cfg),
+    "compare_mc_pde": lambda problem, f, cfg: compare_mc_pde(problem, [[*f.x, f.s]], cfg),
+    "confinement_bound": lambda problem, f, cfg: confinement_bound(problem.coeffs, problem.grid, f.theta_gap),
+}
+PATH_ESTIMATES = ("feynman_kac", "confinement_probability", "compare_mc_pde")
+
+
+@pytest.mark.parametrize(
+    "estimate, fault",
+    [
+        # confinement_probability's paths run to s + theta_gap, so no start lies beyond their horizon
+        *(
+            (e, f)
+            for f in START_FAULTS
+            for e in PATH_ESTIMATES
+            if (e, f) != ("confinement_probability", "beyond-the-horizon")
+        ),
+        ("confinement_probability", "theta_gap-negative"),
+        ("confinement_bound", "b-zero"),
+    ],
+)
+def test_every_path_estimate_refuses_a_fault_with_the_same_message(estimate, fault):
+    fault = {**START_FAULTS, **OWN_FAULTS}[fault]
+    _, g, _, _ = heat_setup(nx=21, nt=100)
+    problem = CauchyProblem(g, CoefficientSet.create(1, **fault.coeffs))
+    with pytest.raises(fault.error, match=re.escape(fault.message)):
+        ESTIMATES[estimate](problem, fault, PathConfig(dt_mc=fault.dt_mc, n_paths=100, seed=1))
 
 
 def test_compare_mc_pde_zero_problem():

@@ -12,7 +12,9 @@ line every 1000 rows and quoted `k` fields, so its `solution.csv` and
 (picard-1d-101 with one fault each, so that their stderr fingerprints the
 fault messages), `eigenmode-mc-101-batches` (eigenmode-mc-101 with 140000
 paths, so three batches with a short last one, and one more point at the
-horizon, whose group takes no steps beside the groups that do) and TREE's
+horizon, whose group takes no steps beside the groups that do), the inputs of
+`MC_FAULTS` (eigenmode-mc-101 with one fault each in its Monte-Carlo section,
+so that their stderr fingerprints the path engine's checks) and TREE's
 `configs/eigenmode.json` under the new directory OUT, runs each of the seven
 commands on each input in a fresh process with OPENBLAS_NUM_THREADS=1 and
 relative paths, and writes OUT/runs.jsonl: one JSON line per run with the
@@ -51,6 +53,13 @@ FAULTS = {
     "csv-extra-field": lambda config, rows: rows.insert(5, rows[5] + ",1.0"),
     "unknown-entry": lambda config, rows: config["gamma"]["parts"][0].update(t1=0.5),
     "terminal-overflow": lambda config, rows: config["data"].update(terminal="exp(1000*x)"),
+}
+# eigenmode-mc-101 (grid step 0.0025 up to T = 1) with one fault: name -> edit of its config
+MC_FAULTS = {
+    "point-outside": lambda config: config["montecarlo"].update(points=[[1.5, 0.0]]),
+    "point-beyond-T": lambda config: config["montecarlo"].update(points=[[0.5, 1.2]]),
+    "dt_mc-above-grid-step": lambda config: config["montecarlo"].update(dt_mc=0.1),
+    "dt_mc-tiny": lambda config: config["montecarlo"].update(dt_mc=1e-300),
 }
 
 
@@ -93,15 +102,20 @@ def _fault(src: Path, d: Path, edit) -> Path:
     return d
 
 
-def _batches(src: Path, d: Path) -> Path:
-    """A copy of the input in src with 140000 paths and one more point at the horizon."""
+def _edited(src: Path, d: Path, edit) -> Path:
+    """A copy of the input in src, a config alone, with the edit that `edit` makes to it."""
     d.mkdir()
     config = json.loads((src / "config.json").read_text(encoding="utf-8"))
+    edit(config)
+    (d / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return d
+
+
+def _batches(config: dict) -> None:
+    """140000 paths and one more point at the horizon."""
     mc = config["montecarlo"]
     mc["n_paths"] = 140000
     mc["points"].append([0.5, config["grid"]["T"]])
-    (d / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
-    return d
 
 
 def _inputs(tree: Path, out: Path) -> list[Path]:
@@ -114,7 +128,8 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
             dirs.append(d)
     dirs.append(_dialect(out / "picard-1d-101", out / "picard-1d-101-dialect"))
     dirs += [_fault(out / "picard-1d-101", out / f"picard-1d-101-{name}", edit) for name, edit in FAULTS.items()]
-    dirs.append(_batches(out / "eigenmode-mc-101", out / "eigenmode-mc-101-batches"))
+    edits = {"batches": _batches, **MC_FAULTS}
+    dirs += [_edited(out / "eigenmode-mc-101", out / f"eigenmode-mc-101-{name}", edit) for name, edit in edits.items()]
     d = out / "eigenmode"
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
