@@ -44,7 +44,6 @@ from .nonlocal_ops import (
     Convex,
     InitialValue,
     KernelEntries,
-    NonlocalReport,
     NonlocalValidationError,
     PointInTime,
     SpaceTimeKernel,
@@ -77,7 +76,6 @@ __all__ = [
     "KernelEntries",
     "McEstimate",
     "NonlocalProblem",
-    "NonlocalReport",
     "NonlocalSolution",
     "NonlocalValidationError",
     "PathConfig",

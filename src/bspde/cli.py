@@ -27,7 +27,7 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
-from .exprdsl import EvalError, Expr, ExprError, bind, free_variables
+from .exprdsl import EvalError, Expr, ExprError, bind
 from .fixedpoint import FixedPointDivergence, NonlocalProblem, assemble_feedback_matrix, solve_nonlocal, solve_nonlocal_direct
 from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
 from .montecarlo import MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
@@ -60,7 +60,6 @@ VALIDATION_ERRORS = (
     CoefficientError,
     NonlocalValidationError,
     ExprError,
-    EvalError,
     MonteCarloError,
     SolutionRangeError,
 )
@@ -114,7 +113,7 @@ def _built(where: str, build, *args, **kwargs):
     and a coupling's fault by the path of its entry, as in `gamma.parts[1].t1: ...`."""
     try:
         return build(*args, **kwargs)
-    except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError, EvalError) as e:
+    except (GridError, CoefficientError, MonteCarloError, NonlocalValidationError) as e:
         entry = getattr(e, "entry", "")
         raise ConfigError(f"{where}{entry and '.'}{entry}: {e}") from None
 
@@ -151,28 +150,19 @@ def _source(value, path: str):
 
 
 def _time_kernel(value, path: str):
-    """The time kernel at dotted `path`: a number or an expression in t, as
-    an Expr, or a list of [t, value] pairs of numbers."""
+    """The time kernel at dotted `path`: a number or an expression, as an
+    Expr, or a list of [t, value] pairs of numbers; the compile checks the rest."""
     if not isinstance(value, list):
-        e = _expr(value, path)
-        unbound = sorted(free_variables(e) - {"t"})
-        if unbound:
-            raise ConfigError(f"{path}: unbound identifier '{unbound[0]}'")
-        return e
+        return _expr(value, path)
     pairs = "a sampled time kernel must be a sequence of (time, value) pairs"
-    if not value:
-        raise ConfigError(f"{path}: {pairs}, got []")
     samples = []
     for i, pair in enumerate(value):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"{path}[{i}]: {pairs}, got {pair!r}")
         try:
-            t, k = (_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(pair))
+            samples.append([_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(pair)])
         except ConfigError as e:
             raise ConfigError(f"{e} ({pairs})") from None
-        if not math.isfinite(t):
-            raise ConfigError(f"{path}[{i}][0]: a sample time must be finite, got {t!r}")
-        samples.append((t, k))
     return samples
 
 
@@ -312,7 +302,9 @@ def load_config(path: str, out_override: str | None = None, seed_override: int |
     seed = mc["seed"] if seed_override is None else int(seed_override)
     paths = _built("montecarlo", PathConfig, dt_mc=mc["dt_mc"], n_paths=mc["n_paths"], seed=seed)
     for i, pt in enumerate(mc["points"]):
-        if not (isinstance(pt, list) and len(pt) == domain.dim + 1 and all(type(v) in (int, float) for v in pt)):
+        # a number that float() takes: not a boolean, nor an integer beyond the double range
+        numbers = isinstance(pt, list) and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in pt)
+        if not (numbers and len(pt) == domain.dim + 1):
             form = "[x1, s]" if domain.dim == 1 else "[x1, x2, s]"
             raise ConfigError(f"montecarlo.points[{i}]: must be {domain.dim + 1} numbers {form}, got {pt!r}")
     outdir = Path(out_override) if out_override else base_dir / entries["output"]["dir"]
@@ -339,16 +331,16 @@ def _validation_block(cfg: RunConfig) -> dict:
     block.update({"sup_f1": env.sup_f1, "c_beta": env.c_beta, "delta_qv": env.delta_qv})
     theta_gap = cfg.entries["montecarlo"]["theta_gap"]
     if cfg.problem is not None:
-        gr = cfg.problem.compiled.report()
+        gamma = cfg.problem.compiled
         block.update(
             {
-                "gamma_theta": gr.theta,
-                "gamma_norm_bound": gr.norm_bound,
-                "gamma_snap_distances": list(gr.snap_distances),
+                "gamma_theta": gamma.theta,
+                "gamma_norm_bound": gamma.norm_bound,
+                "gamma_snap_distances": list(gamma.snap_distances),
             }
         )
         if theta_gap is None:
-            theta_gap = cfg.grid.T - gr.theta
+            theta_gap = cfg.grid.T - gamma.theta
     if theta_gap is not None:
         nb = confinement_bound(coeffs, cfg.grid, theta_gap)
         block.update({"theta_gap": theta_gap, "nu": nb.nu, "sqrt_nu": nb.sqrt_nu})
@@ -370,7 +362,7 @@ def cmd_cauchy(cfg: RunConfig, validation: dict) -> dict:
 
 def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
     if cfg.problem is None:
-        raise NonlocalValidationError("solve requires a gamma section in the config")
+        raise ConfigError("solve requires a gamma section in the config")
     sol = solve_nonlocal(cfg.problem, **cfg.entries["fixedpoint"])
     if not sol.report.converged:
         raise NonConvergence(
@@ -393,7 +385,7 @@ def cmd_solve(cfg: RunConfig, validation: dict) -> dict:
 
 def cmd_qmatrix(cfg: RunConfig, validation: dict) -> dict:
     if cfg.problem is None:
-        raise NonlocalValidationError("qmatrix requires a gamma section in the config")
+        raise ConfigError("qmatrix requires a gamma section in the config")
     fm = assemble_feedback_matrix(cfg.problem)
     lines = [",".join(repr(float(v)) for v in row) for row in fm.matrix]
     _write_atomic(cfg.outdir / "qmatrix.csv", "\n".join(lines) + "\n")

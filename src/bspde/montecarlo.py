@@ -98,10 +98,13 @@ def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> 
     """Check a start point (x, s) of paths that run to `horizon` against the
     horizon and the grid; return x as a (dim,) array, s clamped to the
     horizon and the number of path steps from s to the horizon."""
+    try:
+        x, s = np.asarray(x, dtype=float).reshape(-1), float(s)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise MonteCarloError(f"start point {x!r} at s = {s!r} must be numbers: {err}") from None
     if s > horizon + 1e-12:
         raise MonteCarloError(f"s = {s} is beyond the horizon T = {horizon}")
     s = min(s, horizon)
-    x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != grid.dim:
         raise MonteCarloError(f"start point {tuple(x.tolist())} must have one coordinate per grid axis ({grid.dim})")
     if not grid.domain.contains(x):
@@ -484,8 +487,12 @@ def compare_mc_pde(
     """
     grid = problem.grid
     paths = problem if mc_coeffs is None else replace(problem, coeffs=mc_coeffs)
-    pts = [(x, s) for *x, s in ([float(v) for v in pt] for pt in points)]
-    values, alive = _simulate(paths, pts, grid.T, cfg)
+    for pt in points:
+        if not len(pt):
+            raise MonteCarloError(f"sample point {pt!r} must end in its time s")
+    starts = [(tuple(x), s) for *x, s in points]
+    values, alive = _simulate(paths, starts, grid.T, cfg)  # checks that every start is numbers
+    pts = [([float(v) for v in x], float(s)) for x, s in starts]
     u = solve_terminal(problem).u
     scale = sup_norm(u)
     interp = Interpolant(grid, u.values)

@@ -21,13 +21,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .exprdsl import EvalError, Expr, parse
+from .exprdsl import EvalError, Expr, ExprError, parse
 from .grid import Grid, SpaceField, SpaceTimeField
 
 
 class NonlocalValidationError(ValueError):
     """A coupling breaks a rule at `entry`, its dotted path inside the coupling:
-    "t1", "parts[1]", "parts[0].theta", or "" for the coupling itself."""
+    "t1", "kernel[0][0]", "parts[0].theta", or "" for the coupling itself."""
 
     def __init__(self, message: str, entry: str = ""):
         super().__init__(message)
@@ -101,16 +101,6 @@ class Convex:
 NonlocalSpec = Union[InitialValue, PointInTime, TwoPoint, TimeKernel, SpaceTimeKernel, Convex]
 
 
-@dataclass(frozen=True)
-class NonlocalReport:
-    """Validation outcome: the effective horizon (largest level the operator
-    reads, as a time), the discrete norm bound, and time-snap distances."""
-
-    theta: float
-    norm_bound: float
-    snap_distances: tuple[float, ...]
-
-
 def _snap_before_T(grid: Grid, t: float, what: str) -> tuple[int, float]:
     if not grid.time_in_range(t):
         raise NonlocalValidationError(f"{what} = {t} lies outside [0, {grid.T}]", what)
@@ -128,7 +118,9 @@ class _Compiled:
     """Discrete realization: per-level scalar weights plus space-time entries,
     applied additively: weight[i] (trapezoid weight and cell volume folded in)
     times u at flat index read[i] = level * n_interior + y, summed per node
-    target[i] by np.bincount in entry order, which is (level, y) for one CSV."""
+    target[i] by np.bincount in entry order, which is (level, y) for one CSV.
+    It is also the coupling's report: its horizon `theta`, its discrete norm
+    bound and the distances its times moved when snapped to levels."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -136,8 +128,12 @@ class _Compiled:
         self.read = self.target = np.zeros(0, dtype=np.intp)
         self.weight = np.zeros(0)
         self.max_level = 0
-        self.snap_distances: list[float] = []
+        self.snap_distances: tuple[float, ...] = ()
         self.norm_bound = 0.0
+
+    @property
+    def theta(self) -> float:
+        return float(self.max_level * self.grid.dt)
 
     def apply(self, u: SpaceTimeField) -> SpaceField:
         if u.grid is not self.grid and u.grid != self.grid:
@@ -149,46 +145,50 @@ class _Compiled:
             out = out + np.bincount(self.target, self.weight * vals.take(self.read), self.grid.n_interior)
         return SpaceField(self.grid, out.reshape(self.grid.interior_shape))
 
-    def report(self) -> NonlocalReport:
-        return NonlocalReport(
-            theta=float(self.max_level * self.grid.dt),
-            norm_bound=self.norm_bound,
-            snap_distances=tuple(self.snap_distances),
-        )
-
 
 def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
+    """The time kernel's values on levels 0..n_levels-1; a fault of it is raised
+    at entry "kernel", or at "kernel[i][0]" for a sample time not finite."""
     ts = grid.times()[:n_levels]
     if isinstance(kernel, (int, float, np.integer, np.floating)):
-        return np.full(n_levels, float(kernel))
-    if isinstance(kernel, (str, Expr)):
-        e = parse(kernel) if isinstance(kernel, str) else kernel
-        with np.errstate(all="ignore"):  # a non-finite value is reported by its time in _compile
-            return np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
-    try:
-        samples = np.asarray(kernel, dtype=float)
-    except (TypeError, ValueError):
-        samples = np.empty(0)  # ragged or not numbers
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise NonlocalValidationError("sampled time kernel must be a sequence of (time, value) pairs")
-    # np.interp needs finite, distinct times; which of two samples at one time wins would be a guess
-    s = samples.tolist()
-    first: dict[float, int] = {}  # time -> index of the first sample at it
-    for i, (t, _) in enumerate(s):
-        if not np.isfinite(t):
-            raise NonlocalValidationError(f"sampled time kernel: sample {i} {s[i]} has a time that is not finite")
-        if t in first:
-            j = first[t]
-            raise NonlocalValidationError(f"sampled time kernel: samples {j} {s[j]} and {i} {s[i]} share a time")
-        first[t] = i
-    order = np.argsort(samples[:, 0])
-    return np.interp(ts, samples[order, 0], samples[order, 1])
+        kv = np.full(n_levels, float(kernel))
+    elif isinstance(kernel, (str, Expr)):
+        try:
+            e = parse(kernel) if isinstance(kernel, str) else kernel
+            with np.errstate(all="ignore"):  # a non-finite value is reported by its time below
+                kv = np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
+        except (ExprError, EvalError) as err:
+            raise NonlocalValidationError(str(err), "kernel") from None
+    else:
+        try:
+            samples = np.asarray(kernel, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            samples = np.empty(0)  # ragged or not numbers
+        if samples.ndim != 2 or samples.shape[1] != 2 or not samples.size:
+            pairs = f"a sampled time kernel must be a sequence of (time, value) pairs, got {kernel!r}"
+            raise NonlocalValidationError(pairs, "kernel")
+        # np.interp needs finite, distinct times; which of two samples at one time wins would be a guess
+        s = samples.tolist()
+        first: dict[float, int] = {}  # time -> index of the first sample at it
+        for i, (t, _) in enumerate(s):
+            if not np.isfinite(t):
+                raise NonlocalValidationError(f"a sample time must be finite, got {t!r}", f"kernel[{i}][0]")
+            j = first.setdefault(t, i)
+            if j != i:
+                same = f"sampled time kernel: samples {j} {s[j]} and {i} {s[i]} share a time"
+                raise NonlocalValidationError(same, "kernel")
+        order = np.argsort(samples[:, 0])
+        kv = np.interp(ts, samples[order, 0], samples[order, 1])
+    bad = np.flatnonzero(~np.isfinite(kv))
+    if bad.size:
+        _finite(kv[bad[0]], f"time kernel k({int(bad[0]) * grid.dt!r})", "kernel")
+    return kv
 
 
-def _finite(weight, name: str) -> None:
+def _finite(weight, name: str, entry: str = "") -> None:
     """Reject a NaN or infinite coupling weight, which every bound check passes or misreads."""
     if not np.isfinite(weight):
-        raise NonlocalValidationError(f"{name} = {weight} is not finite")
+        raise NonlocalValidationError(f"{name} = {weight} is not finite", entry)
 
 
 def _point_terms(spec) -> list[tuple[str, float, str | None, float | None]]:
@@ -206,29 +206,25 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
     if isinstance(spec, (InitialValue, PointInTime, TwoPoint)):
         terms = _point_terms(spec)  # the times are checked before the weights
         snaps = [(0, None) if tname is None else _snap_before_T(grid, t, tname) for _, _, tname, t in terms]
+        c.snap_distances = tuple(dist for _, dist in snaps if dist is not None)
         for name, w, _, _ in terms:
             _finite(w, name)
         total = sum(abs(w) for _, w, _, _ in terms)
         if total > 1:
             names = " + ".join(f"|{name}|" for name, _, _, _ in terms)
             raise NonlocalValidationError(f"{names} = {total} exceeds 1")
-        for (_, w, _, _), (k, dist) in zip(terms, snaps):
-            if dist is not None:
-                c.snap_distances.append(dist)
+        for (_, w, _, _), (k, _) in zip(terms, snaps):
             c.level_weights[k] += w
             c.max_level = max(c.max_level, k)
         c.norm_bound = total
     elif isinstance(spec, (TimeKernel, SpaceTimeKernel)):
         k_theta, dist = _snap_before_T(grid, spec.theta, "theta")
-        c.snap_distances.append(dist)
+        c.snap_distances = (dist,)
         c.max_level = k_theta
         w = np.full(k_theta + 1, grid.dt if k_theta else 0.0)  # trapezoid weights; all 0 when theta's level is 0
         w[[0, -1]] *= 0.5
         if isinstance(spec, TimeKernel):
             kv = _resample_time_kernel(spec.kernel, grid, k_theta + 1)
-            bad = np.flatnonzero(~np.isfinite(kv))
-            if bad.size:
-                _finite(kv[bad[0]], f"time kernel k({int(bad[0]) * grid.dt!r})")
             c.level_weights[: k_theta + 1] = w * kv
             c.norm_bound = float(np.sum(w * np.abs(kv)))
             what, where = "time-kernel quadrature of the absolute kernel is", ""
@@ -264,9 +260,8 @@ def _compile(spec: NonlocalSpec, grid: Grid) -> _Compiled:
         for i, (w, part) in enumerate(zip(ws, spec.parts)):
             try:
                 sub = _compile(part, grid)
-            except (NonlocalValidationError, EvalError) as e:  # named by its part
-                inner = getattr(e, "entry", "")
-                raise NonlocalValidationError(str(e), f"parts[{i}]" + (inner and f".{inner}")) from None
+            except NonlocalValidationError as e:  # named by its part
+                raise NonlocalValidationError(str(e), f"parts[{i}]" + (e.entry and f".{e.entry}")) from None
             c.level_weights += w * sub.level_weights
             c.read = np.concatenate([c.read, sub.read])
             c.target = np.concatenate([c.target, sub.target])

@@ -14,7 +14,6 @@ from bspde import (
     Grid,
     InitialValue,
     KernelEntries,
-    NonlocalReport,
     PointInTime,
     SpaceField,
     SpaceTimeField,
@@ -25,13 +24,13 @@ from bspde import (
     make_grid,
     stepper,
 )
-from bspde.nonlocal_ops import _compile
+from bspde.nonlocal_ops import _Compiled, _compile
 
 
-def validate_spec(spec, grid: Grid) -> NonlocalReport:
-    """The coupling's report on grid: its horizon, norm bound and snap distances;
-    raises NonlocalValidationError when it breaks a rule."""
-    return _compile(spec, grid).report()
+def validate_spec(spec, grid: Grid) -> _Compiled:
+    """The coupling compiled on grid, which reports its horizon `theta`, norm
+    bound and snap distances; raises NonlocalValidationError when it breaks a rule."""
+    return _compile(spec, grid)
 
 
 def apply_nonlocal(spec, u: SpaceTimeField) -> SpaceField:

@@ -190,6 +190,10 @@ def test_integral_number_entries_are_read_as_integers(tmp_path):
             {"gamma": {"type": "convex", "weights": [1.0], "parts": [{"type": "time_kernel", "theta": 0.5, "kernel": "x"}]}},
             "gamma.parts[0].kernel: unbound identifier 'x'",
         ),
+        (
+            {"gamma": {"type": "time_kernel", "theta": 0.9, "kernel": "exp(1000*t)"}},
+            "gamma.kernel: time kernel k(0.72) = inf is not finite",
+        ),
     ],
 )
 def test_an_expression_entry_names_its_path(tmp_path, capsys, overrides, message):
@@ -350,11 +354,11 @@ def test_a_kernel_csv_fault_names_the_csv_entry(tmp_path, capsys):
         ),
         (
             {"type": "time_kernel", "theta": 0.5, "kernel": "sqrt(t - 2)"},
-            "invalid configuration: gamma: sqrt of a negative value",
+            "invalid configuration: gamma.kernel: sqrt of a negative value",
         ),
         (
             {"type": "convex", "weights": [0.5, 0.5], "parts": [{"type": "initial_value", "weight": 0.5}, {"type": "time_kernel", "theta": 0.5, "kernel": "sqrt(t - 2)"}]},
-            "invalid configuration: gamma.parts[1]: sqrt of a negative value",
+            "invalid configuration: gamma.parts[1].kernel: sqrt of a negative value",
         ),
     ],
 )
@@ -618,7 +622,12 @@ def test_mccheck_command(tmp_path):
 
 @pytest.mark.parametrize(
     "points,where",
-    [([[0.5]], "montecarlo.points[0]"), ([[0.5, 0.0, 7.0]], "montecarlo.points[0]"), (5, "montecarlo.points")],
+    [
+        ([[0.5]], "montecarlo.points[0]"),
+        ([[0.5, 0.0, 7.0]], "montecarlo.points[0]"),
+        (5, "montecarlo.points"),
+        ([[0.5, 10**400]], "montecarlo.points[0]"),  # an integer beyond the double range
+    ],
 )
 def test_malformed_mc_points_are_a_validation_failure(tmp_path, capsys, points, where):
     cfg = write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7, "points": points})
@@ -909,7 +918,7 @@ def test_time_kernel_samples_at_one_time_are_a_validation_failure(tmp_path, caps
     cfg = write_config(tmp_path / "c.json", gamma={"type": "time_kernel", "theta": 0.5, "kernel": samples})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert f"invalid configuration: gamma: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err
+    assert f"invalid configuration: gamma.kernel: sampled time kernel: samples 0 {samples[0]} and 1 {samples[1]} share a time" in err
 
 
 @pytest.mark.parametrize("path", [("gamma",), ("coefficients", "f"), ("data", "source")], ids=".".join)

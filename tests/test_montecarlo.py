@@ -319,6 +319,14 @@ START_FAULTS = {
         MonteCarloError, "start point (0.5, 0.5) must have one coordinate per grid axis (1)", x=(0.5, 0.5)
     ),
     "x-empty": Fault(MonteCarloError, "start point () must have one coordinate per grid axis (1)", x=()),
+    "x-not-a-number": Fault(
+        MonteCarloError, "start point ('a',) at s = 0.0 must be numbers: could not convert string to float: 'a'", x=("a",)
+    ),
+    "x-beyond-the-double-range": Fault(
+        MonteCarloError,
+        f"start point ({10**400},) at s = 0.0 must be numbers: int too large to convert to float",
+        x=(10**400,),
+    ),
     "beyond-the-horizon": Fault(MonteCarloError, "s = 1.2 is beyond the horizon T = 1.0", s=1.2),
     "s-nan": Fault(MonteCarloError, "need 0 <= s <= horizon, got s=nan", s=math.nan),
     "dt_mc-above-the-grid-step": Fault(MonteCarloError, "dt_mc = 0.1 exceeds the grid step 0.01", dt_mc=0.1),
@@ -369,6 +377,21 @@ def test_every_path_estimate_refuses_a_fault_with_the_same_message(estimate, fau
     problem = CauchyProblem(g, CoefficientSet.create(1, **fault.coeffs))
     with pytest.raises(fault.error, match=re.escape(fault.message)):
         ESTIMATES[estimate](problem, fault, PathConfig(dt_mc=fault.dt_mc, n_paths=100, seed=1))
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ([], "sample point [] must end in its time s"),
+        ([0.5, "a"], "start point (0.5,) at s = 'a' must be numbers: could not convert string to float: 'a'"),
+        ([0.5, 10**400], f"start point (0.5,) at s = {10**400} must be numbers: int too large to convert to float"),
+    ],
+    ids=["empty", "s-not-a-number", "s-beyond-the-double-range"],
+)
+def test_compare_mc_pde_refuses_a_point_that_is_not_numbers(point, message):
+    _, g, coeffs, _ = heat_setup(nx=21, nt=100)
+    with pytest.raises(MonteCarloError, match=f"^{re.escape(message)}$"):
+        compare_mc_pde(CauchyProblem(g, coeffs), [[0.5, 0.0], point], PathConfig(dt_mc=0.01, n_paths=100, seed=1))
 
 
 def test_compare_mc_pde_zero_problem():

@@ -6,6 +6,7 @@ import pytest
 from bspde import (
     Convex,
     Domain,
+    EvalError,
     InitialValue,
     KernelEntries,
     NonlocalValidationError,
@@ -192,17 +193,17 @@ def test_a_non_finite_weight_is_rejected_by_name(grid, spec, name):
 @pytest.mark.parametrize(
     "samples,message",
     [
-        ([[np.nan, 0.1], [0.5, 0.2]], r"sample 0 \[nan, 0\.1\] has a time that is not finite"),
-        ([[0.0, 0.1], [np.inf, 0.2]], r"sample 1 \[inf, 0\.2\] has a time that is not finite"),
-        ([[0, 0.1], [0, 0.9], [0.5, 0.9]], r"samples 0 \[0\.0, 0\.1\] and 1 \[0\.0, 0\.9\] share a time"),
-        ([[0, 0.9], [0, 0.1], [0.5, 0.9]], r"samples 0 \[0\.0, 0\.9\] and 1 \[0\.0, 0\.1\] share a time"),
-        ([[0.5, 0.9], [0.25, 0.1], [0.5, 0.2]], r"samples 0 \[0\.5, 0\.9\] and 2 \[0\.5, 0\.2\] share a time"),
+        ([[np.nan, 0.1], [0.5, 0.2]], r"a sample time must be finite, got nan"),
+        ([[0.0, 0.1], [np.inf, 0.2]], r"a sample time must be finite, got inf"),
+        ([[0, 0.1], [0, 0.9], [0.5, 0.9]], r"sampled time kernel: samples 0 \[0\.0, 0\.1\] and 1 \[0\.0, 0\.9\] share a time"),
+        ([[0, 0.9], [0, 0.1], [0.5, 0.9]], r"sampled time kernel: samples 0 \[0\.0, 0\.9\] and 1 \[0\.0, 0\.1\] share a time"),
+        ([[0.5, 0.9], [0.25, 0.1], [0.5, 0.2]], r"sampled time kernel: samples 0 \[0\.5, 0\.9\] and 2 \[0\.5, 0\.2\] share a time"),
     ],
     ids=["nan-time", "inf-time", "same-time", "same-time-swapped", "same-time-apart"],
 )
 def test_time_kernel_samples_without_one_time_order_are_rejected_by_name(grid, samples, message):
     # np.interp needs finite, strictly increasing times; any order of them would be a guess
-    with pytest.raises(NonlocalValidationError, match=rf"^sampled time kernel: {message}$"):
+    with pytest.raises(NonlocalValidationError, match=rf"^{message}$"):
         validate_spec(TimeKernel(theta=0.5, kernel=samples), grid)
 
 
@@ -226,15 +227,19 @@ def test_a_point_coupling_over_the_bound_names_its_weights(grid, spec, message):
         (TwoPoint(0.5, 0.25, 0.25, 1.5), "t2"),
         (Convex(weights=(0.5, 0.5), parts=(InitialValue(0.5), TimeKernel(theta=-0.1, kernel=1.0))), "parts[1].theta"),
         (Convex(weights=(0.5,), parts=(Convex(weights=(0.5, 0.5), parts=(InitialValue(0.5), PointInTime(0.5, 1.0))),)), "parts[0].parts[1].t1"),
-        (Convex(weights=(0.5,), parts=(TimeKernel(theta=0.5, kernel="sqrt(t - 2)"),)), "parts[0]"),
+        (Convex(weights=(0.5,), parts=(TimeKernel(theta=0.5, kernel="sqrt(t - 2)"),)), "parts[0].kernel"),
         (TimeKernel(theta=0.5, kernel=2.1), ""),
+        (TimeKernel(theta=0.5, kernel="x1"), "kernel"),
+        (TimeKernel(theta=0.5, kernel=[[np.nan, 1.0], [0.5, 1.0]]), "kernel[0][0]"),
+        (Convex(weights=(0.5,), parts=(TimeKernel(theta=0.5, kernel="x"),)), "parts[0].kernel"),
     ],
-    ids=["time", "part-time", "nested-part-time", "part-eval", "bound"],
+    ids=["time", "part-time", "nested-part-time", "part-eval", "bound", "kernel-var", "kernel-nan-time", "part-kernel-var"],
 )
 def test_a_coupling_fault_names_its_entry(grid, spec, entry):
     with pytest.raises(NonlocalValidationError) as err:
         validate_spec(spec, grid)
     assert err.value.entry == entry
+    assert not isinstance(err.value, EvalError)
 
 
 def test_effective_theta_is_max_over_parts(grid):

@@ -14,12 +14,14 @@ fault messages), `eigenmode-mc-101-batches` (eigenmode-mc-101 with 140000
 paths, so three batches with a short last one, and one more point at the
 horizon, whose group takes no steps beside the groups that do), the inputs of
 `MC_FAULTS` (eigenmode-mc-101 with one fault each in its Monte-Carlo section,
-so that their stderr fingerprints the path engine's checks) and TREE's
-`configs/eigenmode.json` under the new directory OUT, runs each of the seven
-commands on each input in a fresh process with OPENBLAS_NUM_THREADS=1 and
-relative paths, and writes OUT/runs.jsonl: one JSON line per run with the
-input name, the command, the exit code, and the sha256 of stderr and of
-every artifact.  `report.json` is hashed without its `timing_seconds`.
+so that their stderr fingerprints the path engine's checks), the inputs of
+`TK_FAULTS` (grid-2d-101, whose coupling is a time kernel, with one fault
+each in that kernel, so that their stderr fingerprints the coupling's
+checks) and TREE's `configs/eigenmode.json` under the new directory OUT,
+runs each of the seven commands on each input in a fresh process with
+OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
+JSON line per run with the input name, the command, the exit code, and the
+sha256 of stderr and of every artifact.  `report.json` is hashed without its `timing_seconds`.
 
 A change that should not alter any output is byte-identical to its parent
 when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
@@ -60,6 +62,16 @@ MC_FAULTS = {
     "point-beyond-T": lambda config: config["montecarlo"].update(points=[[0.5, 1.2]]),
     "dt_mc-above-grid-step": lambda config: config["montecarlo"].update(dt_mc=0.1),
     "dt_mc-tiny": lambda config: config["montecarlo"].update(dt_mc=1e-300),
+}
+# grid-2d-101 (grid step 0.025 up to T = 1, a time_kernel coupling) with one
+# fault of the time kernel: name -> edit of its config
+TK_FAULTS = {
+    "kernel-var": lambda config: config["gamma"].update(kernel="x1"),
+    "kernel-empty": lambda config: config["gamma"].update(kernel=[]),
+    "kernel-nan-time": lambda config: config["gamma"].update(kernel=[[float("nan"), 1.0], [0.5, 1.0]]),
+    "sqrt": lambda config: config["gamma"].update(kernel="sqrt(t - 2)"),
+    "same-time": lambda config: config["gamma"].update(kernel=[[0.0, 1.0], [0.0, 0.5]]),
+    "exp": lambda config: config["gamma"].update(kernel="exp(1000*t)", theta=0.9),
 }
 
 
@@ -130,6 +142,7 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
     dirs += [_fault(out / "picard-1d-101", out / f"picard-1d-101-{name}", edit) for name, edit in FAULTS.items()]
     edits = {"batches": _batches, **MC_FAULTS}
     dirs += [_edited(out / "eigenmode-mc-101", out / f"eigenmode-mc-101-{name}", edit) for name, edit in edits.items()]
+    dirs += [_edited(out / "grid-2d-101", out / f"grid-2d-101-{name}", edit) for name, edit in TK_FAULTS.items()]
     d = out / "eigenmode"
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
