@@ -1,7 +1,11 @@
 """Operator data: diffusion matrix b, drift f, zeroth-order lam, gradient
 weights beta, with uniform-ellipticity validation and the square-root
 decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T that the
-path simulator drives its noise with.
+path simulator drives its noise with.  The columns btilde_j are the symmetric
+positive root of the residual 2b - sum beta_i beta_i^T, one closed form
+(`_spd_root`) on flat arrays of its entries: `noise_at` applies the entries to
+a variable path step's draws directly, with no (npts, n, n) stack, and
+`columns_at` stacks them for the constant step.
 
 Entries are either plain numbers or exprdsl expressions of the variables
 `exprdsl.bind` gives; evaluation is pointwise and vectorized over positions.
@@ -129,13 +133,52 @@ class CoefficientSet:
                 out[k, :, i] = _eval_entry(vec[i], env, (npts,))
         return out
 
+    def _noise_root(self, points: np.ndarray, t: float) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+        """The gradient weights at points, (N, npts, n), or None when N = 0,
+        and the entries of the symmetric positive root of the residual
+        diffusion 2b - sum_i beta_i beta_i^T there, b symmetrized: (r00,) in
+        1-D, (r00, r01, r11) in 2-D, each of shape (npts,)."""
+        env = bind(points.T, t)
+        npts = points.shape[0]
+        b = [[_eval_entry(e, env, (npts,)) for e in row] for row in self.b]
+        bs = self.beta_at(points, t) if self.n_beta else None
+
+        def resid(i, j):
+            r = 2.0 * (b[i][i] if i == j else 0.5 * (b[i][j] + b[j][i]))
+            if bs is not None:  # the sum of products over beta that einsum("kpi,kpj->pij") forms
+                r = r - sum(bs[k, :, i] * bs[k, :, j] for k in range(self.n_beta))
+            return r
+
+        if self.dim == 1:
+            return bs, _spd_root(resid(0, 0))
+        return bs, _spd_root(resid(0, 0), resid(0, 1), resid(1, 1))
+
     def columns_at(self, points: np.ndarray, t: float) -> np.ndarray:
         """(npts, n, n) noise columns btilde_j at arbitrary (strictly evaluable) points."""
-        resid = 2.0 * self.b_at(points, t)
-        if self.n_beta:  # an einsum over no beta is zero, but takes 0.13 ms for 1e4 points at every path step
-            bs = self.beta_at(points, t)  # (N, npts, n)
-            resid -= np.einsum("kpi,kpj->pij", bs, bs)
-        return _spd_sqrt(resid)
+        _, r = self._noise_root(points, t)
+        if self.dim == 1:
+            return r[0][:, None, None]
+        r00, r01, r11 = r
+        return np.stack([r00, r01, r01, r11], axis=-1).reshape(-1, 2, 2)
+
+    def noise_at(self, points: np.ndarray, t: float, draws: np.ndarray) -> list[np.ndarray]:
+        """The noise of one path step at points per unit sqrt(dt), from one row
+        of standard normals per point: draws[:, N:] drive the columns btilde_j
+        and draws[:, :N] the beta_i.  Returns the btilde term, then (N > 0)
+        the beta term, each (npts, n); the root's entries are applied to the
+        draws in the order of columns_at(...) @ draws[:, N:], and no (npts, n, n)
+        stack is built."""
+        N = self.n_beta
+        bs, r = self._noise_root(points, t)
+        d = draws[:, N:]
+        if self.dim == 1:
+            terms = [r[0][:, None] * d]
+        else:
+            r00, r01, r11 = r
+            terms = [np.stack([r00 * d[:, 0] + r01 * d[:, 1], r01 * d[:, 0] + r11 * d[:, 1]], axis=-1)]
+        if N:
+            terms.append(np.einsum("knd,nk->nd", bs, draws[:, :N]))
+        return terms
 
     @property
     def lam_is_zero(self) -> bool:
@@ -283,22 +326,19 @@ def bounds(coeffs: CoefficientSet, grid: Grid) -> CoefficientBounds:
     return _survey(coeffs, grid)[1]
 
 
-def _spd_sqrt(mats: np.ndarray) -> np.ndarray:
-    """Symmetric positive square root of an (npts, n, n) SPD stack (n <= 2)."""
-    n = mats.shape[-1]
-    if n == 1:
-        v = mats[:, 0, 0]
-        if np.any(v <= 0):
+def _spd_root(a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Entries of the symmetric positive square root of the SPD matrices
+    [[a, b], [b, c]], given entry by entry as (npts,) arrays, in closed form:
+    with s = sqrt(ac - b^2) and d = sqrt(a + c + 2s) the root is
+    [[a + s, b], [b, c + s]] / d.  In 1-D (a alone) it is sqrt(a)."""
+    if b is None:
+        if np.any(a <= 0):
             raise CoefficientError("residual diffusion is not positive definite")
-        return np.sqrt(v)[:, None, None]
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        return (np.sqrt(a),)
     det = a * c - b * b
     tr = a + c
     if np.any(det <= 0) or np.any(tr <= 0):
         raise CoefficientError("residual diffusion is not positive definite")
     s = np.sqrt(det)
-    denom = np.sqrt(tr + 2.0 * s)
-    out = mats.copy()
-    out[:, 0, 0] += s
-    out[:, 1, 1] += s
-    return out / denom[:, None, None]
+    d = np.sqrt(tr + 2.0 * s)
+    return (a + s) / d, b / d, (c + s) / d

@@ -246,25 +246,28 @@ class Interpolant:
         self.grid = grid
         self.full = np.zeros((levels.shape[0],) + grid.nx)
         self.full[(slice(None),) + (slice(1, -1),) * grid.dim] = levels
+        self.strides = [math.prod(grid.nx[a + 1 :]) for a in range(grid.dim)]  # of a level's flat nodes
 
     def __call__(self, pts: np.ndarray, level: int = 0) -> np.ndarray:
-        """Level `level` at the positions pts, shape (n, dim); the 2**dim
-        corners of a cell are summed with the first axis varying fastest."""
+        """Level `level` at the positions pts, shape (n, dim); each of the
+        2**dim corners of a cell is read with one `take` at the cell's flat
+        base index plus the corner's offset, and the corners are summed with
+        the first axis varying fastest."""
         g = self.grid
-        coords = [(pts[:, a] - g.domain.lo[a]) / g.hx[a] for a in range(g.dim)]  # node i of an axis at i
-        full = self.full[level]
-        nodes, weights = [], []
-        for n, u in zip(self.grid.nx, coords):
-            c = np.clip(np.floor(u).astype(int), 0, n - 2)
+        full = self.full[level].ravel()
+        base, offsets, weights = None, [0], []
+        for a, (n, stride) in enumerate(zip(g.nx, self.strides)):
+            u = (pts[:, a] - g.domain.lo[a]) / g.hx[a]  # node i of the axis at i
+            c = np.clip(np.floor(u).astype(np.intp), 0, n - 2)
             f = np.clip(u - c, 0.0, 1.0)
-            nodes.append((c, c + 1))
+            base = c if base is None else base * n + c
+            offsets += [o + stride for o in offsets]
             weights.append((1 - f, f))
         total = None
-        for corner in range(1 << len(coords)):
-            sides = [(corner >> a) & 1 for a in range(len(coords))]
-            term = full[tuple(i[s] for i, s in zip(nodes, sides))]
-            for w, s in zip(weights, sides):
-                term = term * w[s]
+        for corner, offset in enumerate(offsets):
+            term = full.take(base + offset if offset else base)
+            for a, w in enumerate(weights):
+                term = term * w[(corner >> a) & 1]
             total = term if total is None else total + term
         return total
 

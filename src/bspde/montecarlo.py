@@ -26,6 +26,11 @@ total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path
 values, points x n_paths doubles held to the end, exceed the grid's
 MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
+A constant-coefficient step multiplies the draws by the noise columns found
+once (`CoefficientSet.columns_at`); a variable step takes its noise from
+`CoefficientSet.noise_at` at the paths' positions, which applies the entries
+of the closed-form root to the draws, the order of a matrix product.
+
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
 from the level at or before the step's time, and the grid solution at each
@@ -94,14 +99,19 @@ class McEstimate:
     n_exited: int
 
 
+def _numbers(x, s) -> tuple[np.ndarray, float]:
+    """A start point (x, s) as a flat float array and a float, or MonteCarloError."""
+    try:
+        return np.asarray(x, dtype=float).reshape(-1), float(s)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise MonteCarloError(f"start point {x!r} at s = {s!r} must be numbers: {err}") from None
+
+
 def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> tuple[np.ndarray, float, int]:
     """Check a start point (x, s) of paths that run to `horizon` against the
     horizon and the grid; return x as a (dim,) array, s clamped to the
     horizon and the number of path steps from s to the horizon."""
-    try:
-        x, s = np.asarray(x, dtype=float).reshape(-1), float(s)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise MonteCarloError(f"start point {x!r} at s = {s!r} must be numbers: {err}") from None
+    x, s = _numbers(x, s)
     if s > horizon + 1e-12:
         raise MonteCarloError(f"s = {s} is beyond the horizon T = {horizon}")
     s = min(s, horizon)
@@ -275,9 +285,8 @@ def _simulate(
                             dy += root_dt * _matmul(d[:, :N], beta_c)
                     else:
                         dy = coeffs.f_at(y_eval, t) * dt_eff
-                        dy += root_dt * np.einsum("ndm,nm->nd", coeffs.columns_at(y_eval, t), d[:, N:])
-                        if N:
-                            dy += root_dt * np.einsum("knd,nk->nd", coeffs.beta_at(y_eval, t), d[:, :N])
+                        for noise in coeffs.noise_at(y_eval, t, d):
+                            dy += root_dt * noise
                     y += dy
                     del d, dy, y_eval  # freed before a compaction copies the state
                     gone = np.zeros(len(y), dtype=bool)
@@ -340,9 +349,15 @@ def confinement_probability(
     problem: CauchyProblem, x, s: float, theta_gap: float, cfg: PathConfig
 ) -> McEstimate:
     """Fraction of the problem's paths still inside the box at s + theta_gap,
-    with binomial stderr; the paths carry no payoff."""
-    if theta_gap < 0:
-        raise MonteCarloError("theta_gap must be >= 0")
+    with binomial stderr; the paths carry no payoff.  The start and the gap
+    are checked as numbers before they are added up to the paths' horizon."""
+    x, s = _numbers(x, s)
+    try:
+        theta_gap = float(theta_gap)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise MonteCarloError(f"theta_gap = {theta_gap!r} must be a number: {err}") from None
+    if not theta_gap >= 0:
+        raise MonteCarloError(f"theta_gap must be >= 0, got {theta_gap}")
     paths = CauchyProblem(problem.grid, problem.coeffs)
     _, (alive,) = _simulate(paths, [(x, s)], s + theta_gap, cfg)
     p = float(np.mean(alive))

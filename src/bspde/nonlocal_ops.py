@@ -150,6 +150,9 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
     """The time kernel's values on levels 0..n_levels-1; a fault of it is raised
     at entry "kernel", or at "kernel[i][0]" for a sample time not finite."""
     ts = grid.times()[:n_levels]
+    if isinstance(kernel, (bool, np.bool_)):  # not the number 0 or 1
+        what = f"a time kernel must be a number, an expression in t or samples, got {kernel!r}"
+        raise NonlocalValidationError(what, "kernel")
     if isinstance(kernel, (int, float, np.integer, np.floating)):
         kv = np.full(n_levels, float(kernel))
     elif isinstance(kernel, (str, Expr)):

@@ -17,7 +17,7 @@ from bspde import (
     make_grid,
     validate,
 )
-from bspde.coefficients import CoefficientError, _samples, _spd_sqrt, _survey, _sym_eig_range
+from bspde.coefficients import CoefficientError, _samples, _survey, _sym_eig_range
 
 from conftest import random_coeffs_1d
 
@@ -256,13 +256,36 @@ def reference_bounds(coeffs, grid):
     return (sup_f1, c_beta, delta_qv)
 
 
+def _reference_spd_sqrt(mats):
+    """Symmetric positive square root of an (npts, n, n) SPD stack (n <= 2),
+    formed on the stack itself: the root the path engine drew with before its
+    closed form moved to flat entry arrays."""
+    n = mats.shape[-1]
+    if n == 1:
+        v = mats[:, 0, 0]
+        if np.any(v <= 0):
+            raise CoefficientError("residual diffusion is not positive definite")
+        return np.sqrt(v)[:, None, None]
+    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    det = a * c - b * b
+    tr = a + c
+    if np.any(det <= 0) or np.any(tr <= 0):
+        raise CoefficientError("residual diffusion is not positive definite")
+    s = np.sqrt(det)
+    denom = np.sqrt(tr + 2.0 * s)
+    out = mats.copy()
+    out[:, 0, 0] += s
+    out[:, 1, 1] += s
+    return out / denom[:, None, None]
+
+
 def reference_max_residual(coeffs, grid):
     pts, _ = _reference_nodes(grid)
     max_resid = 0.0
     for t in grid.times():
         two_b = 2.0 * coeffs.b_at(pts, t)
         outer = _reference_outer(coeffs, pts, t)
-        root = _spd_sqrt(two_b - outer)
+        root = _reference_spd_sqrt(two_b - outer)
         recon = np.einsum("pik,pjk->pij", root, root) + outer
         max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
     return max_resid
@@ -315,6 +338,46 @@ def test_survey_matches_the_per_level_loops(name, grid1, grid2):
             max_residual(c, g)
     else:
         assert max_residual(c, g) == expected
+
+
+# sets the closed-form root serves beyond the survey's: two beta with an
+# off-diagonal b entry that reads t, and entries b12 != b21 that b_at symmetrizes
+NOISE_SETS = {
+    **SURVEY_SETS,
+    "2d-two-beta": (
+        2,
+        dict(
+            b=[["0.3 + 0.1*t", "0.05*cos(t)"], ["0.05*cos(t)", "0.25"]],
+            beta=[["0.3*x1*(1-x1)*x2*(1-x2)", "0.1*x1*(1-x1)*x2*(1-x2)"], ["-0.2*x1*(1-x1)*x2*(1-x2)", "0"]],
+        ),
+    ),
+    "2d-unsymmetric-entries": (2, dict(b=[["0.2", "0.07*x2"], ["0.01 + 0.03*t", "0.15 + 0.1*x1"]])),
+    "2d-indefinite": (2, dict(b=[[0.1, 0.2], [0.2, 0.1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_SETS))
+def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, grid2):
+    """columns_at is the retired root of the stack 2b - sum beta beta^T, and
+    noise_at is its einsum with the draws, then the beta einsum, to the bit."""
+    dim, kw = NOISE_SETS[name]
+    c = CoefficientSet.create(dim, **kw)
+    pts, _, times = _samples(c, grid1 if dim == 1 else grid2)
+    rng = np.random.default_rng(5)
+    for t in times:
+        draws = rng.standard_normal((len(pts), c.n_beta + dim))
+        try:
+            root = _reference_spd_sqrt(2.0 * c.b_at(pts, t) - _reference_outer(c, pts, t))
+        except CoefficientError as err:
+            for refused in (lambda: c.columns_at(pts, t), lambda: c.noise_at(pts, t, draws)):
+                with pytest.raises(CoefficientError, match=f"^{err}$"):
+                    refused()
+            continue
+        want = [np.einsum("ndm,nm->nd", root, draws[:, c.n_beta :])]
+        if c.n_beta:
+            want.append(np.einsum("knd,nk->nd", c.beta_at(pts, t), draws[:, : c.n_beta]))
+        assert c.columns_at(pts, t).tobytes() == root.tobytes()
+        assert [v.tobytes() for v in c.noise_at(pts, t, draws)] == [v.tobytes() for v in want]
 
 
 def test_survey_sets_cover_their_cases(grid1):

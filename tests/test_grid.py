@@ -97,6 +97,51 @@ def test_interpolant_reproduces_cellwise_multilinear_data(dim):
     assert np.array_equal(interp(outside), interp(np.clip(outside, lo, hi)))
 
 
+def _fancy_index_interpolate(interp, pts, level=0):
+    """`Interpolant.__call__` as it was before its corners were read from flat
+    node indices: per axis the clipped cell and fraction, then each corner
+    gathered by fancy indexing with one index array per axis."""
+    g = interp.grid
+    coords = [(pts[:, a] - g.domain.lo[a]) / g.hx[a] for a in range(g.dim)]
+    full = interp.full[level]
+    nodes, weights = [], []
+    for n, u in zip(g.nx, coords):
+        c = np.clip(np.floor(u).astype(int), 0, n - 2)
+        f = np.clip(u - c, 0.0, 1.0)
+        nodes.append((c, c + 1))
+        weights.append((1 - f, f))
+    total = None
+    for corner in range(1 << len(coords)):
+        sides = [(corner >> a) & 1 for a in range(len(coords))]
+        term = full[tuple(i[s] for i, s in zip(nodes, sides))]
+        for w, s in zip(weights, sides):
+            term = term * w[s]
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolant_matches_the_fancy_index_reference_bit_for_bit(dim):
+    rng = np.random.default_rng(90 + dim)
+    lo, hi, nx = (-0.5, 0.25)[:dim], (1.5, 2.0)[:dim], (7, 12)[:dim]  # unequal axes: a swapped stride shows
+    g = make_grid(Domain(lo, hi), nx, 3, 1.0)
+    nodes = [g.axis_coords(a, interior_only=False) for a in range(dim)]
+    interp = Interpolant(g, rng.standard_normal((4,) + g.interior_shape))
+    width = np.asarray(hi) - np.asarray(lo)
+    inside = rng.uniform(lo, hi, size=(300, dim))
+    on_nodes = np.stack([nodes[a][rng.integers(0, nx[a], size=300)] for a in range(dim)], axis=-1)
+    on_wall = rng.uniform(lo, hi, size=(300, dim))
+    axis = rng.integers(0, dim, size=300)
+    on_wall[np.arange(300), axis] = np.stack([lo, hi])[rng.integers(0, 2, size=300), axis]
+    outside = rng.uniform(np.asarray(lo) - width, np.asarray(hi) + width, size=(300, dim))
+    outside = outside[~np.all((outside >= lo) & (outside <= hi), axis=1)]
+    assert len(outside) > 100
+    for pts in (inside, on_nodes, on_wall, outside):
+        for level in range(4):
+            want = _fancy_index_interpolate(interp, pts, level)
+            assert interp(pts, level).tobytes() == want.tobytes()
+
+
 def test_nearest_level_snapping_ties_round_down():
     g = make_grid(Domain((0.0,), (1.0,)), 5, 4, 1.0)  # dt = 0.25
     assert g.nearest_level(0.3) == (1, pytest.approx(0.05))

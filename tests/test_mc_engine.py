@@ -139,6 +139,34 @@ def test_engine_2d_variable_coefficients_with_beta(small_batches):
     _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
 
 
+def test_engine_2d_variable_coefficients_without_beta(small_batches):
+    # no beta, so the residual root is that of 2b alone, with a t-dependent off-diagonal entry
+    g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 11, 20, 1.0)
+    coeffs = CoefficientSet.create(
+        2,
+        b=[["0.1 + 0.05*sin(3*t)", "0.03*cos(2*t) + 0.01*x1"], ["0.03*cos(2*t) + 0.01*x1", "0.08*(1 + 0.5*x1*(1 - x1))"]],
+        f=["0.3*cos(2*t)", "-0.2*x1"],
+        lam="-0.2 - 0.1*x2",
+    )
+    assert coeffs.n_beta == 0 and not validate(coeffs, g).violated
+    term = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+    src = SpaceTimeField.from_function(g, lambda x1, x2, t: x1 * (1 - x1) * x2 * (1 - x2) * np.exp(-t))
+    cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=61)
+    starts = [([0.35, 0.55], 0.0), ([0.6, 0.4], 0.3)]
+    _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
+
+
+def test_engine_1d_variable_coefficients_with_source(small_batches):
+    g = make_grid(Domain((0.0,), (1.0,)), 41, 50, 1.0)
+    coeffs = CoefficientSet.create(1, b="0.15 + 0.1*x*(1 - x) + 0.05*sin(2*t)", f="0.4*(0.5 - x)", lam="-0.3*x - 0.1*t")
+    term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
+    src = SpaceTimeField.from_function(g, lambda x, t: x * (1 - x) * (1 + t))
+    cfg = PathConfig(dt_mc=0.005, n_paths=N_PATHS, seed=73)
+    starts = [([0.5], 0.0), ([0.3], 0.42), ([0.8], 0.0)]
+    _, alive = _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
+    assert not alive[0].all()
+
+
 def test_engine_2d_constant_full_diffusion(small_batches):
     # b12 != 0 gives two full noise columns, so the constant step is a real
     # matrix product over the live rows rather than a scalar multiple

@@ -327,6 +327,13 @@ START_FAULTS = {
         f"start point ({10**400},) at s = 0.0 must be numbers: int too large to convert to float",
         x=(10**400,),
     ),
+    # confinement_probability adds s to theta_gap for its horizon, so it checks s first
+    "s-not-a-number": Fault(
+        MonteCarloError, "start point (0.5,) at s = 'a' must be numbers: could not convert string to float: 'a'", s="a"
+    ),
+    "s-beyond-the-double-range": Fault(
+        MonteCarloError, f"start point (0.5,) at s = {10**400} must be numbers: int too large to convert to float", s=10**400
+    ),
     "beyond-the-horizon": Fault(MonteCarloError, "s = 1.2 is beyond the horizon T = 1.0", s=1.2),
     "s-nan": Fault(MonteCarloError, "need 0 <= s <= horizon, got s=nan", s=math.nan),
     "dt_mc-above-the-grid-step": Fault(MonteCarloError, "dt_mc = 0.1 exceeds the grid step 0.01", dt_mc=0.1),
@@ -345,7 +352,11 @@ START_FAULTS = {
 }
 # the two checks of confinement_probability and confinement_bound themselves
 OWN_FAULTS = {
-    "theta_gap-negative": Fault(MonteCarloError, "theta_gap must be >= 0", theta_gap=-0.5),
+    "theta_gap-negative": Fault(MonteCarloError, "theta_gap must be >= 0, got -0.5", theta_gap=-0.5),
+    "theta_gap-nan": Fault(MonteCarloError, "theta_gap must be >= 0, got nan", theta_gap=math.nan),
+    "theta_gap-beyond-the-double-range": Fault(
+        MonteCarloError, f"theta_gap = {10**400} must be a number: int too large to convert to float", theta_gap=10**400
+    ),
     "b-zero": Fault(MonteCarloError, "smallest eigenvalue of 2b must be positive", coeffs={"b": 0.0}),
 }
 ESTIMATES = {
@@ -367,7 +378,7 @@ PATH_ESTIMATES = ("feynman_kac", "confinement_probability", "compare_mc_pde")
             for e in PATH_ESTIMATES
             if (e, f) != ("confinement_probability", "beyond-the-horizon")
         ),
-        ("confinement_probability", "theta_gap-negative"),
+        *(("confinement_probability", f) for f in OWN_FAULTS if f.startswith("theta_gap")),
         ("confinement_bound", "b-zero"),
     ],
 )

@@ -232,8 +232,21 @@ def test_a_point_coupling_over_the_bound_names_its_weights(grid, spec, message):
         (TimeKernel(theta=0.5, kernel="x1"), "kernel"),
         (TimeKernel(theta=0.5, kernel=[[np.nan, 1.0], [0.5, 1.0]]), "kernel[0][0]"),
         (Convex(weights=(0.5,), parts=(TimeKernel(theta=0.5, kernel="x"),)), "parts[0].kernel"),
+        (TimeKernel(theta=0.5, kernel=True), "kernel"),  # not the constant kernel 1
+        (TimeKernel(theta=0.5, kernel=np.False_), "kernel"),
     ],
-    ids=["time", "part-time", "nested-part-time", "part-eval", "bound", "kernel-var", "kernel-nan-time", "part-kernel-var"],
+    ids=[
+        "time",
+        "part-time",
+        "nested-part-time",
+        "part-eval",
+        "bound",
+        "kernel-var",
+        "kernel-nan-time",
+        "part-kernel-var",
+        "kernel-bool",
+        "kernel-numpy-bool",
+    ],
 )
 def test_a_coupling_fault_names_its_entry(grid, spec, entry):
     with pytest.raises(NonlocalValidationError) as err:

@@ -25,6 +25,19 @@ sha256 of stderr and of every artifact.  `report.json` is hashed without its `ti
 
 A change that should not alter any output is byte-identical to its parent
 when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
+
+    python3 tools/artifacts.py --check
+    python3 tools/artifacts.py --update
+
+check this checkout's outputs against the checked-in fingerprints,
+`tools/fingerprints.jsonl`: its first line holds the numpy and scipy versions
+and the machine they were made on, every other line is a line of runs.jsonl.
+`--check` runs the tool on this checkout in a temporary directory and prints
+the input and command of each run whose line differs, with what differs; it
+exits 0 when every line matches and 1 otherwise.  The hashes depend on numpy,
+scipy and the platform, so on other versions it runs nothing, says so and
+exits 3.  `--update` runs the tool and rewrites the file; a change meant to
+alter an output updates it in the same commit.
 """
 
 from __future__ import annotations
@@ -32,9 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -43,6 +59,7 @@ sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
 import workloads  # noqa: E402
 
+FINGERPRINTS = HERE / "tools" / "fingerprints.jsonl"
 SEEDS = (101, 102)
 COMMANDS = ("validate", "cauchy", "solve", "qmatrix", "mccheck", "nubound", "converge")
 RUN_CLI = "import sys; from bspde.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -150,14 +167,8 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
     return dirs
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    if out.exists():
-        print(f"{out} exists; give a new directory", file=sys.stderr)
-        return 2
+def _run(tree: Path, out: Path) -> list[str]:
+    """Run every command on every input under out; return the runs.jsonl lines."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     lines = []
     for d in _inputs(tree, out):
@@ -179,6 +190,71 @@ def main(argv: list[str]) -> int:
             }
             lines.append(json.dumps(line, sort_keys=True))
             print(f"{d.name} {cmd}: exit {proc.returncode}", file=sys.stderr, flush=True)
+    return lines
+
+
+def _versions() -> dict:
+    return {"numpy": version("numpy"), "scipy": version("scipy"), "machine": platform.machine()}
+
+
+def _differences(want: dict, got: dict) -> list[str]:
+    """What differs between two runs.jsonl lines of one input and command."""
+    diff = [key for key in ("exit", "stderr") if want[key] != got[key]]
+    names = sorted(set(want["artifacts"]) | set(got["artifacts"]))
+    return diff + [n for n in names if want["artifacts"].get(n) != got["artifacts"].get(n)]
+
+
+def _run_here() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run(HERE, Path(tmp) / "out")
+
+
+def _update() -> int:
+    lines = _run_here()
+    FINGERPRINTS.write_text("\n".join([json.dumps(_versions(), sort_keys=True), *lines]) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} runs to {FINGERPRINTS}", file=sys.stderr)
+    return 0
+
+
+def _check() -> int:
+    if not FINGERPRINTS.exists():
+        print(f"there is no {FINGERPRINTS}; write it with --update", file=sys.stderr)
+        return 2
+    head, *want = FINGERPRINTS.read_text(encoding="utf-8").splitlines()
+    if json.loads(head) != _versions():
+        made_with = f"{FINGERPRINTS.name} was made with {json.loads(head)}"
+        print(f"{made_with}, this is {_versions()}: not checked", file=sys.stderr)
+        return 3
+    key = lambda run: (run["input"], run["command"])  # noqa: E731
+    want_runs = {key(r): r for r in map(json.loads, want)}
+    got_runs = {key(r): r for r in map(json.loads, _run_here())}
+    changed = 0
+    for k in dict.fromkeys([*want_runs, *got_runs]):
+        if k not in got_runs or k not in want_runs:
+            what = "no longer run" if k not in got_runs else "not in the fingerprints"
+        elif want_runs[k] != got_runs[k]:
+            what = "differs in " + ", ".join(_differences(want_runs[k], got_runs[k]))
+        else:
+            continue
+        changed += 1
+        print(f"{k[0]} {k[1]}: {what}")
+    print(f"{changed} of {len(want_runs)} fingerprinted runs changed", file=sys.stderr)
+    return 1 if changed else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        return _check()
+    if argv == ["--update"]:
+        return _update()
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if out.exists():
+        print(f"{out} exists; give a new directory", file=sys.stderr)
+        return 2
+    lines = _run(tree, out)
     (out / "runs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
