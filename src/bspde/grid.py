@@ -246,22 +246,21 @@ class Interpolant:
         self.grid = grid
         self.full = np.zeros((levels.shape[0],) + grid.nx)
         self.full[(slice(None),) + (slice(1, -1),) * grid.dim] = levels
-        self.strides = [math.prod(grid.nx[a + 1 :]) for a in range(grid.dim)]  # of a level's flat nodes
 
     def __call__(self, pts: np.ndarray, level: int = 0) -> np.ndarray:
         """Level `level` at the positions pts, shape (n, dim); each of the
-        2**dim corners of a cell is read with one `take` at the cell's flat
-        base index plus the corner's offset, and the corners are summed with
-        the first axis varying fastest."""
+        2**dim corners of a cell is read with one `take` at the flat index
+        of the cell's first node plus the corner's offset, and the corners
+        are summed with the first axis varying fastest."""
         g = self.grid
         full = self.full[level].ravel()
         base, offsets, weights = None, [0], []
-        for a, (n, stride) in enumerate(zip(g.nx, self.strides)):
+        for a, n in enumerate(g.nx):  # flat indices are row-major: i * n + j
             u = (pts[:, a] - g.domain.lo[a]) / g.hx[a]  # node i of the axis at i
             c = np.clip(np.floor(u).astype(np.intp), 0, n - 2)
             f = np.clip(u - c, 0.0, 1.0)
             base = c if base is None else base * n + c
-            offsets += [o + stride for o in offsets]
+            offsets = [o * n + side for side in (0, 1) for o in offsets]
             weights.append((1 - f, f))
         total = None
         for corner, offset in enumerate(offsets):
