@@ -484,6 +484,13 @@ def _run(name: str, cfg: RunConfig) -> None:
     _write_atomic(cfg.outdir / "report.json", json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: a non-negative integer, in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bspde",
@@ -492,8 +499,11 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="seed override for Monte-Carlo commands")
-    args = parser.parse_args(argv)
+    parser.add_argument("--seed", type=_seed, default=None, help="seed override for Monte-Carlo commands")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # -h exits 0; a fault of the command line exits 1, as one of the config does
+        return 1 if e.code else 0
 
     try:
         cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)

@@ -4,8 +4,9 @@ decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T that the
 path simulator drives its noise with.  The columns btilde_j are the symmetric
 positive root of the residual 2b - sum beta_i beta_i^T, one closed form
 (`_spd_root`) on flat arrays of its entries: `noise_at` applies the entries to
-a variable path step's draws directly, with no (npts, n, n) stack, and
-`columns_at` stacks them for the constant step.
+a path step's draws directly, with no (npts, n, n) stack.  It evaluates each
+b entry in its own shape, so an entry that does not read x (a number, say)
+stays one value through the root, and a constant set costs O(1) per step.
 
 Entries are either plain numbers or exprdsl expressions of the variables
 `exprdsl.bind` gives; evaluation is pointwise and vectorized over positions.
@@ -42,12 +43,17 @@ def as_entry(v) -> Expr:
     raise CoefficientError(f"coefficient entry must be a number, string, or Expr, got {type(v)!r}")
 
 
-def _eval_entry(entry: Expr, env: dict, shape) -> np.ndarray:
+def _own_values(entry: Expr, env: dict) -> np.ndarray:
+    """An entry's values in their own shape: (npts,) if it reads x, else (1,)."""
     try:
         val = entry.eval(env)
     except EvalError as e:
         raise CoefficientError(f"coefficient evaluation failed: {e}") from e
-    return np.broadcast_to(np.asarray(val, dtype=float), shape)
+    return np.atleast_1d(np.asarray(val, dtype=float))
+
+
+def _eval_entry(entry: Expr, env: dict, shape) -> np.ndarray:
+    return np.broadcast_to(_own_values(entry, env), shape)
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,22 @@ class CoefficientSet:
                 out[k, :, i] = _eval_entry(vec[i], env, (npts,))
         return out
 
+    def f_lam_at(self, points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """f, (npts, n), and lam, (npts,), at the points of a path step, each
+        with 1 in place of npts where none of its entries reads x; f_at and
+        lam_at give the same values in full shape."""
+        env = bind(points.T, t)
+        f = np.stack(np.broadcast_arrays(*(_own_values(e, env) for e in self.f)), axis=-1)
+        return f, _own_values(self.lam, env)
+
     def _noise_root(self, points: np.ndarray, t: float) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
         """The gradient weights at points, (N, npts, n), or None when N = 0,
         and the entries of the symmetric positive root of the residual
         diffusion 2b - sum_i beta_i beta_i^T there, b symmetrized: (r00,) in
-        1-D, (r00, r01, r11) in 2-D, each of shape (npts,)."""
+        1-D, (r00, r01, r11) in 2-D, each of shape (npts,), or (1,) when
+        N = 0 and none of the b entries it is formed from reads x."""
         env = bind(points.T, t)
-        npts = points.shape[0]
-        b = [[_eval_entry(e, env, (npts,)) for e in row] for row in self.b]
+        b = [[_own_values(e, env) for e in row] for row in self.b]
         bs = self.beta_at(points, t) if self.n_beta else None
 
         def resid(i, j):
@@ -153,21 +167,13 @@ class CoefficientSet:
             return bs, _spd_root(resid(0, 0))
         return bs, _spd_root(resid(0, 0), resid(0, 1), resid(1, 1))
 
-    def columns_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        """(npts, n, n) noise columns btilde_j at arbitrary (strictly evaluable) points."""
-        _, r = self._noise_root(points, t)
-        if self.dim == 1:
-            return r[0][:, None, None]
-        r00, r01, r11 = r
-        return np.stack([r00, r01, r01, r11], axis=-1).reshape(-1, 2, 2)
-
     def noise_at(self, points: np.ndarray, t: float, draws: np.ndarray) -> list[np.ndarray]:
         """The noise of one path step at points per unit sqrt(dt), from one row
         of standard normals per point: draws[:, N:] drive the columns btilde_j
         and draws[:, :N] the beta_i.  Returns the btilde term, then (N > 0)
         the beta term, each (npts, n); the root's entries are applied to the
-        draws in the order of columns_at(...) @ draws[:, N:], and no (npts, n, n)
-        stack is built."""
+        draws in the order of the product of the root matrix and draws[:, N:],
+        and no (npts, n, n) stack is built."""
         N = self.n_beta
         bs, r = self._noise_root(points, t)
         d = draws[:, N:]
@@ -186,10 +192,6 @@ class CoefficientSet:
 
     def _entries(self) -> Iterator[Expr]:
         return itertools.chain(*self.b, self.f, (self.lam,), *self.beta)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(isinstance(e, Num) for e in self._entries())
 
     @property
     def is_time_dependent(self) -> bool:

@@ -26,10 +26,12 @@ total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path
 values, points x n_paths doubles held to the end, exceed the grid's
 MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
-A constant-coefficient step multiplies the draws by the noise columns found
-once (`CoefficientSet.columns_at`); a variable step takes its noise from
-`CoefficientSet.noise_at` at the paths' positions, which applies the entries
-of the closed-form root to the draws, the order of a matrix product.
+Every coefficient set takes one path step: the positions clipped to the box,
+f and lam from `CoefficientSet.f_lam_at`, and the noise from
+`CoefficientSet.noise_at`, which applies the entries of the closed-form root
+to the draws, the order of a matrix product.  Both keep an entry that does
+not read x as one value, so a constant set costs O(1) per step for its
+coefficients.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -82,12 +84,16 @@ class PathConfig:
     def __post_init__(self):
         if not self.dt_mc > 0:
             raise MonteCarloError("dt_mc must be positive")
+        for name in ("n_paths", "seed"):  # a float, even an integral one, is refused: range() and the rng take none
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise MonteCarloError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 100:
             raise MonteCarloError("need at least 100 paths")
         # a row of doubles, one per path, must fit in one numpy array
         if 8 * self.n_paths > np.iinfo(np.intp).max:
             raise MonteCarloError("n_paths asks for more paths than a numpy array can hold")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise MonteCarloError("seed must be a non-negative integer")
 
 
@@ -124,12 +130,6 @@ def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> 
     if (horizon - s) / cfg.dt_mc > np.iinfo(np.intp).max:
         raise MonteCarloError(f"dt_mc = {cfg.dt_mc} asks for more path steps to the horizon than numpy can index")
     return x, s, max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.  With a contraction of length 1 each entry is one product either
-    way, and the broadcast product skips a slow BLAS call."""
-    return a * b if b.shape[0] == 1 else a @ b
 
 
 class _LivePaths:
@@ -221,15 +221,6 @@ def _simulate(
         )
     lo = np.asarray(grid.domain.lo)
     hi = np.asarray(grid.domain.hi)
-    N = coeffs.n_beta
-    M = grid.dim
-    const = coeffs.is_constant
-    if const:
-        x0 = 0.5 * (lo + hi)[None, :]  # every entry is a number, so any point will do
-        f_c = coeffs.f_at(x0, 0.0)[0]
-        lam_c = float(coeffs.lam_at(x0, 0.0)[0])
-        beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else None
-        btilde_c = coeffs.columns_at(x0, 0.0)[0]  # (dim, M)
     discount = not coeffs.lam_is_zero
     term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
     src_interp = Interpolant(grid, source.values) if source is not None else None
@@ -243,7 +234,7 @@ def _simulate(
             base = bi * BATCH_SIZE
             nb = min(BATCH_SIZE, n - base)
             rng = np.random.default_rng([cfg.seed, bi])
-            bufs = np.empty((3, nb, N + M))  # block j is drawn into bufs[j % 3]
+            bufs = np.empty((3, nb, coeffs.n_beta + grid.dim))  # block j is drawn into bufs[j % 3]
             ahead = [helper.submit(rng.standard_normal, out=bufs[k]) for k in range(min(2, max_steps))]
             per_array = max(1, BATCH_SIZE // nb)
             lives = []
@@ -265,7 +256,7 @@ def _simulate(
                     dt_eff = min(cfg.dt_mc, horizon - t)
                     d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
                     y = lp.y
-                    y_eval = y if const else np.clip(y, lo, hi)
+                    y_eval = np.clip(y, lo, hi)
                     if src_interp is not None:
                         level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
                         inc = src_interp(y_eval, level)
@@ -273,22 +264,17 @@ def _simulate(
                             inc *= np.exp(lp.gam)
                         inc *= dt_eff
                         lp.acc += inc
+                    f, lam = coeffs.f_lam_at(y_eval, t)
                     if discount:
-                        lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
-                        lp.gam += LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff
+                        lp.gam += LAMBDA_DISCOUNT_SIGN * lam * dt_eff
                     root_dt = math.sqrt(dt_eff)
-                    if const:
-                        dy = _matmul(d[:, N:], btilde_c.T)
-                        dy *= root_dt
-                        dy += f_c * dt_eff
-                        if N:
-                            dy += root_dt * _matmul(d[:, :N], beta_c)
-                    else:
-                        dy = coeffs.f_at(y_eval, t) * dt_eff
-                        for noise in coeffs.noise_at(y_eval, t, d):
-                            dy += root_dt * noise
+                    dy, *beta = coeffs.noise_at(y_eval, t, d)
+                    dy *= root_dt
+                    dy += f * dt_eff  # the same sum as f * dt_eff + root_dt * btilde
+                    for noise in beta:
+                        dy += root_dt * noise
                     y += dy
-                    del d, dy, y_eval  # freed before a compaction copies the state
+                    del d, dy, y_eval, f, lam, beta  # freed before a compaction copies the state
                     gone = np.zeros(len(y), dtype=bool)
                     for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
                         gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])

@@ -1,6 +1,7 @@
 """Shared builders for randomized batteries (all seeded, no global state), the
-coupling report and checks of the non-local tests, and a fixture that empties the
-per-problem caches before every test."""
+coupling report and checks of the non-local tests, the stack references of the
+noise decomposition, and a fixture that empties the per-problem caches before
+every test."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from bspde import (
     make_grid,
     stepper,
 )
+from bspde.coefficients import CoefficientError
 from bspde.nonlocal_ops import _Compiled, _compile
 
 
@@ -138,3 +140,35 @@ def random_spec(rng: np.random.Generator, grid: Grid, max_bound: float = 0.8, de
     w = rng.uniform(0.2, 0.5, 2)
     parts = tuple(random_spec(rng, grid, max_bound=max_bound, depth=1) for _ in range(2))
     return Convex(weights=(float(w[0]), float(w[1])), parts=parts)
+
+
+def reference_outer(coeffs, pts, t):
+    """(npts, n, n) sum_i beta_i beta_i^T at the points, by einsum."""
+    acc = np.zeros((pts.shape[0], coeffs.dim, coeffs.dim))
+    if coeffs.n_beta:
+        bs = coeffs.beta_at(pts, t)
+        acc = np.einsum("kpi,kpj->pij", bs, bs)
+    return acc
+
+
+def reference_spd_sqrt(mats):
+    """Symmetric positive square root of an (npts, n, n) SPD stack (n <= 2),
+    formed on the stack itself, as a reference for the closed form that the
+    path engine applies entry by entry."""
+    n = mats.shape[-1]
+    if n == 1:
+        v = mats[:, 0, 0]
+        if np.any(v <= 0):
+            raise CoefficientError("residual diffusion is not positive definite")
+        return np.sqrt(v)[:, None, None]
+    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    det = a * c - b * b
+    tr = a + c
+    if np.any(det <= 0) or np.any(tr <= 0):
+        raise CoefficientError("residual diffusion is not positive definite")
+    s = np.sqrt(det)
+    denom = np.sqrt(tr + 2.0 * s)
+    out = mats.copy()
+    out[:, 0, 0] += s
+    out[:, 1, 1] += s
+    return out / denom[:, None, None]

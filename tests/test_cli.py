@@ -1004,6 +1004,33 @@ def test_the_seed_entry_is_read_under_a_seed_override(tmp_path, capsys):
     assert "invalid configuration: montecarlo.seed: must be an integer, got 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--config", "c.json", "--seed", "abc"], "argument --seed: must be a non-negative integer, got 'abc'"),
+        (["validate", "--config", "c.json", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["validate", "--config", "c.json", "--seed", "2.0"], "argument --seed: must be a non-negative integer, got '2.0'"),
+        (["nope", "--config", "c.json"], "argument command: invalid choice: 'nope'"),
+        (["validate", "--out", "o"], "the following arguments are required: --config"),
+        (["validate", "--config"], "argument --config: expected one argument"),
+    ],
+)
+def test_a_command_line_fault_exits_1_and_names_its_argument(tmp_path, monkeypatch, capsys, argv, message):
+    """Exit code 2 is non-convergence: a fault of the command line exits 1, as
+    one of the config does, and --seed is named, not the config's seed."""
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.json", montecarlo={"dt_mc": 0.01, "n_paths": 500, "seed": 7})
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"bspde: error: {message}" in err and "montecarlo" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["-h"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
 def test_a_grid_too_large_for_a_solve_fails_before_any_data_is_sampled(tmp_path, capsys, monkeypatch):
     def sampled(*args):
         pytest.fail("data was sampled")

@@ -19,7 +19,7 @@ from bspde import (
 )
 from bspde.coefficients import CoefficientError, _samples, _survey, _sym_eig_range
 
-from conftest import random_coeffs_1d
+from conftest import random_coeffs_1d, reference_outer, reference_spd_sqrt
 
 
 @pytest.fixture
@@ -73,7 +73,20 @@ def test_delta_is_a_true_minimum(grid1):
 
 
 # The square-root decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T
-# is `CoefficientSet.columns_at`, the noise columns btilde_j the path engine draws with.
+# gives the noise columns btilde_j the path engine draws with; `columns` reads
+# them from `CoefficientSet.noise_at`.
+
+
+def columns(coeffs, pts, t):
+    """(npts, n, n) noise columns btilde_j at the points: column j is the btilde
+    term of `noise_at` for the unit draw of btilde_j, exactly the root's entries."""
+    N, n = coeffs.n_beta, coeffs.dim
+    cols = []
+    for j in range(n):
+        draws = np.zeros((len(pts), N + n))
+        draws[:, N + j] = 1.0
+        cols.append(coeffs.noise_at(pts, t, draws)[0])
+    return np.stack(cols, axis=-1)
 
 
 def max_residual(coeffs, grid):
@@ -83,8 +96,8 @@ def max_residual(coeffs, grid):
     worst = 0.0
     for t in times:
         two_b = 2.0 * coeffs.b_at(pts, t)
-        outer = _reference_outer(coeffs, pts, t)
-        cols = coeffs.columns_at(pts, t)
+        outer = reference_outer(coeffs, pts, t)
+        cols = columns(coeffs, pts, t)
         recon = np.einsum("pik,pjk->pij", cols, cols) + outer
         worst = max(worst, float(np.max(np.abs(two_b - recon))))
     return worst
@@ -93,12 +106,12 @@ def max_residual(coeffs, grid):
 def test_decompose_scalar_values(grid1):
     assert max_residual(CoefficientSet.create(1, b=1.0, beta=[["1*x*(1-x)"]]), grid1) <= 1e-10
     pts = grid1.interior_points()
-    assert np.allclose(CoefficientSet.create(1, b=0.1).columns_at(pts, 0.0)[:, 0, 0], np.sqrt(0.2))
+    assert np.allclose(columns(CoefficientSet.create(1, b=0.1), pts, 0.0)[:, 0, 0], np.sqrt(0.2))
 
 
 def test_decompose_2d_identity(grid2):
     c = CoefficientSet.create(2, b=[[1.0, 0.0], [0.0, 1.0]])
-    cols = c.columns_at(grid2.interior_points(), 0.0)
+    cols = columns(c, grid2.interior_points(), 0.0)
     assert np.allclose(cols, np.sqrt(2.0) * np.eye(2)[None, :, :])
     assert max_residual(c, grid2) <= 1e-10
 
@@ -113,7 +126,7 @@ def test_decompose_rejects_indefinite(grid1):
     (1.5 lies outside the box)."""
     c = CoefficientSet.create(1, b=0.4, beta=[[1.0]])
     with pytest.raises(CoefficientError, match="residual diffusion is not positive definite"):
-        c.columns_at(grid1.interior_points(), 0.0)
+        columns(c, grid1.interior_points(), 0.0)
     problem = CauchyProblem(grid1, c, terminal=SpaceField.zeros(grid1))
     control = CauchyProblem(grid1, CoefficientSet.create(1, b=0.4))
     cfg = PathConfig(dt_mc=0.05, n_paths=100, seed=1)
@@ -205,14 +218,6 @@ def _reference_nodes(grid):
     return pts, on_boundary
 
 
-def _reference_outer(coeffs, pts, t):
-    acc = np.zeros((pts.shape[0], coeffs.dim, coeffs.dim))
-    if coeffs.n_beta:
-        bs = coeffs.beta_at(pts, t)
-        acc = np.einsum("kpi,kpj->pij", bs, bs)
-    return acc
-
-
 def reference_validate(coeffs, grid):
     pts, on_boundary = _reference_nodes(grid)
     delta = np.inf
@@ -223,7 +228,7 @@ def reference_validate(coeffs, grid):
     beta_wall_max = 0.0
     beta_sup = 0.0
     for t in grid.times():
-        lo, _ = _sym_eig_range(coeffs.b_at(pts, t) - 0.5 * _reference_outer(coeffs, pts, t))
+        lo, _ = _sym_eig_range(coeffs.b_at(pts, t) - 0.5 * reference_outer(coeffs, pts, t))
         k = int(np.argmin(lo))
         if lo[k] < delta:
             delta = float(lo[k])
@@ -256,36 +261,13 @@ def reference_bounds(coeffs, grid):
     return (sup_f1, c_beta, delta_qv)
 
 
-def _reference_spd_sqrt(mats):
-    """Symmetric positive square root of an (npts, n, n) SPD stack (n <= 2),
-    formed on the stack itself: the root the path engine drew with before its
-    closed form moved to flat entry arrays."""
-    n = mats.shape[-1]
-    if n == 1:
-        v = mats[:, 0, 0]
-        if np.any(v <= 0):
-            raise CoefficientError("residual diffusion is not positive definite")
-        return np.sqrt(v)[:, None, None]
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-    det = a * c - b * b
-    tr = a + c
-    if np.any(det <= 0) or np.any(tr <= 0):
-        raise CoefficientError("residual diffusion is not positive definite")
-    s = np.sqrt(det)
-    denom = np.sqrt(tr + 2.0 * s)
-    out = mats.copy()
-    out[:, 0, 0] += s
-    out[:, 1, 1] += s
-    return out / denom[:, None, None]
-
-
 def reference_max_residual(coeffs, grid):
     pts, _ = _reference_nodes(grid)
     max_resid = 0.0
     for t in grid.times():
         two_b = 2.0 * coeffs.b_at(pts, t)
-        outer = _reference_outer(coeffs, pts, t)
-        root = _reference_spd_sqrt(two_b - outer)
+        outer = reference_outer(coeffs, pts, t)
+        root = reference_spd_sqrt(two_b - outer)
         recon = np.einsum("pik,pjk->pij", root, root) + outer
         max_resid = max(max_resid, float(np.max(np.abs(two_b - recon))))
     return max_resid
@@ -358,7 +340,7 @@ NOISE_SETS = {
 
 @pytest.mark.parametrize("name", sorted(NOISE_SETS))
 def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, grid2):
-    """columns_at is the retired root of the stack 2b - sum beta beta^T, and
+    """The noise columns are the root of the stack 2b - sum beta beta^T, and
     noise_at is its einsum with the draws, then the beta einsum, to the bit."""
     dim, kw = NOISE_SETS[name]
     c = CoefficientSet.create(dim, **kw)
@@ -367,16 +349,16 @@ def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, gr
     for t in times:
         draws = rng.standard_normal((len(pts), c.n_beta + dim))
         try:
-            root = _reference_spd_sqrt(2.0 * c.b_at(pts, t) - _reference_outer(c, pts, t))
+            root = reference_spd_sqrt(2.0 * c.b_at(pts, t) - reference_outer(c, pts, t))
         except CoefficientError as err:
-            for refused in (lambda: c.columns_at(pts, t), lambda: c.noise_at(pts, t, draws)):
+            for refused in (lambda: columns(c, pts, t), lambda: c.noise_at(pts, t, draws)):
                 with pytest.raises(CoefficientError, match=f"^{err}$"):
                     refused()
             continue
         want = [np.einsum("ndm,nm->nd", root, draws[:, c.n_beta :])]
         if c.n_beta:
             want.append(np.einsum("knd,nk->nd", c.beta_at(pts, t), draws[:, : c.n_beta]))
-        assert c.columns_at(pts, t).tobytes() == root.tobytes()
+        assert columns(c, pts, t).tobytes() == root.tobytes()
         assert [v.tobytes() for v in c.noise_at(pts, t, draws)] == [v.tobytes() for v in want]
 
 

@@ -1,13 +1,17 @@
 """The batched path engine against an independent per-point reference.
 
 `_reference_run_paths` runs one start point at a time with full-size state
-updated through masks, and makes a draw block at every step of every
-batch.  The engine shares each step's block between points, advances only
-the paths still inside the box and stops a batch once all of them have
-exited; none of that may change a single bit of any path's value.
-BATCH_SIZE is shrunk so that several batches run at a small cost.
+updated through masks, makes a draw block at every step of every batch, and
+drives every coefficient set, constant or not, with the square root of the
+(npts, n, n) stack 2b - sum beta beta^T, applied to the draws by einsum.
+The engine shares each step's block between points, advances only the paths
+still inside the box, stops a batch once all of them have exited and keeps
+the entries that do not read x as single values; none of that may change a
+single bit of any path's value.  BATCH_SIZE is shrunk so that several
+batches run at a small cost.
 """
 
+import itertools
 import math
 import threading
 
@@ -18,6 +22,8 @@ from bspde import CauchyProblem, CoefficientSet, Domain, PathConfig, SpaceField,
 from bspde import montecarlo
 from bspde.grid import Interpolant
 from bspde.montecarlo import LAMBDA_DISCOUNT_SIGN, _simulate
+
+from conftest import reference_outer, reference_spd_sqrt
 
 SMALL_BATCH = 128
 N_PATHS = 300  # batches of 128, 128 and 44
@@ -33,13 +39,6 @@ def _reference_run_paths(problem, x, s, horizon, cfg):
     n_steps = max(0, int(math.ceil((horizon - s) / cfg.dt_mc - 1e-12)))
     N = coeffs.n_beta
     M = dim
-    const = coeffs.is_constant
-    if const:
-        x0 = x[None, :]
-        f_c = coeffs.f_at(x0, 0.0)[0]
-        lam_c = float(coeffs.lam_at(x0, 0.0)[0])
-        beta_c = coeffs.beta_at(x0, 0.0)[:, 0, :] if N else np.zeros((0, dim))
-        btilde_c = coeffs.columns_at(x0, 0.0)[0]
     lam_zero = coeffs.lam_is_zero
     term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
     src_interp = Interpolant(grid, source.values) if source is not None else None
@@ -60,25 +59,20 @@ def _reference_run_paths(problem, x, s, horizon, cfg):
             draws = rng.standard_normal((nb, N + M))
             if not active.any():
                 continue
-            y_eval = y if const else np.clip(y, lo, hi)
+            y_eval = np.clip(y, lo, hi)
             if src_interp is not None:
                 phi_vals = src_interp(y_eval, min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1))
                 src_acc = np.where(active, src_acc + np.exp(gamma_log) * phi_vals * dt_eff, src_acc)
             if not lam_zero:
-                lam_vals = lam_c if const else coeffs.lam_at(y_eval, t)
+                lam_vals = coeffs.lam_at(y_eval, t)
                 gamma_log = np.where(active, gamma_log + LAMBDA_DISCOUNT_SIGN * lam_vals * dt_eff, gamma_log)
             root_dt = math.sqrt(dt_eff)
-            if const:
-                dy = f_c * dt_eff + root_dt * (draws[:, N:] @ btilde_c.T)
-                if N:
-                    dy = dy + root_dt * (draws[:, :N] @ beta_c)
-            else:
-                dy = coeffs.f_at(y_eval, t) * dt_eff
-                cols = coeffs.columns_at(y_eval, t)
-                dy = dy + root_dt * np.einsum("ndm,nm->nd", cols, draws[:, N:])
-                if N:
-                    bv = coeffs.beta_at(y_eval, t)
-                    dy = dy + root_dt * np.einsum("knd,nk->nd", bv, draws[:, :N])
+            dy = coeffs.f_at(y_eval, t) * dt_eff
+            root = reference_spd_sqrt(2.0 * coeffs.b_at(y_eval, t) - reference_outer(coeffs, y_eval, t))
+            dy = dy + root_dt * np.einsum("ndm,nm->nd", root, draws[:, N:])
+            if N:
+                bv = coeffs.beta_at(y_eval, t)
+                dy = dy + root_dt * np.einsum("knd,nk->nd", bv, draws[:, :N])
             y = np.where(active[:, None], y + dy, y)
             outside = np.any(y < lo, axis=1) | np.any(y > hi, axis=1)
             active &= ~outside
@@ -175,6 +169,48 @@ def test_engine_2d_constant_full_diffusion(small_batches):
     problem = CauchyProblem(g, coeffs, terminal=SpaceField.from_function(g, lambda x1, x2: x1 * (1 - x1) * x2))
     cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=5)
     _assert_engine_matches_reference(problem, [([0.3, 0.6], 0.0), ([0.5, 0.5], 0.4)], g.T, cfg)
+
+
+def _written_in_x(kw, which):
+    """kw with its number entries written as expressions that read x
+    ("v + 0*x1"): all of them, or every other one in the order b, f, lam."""
+    count = itertools.count()
+
+    def entry(v):
+        if isinstance(v, list):
+            return [entry(e) for e in v]
+        return f"{v!r} + 0*x1" if which == "all" or next(count) % 2 == 0 else v
+
+    return {k: entry(v) for k, v in kw.items()}
+
+
+@pytest.mark.parametrize("which", ["all", "every other"])
+@pytest.mark.parametrize(
+    "dim, kw",
+    [
+        (1, dict(b=0.2, f=0.3, lam=-0.7)),
+        (2, dict(b=[[0.15, 0.05], [0.05, 0.1]], f=[0.2, -0.1], lam=-0.3)),
+    ],
+)
+def test_entries_kept_as_single_values_change_no_bit(small_batches, dim, kw, which):
+    """A constant set's entries stay single values through the path step; the
+    same set with its entries (all of them, or every other one) written to
+    read x is evaluated at every path, and gives the same bits."""
+    g = make_grid(Domain((0.0,) * dim, (1.0,) * dim), (41,) if dim == 1 else 11, 20, 1.0)
+    const = CoefficientSet.create(dim, **kw)
+    in_x = CoefficientSet.create(dim, **_written_in_x(kw, which))
+    pts = np.full((5, dim), 0.5)
+    assert const.f_lam_at(pts, 0.0)[0].shape == (1, dim) and const._noise_root(pts, 0.0)[1][0].shape == (1,)
+    if which == "all":
+        assert in_x.f_lam_at(pts, 0.0)[0].shape == (5, dim) and in_x._noise_root(pts, 0.0)[1][0].shape == (5,)
+    term = SpaceField.from_function(g, lambda *x: np.prod([np.sin(np.pi * xa) for xa in x], axis=0))
+    src = SpaceTimeField.from_function(g, lambda *xt: np.prod([xa * (1 - xa) for xa in xt[:-1]], axis=0) * (1 + xt[-1]))
+    cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=17)
+    starts = [(np.full(dim, 0.4), 0.0), (np.full(dim, 0.6), 0.35)]
+    want_v, want_a = _simulate(CauchyProblem(g, const, src, term), starts, g.T, cfg)
+    got_v, got_a = _simulate(CauchyProblem(g, in_x, src, term), starts, g.T, cfg)
+    assert not want_a.all()
+    assert got_v.tobytes() == want_v.tobytes() and got_a.tobytes() == want_a.tobytes()
 
 
 def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):

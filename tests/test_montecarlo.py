@@ -293,6 +293,12 @@ def test_path_config_validation():
         PathConfig(dt_mc=0.0, n_paths=1000, seed=1)
     with pytest.raises(MonteCarloError):
         PathConfig(dt_mc=0.01, n_paths=50, seed=1)
+    # range() and default_rng take no float, so a float is refused here, integral or not
+    faults = [("n_paths", 1000.0), ("n_paths", math.nan), ("n_paths", True), ("seed", 2.0), ("seed", math.nan), ("seed", False)]
+    for name, value in faults:
+        with pytest.raises(MonteCarloError, match=f"^{name} must be an integer, got {value!r}$"):
+            PathConfig(**{"dt_mc": 0.01, "n_paths": 1000, "seed": 1, name: value})
+    assert PathConfig(dt_mc=0.01, n_paths=np.int64(1000), seed=np.uint32(3)).seed == 3
     dom, g, coeffs, heat = heat_setup(nx=21, nt=10)  # grid dt = 0.1
     cfg = PathConfig(dt_mc=0.5, n_paths=200, seed=1)
     with pytest.raises(MonteCarloError):

@@ -17,7 +17,9 @@ horizon, whose group takes no steps beside the groups that do), the inputs of
 so that their stderr fingerprints the path engine's checks), the inputs of
 `TK_FAULTS` (grid-2d-101, whose coupling is a time kernel, with one fault
 each in that kernel, so that their stderr fingerprints the coupling's
-checks) and TREE's `configs/eigenmode.json` under the new directory OUT,
+checks), TREE's `configs/eigenmode.json` and `grid-2d-101-constant`
+(grid-2d-101 with constant coefficients and b12 != 0, so that the 2-D path
+step keeps its noise entries as single values) under the new directory OUT,
 runs each of the seven commands on each input in a fresh process with
 OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
 JSON line per run with the input name, the command, the exit code, and the
@@ -147,6 +149,11 @@ def _batches(config: dict) -> None:
     mc["points"].append([0.5, config["grid"]["T"]])
 
 
+def _constant(config: dict) -> None:
+    """Constant coefficients with a full diffusion matrix."""
+    config["coefficients"] = {"b": [[0.1, 0.03], [0.03, 0.08]], "beta": [], "f": [0.3, -0.2], "lam": -0.2}
+
+
 def _inputs(tree: Path, out: Path) -> list[Path]:
     """Write every input into its own directory under out; return them in run order."""
     dirs = []
@@ -164,6 +171,7 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
     d.mkdir(parents=True)
     shutil.copyfile(tree / "configs" / "eigenmode.json", d / "config.json")
     dirs.append(d)
+    dirs.append(_edited(out / "grid-2d-101", out / "grid-2d-101-constant", _constant))
     return dirs
 
 
