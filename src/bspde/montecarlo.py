@@ -31,7 +31,11 @@ f and lam from `CoefficientSet.f_lam_at`, and the noise from
 `CoefficientSet.noise_at`, which applies the entries of the closed-form root
 to the draws, the order of a matrix product.  Both keep an entry that does
 not read x as one value, so a constant set costs O(1) per step for its
-coefficients.
+coefficients.  The positions are clipped one axis at a time to scalar
+bounds, as numpy runs (dim,) bounds broadcast over (n, dim) rows two
+elements at a time.  Such a clip keeps a position equal to its wall but of
+the other sign of zero, where the broadcast clip took the wall's; a path
+started strictly inside meets one only on a wall written -0.0.
 
 Grid fields are read between nodes by `grid.Interpolant` (multilinear, zero
 on the wall): the terminal data at a path's end, the source at each step
@@ -256,7 +260,9 @@ def _simulate(
                     dt_eff = min(cfg.dt_mc, horizon - t)
                     d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
                     y = lp.y
-                    y_eval = np.clip(y, lo, hi)
+                    y_eval = np.empty_like(y)
+                    for a in range(grid.dim):  # axis by axis: broadcasting (dim,) bounds over the rows is slow
+                        np.clip(y[:, a], lo[a], hi[a], out=y_eval[:, a])
                     if src_interp is not None:
                         level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
                         inc = src_interp(y_eval, level)

@@ -8,7 +8,12 @@ The engine shares each step's block between points, advances only the paths
 still inside the box, stops a batch once all of them have exited and keeps
 the entries that do not read x as single values; none of that may change a
 single bit of any path's value.  BATCH_SIZE is shrunk so that several
-batches run at a small cost.
+batches run at a small cost, except in one test at the real size.
+
+The reference clips the positions with (dim,) bounds broadcast over the rows,
+the engine one axis at a time to scalar bounds.  The two differ only on a
+position equal to a wall but of the other sign of zero, which a path started
+strictly inside meets only on a wall written -0.0; no case here has one.
 """
 
 import itertools
@@ -169,6 +174,21 @@ def test_engine_2d_constant_full_diffusion(small_batches):
     problem = CauchyProblem(g, coeffs, terminal=SpaceField.from_function(g, lambda x1, x2: x1 * (1 - x1) * x2))
     cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=5)
     _assert_engine_matches_reference(problem, [([0.3, 0.6], 0.0), ([0.5, 0.5], 0.4)], g.T, cfg)
+
+
+def test_engine_at_the_real_batch_size():
+    # BATCH_SIZE + 300 paths: the first batch gives each point an array of its
+    # own, the last puts all three in one array, whose slots run past nb and
+    # wrap to the draw rows
+    n_paths = montecarlo.BATCH_SIZE + 300
+    g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 11, 8, 0.08)
+    coeffs = CoefficientSet.create(2, b=[[0.12, 0.03], [0.03, 0.1]], f=[0.4, -0.3], lam=-0.5)
+    term = SpaceField.from_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+    src = SpaceTimeField.from_function(g, lambda x1, x2, t: x1 * (1 - x1) * x2 * (1 - x2) * (1 + t))
+    cfg = PathConfig(dt_mc=0.01, n_paths=n_paths, seed=83)
+    starts = [([0.5, 0.5], 0.0), ([0.1, 0.6], 0.0), ([0.8, 0.15], 0.0)]
+    _, alive = _assert_engine_matches_reference(CauchyProblem(g, coeffs, src, term), starts, g.T, cfg)
+    assert not alive[1].all() and not alive[2].all()
 
 
 def _written_in_x(kw, which):

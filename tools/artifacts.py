@@ -21,9 +21,12 @@ checks), TREE's `configs/eigenmode.json` and `grid-2d-101-constant`
 (grid-2d-101 with constant coefficients and b12 != 0, so that the 2-D path
 step keeps its noise entries as single values) under the new directory OUT,
 runs each of the seven commands on each input in a fresh process with
-OPENBLAS_NUM_THREADS=1 and relative paths, and writes OUT/runs.jsonl: one
-JSON line per run with the input name, the command, the exit code, and the
-sha256 of stderr and of every artifact.  `report.json` is hashed without its `timing_seconds`.
+OPENBLAS_NUM_THREADS=1 and relative paths, each writing into its own
+directory, at most `min(2, CPUs available)` processes at a time, and writes
+OUT/runs.jsonl: one JSON line per run, in input then command order whatever
+order the runs end in, with the input name, the command, the exit code, and
+the sha256 of stderr and of every artifact.  `report.json` is hashed without
+its `timing_seconds`.
 
 A change that should not alter any output is byte-identical to its parent
 when `diff PARENT_OUT/runs.jsonl CHANGE_OUT/runs.jsonl` prints nothing.
@@ -52,6 +55,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import version
 from pathlib import Path
 
@@ -178,27 +182,30 @@ def _inputs(tree: Path, out: Path) -> list[Path]:
 def _run(tree: Path, out: Path) -> list[str]:
     """Run every command on every input under out; return the runs.jsonl lines."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    lines = []
-    for d in _inputs(tree, out):
-        for cmd in COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-c", RUN_CLI, cmd, "--config", "config.json", "--out", cmd],
-                cwd=d,
-                env=env,
-                capture_output=True,
-            )
-            run_dir = d / cmd
-            files = sorted(p for p in run_dir.rglob("*") if p.is_file()) if run_dir.is_dir() else []
-            line = {
-                "input": d.name,
-                "command": cmd,
-                "exit": proc.returncode,
-                "stderr": _sha256(proc.stderr),
-                "artifacts": {str(p.relative_to(run_dir)): _artifact_digest(p) for p in files},
-            }
-            lines.append(json.dumps(line, sort_keys=True))
-            print(f"{d.name} {cmd}: exit {proc.returncode}", file=sys.stderr, flush=True)
-    return lines
+
+    def run(d: Path, cmd: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, cmd, "--config", "config.json", "--out", cmd],
+            cwd=d,
+            env=env,
+            capture_output=True,
+        )
+        run_dir = d / cmd
+        files = sorted(p for p in run_dir.rglob("*") if p.is_file()) if run_dir.is_dir() else []
+        line = {
+            "input": d.name,
+            "command": cmd,
+            "exit": proc.returncode,
+            "stderr": _sha256(proc.stderr),
+            "artifacts": {str(p.relative_to(run_dir)): _artifact_digest(p) for p in files},
+        }
+        print(f"{d.name} {cmd}: exit {proc.returncode}", file=sys.stderr, flush=True)
+        return json.dumps(line, sort_keys=True)
+
+    runs = [(d, cmd) for d in _inputs(tree, out) for cmd in COMMANDS]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(2, cpus)) as pool:  # threads that wait on processes
+        return list(pool.map(run, *zip(*runs)))
 
 
 def _versions() -> dict:
