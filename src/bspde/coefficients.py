@@ -197,6 +197,10 @@ class CoefficientSet:
     def is_time_dependent(self) -> bool:
         return any("t" in free_variables(e) for e in self._entries())
 
+    @property
+    def reads_x(self) -> bool:
+        return any(free_variables(e) - {"t"} for e in self._entries())
+
 
 def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) eigenvalue per symmetric matrix in an (npts, n, n) stack."""

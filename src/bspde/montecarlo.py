@@ -26,13 +26,18 @@ total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path
 values, points x n_paths doubles held to the end, exceed the grid's
 MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
-Every coefficient set takes one path step: the positions clipped to the box,
-f and lam from `CoefficientSet.f_lam_at`, and the noise from
-`CoefficientSet.noise_at`, which applies the entries of the closed-form root
-to the draws, the order of a matrix product.  Both keep an entry that does
-not read x as one value, so a constant set costs O(1) per step for its
-coefficients.  The positions are clipped one axis at a time to scalar
-bounds, as numpy runs (dim,) bounds broadcast over (n, dim) rows two
+Every coefficient set takes one path step: f and lam from
+`CoefficientSet.f_lam_at`, and the noise from `CoefficientSet.noise_at`,
+which applies the entries of the closed-form root to the draws, the order of
+a matrix product.  Both keep an entry that does not read x as one value, so a
+constant set costs O(1) per step for its coefficients.  They and the source
+read the positions clipped to the box, as an exited path is carried along
+until the next compaction and may lie outside it.  The clip is made only
+when something reads it, a source or an entry that reads x
+(`CoefficientSet.reads_x`); otherwise the step passes the positions as they
+are, which changes no output, as a path still running starts each step
+inside the closed box.  The positions are clipped one axis at a time to
+scalar bounds, as numpy runs (dim,) bounds broadcast over (n, dim) rows two
 elements at a time.  Such a clip keeps a position equal to its wall but of
 the other sign of zero, where the broadcast clip took the wall's; a path
 started strictly inside meets one only on a wall written -0.0.
@@ -138,10 +143,12 @@ def _checked_start(grid: Grid, x, s: float, horizon: float, cfg: PathConfig) -> 
 
 class _LivePaths:
     """Paths of one start-time group that had not exited at the last
-    compaction: position, log discount (unless lam is zero), source integral
-    (when there is a source), slot, and which of them are still inside the
-    box.  Slot q * nb + r is path r of the batch for the group's q-th point,
-    so the path's draw row is the slot modulo nb."""
+    compaction: position (outside the box for a path that has exited since,
+    which keeps moving until it is dropped), log discount (unless lam is
+    zero), source integral (when there is a source), slot, and which of them
+    are still inside the box.  Slot q * nb + r is path r of the batch for the
+    group's q-th point, so the path's draw row is the slot modulo nb; slots
+    are intp, the index type `np.take` reads without converting."""
 
     __slots__ = ("y", "gam", "acc", "slot", "active", "n_active", "pids", "nb")
 
@@ -150,7 +157,7 @@ class _LivePaths:
         self.y = np.repeat(xs, nb, axis=0)
         self.gam = np.zeros(size) if discount else None
         self.acc = np.zeros(size) if source else None
-        self.slot = np.arange(size, dtype=np.int32)
+        self.slot = np.arange(size, dtype=np.intp)
         self.active = np.ones(size, dtype=bool)
         self.n_active = size
         self.pids = np.asarray(pids)
@@ -226,6 +233,7 @@ def _simulate(
     lo = np.asarray(grid.domain.lo)
     hi = np.asarray(grid.domain.hi)
     discount = not coeffs.lam_is_zero
+    clip = source is not None or coeffs.reads_x  # the source and entries that read x are all that read y_eval
     term_interp = Interpolant(grid, terminal.values[None]) if terminal is not None else None
     src_interp = Interpolant(grid, source.values) if source is not None else None
 
@@ -260,9 +268,11 @@ def _simulate(
                     dt_eff = min(cfg.dt_mc, horizon - t)
                     d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
                     y = lp.y
-                    y_eval = np.empty_like(y)
-                    for a in range(grid.dim):  # axis by axis: broadcasting (dim,) bounds over the rows is slow
-                        np.clip(y[:, a], lo[a], hi[a], out=y_eval[:, a])
+                    y_eval = y
+                    if clip:
+                        y_eval = np.empty_like(y)
+                        for a in range(grid.dim):  # axis by axis: broadcasting (dim,) bounds over the rows is slow
+                            np.clip(y[:, a], lo[a], hi[a], out=y_eval[:, a])
                     if src_interp is not None:
                         level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
                         inc = src_interp(y_eval, level)

@@ -5,9 +5,10 @@ updated through masks, makes a draw block at every step of every batch, and
 drives every coefficient set, constant or not, with the square root of the
 (npts, n, n) stack 2b - sum beta beta^T, applied to the draws by einsum.
 The engine shares each step's block between points, advances only the paths
-still inside the box, stops a batch once all of them have exited and keeps
-the entries that do not read x as single values; none of that may change a
-single bit of any path's value.  BATCH_SIZE is shrunk so that several
+still inside the box, stops a batch once all of them have exited, keeps
+the entries that do not read x as single values and clips the positions only
+where a source or an entry reads them; none of that may change a single bit
+of any path's value.  BATCH_SIZE is shrunk so that several
 batches run at a small cost, except in one test at the real size.
 
 The reference clips the positions with (dim,) bounds broadcast over the rows,
@@ -192,45 +193,69 @@ def test_engine_at_the_real_batch_size():
 
 
 def _written_in_x(kw, which):
-    """kw with its number entries written as expressions that read x
-    ("v + 0*x1"): all of them, or every other one in the order b, f, lam."""
+    """kw with its entries written as expressions that read x ("v + 0*x1"):
+    all of them, or every other one in the order b, f, lam."""
     count = itertools.count()
 
     def entry(v):
         if isinstance(v, list):
             return [entry(e) for e in v]
-        return f"{v!r} + 0*x1" if which == "all" or next(count) % 2 == 0 else v
+        if which == "all" or next(count) % 2 == 0:
+            return f"({v}) + 0*x1" if isinstance(v, str) else f"{v!r} + 0*x1"
+        return v
 
     return {k: entry(v) for k, v in kw.items()}
 
 
+@pytest.mark.parametrize("with_source", [True, False], ids=["source", "no source"])
 @pytest.mark.parametrize("which", ["all", "every other"])
 @pytest.mark.parametrize(
     "dim, kw",
     [
         (1, dict(b=0.2, f=0.3, lam=-0.7)),
         (2, dict(b=[[0.15, 0.05], [0.05, 0.1]], f=[0.2, -0.1], lam=-0.3)),
+        (1, dict(b="0.1 + 0.05*sin(3*t)", f="0.3*cos(2*t)", lam="-0.2 - 0.1*t")),
+        (2, dict(b=[["0.1 + 0.05*sin(3*t)", "0.02*cos(t)"], ["0.02*cos(t)", 0.08]], f=["0.3*cos(2*t)", -0.1], lam="-0.2 - 0.1*t")),
     ],
+    ids=["1d constant", "2d constant", "1d in t", "2d in t"],
 )
-def test_entries_kept_as_single_values_change_no_bit(small_batches, dim, kw, which):
-    """A constant set's entries stay single values through the path step; the
+def test_entries_kept_as_single_values_change_no_bit(small_batches, dim, kw, which, with_source):
+    """A set whose entries read no x keeps them as single values through the
+    path step, and with no source its step does not clip the positions; the
     same set with its entries (all of them, or every other one) written to
-    read x is evaluated at every path, and gives the same bits."""
+    read x is evaluated at every clipped path, and gives the same bits."""
     g = make_grid(Domain((0.0,) * dim, (1.0,) * dim), (41,) if dim == 1 else 11, 20, 1.0)
-    const = CoefficientSet.create(dim, **kw)
+    plain = CoefficientSet.create(dim, **kw)
     in_x = CoefficientSet.create(dim, **_written_in_x(kw, which))
+    assert not plain.reads_x and in_x.reads_x
     pts = np.full((5, dim), 0.5)
-    assert const.f_lam_at(pts, 0.0)[0].shape == (1, dim) and const._noise_root(pts, 0.0)[1][0].shape == (1,)
+    assert plain.f_lam_at(pts, 0.0)[0].shape == (1, dim) and plain._noise_root(pts, 0.0)[1][0].shape == (1,)
     if which == "all":
         assert in_x.f_lam_at(pts, 0.0)[0].shape == (5, dim) and in_x._noise_root(pts, 0.0)[1][0].shape == (5,)
     term = SpaceField.from_function(g, lambda *x: np.prod([np.sin(np.pi * xa) for xa in x], axis=0))
     src = SpaceTimeField.from_function(g, lambda *xt: np.prod([xa * (1 - xa) for xa in xt[:-1]], axis=0) * (1 + xt[-1]))
+    src = src if with_source else None
     cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=17)
     starts = [(np.full(dim, 0.4), 0.0), (np.full(dim, 0.6), 0.35)]
-    want_v, want_a = _simulate(CauchyProblem(g, const, src, term), starts, g.T, cfg)
+    want_v, want_a = _simulate(CauchyProblem(g, plain, src, term), starts, g.T, cfg)
     got_v, got_a = _simulate(CauchyProblem(g, in_x, src, term), starts, g.T, cfg)
     assert not want_a.all()
     assert got_v.tobytes() == want_v.tobytes() and got_a.tobytes() == want_a.tobytes()
+
+
+def test_exited_paths_of_a_set_that_reads_x_are_clipped(small_batches):
+    """b is positive only a little beyond the box, so the exited paths, carried
+    until a compaction, must be clipped before b is read at them: unclipped,
+    the residual root at one of them is not positive definite.  With no source
+    the clip is there only because b reads x."""
+    g = make_grid(Domain((0.0,), (1.0,)), 41, 200, 4.0)
+    coeffs = CoefficientSet.create(1, b="0.02 + x*(1 - x)", f="0.1*(0.5 - x)", lam=-0.3)
+    assert coeffs.reads_x and not validate(coeffs, g).violated
+    term = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))
+    cfg = PathConfig(dt_mc=0.01, n_paths=N_PATHS, seed=89)
+    starts = [([0.5], 0.0), ([0.1], 0.0), ([0.9], 1.3)]
+    _, alive = _assert_engine_matches_reference(CauchyProblem(g, coeffs, terminal=term), starts, g.T, cfg)
+    assert (~alive).sum() > cfg.n_paths
 
 
 def test_confinement_long_gap_stops_drawing(small_batches, monkeypatch):
