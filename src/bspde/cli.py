@@ -27,9 +27,20 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
-from .exprdsl import EvalError, Expr, ExprError, bind
+from .exprdsl import EvalError, Expr, ExprError, bind, power_reads_t
 from .fixedpoint import FixedPointDivergence, NonlocalProblem, assemble_feedback_matrix, solve_nonlocal, solve_nonlocal_direct
-from .grid import Domain, Grid, GridError, SpaceField, SpaceTimeField, field_to_csv, make_grid, sup_norm
+from .grid import (
+    Domain,
+    Grid,
+    GridError,
+    SpaceField,
+    SpaceTimeField,
+    field_to_csv,
+    level_chunks,
+    make_grid,
+    sample_levels,
+    sup_norm,
+)
 from .montecarlo import MonteCarloError, PathConfig, compare_mc_pde, comparison_to_csv, confinement_bound
 from .nonlocal_ops import (
     Convex,
@@ -230,29 +241,44 @@ def _read(value, where: str, table: dict) -> dict:
     return entries
 
 
-def _sample_space(grid: Grid, e: Expr, path: str, t: float | None = None) -> np.ndarray:
-    """Evaluate the expression at dotted `path`, of x[,x2] (and t, when
-    given), on the interior nodes."""
-    env = bind(grid.mesh(), t)
+def _sample_space(grid: Grid, e: Expr, path: str, times: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the expression at dotted `path`, of x[,x2], on the interior
+    nodes: once, or (when `times` are given) at each time, stacked level by
+    level; a single time is bound as one number."""
+    mesh, shape = grid.mesh(), grid.interior_shape
+    if times is None or len(times) == 1:
+        env = bind(mesh, None if times is None else times[0])
+    else:
+        shape = (len(times),) + shape
+        env = bind([np.broadcast_to(m, shape).copy() for m in mesh], np.repeat(times, grid.n_interior).reshape(shape))
     # an overflow is reported below by path, not as a numpy warning
     with np.errstate(all="ignore"):
         try:
-            values = np.asarray(e.eval(env), dtype=float) * np.ones(grid.interior_shape)
+            values = np.asarray(e.eval(env), dtype=float) * np.ones(shape)
         except EvalError as err:
             raise ConfigError(f"{path}: {err}") from None
     if not np.isfinite(values).all():
-        raise ConfigError(f"{path}: evaluates to a non-finite value" + ("" if t is None else f" at t = {t:.6g}"))
+        if times is None:
+            raise ConfigError(f"{path}: evaluates to a non-finite value")
+        bad = ~np.isfinite(values.reshape(len(times), -1)).all(axis=1)
+        raise ConfigError(f"{path}: evaluates to a non-finite value at t = {times[np.argmax(bad)]:.6g}")
     return values
 
 
 def _sample_data(grid: Grid, coeffs: CoefficientSet, data: dict) -> CauchyProblem:
     """The Cauchy problem of `coeffs` with the read `data` entries on `grid`:
-    the terminal data, and the source on every level."""
+    the terminal data, and the source on every level, sampled in chunks of
+    levels (`grid.level_chunks`)."""
     terminal = SpaceField(grid, _sample_space(grid, data["terminal"], "data.terminal"))
-    if data["source"] is None:
+    source = data["source"]
+    if source is None:
         return CauchyProblem(grid, coeffs, terminal=terminal)
-    levels = [_sample_space(grid, data["source"], "data.source", t) for t in grid.times()]
-    return CauchyProblem(grid, coeffs, SpaceTimeField(grid, np.stack(levels)), terminal)
+    times = grid.times()
+    values = np.empty((grid.nt + 1,) + grid.interior_shape)
+    chunks = level_chunks(grid.nt + 1, grid.n_interior, power_reads_t(source))
+    for levels, v in sample_levels(chunks, lambda lv: _sample_space(grid, source, "data.source", times[lv.start : lv.stop])):
+        values[levels.start : levels.stop] = v
+    return CauchyProblem(grid, coeffs, SpaceTimeField(grid, values), terminal)
 
 
 @contextmanager

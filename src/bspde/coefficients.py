@@ -22,8 +22,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse
-from .grid import Grid
+from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse, power_reads_t
+from .grid import Grid, level_chunks, level_points, sample_levels
 
 _BOUNDARY_ZERO_TOL = 1e-12  # |beta| allowed on the wall (floating-point zero)
 
@@ -201,6 +201,12 @@ class CoefficientSet:
     def reads_x(self) -> bool:
         return any(free_variables(e) - {"t"} for e in self._entries())
 
+    @property
+    def power_reads_t(self) -> bool:
+        """Whether an entry takes a power of t (see `exprdsl.power_reads_t`):
+        its levels are then sampled one at a time."""
+        return any(power_reads_t(e) for e in self._entries())
+
 
 def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) eigenvalue per symmetric matrix in an (npts, n, n) stack."""
@@ -259,21 +265,32 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
     coefficient that is not finite at a sample is an issue of the report,
     named with the first such (x, t); so is the implicit step dt*A_h of the
     backward solver, whose matrix entries are at most
-    1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size."""
+    1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size.  The levels are
+    evaluated in chunks (`grid.level_chunks`, `grid.sample_levels`), and each
+    reduction is taken per level and folded in level order, so every number,
+    NaN passed over included, is the one a loop over single levels gives."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
     pts, on_wall, times = _samples(coeffs, grid)
+    npts = len(pts)
     delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
     lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
     sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
     non_finite: dict[str, tuple] = {}  # quantity -> first (x, t) where it is not finite
+
+    def sample(levels):
+        p, t = level_points(pts, times, levels)
+        return coeffs.b_at(p, t), coeffs.beta_at(p, t), coeffs.lam_at(p, t), coeffs.f_at(p, t)
+
+    def fold(pick, acc, per_level):
+        return functools.reduce(pick, per_level.tolist(), acc)
+
     # an overflow is reported as an issue below, not as a numpy warning
     with np.errstate(all="ignore"):
-        for t in times:
-            b = coeffs.b_at(pts, t)
-            bs = coeffs.beta_at(pts, t)  # (N, npts, n); the einsum of N = 0 is the zero matrix
-            lam = coeffs.lam_at(pts, t)
-            f = coeffs.f_at(pts, t)
+        chunks = level_chunks(len(times), npts, coeffs.power_reads_t)
+        for levels, (b, bs, lam, f) in sample_levels(chunks, sample):
+            nlev = len(levels)  # b is (nlev * npts, n, n), level-major; bs is (N, nlev * npts, n)
+            # (the einsum of N = 0 is the zero matrix)
             step = np.abs(lam)
             for a, h in enumerate(grid.hx):
                 step = step + 2 * np.abs(b[:, a, a]) / (h * h) + np.abs(f[:, a]) / h
@@ -285,22 +302,25 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
                 ("implicit step dt*A_h", grid.dt * step),
             )
             for name, vals in quantities:
-                bad = ~np.isfinite(vals.reshape(len(pts), -1)).all(axis=1)
+                bad = ~np.isfinite(vals.reshape(len(b), -1)).all(axis=1)
                 if name not in non_finite and bad.any():
-                    non_finite[name] = (tuple(float(c) for c in pts[np.argmax(bad)]), float(t))
+                    i = int(np.argmax(bad))
+                    non_finite[name] = (tuple(float(c) for c in pts[i % npts]), float(times[levels[i // npts]]))
             lo, _ = _sym_eig_range(b - 0.5 * np.einsum("kpi,kpj->pij", bs, bs))
-            k = int(np.argmin(lo))
-            if lo[k] < delta:
-                delta = float(lo[k])
-                arg_pt = tuple(float(c) for c in pts[k])
-                arg_t = float(t)
-            lam_max = max(lam_max, float(np.max(lam)))
-            beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
-            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_wall, :]), initial=0.0)))
-            sup_f1 = max(sup_f1, float(np.max(np.abs(f[:, 0]))))
+            lo = lo.reshape(nlev, npts)
+            for j, k in enumerate(np.argmin(lo, axis=1).tolist()):
+                if lo[j, k] < delta:
+                    delta = float(lo[j, k])
+                    arg_pt = tuple(float(c) for c in pts[k])
+                    arg_t = float(times[levels[j]])
+            lam_max = fold(max, lam_max, np.max(lam.reshape(nlev, npts), axis=1))
+            bs = np.abs(bs.reshape(len(bs), nlev, npts, grid.dim))
+            beta_sup = fold(max, beta_sup, np.max(bs, axis=(0, 2, 3), initial=0.0))
+            beta_wall_max = fold(max, beta_wall_max, np.max(bs[:, :, on_wall, :], axis=(0, 2, 3), initial=0.0))
+            sup_f1 = fold(max, sup_f1, np.max(np.abs(f[:, 0]).reshape(nlev, npts), axis=1))
             lo, hi = _sym_eig_range(2.0 * b)
-            delta_qv = min(delta_qv, float(np.min(lo)))
-            c_beta = max(c_beta, float(np.max(hi)))
+            delta_qv = fold(min, delta_qv, np.min(lo.reshape(nlev, npts), axis=1))
+            c_beta = fold(max, c_beta, np.max(hi.reshape(nlev, npts), axis=1))
     if len(non_finite) > 1:  # a coefficient that is not finite is the cause of a step that is not
         non_finite.pop("implicit step dt*A_h", None)
     issues = [f"{name} is not finite at x = {x}, t = {t:.6g}" for name, (x, t) in non_finite.items()]

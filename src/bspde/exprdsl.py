@@ -308,3 +308,18 @@ def free_variables(e: Expr) -> set[str]:
             out |= free_variables(a)
         return out
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def power_reads_t(e: Expr) -> bool:
+    """Whether an operand of a `^` in e reads t.  numpy rounds a power of one
+    number, and a power of an array to one exponent (2, 0.5 and -1 take fast
+    paths), otherwise than the same power taken elementwise over arrays, so a
+    sampler of many levels takes such an expression one level at a time,
+    where t is one number."""
+    if isinstance(e, BinOp):
+        return (e.op == "^" and "t" in free_variables(e)) or power_reads_t(e.left) or power_reads_t(e.right)
+    if isinstance(e, Neg):
+        return power_reads_t(e.arg)
+    if isinstance(e, Call):
+        return any(power_reads_t(a) for a in e.args)
+    return False

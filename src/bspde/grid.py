@@ -21,6 +21,15 @@ import numpy as np
 # quarter of 8 GB and 500 times the largest grid in the test suite (41 x 41 at nt 200).
 MAX_SOLVE_DOUBLES = 2**28
 
+# (level, node) points that a sampler of every level evaluates at once: the
+# coefficient survey, the stepper's level store and residual, and the CLI's
+# source sampler take the levels in chunks of at most this many points (one
+# level when a level alone has more).  So a 33 x 33 grid at nt = 40 takes 5
+# chunks of 8 levels, and a 129 x 129 grid (16129 interior nodes) one level
+# at a time, which keeps its temporaries to one level's.  2**14 points made
+# the grid-2d benchmark's peak RSS 0.3-0.7 MB larger for no measurable gain.
+CHUNK_POINTS = 2**13
+
 
 class GridError(ValueError):
     pass
@@ -91,13 +100,7 @@ class Grid:
         # a field of doubles on every node of every level must fit in one numpy array
         if 8 * (self.nt + 1) * math.prod(self.nx) > np.iinfo(np.intp).max:
             raise GridError("nx and nt ask for more nodes than a numpy array can hold")
-        # the solution on every level and one level's band LU factor, (3w + 1) rows of n_interior,
-        # where the stepper's half-bandwidth w is 1 in 1-D and (interior nodes of the last axis) + 1 in 2-D
-        w = 1 if len(self.nx) == 1 else self.nx[-1] - 1
-        doubles = (self.nt + 1) * math.prod(self.nx) + (3 * w + 1) * math.prod(n - 2 for n in self.nx)
-        if doubles > MAX_SOLVE_DOUBLES:
-            need = f"nx = {list(self.nx)} and nt = {self.nt} ask a solve to hold {doubles:.3g} doubles"
-            raise GridError(f"{need}, more than the limit of {MAX_SOLVE_DOUBLES:.3g}")
+        self.check_solve_size()
         object.__setattr__(
             self,
             "hx",
@@ -107,6 +110,19 @@ class Grid:
         for h in self.hx:
             if h * h == math.inf:
                 raise GridError(f"grid step {h} is too wide: its square overflows")
+
+    def check_solve_size(self, store: int = 0) -> None:
+        """Refuse a backward solve on this grid that would hold more than
+        MAX_SOLVE_DOUBLES doubles: the solution on every level, one level's
+        band LU factor, (3w + 1) rows of n_interior, where the stepper's
+        half-bandwidth w is 1 in 1-D and (interior nodes of the last axis) + 1
+        in 2-D, and `store` more, the stepper's level store."""
+        w = 1 if len(self.nx) == 1 else self.nx[-1] - 1
+        doubles = (self.nt + 1) * math.prod(self.nx) + (3 * w + 1) * math.prod(n - 2 for n in self.nx) + store
+        if doubles > MAX_SOLVE_DOUBLES:
+            need = f"nx = {list(self.nx)} and nt = {self.nt} ask a solve to hold {doubles:.3g} doubles"
+            held = f", {store:.3g} of them in the level store" if store else ""
+            raise GridError(f"{need}{held}, more than the limit of {MAX_SOLVE_DOUBLES:.3g}")
 
     @property
     def dim(self) -> int:
@@ -163,6 +179,39 @@ class Grid:
             raise GridError(f"time {t} outside [0, {self.T}]")
         k = int(self.nearest_levels(t))
         return k, abs(k * self.dt - t)
+
+
+def level_chunks(n_levels: int, per_level: int, one_at_a_time: bool = False) -> list[range]:
+    """Levels 0..n_levels - 1 in consecutive ranges of at most
+    CHUNK_POINTS // per_level levels (at least one), or of one level each
+    when `one_at_a_time`."""
+    step = 1 if one_at_a_time else max(1, CHUNK_POINTS // per_level)
+    return [range(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step)]
+
+
+def sample_levels(chunks: list[range], sample):
+    """(levels, sample(levels)) for each range of `chunks` in turn.  A range
+    whose sample raises a ValueError (a coefficient or an expression that
+    does not evaluate) is sampled again one level at a time, so the error is
+    the one that a loop over single levels meets first."""
+    for levels in chunks:
+        try:
+            result = sample(levels)
+        except ValueError:
+            if len(levels) == 1:
+                raise
+            for j in levels:
+                yield range(j, j + 1), sample(range(j, j + 1))
+        else:
+            yield levels, result
+
+
+def level_points(points: np.ndarray, times: np.ndarray, levels: range) -> tuple[np.ndarray, np.ndarray]:
+    """`points` (npts, dim) once per level of `levels`, level-major, and the
+    time of each point; a single level is `points` itself at its one time."""
+    if len(levels) == 1:
+        return points, times[levels.start]
+    return np.tile(points, (len(levels), 1)), np.repeat(times[levels.start : levels.stop], len(points))
 
 
 def make_grid(domain: Domain, nx, nt: int, T: float) -> Grid:
@@ -281,10 +330,14 @@ def field_to_csv(f: SpaceField | SpaceTimeField) -> str:
         times = grid.times()
         levels = [(times[k], f.values[k]) for k in range(f.n_levels)]
     coord_cols = ["x1"] if grid.dim == 1 else ["x1", "x2"]
-    coords = [",".join(map(repr, p)) for p in grid.interior_points().tolist()]
+    # one level's rows as the pieces t, ",x1[,x2],", u, "\n" of each row in turn;
+    # the coordinate and newline pieces stay, t and u are replaced per level
+    parts = ["\n"] * (4 * grid.n_interior)
+    parts[1::4] = ["," + ",".join(map(repr, p)) + "," for p in grid.interior_points().tolist()]
     chunks = [",".join(["t"] + coord_cols + ["u"]) + "\n"]
     for t, v in levels:
-        ts = repr(float(t))
-        # one string per level, so the row strings of only one level are alive at a time
-        chunks.append("".join([f"{ts},{c},{val!r}\n" for c, val in zip(coords, v.ravel().tolist())]))
+        parts[0::4] = [repr(float(t))] * grid.n_interior
+        parts[2::4] = map(repr, v.ravel().tolist())
+        # one string per level, so the value strings of only one level are alive at a time
+        chunks.append("".join(parts))
     return "".join(chunks)

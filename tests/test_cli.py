@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspde import cli, coefficients, stepper
+from bspde import CoefficientSet, Domain, cli, coefficients, make_grid, stepper
+from bspde import grid as grid_module
 from bspde.cli import main
+from bspde.exprdsl import bind, parse
 
 from conftest import validate_spec
 
@@ -1052,6 +1055,69 @@ def test_converge_fails_on_a_refined_grid_too_large_before_any_solve(tmp_path, c
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "validation failed: nx = [399] and nt = 1048576 ask a solve to hold 4.18e+08 doubles" in err
+
+
+@pytest.mark.parametrize("t_dependent, code", [(True, 1), (False, 0)])
+def test_a_level_store_over_the_size_limit_is_a_validation_failure(tmp_path, capsys, monkeypatch, t_dependent, code):
+    # 33 x 33 at nt = 40: the solution and a factor hold 137,866 doubles, and the level store
+    # 40 slots x 5 bands x 961 nodes with a b that reads t, or 1 slot without
+    monkeypatch.setattr(grid_module, "MAX_SOLVE_DOUBLES", 200_000)
+    b = ["0.1 + 0.05*sin(3*t)" if t_dependent else 0.1, 0.08]
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain={"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        grid={"nx": [33, 33], "nt": 40, "T": 1.0},
+        coefficients={"b": b},
+        data={"terminal": "x1*(1 - x1)*x2*(1 - x2)"},
+        gamma=None,
+        montecarlo={"points": []},
+    )
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if t_dependent:
+        assert err == (
+            "bspde: validation failed: nx = [33, 33] and nt = 40 ask a solve to hold 3.3e+05 doubles, "
+            "1.92e+05 of them in the level store, more than the limit of 2e+05\n"
+        )
+
+
+def _reference_source(g, text):
+    """The source sampled one level at a time, at its t, one number."""
+    e = parse(text)
+    return np.stack([np.asarray(e.eval(bind(g.mesh(), t)), dtype=float) * np.ones(g.interior_shape) for t in g.times()])
+
+
+SAMPLED_GRIDS = {
+    "2d-chunks": make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 33, 40, 1.0),  # 961 nodes: 5 chunks of 8 levels and 1
+    "1d-chunks": make_grid(Domain((0.0,), (1.0,)), 2049, 10, 1.0),  # 2047 nodes: 4, 4 and 3 levels
+    "1d-one-chunk": make_grid(Domain((0.0,), (1.0,)), 201, 10, 1.0),  # 199 nodes: the 11 levels together
+}
+
+
+@pytest.mark.parametrize("grid_name", ["2d-chunks", "1d-chunks"])
+@pytest.mark.parametrize("source", ["x1*(1-x1)*exp(-t)*sin(3*x1)", "exp(-t)", "2.5", "(1 + t)^3*x1 + x1^t"])
+def test_the_source_is_sampled_bit_for_bit_as_level_by_level(grid_name, source):
+    g = SAMPLED_GRIDS[grid_name]
+    data = {"terminal": parse("x1"), "source": parse(source)}
+    sampled = cli._sample_data(g, CoefficientSet.create(g.dim, b=0.1), data).source.values
+    assert sampled.tobytes() == _reference_source(g, source).tobytes()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # not finite at t = 0.5 alone
+        ("exp(1e5*(0.01 - (t - 0.5)*(t - 0.5)))", "data.source: evaluates to a non-finite value at t = 0.5"),
+        # not finite at t = 0.3, and a division by zero from t = 0.5 on, in the one chunk
+        ("exp(1e5*(0.01 - (t - 0.3)*(t - 0.3))) + 1/max(0.45 - t, 0)", "data.source: evaluates to a non-finite value at t = 0.3"),
+        ("1/max(0.45 - t, 0) + exp(1e5*(0.01 - (t - 0.8)*(t - 0.8)))", "data.source: division by zero"),
+    ],
+    ids=["one-bad-level", "bad-level-then-division-by-zero", "division-by-zero-then-bad-level"],
+)
+def test_the_source_sampler_reports_the_first_level_that_fails(source, message):
+    g = SAMPLED_GRIDS["1d-one-chunk"]
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+        cli._sample_data(g, CoefficientSet.create(1, b=0.1), {"terminal": parse("x"), "source": parse(source)})
 
 
 def test_the_readme_table_lists_every_config_entry_with_its_default():

@@ -362,6 +362,96 @@ def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, gr
         assert [v.tobytes() for v in c.noise_at(pts, t, draws)] == [v.tobytes() for v in want]
 
 
+def reference_survey(coeffs, grid):
+    """The survey as a loop over single levels, each sampled at its t, one
+    number: the per-level form of `_survey`, which samples chunks of levels."""
+    pts, on_wall, times = _samples(coeffs, grid)
+    delta, arg_pt, arg_t = np.inf, tuple(pts[0]), 0.0
+    lam_max, beta_wall_max, beta_sup = -np.inf, 0.0, 0.0
+    sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
+    non_finite = {}
+    with np.errstate(all="ignore"):
+        for t in times:
+            b = coeffs.b_at(pts, t)
+            bs = coeffs.beta_at(pts, t)
+            lam = coeffs.lam_at(pts, t)
+            f = coeffs.f_at(pts, t)
+            step = np.abs(lam)
+            for a, h in enumerate(grid.hx):
+                step = step + 2 * np.abs(b[:, a, a]) / (h * h) + np.abs(f[:, a]) / h
+            quantities = (
+                ("coefficient b", b),
+                ("coefficient f", f),
+                ("coefficient lam", lam),
+                ("coefficient beta", np.moveaxis(bs, 0, 1)),
+                ("implicit step dt*A_h", grid.dt * step),
+            )
+            for name, vals in quantities:
+                bad = ~np.isfinite(vals.reshape(len(pts), -1)).all(axis=1)
+                if name not in non_finite and bad.any():
+                    non_finite[name] = (tuple(float(c) for c in pts[np.argmax(bad)]), float(t))
+            lo, _ = _sym_eig_range(b - 0.5 * np.einsum("kpi,kpj->pij", bs, bs))
+            k = int(np.argmin(lo))
+            if lo[k] < delta:
+                delta = float(lo[k])
+                arg_pt = tuple(float(c) for c in pts[k])
+                arg_t = float(t)
+            lam_max = max(lam_max, float(np.max(lam)))
+            beta_sup = max(beta_sup, float(np.max(np.abs(bs), initial=0.0)))
+            beta_wall_max = max(beta_wall_max, float(np.max(np.abs(bs[:, on_wall, :]), initial=0.0)))
+            sup_f1 = max(sup_f1, float(np.max(np.abs(f[:, 0]))))
+            lo, hi = _sym_eig_range(2.0 * b)
+            delta_qv = min(delta_qv, float(np.min(lo)))
+            c_beta = max(c_beta, float(np.max(hi)))
+    if len(non_finite) > 1:
+        non_finite.pop("implicit step dt*A_h", None)
+    issues = [f"{name} is not finite at x = {x}, t = {t:.6g}" for name, (x, t) in non_finite.items()]
+    if not np.isfinite(delta):
+        issues.append("ellipticity sampling produced non-finite values")
+    if delta <= 0:
+        issues.append(f"uniform ellipticity violated: margin delta = {delta:.6g} at x = {arg_pt}, t = {arg_t:.6g}")
+    if lam_max > 0:
+        issues.append(f"zeroth-order coefficient must be <= 0, found max {lam_max:.6g}")
+    if beta_wall_max > 1e-12 * max(1.0, beta_sup):
+        issues.append(f"beta must vanish on the boundary, found |beta| = {beta_wall_max:.6g} there")
+    return (float(delta), arg_pt, arg_t, bool(issues), tuple(issues)), (sup_f1, c_beta, delta_qv)
+
+
+CHUNKED_SETS = {
+    **NOISE_SETS,
+    # b12 nonzero at one node alone, and only for t > 0
+    "2d-mixed-one-node": (2, dict(b=[["0.2 + 0.1*t", "t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)"], ["t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)", 0.15]])),
+    # not finite at t = 0.5 alone: exp(1000) there, exp(-1.5e4) at the neighbouring levels
+    "1d-one-bad-level": (1, dict(b="0.1 + 0.01*x*(1 - x)*exp(1e5*(0.01 - (t - 0.5)*(t - 0.5)))", f="x - t")),
+    # a power of t: sampled one level at a time
+    "1d-power-of-t": (1, dict(b="0.2 + 0.1*(1 + sin(3*t))^2", lam="-(t^3)", beta=[["0.3*x*(1-x)*t^0.5"]])),
+}
+CHUNKED_GRIDS = {
+    "1d-one-chunk": make_grid(Domain((0.0,), (1.0,)), 21, 10, 1.0),
+    "2d-one-chunk": make_grid(Domain((0.0, 0.0), (1.0, 1.0)), (9, 11), 8, 1.0),
+    "1d-chunks": make_grid(Domain((0.0,), (1.0,)), 2049, 10, 1.0),  # 2049 nodes: 3, 3, 3 and 2 levels
+    "2d-chunks": make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 33, 16, 1.0),  # 1089 nodes: 7, 7 and 3 levels
+}
+
+
+@pytest.mark.parametrize(
+    "name,grid_name",
+    [(n, g) for n in sorted(CHUNKED_SETS) for g in sorted(CHUNKED_GRIDS) if CHUNKED_GRIDS[g].dim == CHUNKED_SETS[n][0]],
+)
+def test_survey_matches_the_loop_over_single_levels_bit_for_bit(name, grid_name):
+    dim, kw = CHUNKED_SETS[name]
+    g = CHUNKED_GRIDS[grid_name]
+    c = CoefficientSet.create(dim, **kw)
+    report, env = _survey(c, g)
+    assert repr((_as_tuple(report), tuple(env))) == repr(reference_survey(c, g))
+
+
+def test_the_one_bad_level_set_names_its_level():
+    c = CoefficientSet.create(1, **CHUNKED_SETS["1d-one-bad-level"][1])
+    issues = validate(c, CHUNKED_GRIDS["1d-chunks"]).issues
+    assert issues[0] == "coefficient b is not finite at x = (0.0,), t = 0.5"  # inf * 0 on the wall
+
+
 def test_survey_sets_cover_their_cases(grid1):
     assert validate(CoefficientSet.create(1, **SURVEY_SETS["violated-margin"][1]), grid1).violated
     assert validate(CoefficientSet.create(1, **SURVEY_SETS["positive-lam"][1]), grid1).violated
@@ -404,17 +494,18 @@ def test_validation_block_samples_each_distinct_level_once(tmp_path, monkeypatch
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     cfg = cli.load_config(str(path))
-    times = []
+    calls = []
     b_at = CoefficientSet.b_at
 
     def spy(self, points, t):
-        times.append(float(t))
+        calls.append(np.unique(t).tolist())
         return b_at(self, points, t)
 
     monkeypatch.setattr(CoefficientSet, "b_at", spy)
     block = cli._validation_block(cfg)
     assert "nu" in block  # the confinement bound read the same survey
-    assert len(times) == sampled_levels
+    # one call: the 11 levels of 21 nodes are one chunk
+    assert len(calls) == 1 and len(calls[0]) == sampled_levels
 
 
 def test_validate_names_the_first_non_finite_sample():

@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from bspde import (
     sup_norm,
 )
 from bspde.nonlocal_ops import _compile
-from bspde.stepper import LinearSolveError, SolutionRangeError, _assemble, _span, _store, _System
+from bspde.grid import GridError
+from bspde.stepper import LinearSolveError, SolutionRangeError, _span, _store, _System
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -277,34 +280,97 @@ def test_time_dependent_coefficients_run():
     assert sup_norm(out.u) <= sup_norm(term) + 1e-12
 
 
+class ReferenceLevel(NamedTuple):
+    bands: dict  # flat offset k -> row-indexed entries M[p, p + k]
+    w: int  # half-bandwidth of the stencil, whichever bands are kept
+    worst_positive_offdiag: float
+
+
+def reference_level(g, c, t) -> ReferenceLevel:
+    """(I - dt*A_h) at time t alone, the reference for the store, which
+    assembles chunks of levels: the coefficients evaluated at t, one number,
+    and only the bands that are nonzero at some node of this level, in
+    stencil order."""
+    shape = g.interior_shape
+    pts = g.interior_points()
+    b = c.b_at(pts, t).reshape(shape + (g.dim, g.dim))
+    f = c.f_at(pts, t).reshape(shape + (g.dim,))
+    diag_A = c.lam_at(pts, t).reshape(shape)
+    stencil = {}
+    for a, h in enumerate(g.hx):
+        e = np.eye(g.dim, dtype=int)[a]
+        baa = b[..., a, a] / h**2
+        stencil[tuple(e)] = baa + np.maximum(f[..., a], 0.0) / h
+        stencil[tuple(-e)] = baa + np.maximum(-f[..., a], 0.0) / h
+        diag_A = diag_A - 2.0 * baa - np.abs(f[..., a]) / h
+    if g.dim == 2:
+        cross = b[..., 0, 1] / (2.0 * g.hx[0] * g.hx[1])
+        stencil.update({(1, 1): cross, (-1, -1): cross, (1, -1): -cross, (-1, 1): -cross})
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(g.dim)]
+    bands = {0: (1.0 - g.dt * diag_A).ravel()}
+    worst = 0.0
+    for off, coef in stencil.items():
+        has = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, shape))
+        vals = -g.dt * coef[has]
+        if not vals.size:
+            continue
+        worst = max(worst, float(np.max(vals)))
+        band = np.zeros(shape)
+        band[has] = vals
+        k = int(np.dot(off, strides))
+        bands[k] = bands.get(k, 0.0) + band.ravel()
+    return ReferenceLevel({k: e for k, e in bands.items() if np.any(e)}, max(abs(k) for k in bands), worst)
+
+
+def _band_storage(level, n):
+    """The LAPACK band storage of an assembled level of n nodes."""
+    w = level.w
+    ab = np.zeros((3 * w + 1, n), order="F")
+    for k, entries in level.bands.items():
+        rows, cols = _span(k, n)
+        ab[2 * w - k, cols] = entries[rows]
+    return ab
+
+
 def _fresh_system(g, c, t):
-    return _System(_assemble(g, c, t), g.n_interior, t)
+    level = reference_level(g, c, t)
+    return level, _System(_band_storage(level, g.n_interior), level.w, t)
 
 
 def _reference_sweep(g, c, terminal, source=None):
     """The per-step sweep: a fresh system per level (one per sweep when no
     coefficient depends on t), a fresh rhs per step, one dgbtrs and that
-    step's residual over the bands in their order."""
+    step's residual over the bands in their order; where M x overflows, the
+    step's residual is 2**e sup |2**-e rhs - M 2**-e x|, sup |2**-e x| in [0.5, 1)."""
     shape = g.interior_shape
     u = np.empty((g.nt + 1,) + shape)
     u[g.nt] = terminal.values
     worst = 0.0
     resids = []  # per step, from level nt - 1 down to 0
     system = None
+
+    def sup_residual(rhs, x):
+        r = rhs.copy()
+        for j, entries in level.bands.items():
+            rows, cols = _span(j, rhs.size)
+            r[rows] -= entries[rows] * x[cols]
+        return float(np.max(np.abs(r)))
+
     for k in range(g.nt - 1, -1, -1):
         if system is None or c.is_time_dependent:
-            system = _fresh_system(g, c, g.dt * k)
-            worst = max(worst, system.worst_positive_offdiag)
+            level, system = _fresh_system(g, c, g.dt * k)
+            worst = max(worst, level.worst_positive_offdiag)
         rhs = u[k + 1].ravel().copy()
         if source is not None:
             rhs += g.dt * source.values[k].ravel()
-        x, info = dgbtrs(system.lu, system.w, system.w, rhs, system.piv)
+        x, info = dgbtrs(system.lu, level.w, level.w, rhs, system.piv)
         assert info == 0
-        r = rhs.copy()
-        for j, entries in system.bands.items():
-            rows, cols = _span(j, rhs.size)
-            r[rows] -= entries[rows] * x[cols]
-        resids.append(float(np.max(np.abs(r))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = sup_residual(rhs, x)
+            if not math.isfinite(res):
+                e = math.frexp(float(np.max(np.abs(x))))[1]
+                res = float(np.ldexp(sup_residual(np.ldexp(rhs, -e), np.ldexp(x, -e)), e))
+        resids.append(res)
         u[k] = x.reshape(shape)
     return u, worst, resids
 
@@ -470,12 +536,13 @@ def _grid_2d(nx=(6, 9), nt=12, T=0.8):
 
 
 def _count_b_at(monkeypatch) -> list:
-    """Patch CoefficientSet.b_at to record the time of every call."""
+    """Patch CoefficientSet.b_at to record the distinct times of every call
+    (one per level of the chunk that it evaluates)."""
     calls = []
     real = CoefficientSet.b_at
 
     def spy(self, points, t):
-        calls.append(t)
+        calls.append(np.unique(t).tolist())
         return real(self, points, t)
 
     monkeypatch.setattr(CoefficientSet, "b_at", spy)
@@ -493,8 +560,8 @@ def test_level_store_serves_every_later_sweep(monkeypatch):
     calls = _count_b_at(monkeypatch)
     first = solve_terminal(CauchyProblem(g1, c1, source=src, terminal=term))
     second = solve_terminal(CauchyProblem(g2, c2, source=src, terminal=term))
-    # the second sweep assembles no level again
-    assert sorted(calls) == [g1.dt * k for k in range(g1.nt)]
+    # the first sweep assembles every level in one chunk of 12 x 28 points; the second, none again
+    assert calls == [[g1.dt * k for k in range(g1.nt)]]
     assert (_store.cache_info().hits, _store.cache_info().misses) == (1, 1)
     u, worst, resids = _reference_sweep(g1, c1, source=src, terminal=term)
     for out in (first, second):
@@ -526,12 +593,111 @@ def test_level_store_keeps_every_band_that_is_nonzero_somewhere(coeffs, n_bands)
     src, term = random_st_field(rng, g), random_field(rng, g)
     _assert_matches_reference(g, coeffs, source=src, terminal=term)
     _assert_matches_reference(g, coeffs, source=src, terminal=term)  # from the store
-    slots = _store(g, coeffs).slots
-    assert len(slots) == (g.nt if coeffs.is_time_dependent else 1)
-    for level in slots[1:] or slots:  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
-        assert len(level.bands) == n_bands
-        assert not any(e.flags.writeable for e in level.bands.values())  # shared by every sweep
-        assert level.w == g.interior_shape[1] + 1  # the stencil's, whichever bands are stored
+    store = _store(g, coeffs)
+    assert store.nslots == (g.nt if coeffs.is_time_dependent else 1)
+    assert len(store.bands) == n_bands
+    for e in store.bands.values():
+        assert e.shape == (store.nslots, g.n_interior)
+        assert not e.flags.writeable  # shared by every sweep
+    for j in range(1, store.nslots) or [0]:  # b12 of C2_MIXED_ONE_NODE vanishes at t = 0
+        assert sum(bool(np.any(e[j])) for e in store.bands.values()) == n_bands
+    assert store.w == g.interior_shape[1] + 1  # the stencil's, whichever bands are stored
+
+
+# b, f and lam take powers of t, which the store assembles one level at a time
+C1_POWER_T = CoefficientSet.create(1, b="(0.2 + t)^3", f="x^(1 + t) - 0.5", lam="-(t^3)")
+# not finite at t = 0.3 and t = 0.7 alone (exp(1000) at those levels, exp(-9000) at the next ones)
+C1_TWO_BAD_LEVELS = CoefficientSet.create(
+    1, b="0.1 + 0.01*x*(1 - x)*(exp(1e6*(0.001 - (t - 0.3)*(t - 0.3))) + exp(1e6*(0.001 - (t - 0.7)*(t - 0.7))))"
+)
+GRID_2D_BENCH = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 33, 40, 1.0)  # 961 nodes x 40 levels: 5 chunks
+GRID_1D_LONG = make_grid(Domain((0.0,), (1.0,)), 23, 2000, 0.8)  # 21 nodes x 2000 levels: 6 chunks
+
+
+def _assert_store_matches_the_per_level_reference(g, c):
+    store = _store(g, c)
+    levels = [reference_level(g, c, g.dt * j) for j in range(store.nslots)]
+    zeros = np.zeros(g.n_interior).tobytes()
+    for j, level in enumerate(levels):
+        # the level's bands in its own order, every other stored band zero (+0.0) at this slot
+        assert [k for k in store.bands if k in level.bands] == list(level.bands)
+        for k, e in store.bands.items():
+            assert e[j].tobytes() == (level.bands[k].tobytes() if k in level.bands else zeros)
+        assert store.w == level.w
+    assert set(store.bands) == set().union(*(level.bands for level in levels))
+    assert store.worst_positive_offdiag == max([0.0] + [level.worst_positive_offdiag for level in levels])
+
+
+C2_POWER_T = CoefficientSet.create(2, b=["(0.3 + t)^2", "0.1 + 0.05*x1"], f=["x1^(1 + t)", "-0.3"], lam=-0.2)
+GRID_1D = make_grid(Domain((0.0,), (1.0,)), 23, 30, 0.8)
+
+
+@pytest.mark.parametrize(
+    "g,coeffs",
+    [
+        pytest.param(_grid_2d(), C2_TIME, id="2d-time"),
+        pytest.param(_grid_2d(), C2_MIXED_TIME, id="2d-mixed-time"),
+        pytest.param(_grid_2d(), C2_MIXED_ONE_NODE, id="2d-mixed-one-node"),
+        pytest.param(_grid_2d(), C2_DIAG, id="2d-diagonal"),
+        pytest.param(_grid_2d(), C2_CONST, id="2d-constant-in-t"),
+        pytest.param(_grid_2d(), C2_POWER_T, id="2d-power-of-t"),
+        pytest.param(GRID_1D, C1_TIME, id="1d-time"),
+        pytest.param(GRID_1D, C1_POWER_T, id="1d-power-of-t"),
+        pytest.param(GRID_2D_BENCH, C2_MIXED_TIME, id="2d-mixed-time-chunks"),
+        pytest.param(GRID_2D_BENCH, C2_TIME, id="2d-time-chunks"),
+        pytest.param(GRID_1D_LONG, C1_TIME, id="1d-time-chunks"),
+    ],
+)
+def test_store_matches_the_per_level_reference(g, coeffs):
+    _assert_store_matches_the_per_level_reference(g, coeffs)
+
+
+def test_the_store_assembles_a_chunk_of_levels_per_evaluation(monkeypatch):
+    calls = _count_b_at(monkeypatch)
+    _store(GRID_2D_BENCH, C2_TIME)
+    # 8192 // 961 = 8 levels per chunk, the level times each once and in order
+    assert [len(times) for times in calls] == [8, 8, 8, 8, 8]
+    assert sum(calls, []) == [GRID_2D_BENCH.dt * j for j in range(40)]
+    calls.clear()
+    _store(_grid_2d(), CoefficientSet.create(2, b="0.1 + 0.01*t^2"))
+    assert len(calls) == 12  # a power of t: one level per evaluation
+
+
+@pytest.mark.parametrize("coeffs", [C1_TIME, C1_CONST, C2_TIME], ids=["1d-time", "1d-constant-in-t", "2d-time"])
+def test_a_sweep_whose_residual_is_rescaled_matches_the_per_step_reference(coeffs):
+    # data near the top of the float range: M x overflows at the steps near the terminal level
+    lo, hi = ((0.0,), (1.0,)) if coeffs.dim == 1 else ((0.0, -1.0), (1.0, 1.0))
+    g = make_grid(Domain(lo, hi), 23 if coeffs.dim == 1 else (6, 9), 30, 0.8)
+    level = reference_level(g, coeffs, g.dt * (g.nt - 1))
+    scale = np.finfo(float).max / (0.8 * np.max(level.bands[0]))
+    term = SpaceField(g, scale * random_field(np.random.default_rng(24), g).values)
+    with np.errstate(over="ignore"):
+        assert np.isinf(level.bands[0] * term.values.ravel()).any()
+    resids = _assert_matches_reference(g, coeffs, terminal=term)
+    assert all(math.isfinite(r) for r in resids)
+
+
+def test_the_step_matrix_error_names_the_highest_level_that_is_not_finite():
+    g = make_grid(Domain((0.0,), (1.0,)), 2049, 10, 1.0)  # 2047 nodes x 10 levels: 4, 4 and 2 levels
+    with pytest.raises(LinearSolveError, match=r"^the step matrix at t = 0.7 is not finite$"):
+        solve_terminal(CauchyProblem(g, C1_TWO_BAD_LEVELS))
+
+
+def test_a_level_store_too_large_for_the_size_rule_is_refused_before_any_allocation():
+    # the solution and one factor fit (72.3M doubles); 1200 levels of 5 bands on 199 x 199 nodes do not
+    g = make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 201, 1200, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError) as err:
+            solve_terminal(CauchyProblem(g, C2_TIME))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "nx = [201, 201] and nt = 1200 ask a solve to hold 3.1e+08 doubles, "
+        "2.38e+08 of them in the level store, more than the limit of 2.68e+08"
+    )
+    assert peak < 2**20
 
 
 def test_nonlocal_solve_matches_a_picard_loop_of_fresh_systems():
@@ -587,13 +753,10 @@ def test_importing_the_cli_leaves_scipy_linalg_and_sparse_out():
 @pytest.mark.parametrize("nx", [12, (6, 9)])
 def test_stepper_routines_match_scipy_lapack_bit_for_bit(nx):
     g, c = _one_step_problem(nx)
-    level, n = _assemble(g, c, 0.0), g.n_interior
+    level, n = reference_level(g, c, 0.0), g.n_interior
     w = level.w
     assert w == (1 if g.dim == 1 else g.interior_shape[1] + 1)
-    ab = np.zeros((3 * w + 1, n), order="F")
-    for k, entries in level.bands.items():
-        rows, cols = _span(k, n)
-        ab[2 * w - k, cols] = entries[rows]
+    ab = _band_storage(level, n)
     b = np.random.default_rng(23).uniform(-1.0, 1.0, n)
     ours = stepper.dgbtrf(ab.copy(order="F"), w, w)
     theirs = dgbtrf(ab.copy(order="F"), w, w)

@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 
 
 _ENGINE = "tests/test_mc_engine.py::"
+_STEPPER = "tests/test_stepper.py::"
+_SURVEY = "tests/test_coefficients.py::"
+_SOURCE = "tests/test_cli.py::test_the_source_is_sampled_bit_for_bit_as_level_by_level"
 
 MUTANTS = (
     Mutant(
@@ -89,6 +92,74 @@ MUTANTS = (
             _ENGINE + "test_engine_at_the_real_batch_size",
         ),
     ),
+    Mutant(
+        "sweep residual against slot 0",
+        "src/bspde/stepper.py",
+        "r = self._abs_residual(rhs, x, slice(lo, hi) if self.nslots > 1 else slice(0, 1))",
+        "r = self._abs_residual(rhs, x, slice(0, 1))",
+        "the linear residual: each step of a sweep is checked against the bands of its own level",
+        (
+            _STEPPER + "test_sweep_matches_the_per_step_reference[23-30-coeffs2-True-None]",
+            _STEPPER + "test_sweep_matches_the_per_step_reference[nx6-12-coeffs6-True-7]",
+            _STEPPER + "test_a_sweep_whose_residual_is_rescaled_matches_the_per_step_reference[1d-time]",
+            _STEPPER + "test_level_store_serves_every_later_sweep",
+        ),
+    ),
+    Mutant(
+        "chunk boundary level skipped",
+        "src/bspde/grid.py",
+        "range(lo, min(lo + step, n_levels)) for lo in",
+        "range(lo, min(lo + step - 1, n_levels)) for lo in",
+        "the chunked samplers: every level is sampled, once",
+        (
+            _STEPPER + "test_store_matches_the_per_level_reference[2d-time-chunks]",
+            _STEPPER + "test_store_matches_the_per_level_reference[1d-time-chunks]",
+            _STEPPER + "test_the_store_assembles_a_chunk_of_levels_per_evaluation",
+            _SOURCE + "[x1*(1-x1)*exp(-t)*sin(3*x1)-2d-chunks]",
+            _SOURCE + "[x1*(1-x1)*exp(-t)*sin(3*x1)-1d-chunks]",
+        ),
+    ),
+    Mutant(
+        "chunk boundary level repeated",
+        "src/bspde/grid.py",
+        "range(lo, min(lo + step, n_levels)) for lo in",
+        "range(lo, min(lo + step + 1, n_levels)) for lo in",
+        "the chunked samplers: every level is sampled, once",
+        (_STEPPER + "test_the_store_assembles_a_chunk_of_levels_per_evaluation",),
+    ),
+    Mutant(
+        "survey argmin time from the chunk's first level",
+        "src/bspde/coefficients.py",
+        "arg_t = float(times[levels[j]])",
+        "arg_t = float(times[levels[0]])",
+        "the ellipticity report: the margin is reported at the (x, t) where it is smallest",
+        (
+            _SURVEY + "test_survey_matches_the_loop_over_single_levels_bit_for_bit[only-beta-reads-t-1d-one-chunk]",
+            _SURVEY + "test_survey_matches_the_per_level_loops[only-beta-reads-t]",
+            _SURVEY + "test_survey_sets_cover_their_cases",
+        ),
+    ),
+    Mutant(
+        "chunk error not resampled level by level",
+        "src/bspde/grid.py",
+        "            if len(levels) == 1:\n                raise\n",
+        "            raise\n",
+        "the chunked samplers: an evaluation error is the one a loop over single levels meets first",
+        ("tests/test_cli.py::test_the_source_sampler_reports_the_first_level_that_fails[bad-level-then-division-by-zero]",),
+    ),
+    Mutant(
+        "powers of t sampled in chunks",
+        "src/bspde/grid.py",
+        "step = 1 if one_at_a_time else max(1, CHUNK_POINTS // per_level)",
+        "step = max(1, CHUNK_POINTS // per_level)",
+        "the chunked samplers: a power of t, which numpy rounds by shape, is sampled at one t at a time",
+        (
+            _STEPPER + "test_store_matches_the_per_level_reference[1d-power-of-t]",
+            _STEPPER + "test_the_store_assembles_a_chunk_of_levels_per_evaluation",
+            _SOURCE + "[(1 + t)^3*x1 + x1^t-1d-chunks]",
+            _SOURCE + "[(1 + t)^3*x1 + x1^t-2d-chunks]",
+        ),
+    ),
 )
 
 
@@ -113,7 +184,7 @@ def _failed(m: Mutant, d: Path) -> set[str]:
     )
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"pytest could not run the tests of {m.name!r}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return {t for t in m.tests if re.search(rf"^(FAILED|ERROR) {re.escape(t)}\b", proc.stdout, re.M)}
+    return {t for t in m.tests if re.search(rf"^(FAILED|ERROR) {re.escape(t)}(?= |$)", proc.stdout, re.M)}
 
 
 def main(argv: list[str]) -> int:
