@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 non-convergence, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .montecarlo import MonteCarloError, PathConfig, compare_mc_pde, comparison_
 from .nonlocal_ops import (
     Convex,
     InitialValue,
+    KernelEntries,
     NonlocalValidationError,
     PointInTime,
     SpaceTimeKernel,
@@ -283,12 +285,21 @@ def _sample_data(grid: Grid, coeffs: CoefficientSet, data: dict) -> CauchyProble
 
 @contextmanager
 def _utf8(path):
-    """The text file at `path`; a byte that is not UTF-8 is an i/o error naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as e:
-            raise OSError(f"{e} in {path}") from None
+    """A byte of the file at `path` that is not UTF-8, met inside, is an i/o error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise OSError(f"{e} in {path}") from None
+
+
+@lru_cache(maxsize=1)
+def _kernel(data: bytes, grid: Grid, theta: float) -> KernelEntries:
+    """The read-only entries of the kernel CSV whose bytes are `data`, read from
+    the text that opening the file gives (UTF-8, universal newlines, decoded in
+    the same blocks).  Keyed on the bytes themselves, the grid and theta: the
+    last kernel read serves every later load of it in the process, a rewritten
+    file is read again, and a fault is raised again on every load."""
+    return kernel_from_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), grid, theta)
 
 
 def _gamma(spec, path: str, grid: Grid, base_dir: Path):
@@ -305,8 +316,9 @@ def _gamma(spec, path: str, grid: Grid, base_dir: Path):
     cls = _GAMMA[entries.pop("type")][0]
     if cls is SpaceTimeKernel:
         _built(path, _snap_before_T, grid, entries["theta"], "theta")
-        with _utf8(base_dir / entries.pop("csv")) as fh:
-            entries["kernel"] = _built(f"{path}.csv", kernel_from_csv, fh, grid, entries["theta"])
+        csv_file = base_dir / entries.pop("csv")
+        with _utf8(csv_file):
+            entries["kernel"] = _built(f"{path}.csv", _kernel, csv_file.read_bytes(), grid, entries["theta"])
     if cls is Convex:
         parts = enumerate(entries["parts"])
         entries["parts"] = tuple(_gamma(part, f"{path}.parts[{i}]", grid, base_dir) for i, part in parts)
@@ -314,7 +326,7 @@ def _gamma(spec, path: str, grid: Grid, base_dir: Path):
 
 
 def load_config(path: str, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
-    with _utf8(path) as fh:
+    with _utf8(path), open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     base_dir = Path(path).resolve().parent
     entries = _read(raw, "", _CONFIG)

@@ -338,7 +338,8 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
     whitespace and double quotes allowed); a row that breaks any of these
     rules raises NonlocalValidationError naming its 1-based physical line.
     Returns the KernelEntries for SpaceTimeKernel(theta, ...), one per
-    (level, y, x) set, in that order.
+    (level, y, x) set, in that order, as read-only arrays, so that one
+    reading can be shared.
 
     The data rows are parsed by one np.loadtxt call streaming from `fh`; only
     when it refuses the file, or a parsed row breaks a rule, are the rows read
@@ -392,4 +393,7 @@ def kernel_from_csv(fh, grid: Grid, theta: float) -> KernelEntries:
     # each address's last row, in (level, y, x) order
     _, first_from_end = np.unique(flat[::-1], return_index=True)
     last = len(flat) - 1 - first_from_end
-    return KernelEntries(lvl[last], y[last], x[last], kv[last])
+    entries = KernelEntries(lvl[last], y[last], x[last], kv[last])
+    for a in entries:
+        a.flags.writeable = False
+    return entries

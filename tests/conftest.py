@@ -21,6 +21,7 @@ from bspde import (
     SpaceTimeKernel,
     TimeKernel,
     TwoPoint,
+    cli,
     coefficients,
     make_grid,
     stepper,
@@ -52,10 +53,11 @@ def truncation_check(spec, u: SpaceTimeField, theta: float | None = None) -> boo
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """No test sees a stepper store or coefficient survey that an earlier
-    test left behind."""
+    """No test sees a stepper store, coefficient survey or kernel CSV reading
+    that an earlier test left behind."""
     stepper._store.cache_clear()
     coefficients._survey.cache_clear()
+    cli._kernel.cache_clear()
 
 
 @pytest.fixture

@@ -398,6 +398,120 @@ def test_a_non_utf8_byte_past_the_kernel_csv_header_block_is_an_io_error(tmp_pat
     assert err.rstrip().endswith(f"invalid start byte in {tmp_path / 'k.csv'}")
 
 
+KERNEL_ROWS = ["0.0,0.25,0.5,1.0", "0.25,0.5,0.75,0.5", "0.0,0.75,0.25,0.25"]
+KERNEL_GAMMA = {"type": "space_time_kernel", "theta": 0.5, "csv": "kern.csv"}
+
+
+def _kernel_config(tmp_path: Path, text: str | bytes) -> Path:
+    """A 5-node, nt = 4 config coupled by the space-time kernel CSV `text`."""
+    kern = tmp_path / "kern.csv"
+    kern.write_bytes(text.encode() if isinstance(text, str) else text)
+    return write_config(tmp_path / "c.json", grid={"nx": [5], "nt": 4, "T": 1.0}, gamma=KERNEL_GAMMA)
+
+
+def _loaded_kernel(cfg: Path):
+    return cli.load_config(str(cfg)).problem.spec.kernel
+
+
+def test_two_loads_of_a_kernel_csv_share_one_reading(tmp_path):
+    cfg = _kernel_config(tmp_path, "t,x1,y1,k\n" + "\n".join(KERNEL_ROWS) + "\n")
+    first = _loaded_kernel(cfg)
+    second = _loaded_kernel(cfg)
+    assert second is first
+    assert (cli._kernel.cache_info().hits, cli._kernel.cache_info().misses) == (1, 1)
+    assert [a.tolist() for a in first] == [[0, 0, 1], [0, 1, 2], [2, 0, 1], [0.25, 1.0, 0.5]]
+
+
+def test_a_kernel_csv_rewritten_with_the_same_length_is_read_again(tmp_path):
+    cfg = _kernel_config(tmp_path, "t,x1,y1,k\n0.0,0.25,0.5,1.0\n")
+    assert _loaded_kernel(cfg).value.tolist() == [1.0]
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n0.0,0.25,0.5,0.5\n")
+    assert _loaded_kernel(cfg).value.tolist() == [0.5]
+    assert cli._kernel.cache_info().misses == 2
+
+
+def test_the_arrays_of_a_loaded_kernel_are_read_only(tmp_path):
+    kernel = _loaded_kernel(_kernel_config(tmp_path, "t,x1,y1,k\n0.0,0.25,0.5,1.0\n"))
+    for a in kernel:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (
+            "t,x1,y1,k\n0.0,0.25,0.5,1.0\nabc,0.25,0.5,1.0\n",
+            1,
+            "bspde: invalid configuration: gamma.csv: kernel CSV line 3: could not convert string to float: 'abc'\n",
+        ),
+        (b"t,x1,y1,k\n0.0,0.25,0.5,1.0\n0.0,0.5,0.5,\xff\n", 3, "invalid start byte in {kern}\n"),
+    ],
+    ids=["faulty-row", "not-utf8"],
+)
+def test_a_faulty_kernel_csv_fails_every_load_alike(tmp_path, capsys, text, code, message):
+    cfg = _kernel_config(tmp_path, text)
+    message = message.format(kern=tmp_path / "kern.csv")
+    errors = []
+    for _ in range(2):
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].endswith(message)
+    assert cli._kernel.cache_info().currsize == 0
+
+
+def test_a_kernel_csv_reads_the_same_with_lf_crlf_or_cr_line_ends(tmp_path):
+    """The file is read with universal newlines: CRLF and a lone CR end a
+    line as LF does, whether the reading is fresh or the cached one."""
+    lines = ["t,x1,y1,k", *KERNEL_ROWS[:2], "", KERNEL_ROWS[2], ""]
+    expected = None
+    for end in ("\n", "\r\n", "\r"):
+        cli._kernel.cache_clear()
+        cfg = _kernel_config(tmp_path, end.join(lines))
+        cold, warm = _loaded_kernel(cfg), _loaded_kernel(cfg)
+        assert cli._kernel.cache_info().misses == 1 and warm is cold
+        expected = expected or [a.tolist() for a in cold]
+        assert [a.tolist() for a in cold] == expected
+    assert expected[3] == [0.25, 1.0, 0.5]
+
+
+def test_commands_write_the_same_bytes_from_a_cached_kernel_as_from_a_fresh_one(tmp_path):
+    """solve then qmatrix in one process on a space-time kernel: once with the
+    kernel read afresh for every load, once with every load served the cached
+    reading; every output but the timing is the same to the byte."""
+    xs, rows = [0.125 * i for i in range(1, 8)], []
+    for level in range(5):
+        for iy, y in enumerate(xs):
+            for ix, x in enumerate(xs):
+                rows.append(f"{0.125 * level!r},{x!r},{y!r},{1.0 + 0.1 * ((7 * level + 3 * iy + ix) % 5)!r}")
+    (tmp_path / "kern.csv").write_text("t,x1,y1,k\n" + "\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"nx": [9], "nt": 8, "T": 1.0},
+        gamma=KERNEL_GAMMA,
+        data={"terminal": "x*(1-x)", "source": "0.5*x"},
+    )
+
+    def outputs(out: Path, cached: bool) -> dict:
+        cli._kernel.cache_clear()
+        if cached:
+            cli.load_config(str(cfg))
+        found = {}
+        for name in ("solve", "qmatrix"):
+            if not cached:
+                cli._kernel.cache_clear()
+            assert main([name, "--config", str(cfg), "--out", str(out / name)]) == 0
+            for p in (out / name).iterdir():
+                found[name, p.name] = re.sub(rb'\n  "timing_seconds": [^\n]*', b"", p.read_bytes())
+        assert cli._kernel.cache_info().hits == (2 if cached else 0)
+        return found
+
+    fresh = outputs(tmp_path / "fresh", cached=False)
+    assert set(fresh) == {("solve", "solution.csv"), ("solve", "report.json"), ("qmatrix", "qmatrix.csv"), ("qmatrix", "report.json")}
+    assert b"timing_seconds" not in fresh["solve", "report.json"]
+    assert outputs(tmp_path / "cached", cached=True) == fresh
+
+
 def test_a_one_row_kernel_csv_on_a_2d_grid_loads_and_validates_in_little_memory(tmp_path):
     """The kernel is held as the entries its CSV sets: one row on 33 x 33
     nodes with nt = 40 and theta = 0.5, where a dense (levels, n, n) kernel

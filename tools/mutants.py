@@ -160,6 +160,56 @@ MUTANTS = (
             _SOURCE + "[(1 + t)^3*x1 + x1^t-2d-chunks]",
         ),
     ),
+    Mutant(
+        "kernel reading keyed without its bytes",
+        "src/bspde/cli.py",
+        "@lru_cache(maxsize=1)\ndef _kernel(",
+        # the last reading, kept for any file of the same length
+        "def _by_length(read):\n"
+        "    last = {}\n\n"
+        "    def cached(data, grid, theta):\n"
+        "        key = (len(data), grid, theta)\n"
+        "        if key not in last:\n"
+        "            last.clear()\n"
+        "            last[key] = read(data, grid, theta)\n"
+        "        return last[key]\n\n"
+        "    cached.cache_clear = last.clear\n"
+        "    return cached\n\n\n"
+        "@_by_length\ndef _kernel(",
+        "the kernel a command couples by is the one its CSV holds now, even when an earlier load in the process read another",
+        ("tests/test_cli.py::test_a_kernel_csv_rewritten_with_the_same_length_is_read_again",),
+    ),
+    Mutant(
+        "kernel text read without newline translation",
+        "src/bspde/cli.py",
+        'io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")',
+        'io.StringIO(data.decode("utf-8"))',
+        "the kernel CSV's lines end as the file opened as text ends them: LF, CRLF or a lone CR",
+        ("tests/test_cli.py::test_a_kernel_csv_reads_the_same_with_lf_crlf_or_cr_line_ends",),
+    ),
+    Mutant(
+        "upwind drift sides swapped",
+        "src/bspde/stepper.py",
+        "stencil[tuple(e)] = baa + np.maximum(f[..., a], 0.0) / h\n"
+        "        stencil[tuple(-e)] = baa + np.maximum(-f[..., a], 0.0) / h",
+        "stencil[tuple(e)] = baa + np.maximum(-f[..., a], 0.0) / h\n"
+        "        stencil[tuple(-e)] = baa + np.maximum(f[..., a], 0.0) / h",
+        "the monotone scheme: the drift is taken from the upwind side",
+        # the grids with more than one interior node on some axis (3 and (3, 3) have one)
+        tuple(_STEPPER + f"test_one_step_against_dense[{nx}]" for nx in ("12", "nx3", "nx4", "nx5", "nx6")),
+    ),
+    Mutant(
+        "trapezoid end weights not halved",
+        "src/bspde/nonlocal_ops.py",
+        "        w[[0, -1]] *= 0.5\n",
+        "",
+        "the coupling's quadrature: kernels are integrated in time by the trapezoid rule",
+        (
+            "tests/test_nonlocal.py::test_time_kernel_constant_bound",
+            "tests/test_uniqueness.py::test_kernel_entries_apply_as_the_dense_kernel",
+            "tests/test_acceptance.py::test_criterion_06_contraction_vs_confinement_bound",
+        ),
+    ),
 )
 
 
