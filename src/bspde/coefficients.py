@@ -3,10 +3,12 @@ weights beta, with uniform-ellipticity validation and the square-root
 decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T that the
 path simulator drives its noise with.  The columns btilde_j are the symmetric
 positive root of the residual 2b - sum beta_i beta_i^T, one closed form
-(`_spd_root`) on flat arrays of its entries: `noise_at` applies the entries to
-a path step's draws directly, with no (npts, n, n) stack.  It evaluates each
-b entry in its own shape, so an entry that does not read x (a number, say)
-stays one value through the root, and a constant set costs O(1) per step.
+(`_spd_root`) on flat arrays of its entries: `noise_root` forms the entries,
+and `apply_noise` applies them to a path step's draws directly, with no
+(npts, n, n) stack.  Each b entry is evaluated in its own shape, so an entry
+that does not read x (a number, say) stays one value through the root; the
+path engine forms the root of a set with no beta and no entry that reads x
+once per step time, or once per call when no entry reads t either.
 
 Entries are either plain numbers or exprdsl expressions of the variables
 `exprdsl.bind` gives; evaluation is pointwise and vectorized over positions.
@@ -147,7 +149,7 @@ class CoefficientSet:
         f = np.stack(np.broadcast_arrays(*(_own_values(e, env) for e in self.f)), axis=-1)
         return f, _own_values(self.lam, env)
 
-    def _noise_root(self, points: np.ndarray, t: float) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+    def noise_root(self, points: np.ndarray, t: float) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
         """The gradient weights at points, (N, npts, n), or None when N = 0,
         and the entries of the symmetric positive root of the residual
         diffusion 2b - sum_i beta_i beta_i^T there, b symmetrized: (r00,) in
@@ -169,13 +171,18 @@ class CoefficientSet:
 
     def noise_at(self, points: np.ndarray, t: float, draws: np.ndarray) -> list[np.ndarray]:
         """The noise of one path step at points per unit sqrt(dt), from one row
-        of standard normals per point: draws[:, N:] drive the columns btilde_j
-        and draws[:, :N] the beta_i.  Returns the btilde term, then (N > 0)
-        the beta term, each (npts, n); the root's entries are applied to the
-        draws in the order of the product of the root matrix and draws[:, N:],
-        and no (npts, n, n) stack is built."""
+        of standard normals per point (`apply_noise` of `noise_root`)."""
+        return self.apply_noise(self.noise_root(points, t), draws)
+
+    def apply_noise(self, root: tuple, draws: np.ndarray) -> list[np.ndarray]:
+        """The noise of one path step per unit sqrt(dt) from the `noise_root`
+        at its points and one row of standard normals per point: draws[:, N:]
+        drive the columns btilde_j and draws[:, :N] the beta_i.  Returns the
+        btilde term, then (N > 0) the beta term, each (npts, n); the root's
+        entries are applied to the draws in the order of the product of the
+        root matrix and draws[:, N:], and no (npts, n, n) stack is built."""
         N = self.n_beta
-        bs, r = self._noise_root(points, t)
+        bs, r = root
         d = draws[:, N:]
         if self.dim == 1:
             terms = [r[0][:, None] * d]

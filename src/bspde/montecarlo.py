@@ -19,20 +19,29 @@ every point still running at the step.  One helper thread draws the blocks
 up to two steps ahead, into three buffers of the batch, while the paths
 advance; it draws no block for a step at or beyond the horizon.  A batch stops
 reading once all of its paths have exited, which leaves at most two drawn
-blocks unread.  Each point's paths therefore see exactly the draws a run of
-that point alone would see, so the layout named by NORMAL_SAMPLER is unchanged
-and estimates do not depend on which other points run alongside.  A run whose
-total work, points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path
-values, points x n_paths doubles held to the end, exceed the grid's
+blocks unread.  Batches run one after another, except that a last batch
+shorter than BATCH_SIZE advances in the step loop of the batch before it,
+with its own generator, buffers and arrays, its blocks drawn on the same
+helper thread: the full batch's steps wait on its draws, and the short
+batch's steps fill that wait.  At most two batches' state is alive at once.
+Each point's paths therefore see exactly the draws a run of that point alone
+would see, so the layout named by NORMAL_SAMPLER is unchanged and estimates
+do not depend on which other points run alongside.  A run whose total work,
+points x n_paths x steps, exceeds MAX_PATH_STEPS, or whose path values,
+points x n_paths doubles held to the end, exceed the grid's
 MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 
 Every coefficient set takes one path step: f and lam from
-`CoefficientSet.f_lam_at`, and the noise from `CoefficientSet.noise_at`,
-which applies the entries of the closed-form root to the draws, the order of
-a matrix product.  Both keep an entry that does not read x as one value, so a
-constant set costs O(1) per step for its coefficients.  They and the source
-read the positions clipped to the box, as an exited path is carried along
-until the next compaction and may lie outside it.  The clip is made only
+`CoefficientSet.f_lam_at`, and the noise from `CoefficientSet.apply_noise`,
+which applies the entries of the closed-form root, `CoefficientSet.noise_root`,
+to the draws in the order of a matrix product, as `noise_at` does.  Both keep
+an entry that does not read x as one value.  When no entry reads x and there
+is no beta (`beta_at` gives its values in full shape), f, lam and the root
+are one value at every position: they are computed once per step time and
+shared by every array at that time, or once per call when no entry reads t
+either.  They and the source read the positions clipped to the box, as an
+exited path is carried along until the next compaction and may lie outside
+it.  The clip is made only
 when something reads it, a source or an entry that reads x
 (`CoefficientSet.reads_x`); otherwise the step passes the positions as they
 are, which changes no output, as a path still running starts each step
@@ -195,17 +204,23 @@ def _simulate(
     Every point still running at step j reads its paths' rows of the step's
     draw block (stream layout: module docstring).  Points with the same
     start time are advanced together, in arrays of at most BATCH_SIZE paths
-    (larger ones cost peak memory and cache misses), so coefficients and the
-    source are evaluated once per array and step.  A path is frozen at its
+    (larger ones cost peak memory and cache misses), so the source is
+    evaluated once per array and step, and so are the coefficients of a set
+    that reads x or has beta.  Those of any other set, which read no
+    position, are evaluated once per step time and shared by the arrays at
+    it, both batches' included, or once per call when they read no t either.
+    Batches run one after another, but a short last batch advances in the
+    step loop of the one before it.  A path is frozen at its
     first sampled position outside the closed box, and its value is written
     out then; it is dropped from the arrays once a quarter of them has
     exited, and until then carried along with its updates masked out of
     every output.  A batch stops reading draws once none of its paths is left.
 
     The blocks are drawn on one helper thread, opened and joined by this call:
-    block j + 2 is drawn into the buffer of block j - 1 while step j runs, and
-    once a batch's first block is asked for, only that thread touches the
-    batch's generator.
+    block j + 2 of a batch is drawn into the buffer of its block j - 1 while
+    step j runs, and once a batch's first block is asked for, only that
+    thread touches the batch's generator.  A step asks for the blocks of its
+    batches in batch order, and the thread draws them in the order asked.
     """
     grid, coeffs, source, terminal = problem.grid, problem.coeffs, problem.source, problem.terminal
     validate(coeffs, grid).raise_if_violated()
@@ -239,10 +254,24 @@ def _simulate(
 
     values = np.zeros((len(starts), n))
     alive = np.zeros((len(starts), n), dtype=bool)
+    # A step's f, lam and noise root read no position when no entry reads x and
+    # there is no beta (beta_at gives the full shape); they are then kept by
+    # step time, or under None for the whole call when no entry reads t, for
+    # every array at that time.
+    position_free = not coeffs.reads_x and not coeffs.n_beta
+    reads_t = coeffs.is_time_dependent
+    shared: dict = {}
+    n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
+    runs = [[bi] for bi in range(n_batches)]
+    if n_batches > 1 and n % BATCH_SIZE:  # the short last batch steps with the one before it
+        runs[-2:] = [runs[-2] + runs[-1]]
     from concurrent.futures import ThreadPoolExecutor  # only here: most commands run no paths
 
     with ThreadPoolExecutor(max_workers=1) as helper:
-        for bi in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
+
+        def open_batch(bi):
+            """Batch bi's first path index, generator, draw buffers, blocks
+            asked for (the first two, here) and arrays of live paths."""
             base = bi * BATCH_SIZE
             nb = min(BATCH_SIZE, n - base)
             rng = np.random.default_rng([cfg.seed, bi])
@@ -255,65 +284,81 @@ def _simulate(
                     chunk = pids[c : c + per_array]
                     xs = np.stack([starts[p][0] for p in chunk])
                     lives.append((s, n_steps, _LivePaths(xs, chunk, nb, discount, src_interp is not None)))
+            return base, rng, bufs, ahead, lives
+
+        for run in runs:
+            batches = [open_batch(bi) for bi in run]
             for j in range(max_steps):
-                running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
-                if not running:
-                    break
-                ahead.pop(0).result()
-                if j + 2 < max_steps:  # into the buffer of block j - 1, copied out at step j - 1
-                    ahead.append(helper.submit(rng.standard_normal, out=bufs[(j + 2) % 3]))
-                draws = bufs[j % 3]
-                for s, lp in running:
-                    t = s + j * cfg.dt_mc
-                    dt_eff = min(cfg.dt_mc, horizon - t)
-                    d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
-                    y = lp.y
-                    y_eval = y
-                    if clip:
-                        y_eval = np.empty_like(y)
-                        for a in range(grid.dim):  # axis by axis: broadcasting (dim,) bounds over the rows is slow
-                            np.clip(y[:, a], lo[a], hi[a], out=y_eval[:, a])
-                    if src_interp is not None:
-                        level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
-                        inc = src_interp(y_eval, level)
+                if reads_t:
+                    shared.clear()
+                stepped = False
+                for base, rng, bufs, ahead, lives in batches:
+                    running = [(s, lp) for s, n_steps, lp in lives if j < n_steps and lp.n_active]
+                    if not running:
+                        continue
+                    stepped = True
+                    ahead.pop(0).result()
+                    if j + 2 < max_steps:  # into the buffer of block j - 1, copied out at step j - 1
+                        ahead.append(helper.submit(rng.standard_normal, out=bufs[(j + 2) % 3]))
+                    draws = bufs[j % 3]
+                    for s, lp in running:
+                        t = s + j * cfg.dt_mc
+                        dt_eff = min(cfg.dt_mc, horizon - t)
+                        d = np.take(draws, lp.slot, axis=0, mode="wrap")  # row = slot mod nb
+                        y = lp.y
+                        y_eval = y
+                        if clip:
+                            y_eval = np.empty_like(y)
+                            for a in range(grid.dim):  # axis by axis: broadcasting (dim,) bounds over the rows is slow
+                                np.clip(y[:, a], lo[a], hi[a], out=y_eval[:, a])
+                        if src_interp is not None:
+                            level = min(int(np.floor(t / grid.dt + 1e-9)), source.n_levels - 1)  # at or before t
+                            inc = src_interp(y_eval, level)
+                            if discount:
+                                inc *= np.exp(lp.gam)
+                            inc *= dt_eff
+                            lp.acc += inc
+                        key = t if reads_t else None
+                        if key not in shared:
+                            shared[key] = (*coeffs.f_lam_at(y_eval, t), coeffs.noise_root(y_eval, t))
+                        f, lam, root = shared[key] if position_free else shared.pop(key)  # none kept past its array
                         if discount:
-                            inc *= np.exp(lp.gam)
-                        inc *= dt_eff
-                        lp.acc += inc
-                    f, lam = coeffs.f_lam_at(y_eval, t)
-                    if discount:
-                        lp.gam += LAMBDA_DISCOUNT_SIGN * lam * dt_eff
-                    root_dt = math.sqrt(dt_eff)
-                    dy, *beta = coeffs.noise_at(y_eval, t, d)
-                    dy *= root_dt
-                    dy += f * dt_eff  # the same sum as f * dt_eff + root_dt * btilde
-                    for noise in beta:
-                        dy += root_dt * noise
-                    y += dy
-                    del d, dy, y_eval, f, lam, beta  # freed before a compaction copies the state
-                    gone = np.zeros(len(y), dtype=bool)
-                    for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
-                        gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
-                    gone &= lp.active
-                    if gone.any():
-                        if lp.acc is not None:
-                            p, r = lp.where(gone)
-                            values[p, base + r] = lp.acc[gone]
-                        lp.active &= ~gone
-                        lp.n_active -= int(np.count_nonzero(gone))
-                        if 4 * lp.n_active <= 3 * lp.active.size:
-                            lp.compact()
-            for _, _, lp in lives:
-                lp.compact()
-                v = lp.acc if lp.acc is not None else 0.0
-                if term_interp is not None:
-                    payoff = term_interp(lp.y)
-                    if discount:
-                        payoff = np.exp(lp.gam) * payoff
-                    v = v + payoff
-                p, r = lp.where()
-                values[p, base + r] = v
-                alive[p, base + r] = True
+                            lp.gam += LAMBDA_DISCOUNT_SIGN * lam * dt_eff
+                        root_dt = math.sqrt(dt_eff)
+                        dy, *beta = coeffs.apply_noise(root, d)
+                        del root  # an array's root is freed here, as noise_at frees it
+                        dy *= root_dt
+                        dy += f * dt_eff  # the same sum as f * dt_eff + root_dt * btilde
+                        for noise in beta:
+                            dy += root_dt * noise
+                        y += dy
+                        del d, dy, y_eval, f, lam, beta  # freed before a compaction copies the state
+                        gone = np.zeros(len(y), dtype=bool)
+                        for a in range(grid.dim):  # column by column: broadcasting over rows of 2 is slow
+                            gone |= (y[:, a] < lo[a]) | (y[:, a] > hi[a])
+                        gone &= lp.active
+                        if gone.any():
+                            if lp.acc is not None:
+                                p, r = lp.where(gone)
+                                values[p, base + r] = lp.acc[gone]
+                            lp.active &= ~gone
+                            lp.n_active -= int(np.count_nonzero(gone))
+                            if 4 * lp.n_active <= 3 * lp.active.size:
+                                lp.compact()
+                if not stepped:
+                    break
+            for base, _, _, _, lives in batches:
+                for _, _, lp in lives:
+                    lp.compact()
+                    v = lp.acc if lp.acc is not None else 0.0
+                    if term_interp is not None:
+                        payoff = term_interp(lp.y)
+                        if discount:
+                            payoff = np.exp(lp.gam) * payoff
+                        v = v + payoff
+                    p, r = lp.where()
+                    values[p, base + r] = v
+                    alive[p, base + r] = True
     return values, alive
 
 

@@ -6,9 +6,11 @@ drives every coefficient set, constant or not, with the square root of the
 (npts, n, n) stack 2b - sum beta beta^T, applied to the draws by einsum.
 The engine shares each step's block between points, advances only the paths
 still inside the box, stops a batch once all of them have exited, keeps
-the entries that do not read x as single values and clips the positions only
-where a source or an entry reads them; none of that may change a single bit
-of any path's value.  BATCH_SIZE is shrunk so that several
+the entries that do not read x as single values, evaluates the step values of
+a set that reads no position once per step time, steps a short last batch in
+the loop of the batch before it and clips the positions only where a source
+or an entry reads them; none of that may change a single bit of any path's
+value.  BATCH_SIZE is shrunk so that several
 batches run at a small cost, except in one test at the real size.
 
 The reference clips the positions with (dim,) bounds broadcast over the rows,
@@ -229,9 +231,9 @@ def test_entries_kept_as_single_values_change_no_bit(small_batches, dim, kw, whi
     in_x = CoefficientSet.create(dim, **_written_in_x(kw, which))
     assert not plain.reads_x and in_x.reads_x
     pts = np.full((5, dim), 0.5)
-    assert plain.f_lam_at(pts, 0.0)[0].shape == (1, dim) and plain._noise_root(pts, 0.0)[1][0].shape == (1,)
+    assert plain.f_lam_at(pts, 0.0)[0].shape == (1, dim) and plain.noise_root(pts, 0.0)[1][0].shape == (1,)
     if which == "all":
-        assert in_x.f_lam_at(pts, 0.0)[0].shape == (5, dim) and in_x._noise_root(pts, 0.0)[1][0].shape == (5,)
+        assert in_x.f_lam_at(pts, 0.0)[0].shape == (5, dim) and in_x.noise_root(pts, 0.0)[1][0].shape == (5,)
     term = SpaceField.from_function(g, lambda *x: np.prod([np.sin(np.pi * xa) for xa in x], axis=0))
     src = SpaceTimeField.from_function(g, lambda *xt: np.prod([xa * (1 - xa) for xa in xt[:-1]], axis=0) * (1 + xt[-1]))
     src = src if with_source else None
@@ -241,6 +243,60 @@ def test_entries_kept_as_single_values_change_no_bit(small_batches, dim, kw, whi
     got_v, got_a = _simulate(CauchyProblem(g, in_x, src, term), starts, g.T, cfg)
     assert not want_a.all()
     assert got_v.tobytes() == want_v.tobytes() and got_a.tobytes() == want_a.tobytes()
+
+
+@pytest.mark.parametrize("dim, with_source", [(1, True), (2, False)], ids=["1d source", "2d no source"])
+def test_step_values_shared_in_t_change_no_bit(small_batches, dim, with_source):
+    """b and f read t but no position and lam is constant, so f, lam and the
+    noise root are evaluated once per step time and shared by every array at
+    it; in batches of 128, 128 and 44 the short one steps in the loop of the
+    second, and both start-time groups keep the reference's bits."""
+    g = make_grid(Domain((0.0,) * dim, (1.0,) * dim), (41,) if dim == 1 else 11, 50, 1.0)
+    if dim == 1:
+        coeffs = CoefficientSet.create(1, b="0.1 + 0.05*sin(3*t)", f="0.3*cos(2*t)", lam=-0.4)
+    else:
+        b = [["0.1 + 0.05*sin(3*t)", "0.02*cos(t)"], ["0.02*cos(t)", "0.08 + 0.02*t"]]
+        coeffs = CoefficientSet.create(2, b=b, f=["0.3*cos(2*t)", "-0.1*t"], lam=-0.4)
+    assert coeffs.is_time_dependent and not coeffs.reads_x and not validate(coeffs, g).violated
+    term = SpaceField.from_function(g, lambda *x: np.prod([np.sin(np.pi * xa) for xa in x], axis=0))
+    src = SpaceTimeField.from_function(g, lambda *xt: np.prod([xa * (1 - xa) for xa in xt[:-1]], axis=0) * (1 + xt[-1]))
+    cfg = PathConfig(dt_mc=0.005, n_paths=N_PATHS, seed=29)
+    starts = [(np.full(dim, 0.5), 0.0), (np.full(dim, 0.3), 0.0), (np.full(dim, 0.7), 0.355)]
+    problem = CauchyProblem(g, coeffs, src if with_source else None, term)
+    _, alive = _assert_engine_matches_reference(problem, starts, g.T, cfg)
+    assert not alive[0].all() and not alive[2].all()
+
+
+@pytest.mark.parametrize("n_paths, step_loops, array_steps", [(200, 1, 100), (300, 2, 130)], ids=["128+72", "128+128+44"])
+@pytest.mark.parametrize("b, per", [("1e-3", "call"), ("1e-3*(1 + t)", "step time"), ("1e-3*(1 + x)", "array-step")])
+def test_step_values_are_evaluated_once_per_what_they_read(
+    small_batches, monkeypatch, n_paths, step_loops, array_steps, b, per
+):
+    """f_lam_at and noise_root are called once per `_simulate` call for a
+    constant set, once per start time and step of each step loop for a set
+    that reads t alone, and once per array and step for a set that reads x.
+    No path reaches the wall, so every array runs to the horizon: with 200
+    paths, batches of 128 and 72 run in one loop, one array per point each
+    (2 x (20 + 20 + 10) array-steps); with 300, batch 0 runs alone and the
+    44-path batch, in the loop of batch 1, packs two points in one array."""
+    g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
+    coeffs = CoefficientSet.create(1, b=b, f=0.1, lam=-0.2)
+    problem = CauchyProblem(g, coeffs, terminal=SpaceField.from_function(g, lambda x: x))
+    calls = {"f_lam_at": 0, "noise_root": 0}
+    for name in calls:
+        real = getattr(CoefficientSet, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(CoefficientSet, name, counted)
+    cfg = PathConfig(dt_mc=0.05, n_paths=n_paths, seed=8)
+    starts = [(np.array([0.5]), 0.0), (np.array([0.4]), 0.0), (np.array([0.3]), 0.5)]  # 20, 20 and 10 steps
+    _, alive = _simulate(problem, starts, g.T, cfg)
+    assert alive.all()
+    want = {"call": 1, "step time": step_loops * (20 + 10), "array-step": array_steps}[per]
+    assert calls == {"f_lam_at": want, "noise_root": want}
 
 
 def test_exited_paths_of_a_set_that_reads_x_are_clipped(small_batches):
@@ -332,7 +388,8 @@ class _Interrupted(Exception):
 
 @pytest.mark.parametrize("fail_at", [None, 1, 7, 45])
 def test_the_draw_thread_ends_with_the_run(small_batches, monkeypatch, fail_at):
-    # the source is read once per step of each 20-step batch: calls 1 and 7 fall in the first, 45 in the third
+    # the source is read once per step of each 20-step batch: calls 1 and 7 fall in the first, 45 in the
+    # loop where the third steps with the second
     g = make_grid(Domain((0.0,), (1.0,)), 21, 20, 1.0)
     src = SpaceTimeField.from_function(g, lambda x, t: x * (1 - x))
     problem = CauchyProblem(g, CoefficientSet.create(1, b=1e-3), src)

@@ -93,6 +93,42 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "shared step values ignore t",
+        "src/bspde/montecarlo.py",
+        "reads_t = coeffs.is_time_dependent",
+        "reads_t = False",
+        "the path oracle: a set that reads t but no position is stepped with the values at each step's own time",
+        (
+            _ENGINE + "test_step_values_shared_in_t_change_no_bit[1d source]",
+            _ENGINE + "test_step_values_shared_in_t_change_no_bit[2d no source]",
+            _ENGINE + "test_step_values_are_evaluated_once_per_what_they_read[1e-3*(1 + t)-step time-128+72]",
+            _ENGINE + "test_entries_kept_as_single_values_change_no_bit[1d in t-all-source]",
+        ),
+    ),
+    Mutant(
+        "short last batch reads the buffer of the batch before it",
+        "src/bspde/montecarlo.py",
+        "draws = bufs[j % 3]",
+        "draws = batches[0][2][j % 3]",
+        "the stream layout: a short last batch stepped with the batch before it reads its own draws",
+        (
+            _ENGINE + "test_step_values_shared_in_t_change_no_bit[1d source]",
+            _ENGINE + "test_engine_1d_constant_with_source_and_discount",
+            _ENGINE + "test_engine_at_the_real_batch_size",
+        ),
+    ),
+    Mutant(
+        "seed stream shifted",
+        "src/bspde/montecarlo.py",
+        "np.random.default_rng([cfg.seed, bi])",
+        "np.random.default_rng([cfg.seed + 1, bi])",
+        "determinism: batch bi of a run draws from default_rng([seed, bi]), the layout NORMAL_SAMPLER names",
+        (
+            _ENGINE + "test_engine_1d_constant_with_source_and_discount",
+            _ENGINE + "test_each_batch_draws_one_block_per_step_and_none_at_the_horizon",
+        ),
+    ),
+    Mutant(
         "sweep residual against slot 0",
         "src/bspde/stepper.py",
         "r = self._abs_residual(rhs, x, slice(lo, hi) if self.nslots > 1 else slice(0, 1))",
