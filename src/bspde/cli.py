@@ -28,7 +28,7 @@ import numpy as np
 
 from . import montecarlo
 from .coefficients import CoefficientError, CoefficientSet, as_entry, bounds, validate
-from .exprdsl import EvalError, Expr, ExprError, bind, power_reads_t
+from .exprdsl import EvalError, Expr, ExprError, bind
 from .fixedpoint import FixedPointDivergence, NonlocalProblem, assemble_feedback_matrix, solve_nonlocal, solve_nonlocal_direct
 from .grid import (
     Domain,
@@ -246,10 +246,10 @@ def _read(value, where: str, table: dict) -> dict:
 def _sample_space(grid: Grid, e: Expr, path: str, times: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the expression at dotted `path`, of x[,x2], on the interior
     nodes: once, or (when `times` are given) at each time, stacked level by
-    level; a single time is bound as one number."""
+    level, every point with its own t."""
     mesh, shape = grid.mesh(), grid.interior_shape
-    if times is None or len(times) == 1:
-        env = bind(mesh, None if times is None else times[0])
+    if times is None:
+        env = bind(mesh)
     else:
         shape = (len(times),) + shape
         env = bind([np.broadcast_to(m, shape).copy() for m in mesh], np.repeat(times, grid.n_interior).reshape(shape))
@@ -270,14 +270,14 @@ def _sample_space(grid: Grid, e: Expr, path: str, times: np.ndarray | None = Non
 def _sample_data(grid: Grid, coeffs: CoefficientSet, data: dict) -> CauchyProblem:
     """The Cauchy problem of `coeffs` with the read `data` entries on `grid`:
     the terminal data, and the source on every level, sampled in chunks of
-    levels (`grid.level_chunks`)."""
+    levels (`grid.level_chunks`), with the bits a loop over single levels gives."""
     terminal = SpaceField(grid, _sample_space(grid, data["terminal"], "data.terminal"))
     source = data["source"]
     if source is None:
         return CauchyProblem(grid, coeffs, terminal=terminal)
     times = grid.times()
     values = np.empty((grid.nt + 1,) + grid.interior_shape)
-    chunks = level_chunks(grid.nt + 1, grid.n_interior, power_reads_t(source))
+    chunks = level_chunks(grid.nt + 1, grid.n_interior)
     for levels, v in sample_levels(chunks, lambda lv: _sample_space(grid, source, "data.source", times[lv.start : lv.stop])):
         values[levels.start : levels.stop] = v
     return CauchyProblem(grid, coeffs, SpaceTimeField(grid, values), terminal)

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse, power_reads_t
+from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse
 from .grid import Grid, level_chunks, level_points, sample_levels
 
 _BOUNDARY_ZERO_TOL = 1e-12  # |beta| allowed on the wall (floating-point zero)
@@ -208,12 +208,6 @@ class CoefficientSet:
     def reads_x(self) -> bool:
         return any(free_variables(e) - {"t"} for e in self._entries())
 
-    @property
-    def power_reads_t(self) -> bool:
-        """Whether an entry takes a power of t (see `exprdsl.power_reads_t`):
-        its levels are then sampled one at a time."""
-        return any(power_reads_t(e) for e in self._entries())
-
 
 def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) eigenvalue per symmetric matrix in an (npts, n, n) stack."""
@@ -294,7 +288,7 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
 
     # an overflow is reported as an issue below, not as a numpy warning
     with np.errstate(all="ignore"):
-        chunks = level_chunks(len(times), npts, coeffs.power_reads_t)
+        chunks = level_chunks(len(times), npts)
         for levels, (b, bs, lam, f) in sample_levels(chunks, sample):
             nlev = len(levels)  # b is (nlev * npts, n, n), level-major; bs is (N, nlev * npts, n)
             # (the einsum of N = 0 is the zero matrix)

@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive):
 Unary functions: sin cos exp sqrt tanh abs; binary: min max.
 Evaluation is pure and works elementwise on numpy arrays bound in the
 environment; domain errors (division by zero, sqrt of a negative, fractional
-power of a negative base) raise instead of producing NaN.  `^` follows
-numpy on scalars as on arrays: a zero base with a negative exponent, or a
+power of a negative base) raise instead of producing NaN.  A value's bits
+do not depend on how many points it is evaluated at: `^` is numpy's `power`
+ufunc on scalars as on arrays, so a zero base with a negative exponent, or a
 power beyond the range of doubles, is inf (with numpy's warning), which
 callers report as a non-finite value.
 """
@@ -128,12 +129,17 @@ class BinOp(Expr):
                 raise EvalError("division by zero")
             return a / b
         # power: fractional exponent of a negative base is a domain error
-        a_arr, b_arr = np.asarray(a), np.asarray(b)
+        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b)
         if np.any((a_arr < 0) & (b_arr != np.round(b_arr))):
             raise EvalError("negative base with non-integer exponent")
-        # a numpy scalar as the base, so that 0^-1 and 10^400 are inf on scalars
-        # as on arrays, where a Python float raises
-        return (np.float64(a) if a_arr.ndim == 0 else a) ** b
+        # numpy's power ufunc at every shape.  It takes fast paths at 2, 0.5 and -1
+        # when the exponent is one value: alike at every point count for an exponent
+        # that reads no variable, and never for one that does, which is copied to one
+        # value per point (at least one), even where its variables are bound as numbers
+        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+        if free_variables(self.right):
+            b = np.array(np.broadcast_to(b_arr, shape or (1,)))
+        return np.power(a_arr, b).reshape(shape)
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
@@ -309,17 +315,3 @@ def free_variables(e: Expr) -> set[str]:
         return out
     raise TypeError(f"not an Expr: {e!r}")
 
-
-def power_reads_t(e: Expr) -> bool:
-    """Whether an operand of a `^` in e reads t.  numpy rounds a power of one
-    number, and a power of an array to one exponent (2, 0.5 and -1 take fast
-    paths), otherwise than the same power taken elementwise over arrays, so a
-    sampler of many levels takes such an expression one level at a time,
-    where t is one number."""
-    if isinstance(e, BinOp):
-        return (e.op == "^" and "t" in free_variables(e)) or power_reads_t(e.left) or power_reads_t(e.right)
-    if isinstance(e, Neg):
-        return power_reads_t(e.arg)
-    if isinstance(e, Call):
-        return any(power_reads_t(a) for a in e.args)
-    return False

@@ -181,11 +181,11 @@ class Grid:
         return k, abs(k * self.dt - t)
 
 
-def level_chunks(n_levels: int, per_level: int, one_at_a_time: bool = False) -> list[range]:
+def level_chunks(n_levels: int, per_level: int) -> list[range]:
     """Levels 0..n_levels - 1 in consecutive ranges of at most
-    CHUNK_POINTS // per_level levels (at least one), or of one level each
-    when `one_at_a_time`."""
-    step = 1 if one_at_a_time else max(1, CHUNK_POINTS // per_level)
+    CHUNK_POINTS // per_level levels (at least one).  An expression has the
+    same bits whichever chunks its levels are sampled in (see `exprdsl`)."""
+    step = max(1, CHUNK_POINTS // per_level)
     return [range(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step)]
 
 
@@ -208,9 +208,7 @@ def sample_levels(chunks: list[range], sample):
 
 def level_points(points: np.ndarray, times: np.ndarray, levels: range) -> tuple[np.ndarray, np.ndarray]:
     """`points` (npts, dim) once per level of `levels`, level-major, and the
-    time of each point; a single level is `points` itself at its one time."""
-    if len(levels) == 1:
-        return points, times[levels.start]
+    time of each point, a single level as any other."""
     return np.tile(points, (len(levels), 1)), np.repeat(times[levels.start : levels.stop], len(points))
 
 

@@ -231,7 +231,7 @@ class _Store:
         finite = np.ones(self.nslots, dtype=bool)
         self.worst_positive_offdiag = 0.0  # of (I - dt*A_h), over every slot
         with np.errstate(over="ignore", invalid="ignore"):  # a matrix that is not finite is refused below
-            chunks = level_chunks(self.nslots, self.n, coeffs.power_reads_t)
+            chunks = level_chunks(self.nslots, self.n)
             for levels, (bands, worst) in sample_levels(chunks, sample):
                 self.worst_positive_offdiag = max(self.worst_positive_offdiag, worst)
                 for k, e in bands.items():

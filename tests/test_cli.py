@@ -1217,6 +1217,20 @@ def test_the_source_is_sampled_bit_for_bit_as_level_by_level(grid_name, source):
     assert sampled.tobytes() == _reference_source(g, source).tobytes()
 
 
+def test_the_source_sampler_takes_a_power_of_t_a_chunk_of_levels_at_a_time(monkeypatch):
+    calls = []
+    real = cli._sample_space
+
+    def spy(grid, e, path, times=None):
+        calls.append(None if times is None else len(times))
+        return real(grid, e, path, times)
+
+    monkeypatch.setattr(cli, "_sample_space", spy)
+    data = {"terminal": parse("x1"), "source": parse("x1*(1-x1)*x2*(1-x2)*(1 + t)^3")}
+    cli._sample_data(SAMPLED_GRIDS["2d-chunks"], CoefficientSet.create(2, b=0.1), data)
+    assert calls == [None, 8, 8, 8, 8, 8, 1]  # the terminal data, then 8192 // 961 = 8 levels per chunk
+
+
 @pytest.mark.parametrize(
     "source, message",
     [

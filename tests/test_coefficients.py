@@ -423,7 +423,7 @@ CHUNKED_SETS = {
     "2d-mixed-one-node": (2, dict(b=[["0.2 + 0.1*t", "t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)"], ["t*max(x1 - 0.7, 0)*max(x2 - 0.6, 0)", 0.15]])),
     # not finite at t = 0.5 alone: exp(1000) there, exp(-1.5e4) at the neighbouring levels
     "1d-one-bad-level": (1, dict(b="0.1 + 0.01*x*(1 - x)*exp(1e5*(0.01 - (t - 0.5)*(t - 0.5)))", f="x - t")),
-    # a power of t: sampled one level at a time
+    # powers of t, sampled in chunks like any other entry
     "1d-power-of-t": (1, dict(b="0.2 + 0.1*(1 + sin(3*t))^2", lam="-(t^3)", beta=[["0.3*x*(1-x)*t^0.5"]])),
 }
 CHUNKED_GRIDS = {
@@ -444,6 +444,22 @@ def test_survey_matches_the_loop_over_single_levels_bit_for_bit(name, grid_name)
     c = CoefficientSet.create(dim, **kw)
     report, env = _survey(c, g)
     assert repr((_as_tuple(report), tuple(env))) == repr(reference_survey(c, g))
+
+
+def test_the_survey_samples_a_power_of_t_a_chunk_of_levels_at_a_time(monkeypatch):
+    calls = []
+    b_at = CoefficientSet.b_at
+
+    def spy(self, points, t):
+        calls.append(np.unique(t).tolist())
+        return b_at(self, points, t)
+
+    monkeypatch.setattr(CoefficientSet, "b_at", spy)
+    g = CHUNKED_GRIDS["2d-chunks"]
+    validate(CoefficientSet.create(2, b=["0.1 + 0.05*(0.5 + t)^2", "0.2 + x1^t"]), g)
+    # 8192 // 1089 = 7 levels per chunk, the level times each once and in order
+    assert [len(times) for times in calls] == [7, 7, 3]
+    assert sum(calls, []) == g.times().tolist()
 
 
 def test_the_one_bad_level_set_names_its_level():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from bspde.coefficients import _own_values
 from bspde.exprdsl import (
     FUNCS,
     BinOp,
@@ -12,6 +15,7 @@ from bspde.exprdsl import (
     Neg,
     Num,
     Var,
+    bind,
     evaluate,
     free_variables,
     parse,
@@ -203,6 +207,91 @@ def test_thousand_random_expressions_match_reference():
             continue
         assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# One rounding rule: a value's bits do not depend on how many points it is
+# evaluated at.  numpy's power takes fast paths (2, 0.5 and -1) when its
+# exponent is one value, so the draws put exponents that read x or t at those
+# values: on the nodes x1 = k/10 and at the levels t = -1, 0.5 and 2,
+# `(x1 + t*t)^t`, `(1 + t)^(0.5*x1)` and `x1^(x1 - 3)` reach all three.
+# ---------------------------------------------------------------------------
+
+NODES = np.arange(1, 49) / 10.0  # 0.1 .. 4.8: 0.5*x1 is 2 and 0.5 at 4 and 1, and x1 - 3 is -1 at 2
+LEVELS = np.array([-1.0, 0.5, 2.0, 0.75])
+
+_leaves = st.one_of(
+    st.sampled_from([Var("x1"), Var("x"), Var("t")]),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 2.7]).map(Num),
+)
+_exponents = st.one_of(
+    st.sampled_from([2.0, 0.5, -1.0, 3.0, 2.7, 0.0]).map(Num),
+    st.sampled_from(["t", "x1", "0.5*x1", "x1 - 3", "2*t", "t - 1", "1 + t"]).map(parse),
+)
+
+
+def _extend(sub):
+    positive = st.one_of(
+        st.sampled_from(["x1", "1 + t", "x1 + t*t", "x1*(1 + t*t)"]).map(parse),
+        sub.map(lambda e: BinOp("+", Call("abs", (e,)), Num(0.25))),
+    )
+    return st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda a: BinOp(*a)),
+        st.tuples(positive, st.one_of(_exponents, sub)).map(lambda a: BinOp("^", *a)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "abs", "sqrt"]), sub).map(lambda a: Call(a[0], (a[1],))),
+        st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(lambda a: Call(a[0], a[1:])),
+    )
+
+
+EXPRESSIONS = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+def _eval_or_error(e, env):
+    """The values of e at env, or None where it raises an EvalError."""
+    try:
+        return np.asarray(e.eval(env), dtype=float)
+    except EvalError:
+        return None
+
+
+def _same_bits(got, want):
+    want = np.ravel(want)
+    return got is not None and np.broadcast_to(np.ravel(got), want.shape).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(e=EXPRESSIONS)
+def test_a_value_has_the_same_bits_at_any_number_of_points(e):
+    npts = len(NODES)
+    with np.errstate(all="ignore"):
+        # every level's nodes at once, each point with its own t, as a chunk of levels is sampled
+        full = _eval_or_error(e, bind((np.tile(NODES, len(LEVELS)),), np.repeat(LEVELS, npts)))
+        per_point = [[_eval_or_error(e, bind((x,), t)) for x in NODES.tolist()] for t in LEVELS.tolist()]
+        if full is None:  # an error at once is an error at some point alone
+            assert any(v is None for level in per_point for v in level)
+            return
+        full = np.broadcast_to(full, (len(LEVELS) * npts,)).reshape(len(LEVELS), npts)
+        for j, t in enumerate(LEVELS.tolist()):
+            # a level alone, t bound as one number
+            assert _same_bits(_eval_or_error(e, bind((NODES,), t)), full[j])
+            # a path step's entry in its own shape: (npts,), or (1,) if it reads no x
+            assert _same_bits(_own_values(e, bind((NODES,), t)), full[j])
+            for i, x in enumerate(NODES.tolist()):
+                assert _same_bits(per_point[j][i], full[j, i])
+                assert _same_bits(_own_values(e, bind((np.array([x]),), t)), full[j, i])
+
+
+def test_the_draws_reach_the_fast_paths_of_power():
+    """A level's power with t bound as one number, taken as numpy takes it
+    alone, differs in the last bit from the chunk's at each fast-path level:
+    a draw of this shape tells a rule that lets it through."""
+    e = parse("(x1 + t*t)^t")
+    chunk = e.eval(bind((np.tile(NODES, len(LEVELS)),), np.repeat(LEVELS, len(NODES)))).reshape(len(LEVELS), -1)
+    for j, t in enumerate(LEVELS.tolist()):
+        if t in (-1.0, 0.5, 2.0):
+            assert np.power(NODES + t * t, t).tobytes() != chunk[j].tobytes()
+        assert e.eval(bind((NODES,), t)).tobytes() == chunk[j].tobytes()
 
 
 def test_free_variables():

@@ -1,10 +1,13 @@
-"""The path engine's input checks against the checked-in fingerprints:
-`mccheck` on each `MC_FAULTS` input of `tools/artifacts.py` must end with the
-exit code, the stderr (by its sha256) and the artifacts that
-`tools/fingerprints.jsonl` holds for it.  The commands run in this process;
-the inputs are written as `artifacts.py` writes them.  The hashes depend on
-numpy, scipy and the platform, so on others the test is skipped, as
-`artifacts.py --check` runs nothing there."""
+"""The input checks against the checked-in fingerprints: each command on each
+fault input of `tools/artifacts.py` must end with the exit code, the stderr
+(by its sha256) and the artifacts that `tools/fingerprints.jsonl` holds for
+it.  That is `mccheck` on each `MC_FAULTS` input (the path engine's checks),
+and all seven commands on each `FAULTS` input (the config and kernel CSV
+checks) and each `TK_FAULTS` input (the time kernel's checks, which evaluate
+its expression).  Every one of these runs ends as its input is loaded.  The
+commands run in this process; the inputs are written as `artifacts.py`
+writes them.  The hashes depend on numpy, scipy and the platform, so on
+others the test is skipped, as `artifacts.py --check` runs nothing there."""
 
 import importlib.util
 import json
@@ -31,23 +34,51 @@ def fingerprints():
 
 
 @pytest.fixture(scope="module")
-def base(tmp_path_factory):
-    d = tmp_path_factory.mktemp("inputs") / "eigenmode-mc-101"
-    artifacts.workloads.generate("eigenmode-mc", 101, d, ROOT)
-    return d
+def inputs(tmp_path_factory):
+    """workload -> the directory of its seed-101 input."""
+    top = tmp_path_factory.mktemp("inputs")
+    dirs = {}
+    for workload in ("picard-1d", "eigenmode-mc", "grid-2d"):
+        dirs[workload] = top / f"{workload}-101"
+        artifacts.workloads.generate(workload, 101, dirs[workload], ROOT)
+    return dirs
+
+
+def _run(d: Path, command: str, monkeypatch, capsys) -> dict:
+    """The runs.jsonl fields of `command` run in d, but its input name."""
+    monkeypatch.chdir(d)
+    code = cli.main([command, "--config", "config.json", "--out", command])
+    stderr = capsys.readouterr().err.encode()
+    files = sorted(p for p in Path(command).rglob("*") if p.is_file())
+    return {
+        "exit": code,
+        "stderr": artifacts._sha256(stderr),
+        "artifacts": {str(p.relative_to(command)): artifacts._artifact_digest(p) for p in files},
+    }
+
+
+def _assert_matches(fingerprints, d: Path, commands, monkeypatch, capsys):
+    got = {command: _run(d, command, monkeypatch, capsys) for command in commands}
+    want = {command: {key: fingerprints[(d.name, command)][key] for key in got[command]} for command in commands}
+    assert got == want
 
 
 @pytest.mark.parametrize("fault", list(artifacts.MC_FAULTS))
-def test_mccheck_on_a_fault_input_matches_its_fingerprint(fingerprints, base, fault, monkeypatch, capsys):
+def test_mccheck_on_a_fault_input_matches_its_fingerprint(fingerprints, inputs, fault, monkeypatch, capsys):
+    base = inputs["eigenmode-mc"]
     d = artifacts._edited(base, base.parent / f"{base.name}-{fault}", artifacts.MC_FAULTS[fault])
-    monkeypatch.chdir(d)
-    code = cli.main(["mccheck", "--config", "config.json", "--out", "mccheck"])
-    stderr = capsys.readouterr().err.encode()
-    files = sorted(p for p in Path("mccheck").rglob("*") if p.is_file())
-    got = {
-        "exit": code,
-        "stderr": artifacts._sha256(stderr),
-        "artifacts": {str(p.relative_to("mccheck")): artifacts._artifact_digest(p) for p in files},
-    }
-    want = fingerprints[(d.name, "mccheck")]
-    assert got == {key: want[key] for key in got}, stderr.decode()
+    _assert_matches(fingerprints, d, ["mccheck"], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("fault", list(artifacts.FAULTS))
+def test_every_command_on_a_config_fault_input_matches_its_fingerprint(fingerprints, inputs, fault, monkeypatch, capsys):
+    base = inputs["picard-1d"]
+    d = artifacts._fault(base, base.parent / f"{base.name}-{fault}", artifacts.FAULTS[fault])
+    _assert_matches(fingerprints, d, artifacts.COMMANDS, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("fault", list(artifacts.TK_FAULTS))
+def test_every_command_on_a_time_kernel_fault_input_matches_its_fingerprint(fingerprints, inputs, fault, monkeypatch, capsys):
+    base = inputs["grid-2d"]
+    d = artifacts._edited(base, base.parent / f"{base.name}-{fault}", artifacts.TK_FAULTS[fault])
+    _assert_matches(fingerprints, d, artifacts.COMMANDS, monkeypatch, capsys)

@@ -96,6 +96,23 @@ def test_space_time_kernel_shapes_and_bound(grid):
         validate_spec(SpaceTimeKernel(theta=lvl * grid.dt, kernel=dense_entries(k * 20.0)), grid)
 
 
+@pytest.mark.parametrize("form", ["time", "space-time"])
+def test_a_kernel_bound_above_one_by_more_than_rounding_is_refused(grid, form):
+    """The bound check forgives rounding (a relative 1e-12) and no more: a
+    kernel scaled to a bound of 1 passes, and one scaled to 1 + 1e-9 does not."""
+
+    def spec(scale):
+        if form == "time":
+            return TimeKernel(theta=0.5, kernel=2.0 * scale)
+        k = np.ones((5, grid.n_interior, grid.n_interior))
+        return SpaceTimeKernel(theta=4 * grid.dt, kernel=dense_entries(scale * k))
+
+    unit = validate_spec(spec(1.0), grid).norm_bound
+    assert validate_spec(spec(1 / unit), grid).norm_bound == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(NonlocalValidationError, match=r" > 1"):
+        validate_spec(spec((1 + 1e-9) / unit), grid)
+
+
 def _entries(**changes):
     """One valid entry, level 1, node 2 to node 3, k = 0.5, with some fields replaced."""
     fields = {"level": [1], "source": [2], "target": [3], "value": [0.5]} | changes

@@ -604,7 +604,7 @@ def test_level_store_keeps_every_band_that_is_nonzero_somewhere(coeffs, n_bands)
     assert store.w == g.interior_shape[1] + 1  # the stencil's, whichever bands are stored
 
 
-# b, f and lam take powers of t, which the store assembles one level at a time
+# b, f and lam take powers of t, and f a power whose exponent reads t
 C1_POWER_T = CoefficientSet.create(1, b="(0.2 + t)^3", f="x^(1 + t) - 0.5", lam="-(t^3)")
 # not finite at t = 0.3 and t = 0.7 alone (exp(1000) at those levels, exp(-9000) at the next ones)
 C1_TWO_BAD_LEVELS = CoefficientSet.create(
@@ -659,8 +659,8 @@ def test_the_store_assembles_a_chunk_of_levels_per_evaluation(monkeypatch):
     assert [len(times) for times in calls] == [8, 8, 8, 8, 8]
     assert sum(calls, []) == [GRID_2D_BENCH.dt * j for j in range(40)]
     calls.clear()
-    _store(_grid_2d(), CoefficientSet.create(2, b="0.1 + 0.01*t^2"))
-    assert len(calls) == 12  # a power of t: one level per evaluation
+    _store(GRID_2D_BENCH, CoefficientSet.create(2, b="0.1 + 0.01*t^2"))
+    assert [len(times) for times in calls] == [8, 8, 8, 8, 8]  # a power of t: the same chunks
 
 
 @pytest.mark.parametrize("coeffs", [C1_TIME, C1_CONST, C2_TIME], ids=["1d-time", "1d-constant-in-t", "2d-time"])

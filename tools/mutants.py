@@ -184,16 +184,15 @@ MUTANTS = (
         ("tests/test_cli.py::test_the_source_sampler_reports_the_first_level_that_fails[bad-level-then-division-by-zero]",),
     ),
     Mutant(
-        "powers of t sampled in chunks",
-        "src/bspde/grid.py",
-        "step = 1 if one_at_a_time else max(1, CHUNK_POINTS // per_level)",
-        "step = max(1, CHUNK_POINTS // per_level)",
-        "the chunked samplers: a power of t, which numpy rounds by shape, is sampled at one t at a time",
+        "variable exponent left unmaterialised",
+        "src/bspde/exprdsl.py",
+        "b = np.array(np.broadcast_to(b_arr, shape or (1,)))",
+        "b = b_arr",
+        "one rounding rule: a power's bits do not depend on how many points it is evaluated at",
         (
-            _STEPPER + "test_store_matches_the_per_level_reference[1d-power-of-t]",
-            _STEPPER + "test_the_store_assembles_a_chunk_of_levels_per_evaluation",
+            "tests/test_exprdsl.py::test_a_value_has_the_same_bits_at_any_number_of_points",
+            "tests/test_exprdsl.py::test_the_draws_reach_the_fast_paths_of_power",
             _SOURCE + "[(1 + t)^3*x1 + x1^t-1d-chunks]",
-            _SOURCE + "[(1 + t)^3*x1 + x1^t-2d-chunks]",
         ),
     ),
     Mutant(
@@ -222,6 +221,29 @@ MUTANTS = (
         'io.StringIO(data.decode("utf-8"))',
         "the kernel CSV's lines end as the file opened as text ends them: LF, CRLF or a lone CR",
         ("tests/test_cli.py::test_a_kernel_csv_reads_the_same_with_lf_crlf_or_cr_line_ends",),
+    ),
+    Mutant(
+        "coupling bound check loosened",
+        "src/bspde/nonlocal_ops.py",
+        "if c.norm_bound > 1 + 1e-12:",
+        "if c.norm_bound > 1 + 1e-6:",
+        "contraction: a kernel coupling is refused when its discrete norm bound exceeds 1 by more than rounding",
+        (
+            "tests/test_nonlocal.py::test_a_kernel_bound_above_one_by_more_than_rounding_is_refused[time]",
+            "tests/test_nonlocal.py::test_a_kernel_bound_above_one_by_more_than_rounding_is_refused[space-time]",
+        ),
+    ),
+    Mutant(
+        "coupling reads one level past its horizon",
+        "src/bspde/nonlocal_ops.py",
+        "vals = u.values[:L].reshape(L, -1)",
+        "vals = u.values[1 : L + 1].reshape(L, -1)",
+        "truncation at theta: the coupling reads u at levels 0..max_level alone",
+        (
+            "tests/test_nonlocal.py::test_truncation_battery",
+            "tests/test_nonlocal.py::test_truncation_negative_control",
+            "tests/test_uniqueness.py::test_kernel_entries_apply_as_the_dense_kernel",
+        ),
     ),
     Mutant(
         "upwind drift sides swapped",
