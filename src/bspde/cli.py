@@ -37,7 +37,6 @@ from .grid import (
     SpaceField,
     SpaceTimeField,
     field_to_csv,
-    level_chunks,
     make_grid,
     sample_levels,
     sup_norm,
@@ -243,44 +242,36 @@ def _read(value, where: str, table: dict) -> dict:
     return entries
 
 
-def _sample_space(grid: Grid, e: Expr, path: str, times: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the expression at dotted `path`, of x[,x2], on the interior
-    nodes: once, or (when `times` are given) at each time, stacked level by
-    level, every point with its own t."""
-    mesh, shape = grid.mesh(), grid.interior_shape
-    if times is None:
-        env = bind(mesh)
-    else:
-        shape = (len(times),) + shape
-        env = bind([np.broadcast_to(m, shape).copy() for m in mesh], np.repeat(times, grid.n_interior).reshape(shape))
+def _sample_space(e: Expr, path: str, points: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the expression at dotted `path`, of x[,x2] (and t when the
+    time of each point is given), at `points` (npts, dim): (npts,) values."""
     # an overflow is reported below by path, not as a numpy warning
     with np.errstate(all="ignore"):
         try:
-            values = np.asarray(e.eval(env), dtype=float) * np.ones(shape)
+            values = np.asarray(e.eval(bind(points.T, t)), dtype=float) * np.ones(len(points))
         except EvalError as err:
             raise ConfigError(f"{path}: {err}") from None
-    if not np.isfinite(values).all():
-        if times is None:
-            raise ConfigError(f"{path}: evaluates to a non-finite value")
-        bad = ~np.isfinite(values.reshape(len(times), -1)).all(axis=1)
-        raise ConfigError(f"{path}: evaluates to a non-finite value at t = {times[np.argmax(bad)]:.6g}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = "" if t is None else f" at t = {t[np.argmax(bad)]:.6g}"
+        raise ConfigError(f"{path}: evaluates to a non-finite value{at}")
     return values
 
 
 def _sample_data(grid: Grid, coeffs: CoefficientSet, data: dict) -> CauchyProblem:
     """The Cauchy problem of `coeffs` with the read `data` entries on `grid`:
-    the terminal data, and the source on every level, sampled in chunks of
-    levels (`grid.level_chunks`), with the bits a loop over single levels gives."""
-    terminal = SpaceField(grid, _sample_space(grid, data["terminal"], "data.terminal"))
+    the terminal data at the interior nodes, and the source at the interior
+    nodes of every level, sampled a chunk of levels at a time
+    (`grid.sample_levels`), with the bits a loop over single levels gives."""
+    pts, shape = grid.interior_points(), grid.interior_shape
+    terminal = SpaceField(grid, _sample_space(data["terminal"], "data.terminal", pts).reshape(shape))
     source = data["source"]
     if source is None:
         return CauchyProblem(grid, coeffs, terminal=terminal)
-    times = grid.times()
-    values = np.empty((grid.nt + 1,) + grid.interior_shape)
-    chunks = level_chunks(grid.nt + 1, grid.n_interior)
-    for levels, v in sample_levels(chunks, lambda lv: _sample_space(grid, source, "data.source", times[lv.start : lv.stop])):
-        values[levels.start : levels.stop] = v
-    return CauchyProblem(grid, coeffs, SpaceTimeField(grid, values), terminal)
+    values = np.empty((grid.nt + 1, len(pts)))
+    for levels, v in sample_levels(pts, grid.times(), partial(_sample_space, source, "data.source")):
+        values[levels.start : levels.stop] = v.reshape(len(levels), -1)
+    return CauchyProblem(grid, coeffs, SpaceTimeField(grid, values.reshape((grid.nt + 1,) + shape)), terminal)
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exprdsl import EvalError, Expr, Num, bind, free_variables, parse
-from .grid import Grid, level_chunks, level_points, sample_levels
+from .grid import Grid, sample_levels
 
 _BOUNDARY_ZERO_TOL = 1e-12  # |beta| allowed on the wall (floating-point zero)
 
@@ -169,11 +169,6 @@ class CoefficientSet:
             return bs, _spd_root(resid(0, 0))
         return bs, _spd_root(resid(0, 0), resid(0, 1), resid(1, 1))
 
-    def noise_at(self, points: np.ndarray, t: float, draws: np.ndarray) -> list[np.ndarray]:
-        """The noise of one path step at points per unit sqrt(dt), from one row
-        of standard normals per point (`apply_noise` of `noise_root`)."""
-        return self.apply_noise(self.noise_root(points, t), draws)
-
     def apply_noise(self, root: tuple, draws: np.ndarray) -> list[np.ndarray]:
         """The noise of one path step per unit sqrt(dt) from the `noise_root`
         at its points and one row of standard normals per point: draws[:, N:]
@@ -266,10 +261,11 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
     coefficient that is not finite at a sample is an issue of the report,
     named with the first such (x, t); so is the implicit step dt*A_h of the
     backward solver, whose matrix entries are at most
-    1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size.  The levels are
-    evaluated in chunks (`grid.level_chunks`, `grid.sample_levels`), and each
-    reduction is taken per level and folded in level order, so every number,
-    NaN passed over included, is the one a loop over single levels gives."""
+    1 + dt*(|lam| + sum_a 2|b_aa|/h_a^2 + |f_a|/h_a) in size.  The nodes of
+    every level are evaluated a chunk of levels at a time by
+    `grid.sample_levels`, and each reduction is taken per level and folded in
+    level order, so every number, NaN passed over included, is the one a loop
+    over single levels gives."""
     if coeffs.dim != grid.dim:
         raise CoefficientError(f"coefficient dim {coeffs.dim} != grid dim {grid.dim}")
     pts, on_wall, times = _samples(coeffs, grid)
@@ -279,17 +275,15 @@ def _survey(coeffs: CoefficientSet, grid: Grid) -> tuple[EllipticityReport, Coef
     sup_f1, c_beta, delta_qv = 0.0, -np.inf, np.inf
     non_finite: dict[str, tuple] = {}  # quantity -> first (x, t) where it is not finite
 
-    def sample(levels):
-        p, t = level_points(pts, times, levels)
-        return coeffs.b_at(p, t), coeffs.beta_at(p, t), coeffs.lam_at(p, t), coeffs.f_at(p, t)
-
     def fold(pick, acc, per_level):
         return functools.reduce(pick, per_level.tolist(), acc)
 
     # an overflow is reported as an issue below, not as a numpy warning
     with np.errstate(all="ignore"):
-        chunks = level_chunks(len(times), npts)
-        for levels, (b, bs, lam, f) in sample_levels(chunks, sample):
+        sampled = sample_levels(
+            pts, times, lambda p, t: (coeffs.b_at(p, t), coeffs.beta_at(p, t), coeffs.lam_at(p, t), coeffs.f_at(p, t))
+        )
+        for levels, (b, bs, lam, f) in sampled:
             nlev = len(levels)  # b is (nlev * npts, n, n), level-major; bs is (N, nlev * npts, n)
             # (the einsum of N = 0 is the zero matrix)
             step = np.abs(lam)

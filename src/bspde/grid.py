@@ -2,8 +2,9 @@
 
 Fields store interior nodes only: the homogeneous Dirichlet wall is structural,
 not data. All grids are uniform per axis; time levels are k*dt, k = 0..nt.
-`Grid.mesh` gives the node coordinates in node shape to every sampler of a
-function or expression on the grid.
+`Grid.mesh` gives the node coordinates in node shape, and `sample_levels`
+lays out the (level, node) points of every sampler of an expression on
+every level.
 Between nodes a field is multilinear and zero on the wall: `Interpolant` is
 the one implementation of that rule, read by the path estimator (terminal
 data, source, grid solution).  `stepper.CauchyProblem` refuses a field on
@@ -22,12 +23,13 @@ import numpy as np
 MAX_SOLVE_DOUBLES = 2**28
 
 # (level, node) points that a sampler of every level evaluates at once: the
-# coefficient survey, the stepper's level store and residual, and the CLI's
-# source sampler take the levels in chunks of at most this many points (one
-# level when a level alone has more).  So a 33 x 33 grid at nt = 40 takes 5
-# chunks of 8 levels, and a 129 x 129 grid (16129 interior nodes) one level
-# at a time, which keeps its temporaries to one level's.  2**14 points made
-# the grid-2d benchmark's peak RSS 0.3-0.7 MB larger for no measurable gain.
+# coefficient survey, the stepper's level store and residual, the CLI's
+# source sampler and the time kernel (one point per level) take the levels
+# in chunks of at most this many points (one level when a level alone has
+# more).  So a 33 x 33 grid at nt = 40 takes 5 chunks of 8 levels, and a
+# 129 x 129 grid (16129 interior nodes) one level at a time, which keeps its
+# temporaries to one level's.  2**14 points made the grid-2d benchmark's peak
+# RSS 0.3-0.7 MB larger for no measurable gain.
 CHUNK_POINTS = 2**13
 
 
@@ -189,27 +191,27 @@ def level_chunks(n_levels: int, per_level: int) -> list[range]:
     return [range(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step)]
 
 
-def sample_levels(chunks: list[range], sample):
-    """(levels, sample(levels)) for each range of `chunks` in turn.  A range
-    whose sample raises a ValueError (a coefficient or an expression that
-    does not evaluate) is sampled again one level at a time, so the error is
-    the one that a loop over single levels meets first."""
-    for levels in chunks:
+def sample_levels(points: np.ndarray, times: np.ndarray, sample):
+    """(levels, sample(p, t)) for each range of `level_chunks` over the
+    levels of `times` in turn: p is `points` (npts, dim) once per level of
+    the range, level-major, and t the time of each point.  A range whose
+    sample raises a ValueError (a coefficient or an expression that does not
+    evaluate) is sampled again one level at a time, so the error is the one
+    that a loop over single levels meets first."""
+
+    def at(levels):
+        return sample(np.tile(points, (len(levels), 1)), np.repeat(times[levels.start : levels.stop], len(points)))
+
+    for levels in level_chunks(len(times), len(points)):
         try:
-            result = sample(levels)
+            result = at(levels)
         except ValueError:
             if len(levels) == 1:
                 raise
             for j in levels:
-                yield range(j, j + 1), sample(range(j, j + 1))
+                yield range(j, j + 1), at(range(j, j + 1))
         else:
             yield levels, result
-
-
-def level_points(points: np.ndarray, times: np.ndarray, levels: range) -> tuple[np.ndarray, np.ndarray]:
-    """`points` (npts, dim) once per level of `levels`, level-major, and the
-    time of each point, a single level as any other."""
-    return np.tile(points, (len(levels), 1)), np.repeat(times[levels.start : levels.stop], len(points))
 
 
 def make_grid(domain: Domain, nx, nt: int, T: float) -> Grid:

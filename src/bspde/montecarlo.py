@@ -34,8 +34,8 @@ MAX_SOLVE_DOUBLES, is rejected before anything is allocated.
 Every coefficient set takes one path step: f and lam from
 `CoefficientSet.f_lam_at`, and the noise from `CoefficientSet.apply_noise`,
 which applies the entries of the closed-form root, `CoefficientSet.noise_root`,
-to the draws in the order of a matrix product, as `noise_at` does.  Both keep
-an entry that does not read x as one value.  When no entry reads x and there
+to the draws in the order of a matrix product.  Both keep an entry that
+does not read x as one value.  When no entry reads x and there
 is no beta (`beta_at` gives its values in full shape), f, lam and the root
 are one value at every position: they are computed once per step time and
 shared by every array at that time, or once per call when no entry reads t
@@ -326,7 +326,7 @@ def _simulate(
                             lp.gam += LAMBDA_DISCOUNT_SIGN * lam * dt_eff
                         root_dt = math.sqrt(dt_eff)
                         dy, *beta = coeffs.apply_noise(root, d)
-                        del root  # an array's root is freed here, as noise_at frees it
+                        del root  # an array's root is freed once it is applied
                         dy *= root_dt
                         dy += f * dt_eff  # the same sum as f * dt_eff + root_dt * btilde
                         for noise in beta:

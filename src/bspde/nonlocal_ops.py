@@ -22,7 +22,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .exprdsl import EvalError, Expr, ExprError, parse
-from .grid import Grid, SpaceField, SpaceTimeField
+from .grid import Grid, SpaceField, SpaceTimeField, sample_levels
 
 
 class NonlocalValidationError(ValueError):
@@ -148,7 +148,9 @@ class _Compiled:
 
 def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
     """The time kernel's values on levels 0..n_levels-1; a fault of it is raised
-    at entry "kernel", or at "kernel[i][0]" for a sample time not finite."""
+    at entry "kernel", or at "kernel[i][0]" for a sample time not finite.  An
+    expression is sampled by `grid.sample_levels`, one point per level, so its
+    fault is the one that its first failing level meets."""
     ts = grid.times()[:n_levels]
     if isinstance(kernel, (bool, np.bool_)):  # not the number 0 or 1
         what = f"a time kernel must be a number, an expression in t or samples, got {kernel!r}"
@@ -158,8 +160,10 @@ def _resample_time_kernel(kernel, grid: Grid, n_levels: int) -> np.ndarray:
     elif isinstance(kernel, (str, Expr)):
         try:
             e = parse(kernel) if isinstance(kernel, str) else kernel
+            kv = np.empty(n_levels)
             with np.errstate(all="ignore"):  # a non-finite value is reported by its time below
-                kv = np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in ts], dtype=float)
+                for levels, v in sample_levels(np.empty((1, 0)), ts, lambda _, t: e.eval({"t": t})):
+                    kv[levels.start : levels.stop] = v
         except (ExprError, EvalError) as err:
             raise NonlocalValidationError(str(err), "kernel") from None
     else:

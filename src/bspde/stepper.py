@@ -32,7 +32,7 @@ same problem again, so the last (grid, coefficients) problem keeps one
 store.  It has one slot per distinct level: one when no coefficient depends
 on t, since the system is then the same at every level, else nt.  The store
 assembles every slot when it is built, a chunk of levels at a time
-(`grid.level_chunks`): one evaluation of b, f and lam per chunk, at every
+(`grid.sample_levels`): one evaluation of b, f and lam per chunk, at every
 interior node of every level in it, each with its own t.  Each band is one
 read-only (nslots, n) array whose row j is slot j's entries.  A band is
 kept when it is nonzero at some node of some slot, and holds zeros at a slot
@@ -71,7 +71,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .exprdsl import Num
-from .grid import Grid, SpaceField, SpaceTimeField, level_chunks, level_points, sample_levels, sup_norm
+from .grid import Grid, SpaceField, SpaceTimeField, level_chunks, sample_levels, sup_norm
 
 
 def _band_lu():
@@ -147,11 +147,12 @@ def _span(k: int, n: int) -> tuple[slice, slice]:
     return slice(max(-k, 0), n - max(k, 0)), slice(max(k, 0), n + min(k, 0))
 
 
-def _bands(grid: Grid, coeffs: CoefficientSet, pts: np.ndarray, t, nlev: int) -> tuple[dict[int, np.ndarray], float]:
+def _bands(grid: Grid, coeffs: CoefficientSet, pts: np.ndarray, t) -> tuple[dict[int, np.ndarray], float]:
     """(I - dt*A_h) at nlev levels, from the interior points `pts` of every
     level, level-major, and their times t: flat offset k -> (nlev, n) entries
     M[p, p + k] of each level, zero where node p lacks that neighbour, for
     every k that some node has, and the largest off-diagonal entry."""
+    nlev = len(pts) // grid.n_interior
     shape = (nlev,) + grid.interior_shape
     dt = grid.dt
     b = coeffs.b_at(pts, t).reshape(shape + (grid.dim, grid.dim))
@@ -222,17 +223,11 @@ class _Store:
         mixed = grid.dim == 2 and not coeffs.b[0][1] == coeffs.b[1][0] == Num(0.0)
         grid.check_solve_size(self.nslots * (2 * grid.dim + 1 + 4 * mixed) * self.n)
         pts, times = grid.interior_points(), grid.dt * np.arange(self.nslots)
-
-        def sample(levels):
-            p, t = level_points(pts, times, levels)
-            return _bands(grid, coeffs, p, t, len(levels))
-
         stored: dict[int, np.ndarray] = {}  # k -> (nslots, n), allocated when k is first nonzero
         finite = np.ones(self.nslots, dtype=bool)
         self.worst_positive_offdiag = 0.0  # of (I - dt*A_h), over every slot
         with np.errstate(over="ignore", invalid="ignore"):  # a matrix that is not finite is refused below
-            chunks = level_chunks(self.nslots, self.n)
-            for levels, (bands, worst) in sample_levels(chunks, sample):
+            for levels, (bands, worst) in sample_levels(pts, times, functools.partial(_bands, grid, coeffs)):
                 self.worst_positive_offdiag = max(self.worst_positive_offdiag, worst)
                 for k, e in bands.items():
                     rows = np.any(e, axis=1)  # a level keeps only the bands nonzero at some node, NaN included

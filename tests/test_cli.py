@@ -1220,14 +1220,15 @@ def test_the_source_is_sampled_bit_for_bit_as_level_by_level(grid_name, source):
 def test_the_source_sampler_takes_a_power_of_t_a_chunk_of_levels_at_a_time(monkeypatch):
     calls = []
     real = cli._sample_space
+    g = SAMPLED_GRIDS["2d-chunks"]
 
-    def spy(grid, e, path, times=None):
-        calls.append(None if times is None else len(times))
-        return real(grid, e, path, times)
+    def spy(e, path, points, t=None):
+        calls.append(None if t is None else len(t) // g.n_interior)  # the levels of a chunk
+        return real(e, path, points, t)
 
     monkeypatch.setattr(cli, "_sample_space", spy)
     data = {"terminal": parse("x1"), "source": parse("x1*(1-x1)*x2*(1-x2)*(1 + t)^3")}
-    cli._sample_data(SAMPLED_GRIDS["2d-chunks"], CoefficientSet.create(2, b=0.1), data)
+    cli._sample_data(g, CoefficientSet.create(2, b=0.1), data)
     assert calls == [None, 8, 8, 8, 8, 8, 1]  # the terminal data, then 8192 // 961 = 8 levels per chunk
 
 

@@ -74,18 +74,18 @@ def test_delta_is_a_true_minimum(grid1):
 
 # The square-root decomposition 2b = sum beta_i beta_i^T + sum btilde_j btilde_j^T
 # gives the noise columns btilde_j the path engine draws with; `columns` reads
-# them from `CoefficientSet.noise_at`.
+# them from `CoefficientSet.apply_noise` of `CoefficientSet.noise_root`.
 
 
 def columns(coeffs, pts, t):
     """(npts, n, n) noise columns btilde_j at the points: column j is the btilde
-    term of `noise_at` for the unit draw of btilde_j, exactly the root's entries."""
+    term of the noise for the unit draw of btilde_j, exactly the root's entries."""
     N, n = coeffs.n_beta, coeffs.dim
     cols = []
     for j in range(n):
         draws = np.zeros((len(pts), N + n))
         draws[:, N + j] = 1.0
-        cols.append(coeffs.noise_at(pts, t, draws)[0])
+        cols.append(coeffs.apply_noise(coeffs.noise_root(pts, t), draws)[0])
     return np.stack(cols, axis=-1)
 
 
@@ -341,7 +341,7 @@ NOISE_SETS = {
 @pytest.mark.parametrize("name", sorted(NOISE_SETS))
 def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, grid2):
     """The noise columns are the root of the stack 2b - sum beta beta^T, and
-    noise_at is its einsum with the draws, then the beta einsum, to the bit."""
+    apply_noise is its einsum with the draws, then the beta einsum, to the bit."""
     dim, kw = NOISE_SETS[name]
     c = CoefficientSet.create(dim, **kw)
     pts, _, times = _samples(c, grid1 if dim == 1 else grid2)
@@ -351,7 +351,7 @@ def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, gr
         try:
             root = reference_spd_sqrt(2.0 * c.b_at(pts, t) - reference_outer(c, pts, t))
         except CoefficientError as err:
-            for refused in (lambda: columns(c, pts, t), lambda: c.noise_at(pts, t, draws)):
+            for refused in (lambda: columns(c, pts, t), lambda: c.apply_noise(c.noise_root(pts, t), draws)):
                 with pytest.raises(CoefficientError, match=f"^{err}$"):
                     refused()
             continue
@@ -359,7 +359,7 @@ def test_the_noise_matches_the_stack_root_and_einsum_bit_for_bit(name, grid1, gr
         if c.n_beta:
             want.append(np.einsum("knd,nk->nd", c.beta_at(pts, t), draws[:, : c.n_beta]))
         assert columns(c, pts, t).tobytes() == root.tobytes()
-        assert [v.tobytes() for v in c.noise_at(pts, t, draws)] == [v.tobytes() for v in want]
+        assert [v.tobytes() for v in c.apply_noise(c.noise_root(pts, t), draws)] == [v.tobytes() for v in want]
 
 
 def reference_survey(coeffs, grid):

@@ -51,6 +51,17 @@ def test_kappa_zero_reduces_to_terminal_data(small_grid):
     assert sol.report.converged
 
 
+def test_a_first_pass_within_tol_is_confirmed_by_a_second(small_grid):
+    """A nonzero problem whose first difference |Phi_1 - Phi_0| is already
+    below tol, and not zero, still takes one confirming pass."""
+    xi = random_field(np.random.default_rng(3), small_grid)
+    sol = solve_nonlocal(NonlocalProblem(CauchyProblem(small_grid, heat(), terminal=xi), InitialValue(1e-6)), tol=1e-3)
+    assert 0.0 < sol.report.residuals[0] <= 1e-3
+    assert sol.report.iterations == 2
+    assert sol.report.converged
+    assert sol.report.residuals[1] < sol.report.residuals[0]
+
+
 def test_geometric_series_eigenmode():
     g = make_grid(Domain((0.0,), (1.0,)), 201, 400, 1.0)
     xi = SpaceField.from_function(g, lambda x: np.sin(np.pi * x))

@@ -20,6 +20,8 @@ from bspde import (
     make_grid,
     sup_norm,
 )
+from bspde.exprdsl import parse
+from bspde.nonlocal_ops import _resample_time_kernel
 
 from conftest import apply_nonlocal, dense_entries, random_spec, random_st_field, truncation_check, validate_spec
 
@@ -82,6 +84,32 @@ def test_expression_time_kernel(grid):
     rep = validate_spec(TimeKernel(theta=0.5, kernel="2*t"), grid)
     # trapezoid of |2t| over [0, 0.5] is 0.25 exactly (piecewise linear)
     assert rep.norm_bound == pytest.approx(0.25)
+
+
+KERNEL_GRIDS = {
+    "1d-one-chunk": make_grid(Domain((0.0,), (1.0,)), 13, 20, 1.0),
+    "2d-one-chunk": make_grid(Domain((0.0, 0.0), (1.0, 1.0)), 9, 40, 2.0),
+    "1d-chunks": make_grid(Domain((0.0,), (1.0,)), 3, 20000, 1.0),  # 20000 levels: chunks of 8192, 8192 and 3616
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
+@pytest.mark.parametrize("kernel", ["1.5*exp(-t)", "2", "t^0.5", "(1 + t)^t"])
+def test_an_expression_time_kernel_has_the_bits_of_a_loop_over_single_levels(grid_name, kernel):
+    """The kernel on levels 0..nt - 1, t bound to a chunk of levels at a time,
+    against each level alone with t bound as one number."""
+    g = KERNEL_GRIDS[grid_name]
+    e = parse(kernel)
+    want = np.asarray([np.asarray(e.eval({"t": float(t)}), dtype=float) for t in g.times()[: g.nt]], dtype=float)
+    assert _resample_time_kernel(kernel, g, g.nt).tobytes() == want.tobytes()
+
+
+def test_an_expression_time_kernel_reports_the_fault_of_its_first_failing_level(grid):
+    # level 2 is t = 0.1, a division by zero; every level above t = 0.3 takes the root of a negative value,
+    # which is what one evaluation of every level at once would report
+    with pytest.raises(NonlocalValidationError, match="^division by zero$") as err:
+        validate_spec(TimeKernel(theta=0.5, kernel="sqrt(0.3 - t) + 1/(t - 0.1)"), grid)
+    assert err.value.entry == "kernel"
 
 
 def test_space_time_kernel_shapes_and_bound(grid):

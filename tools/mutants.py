@@ -181,7 +181,10 @@ MUTANTS = (
         "            if len(levels) == 1:\n                raise\n",
         "            raise\n",
         "the chunked samplers: an evaluation error is the one a loop over single levels meets first",
-        ("tests/test_cli.py::test_the_source_sampler_reports_the_first_level_that_fails[bad-level-then-division-by-zero]",),
+        (
+            "tests/test_cli.py::test_the_source_sampler_reports_the_first_level_that_fails[bad-level-then-division-by-zero]",
+            "tests/test_nonlocal.py::test_an_expression_time_kernel_reports_the_fault_of_its_first_failing_level",
+        ),
     ),
     Mutant(
         "variable exponent left unmaterialised",
@@ -255,6 +258,30 @@ MUTANTS = (
         "the monotone scheme: the drift is taken from the upwind side",
         # the grids with more than one interior node on some axis (3 and (3, 3) have one)
         tuple(_STEPPER + f"test_one_step_against_dense[{nx}]" for nx in ("12", "nx3", "nx4", "nx5", "nx6")),
+    ),
+    Mutant(
+        "cross stencil sign flipped",
+        "src/bspde/stepper.py",
+        "stencil.update({(1, 1): cross, (-1, -1): cross, (1, -1): -cross, (-1, 1): -cross})",
+        "stencil.update({(1, 1): -cross, (-1, -1): -cross, (1, -1): cross, (-1, 1): cross})",
+        "the scheme: the mixed term b_12 enters through the 4-point cross stencil with its own sign",
+        # the grids with more than one interior node on both axes, so that some node has a diagonal neighbour
+        (
+            _STEPPER + "test_one_step_against_dense[nx5]",
+            _STEPPER + "test_one_step_against_dense[nx6]",
+            _STEPPER + "test_manufactured_2d_mixed_derivative_exact",
+        ),
+    ),
+    Mutant(
+        "Picard first-pass rule dropped",
+        "src/bspde/fixedpoint.py",
+        "if res <= tol and (m >= 2 or (res == 0.0 and not np.any(phi))):",
+        "if res <= tol:",
+        "the Picard iteration: a nonzero problem gets at least one confirming pass",
+        (
+            "tests/test_fixedpoint.py::test_kappa_zero_reduces_to_terminal_data",
+            "tests/test_fixedpoint.py::test_a_first_pass_within_tol_is_confirmed_by_a_second",
+        ),
     ),
     Mutant(
         "trapezoid end weights not halved",
