@@ -39,10 +39,12 @@ kept when it is nonzero at some node of some slot, and holds zeros at a slot
 where it is zero at every node: 3 doubles per node and slot in 1-D, 5 in
 2-D without a mixed term and 9 with one.  `grid.MAX_SOLVE_DOUBLES` counts
 these with the solution and the factor, and a store over the limit is
-refused before anything is allocated.  The store also keeps the factor of
-the last slot it served, (3w + 1) doubles per node (on a 33 x 33 grid with
-nt = 40: 1.5 MB of bands and a 0.75 MB factor).  So a t-independent problem
-is factored once per process, and a t-dependent sweep factors every level.
+refused before anything is allocated.  The store factors the slot a step
+needs into its one band storage, (3w + 1) doubles per node allocated with
+the store, unless that storage already holds the slot's factor (on a 33 x 33
+grid with nt = 40: 1.5 MB of bands and a 0.75 MB band storage).  So a
+t-independent problem is factored once per process, and a t-dependent sweep
+factors every level.
 
 The half-bandwidth w stays m2 + 1 in 2-D when no mixed term is stored, and
 the outermost stored band is m2 from the diagonal: on the 33 x 33 grid,
@@ -186,27 +188,6 @@ def _bands(grid: Grid, coeffs: CoefficientSet, pts: np.ndarray, t) -> tuple[dict
     return bands, worst
 
 
-class _System:
-    """One level of a store, LU-factored in LAPACK band storage."""
-
-    def __init__(self, ab: np.ndarray, w: int, t: float):
-        """Factor the band storage ab (overwritten) of the level at time t."""
-        self.w = w
-        self.lu, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=1)
-        if info != 0:
-            raise LinearSolveError(f"singular system at t = {t:.6g} (dgbtrf info {info})")
-        # the store may serve the factor to many sweeps; dgbtrs only reads it
-        self.lu.flags.writeable = False
-        self.piv.flags.writeable = False
-
-    def solve(self, b: np.ndarray) -> None:
-        """Overwrite b (a contiguous float64 vector, so LAPACK works on it in
-        place) with the solution x of M x = b."""
-        _, info = dgbtrs(self.lu, self.w, self.w, b, self.piv, overwrite_b=1)
-        if info != 0:
-            raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info})")
-
-
 class _Store:
     """The step matrices of one (grid, coefficients) problem, assembled when
     the store is built: slot j is the level at t = j dt, and the only slot
@@ -246,18 +227,29 @@ class _Store:
         self.spans = {k: _span(k, self.n) for k in self.bands}
         for e in self.bands.values():
             e.flags.writeable = False
-        self.last: tuple[int, _System] | None = None  # the slot served last, factored
+        # the one band storage: dgbtrf factors each slot in place, and slot `factored`'s factor is kept
+        self.ab = np.zeros((3 * self.w + 1, self.n), order="F")
+        self.factored: int | None = None
 
-    def system(self, j: int) -> _System:
-        """Slot j factored, unless it was the slot served last."""
-        if self.last is None or self.last[0] != j:
-            w = self.w
-            ab = np.zeros((3 * w + 1, self.n), order="F")
-            for k, entries in self.bands.items():
-                rows, cols = self.spans[k]
-                ab[2 * w - k, cols] = entries[j, rows]
-            self.last = (j, _System(ab, w, self.grid.dt * j))
-        return self.last[1]
+    def solve(self, k: int, b: np.ndarray) -> None:
+        """Overwrite b (a contiguous float64 vector, so LAPACK works on it in
+        place) with the solution x of M x = b at level k, factoring level k's
+        slot into the band storage unless it holds that slot's factor."""
+        j = k if self.nslots > 1 else 0
+        if j != self.factored:
+            w, ab = self.w, self.ab
+            self.factored = None  # no slot's factor until dgbtrf accepts this one
+            ab[w:] = 0.0  # dgbtrf does not read rows 0..w-1
+            for d, entries in self.bands.items():
+                rows, cols = self.spans[d]
+                ab[2 * w - d, cols] = entries[j, rows]
+            _, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=1)
+            if info != 0:
+                raise LinearSolveError(f"singular system at t = {self.grid.dt * j:.6g} (dgbtrf info {info})")
+            self.factored = j
+        _, info = dgbtrs(self.ab, self.w, self.w, b, self.piv, overwrite_b=1)
+        if info != 0:
+            raise LinearSolveError(f"banded linear solve failed (dgbtrs info {info})")
 
     def residual(self, u: np.ndarray, src: np.ndarray | None, raw: np.ndarray | None) -> float:
         """sup |rhs - M x| over every step of a sweep, each against the bands
@@ -337,16 +329,12 @@ def solve_terminal(problem: CauchyProblem) -> SolveOutput:
     with np.errstate(over="ignore", invalid="ignore"):
         # rhs of step k: u^{k+1} + dt*source^k
         src = None if raw is None else grid.dt * raw
-        t_dependent = store.nslots > 1
-        system = None if t_dependent else store.system(0)
         for k in range(nt - 1, -1, -1):
-            if t_dependent:
-                system = store.system(k)
             if src is None:
                 u[k] = u[k + 1]
             else:
                 np.add(u[k + 1], src[k], out=u[k])
-            system.solve(u[k])
+            store.solve(k, u[k])
         max_resid = store.residual(u, src, raw)
 
     out = SpaceTimeField(grid, u.reshape((nt + 1,) + grid.interior_shape))

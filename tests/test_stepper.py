@@ -30,7 +30,7 @@ from bspde import (
 )
 from bspde.nonlocal_ops import _compile
 from bspde.grid import GridError
-from bspde.stepper import LinearSolveError, SolutionRangeError, _span, _store, _System
+from bspde.stepper import LinearSolveError, SolutionRangeError, _span, _store
 from conftest import random_coeffs_1d, random_field, random_st_field
 
 
@@ -333,8 +333,12 @@ def _band_storage(level, n):
 
 
 def _fresh_system(g, c, t):
+    """The level at time t and its LU factor lu, piv, from scipy's public
+    dgbtrf: no solve code of the stepper."""
     level = reference_level(g, c, t)
-    return level, _System(_band_storage(level, g.n_interior), level.w, t)
+    lu, piv, info = dgbtrf(_band_storage(level, g.n_interior), level.w, level.w)
+    assert info == 0
+    return level, lu, piv
 
 
 def _reference_sweep(g, c, terminal, source=None):
@@ -347,7 +351,7 @@ def _reference_sweep(g, c, terminal, source=None):
     u[g.nt] = terminal.values
     worst = 0.0
     resids = []  # per step, from level nt - 1 down to 0
-    system = None
+    lu = None
 
     def sup_residual(rhs, x):
         r = rhs.copy()
@@ -357,13 +361,13 @@ def _reference_sweep(g, c, terminal, source=None):
         return float(np.max(np.abs(r)))
 
     for k in range(g.nt - 1, -1, -1):
-        if system is None or c.is_time_dependent:
-            level, system = _fresh_system(g, c, g.dt * k)
+        if lu is None or c.is_time_dependent:
+            level, lu, piv = _fresh_system(g, c, g.dt * k)
             worst = max(worst, level.worst_positive_offdiag)
         rhs = u[k + 1].ravel().copy()
         if source is not None:
             rhs += g.dt * source.values[k].ravel()
-        x, info = dgbtrs(system.lu, level.w, level.w, rhs, system.piv)
+        x, info = dgbtrs(lu, level.w, level.w, rhs, piv)
         assert info == 0
         with np.errstate(over="ignore", invalid="ignore"):
             res = sup_residual(rhs, x)
@@ -484,6 +488,49 @@ def test_store_factors_a_problem_once_or_each_level_once_per_sweep(monkeypatch):
     for _ in range(3):
         solve_terminal(CauchyProblem(g, C1_TIME, terminal=term))
     assert len(calls) == 3 * g.nt
+
+
+@pytest.mark.parametrize("nx,coeffs", [(9, C1_TIME), ((6, 9), C2_TIME)], ids=["1d", "2d"])
+def test_every_factorisation_of_a_store_writes_into_its_one_band_storage(monkeypatch, nx, coeffs):
+    lo, hi = ((0.0,), (1.0,)) if coeffs.dim == 1 else ((0.0, -1.0), (1.0, 1.0))
+    g = make_grid(Domain(lo, hi), nx, 12, 0.8)
+    term = random_field(np.random.default_rng(25), g)
+    factored = []  # kept alive, so that distinct storages have distinct addresses
+
+    def spy(ab, *args, **kwargs):
+        lu, piv, info = dgbtrf(ab, *args, **kwargs)
+        assert np.shares_memory(lu, ab)  # factored in place
+        factored.append(ab)
+        return lu, piv, info
+
+    monkeypatch.setattr(stepper, "dgbtrf", spy)
+    for _ in range(2):
+        _assert_matches_reference(g, coeffs, terminal=term)
+    assert len(factored) == 2 * g.nt
+    addresses = {ab.ctypes.data for ab in factored}
+    assert len(addresses) == 1
+    assert addresses == {_store(g, coeffs).ab.ctypes.data}
+
+
+@pytest.mark.parametrize("coeffs,refused,t", [(C1_CONST, 1, "0"), (C1_TIME, 3, "0.6")], ids=["constant-in-t", "time"])
+def test_a_refused_factorisation_leaves_no_slot_factored(monkeypatch, coeffs, refused, t):
+    # the spy refuses factorisation number `refused` of the store: the storage
+    # is left as filled, with valid pivots, so a slot taken for factored would solve
+    g = make_grid(Domain((0.0,), (1.0,)), 9, 12, 0.8)
+    term = random_field(np.random.default_rng(26), g)
+    calls = []
+
+    def spy(ab, *args, **kwargs):
+        calls.append(ab.shape[1])
+        if len(calls) == refused:
+            return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+        return dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "dgbtrf", spy)
+    with pytest.raises(LinearSolveError, match=rf"^singular system at t = {t} \(dgbtrf info 1\)$"):
+        solve_terminal(CauchyProblem(g, coeffs, terminal=term))
+    assert _store(g, coeffs).factored is None
+    _assert_matches_reference(g, coeffs, terminal=term)
 
 
 @pytest.mark.parametrize("coeffs", [heat_coeffs(), C1_TIME])

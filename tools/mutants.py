@@ -142,6 +142,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sweep residual from the last step of a chunk",
+        "src/bspde/stepper.py",
+        "chunk = float(np.max(r))",
+        "chunk = float(np.max(r[-1]))",
+        "the linear residual: a sweep reports the largest residual over every step",
+        (
+            _STEPPER + "test_sweep_residual_is_the_max_over_every_step[coeffs0]",
+            _STEPPER + "test_sweep_residual_is_the_max_over_every_step[coeffs1]",
+        ),
+    ),
+    Mutant(
+        "non-finite sweep residual let through",
+        "src/bspde/stepper.py",
+        "if not math.isfinite(chunk):",
+        "if False:",
+        "the linear residual: a sweep whose residual is not finite is rescaled, or refused as out of range or failed",
+        (
+            _STEPPER + "test_an_rhs_that_overflows_from_finite_data_is_a_range_error[1.0-1.7e+308-coeffs0]",
+            _STEPPER + "test_an_rhs_that_overflows_from_finite_data_is_a_range_error[1.0-1.7e+308-coeffs1]",
+            _STEPPER + "test_an_rhs_that_overflows_from_finite_data_is_a_range_error[10.0-0.0-coeffs0]",
+            _STEPPER + "test_an_rhs_that_overflows_from_finite_data_is_a_range_error[10.0-0.0-coeffs1]",
+            _STEPPER + "test_non_finite_data_or_coefficients_are_not_a_range_error[coeffs0]",
+            _STEPPER + "test_non_finite_data_or_coefficients_are_not_a_range_error[coeffs1]",
+        ),
+    ),
+    Mutant(
+        "band storage not reset before a factorisation",
+        "src/bspde/stepper.py",
+        "            ab[w:] = 0.0  # dgbtrf does not read rows 0..w-1\n",
+        "",
+        "the linear solve: each level is factored from its own bands alone, not from the factor before it",
+        (
+            _STEPPER + "test_sweep_matches_the_per_step_reference[nx6-12-coeffs6-True-7]",
+            _STEPPER + "test_sweep_matches_the_per_step_reference[nx7-12-coeffs7-False-None]",
+        ),
+    ),
+    Mutant(
+        "slot marked factored before dgbtrf's info is read",
+        "src/bspde/stepper.py",
+        "_, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=1)\n",
+        "_, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=1)\n            self.factored = j\n",
+        "the linear solve: a refused factorisation is never used to solve",
+        (
+            _STEPPER + "test_a_refused_factorisation_leaves_no_slot_factored[constant-in-t]",
+            _STEPPER + "test_a_refused_factorisation_leaves_no_slot_factored[time]",
+        ),
+    ),
+    Mutant(
         "chunk boundary level skipped",
         "src/bspde/grid.py",
         "range(lo, min(lo + step, n_levels)) for lo in",
